@@ -72,6 +72,7 @@ from .featviz import (
     RigidTransform,
     Triplet,
     align_triplet,
+    aligned_spread,
     chi2_quantile_2dof,
     confidence_ellipse,
     fit_rigid,

@@ -41,7 +41,10 @@ EXIT_IO = 5
 def load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
         config = ExperimentConfig.from_dict(raw)
     else:
         config = ExperimentConfig()
@@ -50,6 +53,14 @@ def load_config(args) -> ExperimentConfig:
         raw["seed"] = args.seed
         config = ExperimentConfig.from_dict(raw)
     return config
+
+
+def _config_and_out_dir(args):
+    """Resolve the config first, so a rejected config leaves no output directory."""
+    config = load_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return config, out_dir
 
 
 def write_manifest(out_dir: Path, command: str, config: ExperimentConfig):
@@ -77,19 +88,17 @@ def write_report_files(out_dir: Path, report, prefix: str = ""):
     metrics.save_trials_json(report.trials, out_dir / f"{prefix}trials.json")
 
 
-def _point_fields(point):
-    return [
-        "" if point.target is None else repr(float(point.target)),
-        "" if point.achieved is None else repr(float(point.achieved)),
-        "" if point.threshold is None else repr(float(point.threshold)),
-        repr(float(point.value)),
-    ]
+def write_point_table(path: Path, key: str, keyed_reports):
+    """Operating points of several reports, each row led by its report's key."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{key},{metrics.OPERATING_POINT_HEADER}\n")
+        for label, report in keyed_reports:
+            for point in report.operating_points:
+                fh.write(f"{label},{metrics.operating_point_row(point)}\n")
 
 
 def cmd_gen_data(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = _config_and_out_dir(args)
     bundle = generate_bundle(config)
     datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl")
     datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl")
@@ -103,9 +112,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = _config_and_out_dir(args)
     bundle = generate_bundle(config)
     model = fresh_model(config)
     model, history = train(model, bundle.train_set, train_config(config))
@@ -117,15 +124,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_margins(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_sweep(config, parallel=args.parallel)
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("margin,metric,target,achieved,threshold,value\n")
-        for offset, _, report in results:
-            for point in report.operating_points:
-                fh.write(",".join([repr(float(offset)), point.metric, *_point_fields(point)]) + "\n")
+    config, out_dir = _config_and_out_dir(args)
+    results = run_sweep(config)
+    write_point_table(
+        out_dir / "summary.csv", "margin", [(repr(float(offset)), report) for offset, _, report in results]
+    )
     for offset, history, report in results:
         sub = out_dir / f"margin_{offset:+.3f}"
         sub.mkdir(exist_ok=True)
@@ -137,9 +140,7 @@ def cmd_sweep_margins(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = _config_and_out_dir(args)
     pretrained = load_checkpoint(args.checkpoint) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
     model1, history1, report1 = stage1
@@ -149,11 +150,7 @@ def cmd_adapt(args) -> int:
     save_checkpoint(model2, out_dir / "stage2_checkpoint.bin")
     histories = ([("initial", history1)] if history1 is not None else []) + [("adaptation", history2)]
     write_history_csv(out_dir / "history.csv", histories)
-    with open(out_dir / "stage_metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("stage,metric,target,achieved,threshold,value\n")
-        for stage, report in (("stage1", report1), ("stage2", report2)):
-            for point in report.operating_points:
-                fh.write(",".join([stage, point.metric, *_point_fields(point)]) + "\n")
+    write_point_table(out_dir / "stage_metrics.csv", "stage", [("stage1", report1), ("stage2", report2)])
     write_report_files(out_dir, report1, prefix="stage1_")
     write_report_files(out_dir, report2, prefix="stage2_")
     write_manifest(out_dir, "adapt", config)
@@ -182,9 +179,7 @@ def _load_eval_inputs(args, config):
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = _config_and_out_dir(args)
     model, bona_fides, protocol = _load_eval_inputs(args, config)
     report = evaluate_from_files(model, bona_fides, protocol, config)
     write_report_files(out_dir, report)
@@ -197,9 +192,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze_features(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = _config_and_out_dir(args)
     model, bona_fides, protocol = _load_eval_inputs(args, config)
     aligned, ellipse, size = feature_analysis(model, bona_fides, protocol, config)
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
@@ -239,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-margins", help="train and evaluate one model per margin offset")
     common(p)
-    p.add_argument("--parallel", action="store_true", help="run sweep entries in parallel")
     p.set_defaults(func=cmd_sweep_margins)
 
     p = sub.add_parser("adapt", help="two-stage run: bona fide pretraining, then morph adaptation")

@@ -317,7 +317,7 @@ def _sample_from_record(record: dict) -> Sample:
             labels=labels,
             source_ids=tuple(int(s) for s in record["source_ids"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed dataset record: {record!r}") from exc
 
 
@@ -331,9 +331,16 @@ def save_dataset(samples, path):
 def load_dataset(path) -> list[Sample]:
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                samples.append(_sample_from_record(json.loads(line)))
+        try:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        record = json.loads(line)
+                    except ValueError as exc:
+                        raise DataError(f"{path} line {number} is not valid JSON: {exc}") from exc
+                    samples.append(_sample_from_record(record))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     return samples
 
 
@@ -357,7 +364,10 @@ def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path)
 
 def load_protocol(path) -> MorphPairProtocol:
     with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from exc
     try:
         pairs = tuple(
             MorphPair(
@@ -368,6 +378,6 @@ def load_protocol(path) -> MorphPairProtocol:
             )
             for r in records
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed protocol file {path}") from exc
     return MorphPairProtocol(pairs=pairs, seed=None)

@@ -238,14 +238,18 @@ def _stack_batch(batch):
     return inputs, first, second, is_morph
 
 
+def _sgd_update(model: DualHeadModel, grads, lr):
+    """Move every parameter in place by -lr times its gradient."""
+    for name, param in model.parameters():
+        param -= lr * grads[name]
+
+
 def train_step(model: DualHeadModel, batch, margin: MarginConfig, lr: float):
     """One SGD step over a batch of Samples; returns the pre-update loss."""
     if len(batch) == 0:
         raise ConfigError("training step requires a nonempty batch")
-    inputs, first, second, is_morph = _stack_batch(batch)
-    loss, grads = batch_gradients(model, inputs, first, second, is_morph, margin)
-    for name, param in model.parameters():
-        param -= lr * grads[name]
+    loss, grads = batch_gradients(model, *_stack_batch(batch), margin)
+    _sgd_update(model, grads, lr)
     return model, loss
 
 
@@ -280,9 +284,7 @@ def train(model: DualHeadModel, dataset, config: TrainConfig, stage: str = "init
             loss, grads = batch_gradients(
                 model, inputs[idx], first[idx], second[idx], is_morph[idx], config.margin
             )
-            lr = lrs[step]
-            for name, param in model.parameters():
-                param -= lr * grads[name]
+            _sgd_update(model, grads, lrs[step])
             loss_sum += loss * len(idx)
             step += 1
         history.epoch_mean_loss.append(loss_sum / n)

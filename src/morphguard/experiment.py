@@ -16,7 +16,6 @@ parents and scored against one held-out sample of each parent identity.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,23 +72,12 @@ class TrainSettings:
     lr_end: float = 1e-4
     batch_size: int = 128
 
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError(f"epochs and batch_size must be >= 1, got ({self.epochs}, {self.batch_size})")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise ConfigError(
-                f"learning rates must satisfy lr_start >= lr_end > 0, got ({self.lr_start}, {self.lr_end})"
-            )
-
 
 @dataclass(frozen=True)
 class MarginSettings:
     scale: float = 16.0
     bona_fide_margin: float = 0.5
     morph_offset: float = 0.0
-
-    def __post_init__(self):
-        MarginConfig(self.scale, self.bona_fide_margin, self.morph_offset)
 
 
 @dataclass(frozen=True)
@@ -118,13 +106,6 @@ class AdaptSettings:
     stage2_lr_end: float = 1e-4
     stage2_morph_offset: float = -0.1
 
-    def __post_init__(self):
-        if self.stage1_epochs < 1 or self.stage2_epochs < 1:
-            raise ConfigError("stage epoch counts must be >= 1")
-        for start, end in ((self.stage1_lr_start, self.stage1_lr_end), (self.stage2_lr_start, self.stage2_lr_end)):
-            if not (start >= end > 0):
-                raise ConfigError(f"stage learning rates must satisfy start >= end > 0, got ({start}, {end})")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -137,11 +118,21 @@ class ExperimentConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
     adapt: AdaptSettings = field(default_factory=AdaptSettings)
 
+    def __post_init__(self):
+        # Every regime a recipe trains under is checked up front, so a bad
+        # sweep offset or adaptation stage fails before any model trains.
+        train_config(self)
+        for offset in self.sweep_grid:
+            train_config(self, morph_offset=offset)
+        adaptation_configs(self)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         try:
             return cls(
                 seed=int(raw.get("seed", 1)),
@@ -153,8 +144,10 @@ class ExperimentConfig:
                 eval=EvalSettings(**_tupled(raw.get("eval", {}), "fnmr_targets", "fmr_targets")),
                 adapt=AdaptSettings(**raw.get("adapt", {})),
             )
-        except TypeError as exc:
-            raise ConfigError(f"unknown or missing config field: {exc}") from exc
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"unknown, missing or mistyped config field: {exc}") from exc
 
 
 def _tupled(section: dict, *keys) -> dict:
@@ -247,29 +240,41 @@ def train_config(config: ExperimentConfig, morph_offset=None, epochs=None, lr_st
     )
 
 
+def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConfig]:
+    """Stage-1 (bona fide, no morph offset) and stage-2 (adaptation) regimes."""
+    a = config.adapt
+    return (
+        train_config(config, 0.0, a.stage1_epochs, a.stage1_lr_start, a.stage1_lr_end),
+        train_config(config, a.stage2_morph_offset, a.stage2_epochs, a.stage2_lr_start, a.stage2_lr_end),
+    )
+
+
 # --- evaluation -------------------------------------------------------------
 
 
-def _embed(model: DualHeadModel, samples) -> np.ndarray:
-    inputs = np.stack([s.input for s in samples])
-    embeddings, _ = _forward_batch(model, inputs)
+def _embed(model: DualHeadModel, vectors) -> np.ndarray:
+    embeddings, _ = _forward_batch(model, np.stack(vectors))
     return embeddings
 
 
-def verification_scores(model: DualHeadModel, holdout, settings: EvalSettings, seed: int) -> VerificationSet:
-    """Seeded genuine/impostor cosine scores over held-out samples."""
+def embed_holdout(model: DualHeadModel, holdout) -> dict:
+    """Held-out embeddings per identity, one forward batch per identity."""
     grouped = datagen.group_by_identity(holdout)
-    identities = sorted(grouped)
-    if any(len(grouped[i]) < 2 for i in identities) or len(identities) < 2:
+    return {i: _embed(model, [s.input for s in grouped[i]]) for i in sorted(grouped)}
+
+
+def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> VerificationSet:
+    """Seeded genuine/impostor cosine scores over held-out embeddings."""
+    identities = sorted(probes)
+    if any(len(probes[i]) < 2 for i in identities) or len(identities) < 2:
         raise ConfigError("verification needs >= 2 held-out samples for >= 2 identities")
-    embeddings = {i: _embed(model, grouped[i]) for i in identities}
 
     rng = rng_for(seed, STREAM_GENUINE)
     genuine = np.empty(settings.genuine_pairs)
     for k in range(settings.genuine_pairs):
         identity = identities[int(rng.integers(len(identities)))]
-        i, j = rng.choice(len(grouped[identity]), size=2, replace=False)
-        genuine[k] = np.clip(embeddings[identity][i] @ embeddings[identity][j], -1.0, 1.0)
+        i, j = rng.choice(len(probes[identity]), size=2, replace=False)
+        genuine[k] = np.clip(probes[identity][i] @ probes[identity][j], -1.0, 1.0)
 
     rng = rng_for(seed, STREAM_IMPOSTOR)
     impostor = np.empty(settings.impostor_pairs)
@@ -277,8 +282,8 @@ def verification_scores(model: DualHeadModel, holdout, settings: EvalSettings, s
         a, b = rng.choice(len(identities), size=2, replace=False)
         ia, ib = identities[int(a)], identities[int(b)]
         impostor[k] = np.clip(
-            embeddings[ia][int(rng.integers(len(grouped[ia])))]
-            @ embeddings[ib][int(rng.integers(len(grouped[ib])))],
+            probes[ia][int(rng.integers(len(probes[ia])))]
+            @ probes[ib][int(rng.integers(len(probes[ib])))],
             -1.0,
             1.0,
         )
@@ -304,26 +309,26 @@ def build_trial_triplets(train_bona, protocol, alpha: float):
     return triplets
 
 
-def morph_trials(model: DualHeadModel, train_bona, holdout, protocol, seed: int, alpha: float):
-    """Score each protocol morph against one held-out sample per parent."""
-    grouped_hold = datagen.group_by_identity(holdout)
-    triplets = build_trial_triplets(train_bona, protocol, alpha)
-    morph_emb = _embed_vectors(model, [t[2] for t in triplets])
-    hold_emb = {i: _embed(model, grouped_hold[i]) for i in grouped_hold}
+def trial_features(model: DualHeadModel, train_bona, protocol, alpha: float) -> np.ndarray:
+    """Embed every trial triplet in one batch of 3T rows.
 
+    Rows run (parent_a, parent_b, morph) per protocol pair, the layout
+    featviz.aligned_spread expects; rows 2::3 are the morph embeddings.
+    """
+    triplets = build_trial_triplets(train_bona, protocol, alpha)
+    return _embed(model, [v for t in triplets for v in t])
+
+
+def morph_trials(morph_embeddings: np.ndarray, probes: dict, protocol, seed: int):
+    """Score each protocol morph against one held-out sample per parent."""
     rng = rng_for(seed, STREAM_TRIALS)
     trials = []
     for idx, pair in enumerate(protocol.pairs):
-        probe_a = hold_emb[pair.identity_a][int(rng.integers(len(grouped_hold[pair.identity_a])))]
-        probe_b = hold_emb[pair.identity_b][int(rng.integers(len(grouped_hold[pair.identity_b])))]
-        scores = np.clip([morph_emb[idx] @ probe_a, morph_emb[idx] @ probe_b], -1.0, 1.0)
+        probe_a = probes[pair.identity_a][int(rng.integers(len(probes[pair.identity_a])))]
+        probe_b = probes[pair.identity_b][int(rng.integers(len(probes[pair.identity_b])))]
+        scores = np.clip([morph_embeddings[idx] @ probe_a, morph_embeddings[idx] @ probe_b], -1.0, 1.0)
         trials.append(MorphTrial(idx, scores))
     return trials
-
-
-def _embed_vectors(model: DualHeadModel, vectors) -> np.ndarray:
-    embeddings, _ = _forward_batch(model, np.stack(vectors))
-    return embeddings
 
 
 @dataclass
@@ -350,15 +355,10 @@ class EvalReport:
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
-    verification = verification_scores(model, bundle.holdout, config.eval, config.seed)
-    trials = morph_trials(
-        model,
-        bundle.train_bona,
-        bundle.holdout,
-        bundle.protocol,
-        config.seed,
-        config.data.alpha,
-    )
+    probes = embed_holdout(model, bundle.holdout)
+    verification = verification_scores(probes, config.eval, config.seed)
+    features = trial_features(model, bundle.train_bona, bundle.protocol, config.data.alpha)
+    trials = morph_trials(features[2::3], probes, bundle.protocol, config.seed)
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
     tau, value = metrics.min_rmmr(trials, verification)
@@ -366,9 +366,8 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     points += metrics.fnmr_at_fmr(verification, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 
-    triplets = build_trial_triplets(bundle.train_bona, bundle.protocol, config.data.alpha)
-    cloud, ellipse, size = featviz.morph_spread(triplets, model)
-    points.append(OperatingPoint("morph_spread", None, None, None, size))
+    aligned, ellipse = featviz.aligned_spread(features)
+    points.append(OperatingPoint("morph_spread", None, None, None, ellipse.size))
     return EvalReport(
         verification=verification,
         trials=trials,
@@ -378,9 +377,9 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
         operating_points=points,
         min_rmmr_threshold=tau,
         min_rmmr_value=value,
-        aligned_cloud=cloud,
+        aligned_cloud=aligned[:, 2, :],
         ellipse=ellipse,
-        spread_size=size,
+        spread_size=ellipse.size,
     )
 
 
@@ -405,15 +404,7 @@ def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: Experim
     train_bona, _ = holdout_split(
         bona_fides, config.data.samples_per_class, config.data.holdout_fraction
     )
-    input_triplets = build_trial_triplets(train_bona, protocol, config.data.alpha)
-    flat = np.stack([np.asarray(v) for t in input_triplets for v in t])
-    embeddings, _ = _forward_batch(model, flat)
-    feature_triplets = [
-        featviz.Triplet(embeddings[3 * i], embeddings[3 * i + 1], embeddings[3 * i + 2])
-        for i in range(len(input_triplets))
-    ]
-    aligned = featviz.align_feature_triplets(feature_triplets)
-    ellipse = featviz.confidence_ellipse(aligned[:, 2, :], level=0.9)
+    aligned, ellipse = featviz.aligned_spread(trial_features(model, train_bona, protocol, config.data.alpha))
     return aligned, ellipse, ellipse.size
 
 
@@ -426,22 +417,16 @@ def run_margin_entry(config: ExperimentConfig, morph_offset: float):
     return model, history, report
 
 
-def _sweep_worker(raw_config: dict, morph_offset: float):
-    config = ExperimentConfig.from_dict(raw_config)
+def _sweep_worker(config: ExperimentConfig, morph_offset: float):
     _, history, report = run_margin_entry(config, morph_offset)
     return morph_offset, history, report
 
 
-def run_sweep(config: ExperimentConfig, parallel: bool = False):
-    """One (history, report) per grid offset, in grid order."""
+def run_sweep(config: ExperimentConfig):
+    """One (offset, history, report) per grid offset, in grid order."""
     if len(config.sweep_grid) == 0:
         raise ConfigError("sweep needs a nonempty margin grid")
-    if parallel and len(config.sweep_grid) > 1:
-        raw = config.to_dict()
-        with ProcessPoolExecutor(max_workers=min(len(config.sweep_grid), 4)) as pool:
-            results = list(pool.map(_sweep_worker, [raw] * len(config.sweep_grid), config.sweep_grid))
-        return results
-    return [_sweep_worker(config.to_dict(), offset) for offset in config.sweep_grid]
+    return [_sweep_worker(config, offset) for offset in config.sweep_grid]
 
 
 def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = None):
@@ -453,39 +438,17 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
     offset and learning rates.
     """
     bundle = generate_bundle(config)
-    settings = config.adapt
+    stage1_config, stage2_config = adaptation_configs(config)
 
     if pretrained is None:
         stage1_set = datagen.build_training_set(
             bundle.universe, bundle.train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
         )
-        stage1_model = fresh_model(config)
-        stage1_model, stage1_history = train(
-            stage1_model,
-            stage1_set,
-            train_config(
-                config,
-                morph_offset=0.0,
-                epochs=settings.stage1_epochs,
-                lr_start=settings.stage1_lr_start,
-                lr_end=settings.stage1_lr_end,
-            ),
-        )
+        stage1_model, stage1_history = train(fresh_model(config), stage1_set, stage1_config)
     else:
         stage1_model, stage1_history = pretrained, None
     stage1_report = evaluate_model(stage1_model, bundle, config)
 
-    stage2_model = stage1_model.copy()
-    stage2_model, stage2_history = adapt(
-        stage2_model,
-        bundle.train_set,
-        train_config(
-            config,
-            morph_offset=settings.stage2_morph_offset,
-            epochs=settings.stage2_epochs,
-            lr_start=settings.stage2_lr_start,
-            lr_end=settings.stage2_lr_end,
-        ),
-    )
+    stage2_model, stage2_history = adapt(stage1_model.copy(), bundle.train_set, stage2_config)
     stage2_report = evaluate_model(stage2_model, bundle, config)
     return (stage1_model, stage1_history, stage1_report), (stage2_model, stage2_history, stage2_report)

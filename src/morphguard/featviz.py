@@ -178,6 +178,21 @@ def align_feature_triplets(triplets, mode: str = "rigid"):
     return np.array(aligned)
 
 
+def aligned_spread(rows, level: float = 0.9, mode: str = "rigid"):
+    """Align embedded triplets and fit the ellipse of their morph cloud.
+
+    rows is a (3T, D) array of features ordered (bona_a, bona_b, morph)
+    per triplet; returns the (T, 3, 2) aligned points and the Ellipse of
+    their morph points.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    triplets = [Triplet(rows[i], rows[i + 1], rows[i + 2]) for i in range(0, len(rows), 3)]
+    if len(triplets) < 3:
+        raise ConfigError(f"need at least 3 triplets, got {len(triplets)}")
+    aligned = align_feature_triplets(triplets, mode=mode)
+    return aligned, confidence_ellipse(aligned[:, 2, :], level=level)
+
+
 def morph_spread(input_triplets, model, level: float = 0.9, mode: str = "rigid"):
     """Embed raw triplets with the model and measure the morph cloud.
 
@@ -191,16 +206,10 @@ def morph_spread(input_triplets, model, level: float = 0.9, mode: str = "rigid")
     triplets = list(input_triplets)
     if len(triplets) < 3:
         raise ConfigError(f"need at least 3 triplets, got {len(triplets)}")
-    flat = np.stack([np.asarray(v, dtype=np.float64) for t in triplets for v in t])
-    embeddings, _ = _forward_batch(model, flat)
-    feature_triplets = [
-        Triplet(embeddings[3 * i], embeddings[3 * i + 1], embeddings[3 * i + 2])
-        for i in range(len(triplets))
-    ]
-    aligned = align_feature_triplets(feature_triplets, mode=mode)
-    cloud = aligned[:, 2, :]
-    ellipse = confidence_ellipse(cloud, level=level)
-    return cloud, ellipse, ellipse.size
+    rows = np.stack([np.asarray(v, dtype=np.float64) for t in triplets for v in t])
+    embeddings, _ = _forward_batch(model, rows)
+    aligned, ellipse = aligned_spread(embeddings, level=level, mode=mode)
+    return aligned[:, 2, :], ellipse, ellipse.size
 
 
 # --- serialization ---------------------------------------------------------

@@ -131,12 +131,6 @@ def _as_batch_f64(array, name: str) -> np.ndarray:
     return out
 
 
-def _check_targets(targets: np.ndarray, num_classes: int):
-    if np.any(targets < 0) or np.any(targets >= num_classes):
-        bad = targets[(targets < 0) | (targets >= num_classes)][0]
-        raise IndexError(f"target class {bad} out of range for {num_classes} classes")
-
-
 def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     """Row-wise -log softmax[target] with gradient, overflow-free.
 

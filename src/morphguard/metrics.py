@@ -279,23 +279,31 @@ def load_curve_csv(path) -> ThresholdCurve:
     return ThresholdCurve(np.array(thresholds), np.array(values))
 
 
-def save_operating_points_csv(points, path):
-    """Write `metric,target,achieved,threshold,value` rows.
+OPERATING_POINT_HEADER = "metric,target,achieved,threshold,value"
+
+
+def operating_point_row(point: OperatingPoint) -> str:
+    """One CSV row under OPERATING_POINT_HEADER, without the newline.
 
     Fields without a meaningful value for a metric (e.g. the target of
     min_rmmr) are left empty.
     """
+    fields = [
+        point.metric,
+        "" if point.target is None else repr(float(point.target)),
+        "" if point.achieved is None else repr(float(point.achieved)),
+        "" if point.threshold is None else repr(float(point.threshold)),
+        repr(float(point.value)),
+    ]
+    return ",".join(fields)
+
+
+def save_operating_points_csv(points, path):
+    """Write one operating_point_row per point under its header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,target,achieved,threshold,value\n")
-        for p in points:
-            fields = [
-                p.metric,
-                "" if p.target is None else repr(float(p.target)),
-                "" if p.achieved is None else repr(float(p.achieved)),
-                "" if p.threshold is None else repr(float(p.threshold)),
-                repr(float(p.value)),
-            ]
-            fh.write(",".join(fields) + "\n")
+        fh.write(OPERATING_POINT_HEADER + "\n")
+        for point in points:
+            fh.write(operating_point_row(point) + "\n")
 
 
 def load_operating_points_csv(path):

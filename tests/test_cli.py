@@ -260,6 +260,50 @@ class TestExitCodes:
         path.write_text(json.dumps({"train": {"epochs": 0}}))
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", ['{"seed": 1,', json.dumps({"seed": "x"}), "[1, 2]"])
+    def test_unparsable_config_is_one_line_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep-margins", "adapt", "eval", "analyze-features"])
+    @pytest.mark.parametrize("bad", [{"sweep_grid": [0.0, -3.0]}, {"adapt": {"stage2_morph_offset": -3.0}}])
+    def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL, **bad}))
+        inputs = ["--checkpoint", "c.bin", "--data", "d.jsonl", "--protocol", "p.json"]
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + (inputs if command in ("eval", "analyze-features") else [])) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [b'[{"identity_a": ', b'\xff\xfe{}'])
+    @pytest.mark.parametrize("broken", ["data", "protocol"])
+    def test_malformed_input_json_is_data_error(
+        self, broken, content, config_path, data_dir, train_dir, tmp_path, capsys
+    ):
+        paths = {"data": data_dir / "bona_fides.jsonl", "protocol": data_dir / "protocol.json"}
+        paths[broken] = tmp_path / f"broken_{broken}.json"
+        paths[broken].write_bytes(content)
+        code = main(
+            [
+                "eval",
+                "--config",
+                config_path,
+                "--out",
+                str(tmp_path / "o"),
+                "--checkpoint",
+                str(train_dir / "checkpoint.bin"),
+                "--data",
+                str(paths["data"]),
+                "--protocol",
+                str(paths["protocol"]),
+            ]
+        )
+        assert code == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_corrupt_checkpoint_is_data_error(self, config_path, data_dir, tmp_path):
         ckpt = tmp_path / "junk.bin"
         ckpt.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

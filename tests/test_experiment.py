@@ -8,7 +8,9 @@ from morphguard.errors import ConfigError, DataError
 from morphguard.experiment import (
     DataBundle,
     ExperimentConfig,
+    adaptation_configs,
     build_trial_triplets,
+    embed_holdout,
     evaluate_from_files,
     evaluate_model,
     feature_analysis,
@@ -21,6 +23,7 @@ from morphguard.experiment import (
     run_margin_entry,
     run_sweep,
     train_config,
+    trial_features,
     verification_scores,
 )
 from morphguard.encoder import train
@@ -62,6 +65,41 @@ class TestConfig:
     def test_ratio_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"data": {"ratios": [0, 1, 1]}})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"sweep_grid": [0.0, -3.0]},
+            {"adapt": {"stage2_morph_offset": -3.0}},
+            {"adapt": {"stage1_epochs": 0}},
+            {"adapt": {"stage2_lr_start": 1e-5, "stage2_lr_end": 1e-4}},
+            {"train": {"batch_size": 0}},
+            {"margin": {"scale": 0.0}},
+            {"seed": "x"},
+            {"data": [1, 2]},
+            {"sweep_grid": 3},
+            [1, 2],
+        ],
+    )
+    def test_untrainable_or_mistyped_config_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+
+    def test_adaptation_configs_follow_settings(self):
+        config = ExperimentConfig()
+        stage1, stage2 = adaptation_configs(config)
+        assert (stage1.epochs, stage1.lr_start, stage1.lr_end) == (
+            config.adapt.stage1_epochs,
+            config.adapt.stage1_lr_start,
+            config.adapt.stage1_lr_end,
+        )
+        assert stage1.margin.morph_offset == 0.0
+        assert (stage2.epochs, stage2.lr_start, stage2.lr_end) == (
+            config.adapt.stage2_epochs,
+            config.adapt.stage2_lr_start,
+            config.adapt.stage2_lr_end,
+        )
+        assert stage2.margin.morph_offset == config.adapt.stage2_morph_offset
 
 
 class TestHoldoutSplit:
@@ -115,21 +153,22 @@ def trained(small_config, small_bundle):
 
 class TestEvaluation:
     def test_verification_scores_shape_and_determinism(self, trained, small_bundle, small_config):
-        vs1 = verification_scores(trained, small_bundle.holdout, small_config.eval, small_config.seed)
-        vs2 = verification_scores(trained, small_bundle.holdout, small_config.eval, small_config.seed)
+        vs1 = verification_scores(embed_holdout(trained, small_bundle.holdout), small_config.eval, small_config.seed)
+        vs2 = verification_scores(embed_holdout(trained, small_bundle.holdout), small_config.eval, small_config.seed)
         assert vs1.genuine.shape == (200,)
         assert vs1.impostor.shape == (200,)
         np.testing.assert_array_equal(vs1.genuine, vs2.genuine)
         np.testing.assert_array_equal(vs1.impostor, vs2.impostor)
 
     def test_trials_match_protocol(self, trained, small_bundle, small_config):
+        features = trial_features(
+            trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha
+        )
         trials = morph_trials(
-            trained,
-            small_bundle.train_bona,
-            small_bundle.holdout,
+            features[2::3],
+            embed_holdout(trained, small_bundle.holdout),
             small_bundle.protocol,
             small_config.seed,
-            small_config.data.alpha,
         )
         assert len(trials) == len(small_bundle.protocol.pairs)
         assert all(t.subject_scores.shape == (2,) for t in trials)
@@ -178,17 +217,29 @@ class TestEvaluation:
         assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
         assert size == ellipse.size
 
+    def test_feature_analysis_matches_report(self, trained, small_bundle, small_config):
+        aligned, ellipse, size = feature_analysis(
+            trained, small_bundle.bona_fides, small_bundle.protocol, small_config
+        )
+        report = evaluate_model(trained, small_bundle, small_config)
+        np.testing.assert_array_equal(aligned[:, 2, :], report.aligned_cloud)
+        assert size == report.spread_size
+        assert (ellipse.width, ellipse.height, ellipse.orientation) == (
+            report.ellipse.width,
+            report.ellipse.height,
+            report.ellipse.orientation,
+        )
+
 
 class TestRecipes:
-    def test_sweep_serial_matches_parallel(self, small_config):
-        serial = run_sweep(small_config, parallel=False)
-        parallel = run_sweep(small_config, parallel=True)
-        assert [off for off, _, _ in serial] == [off for off, _, _ in parallel]
-        for (_, hs, rs), (_, hp, rp) in zip(serial, parallel):
-            assert hs.epoch_mean_loss == hp.epoch_mean_loss
-            assert rs.min_rmmr_value == rp.min_rmmr_value
-            for a, b in zip(rs.operating_points, rp.operating_points):
-                assert a == b
+    def test_sweep_entries_match_margin_entries(self, small_config):
+        results = run_sweep(small_config)
+        assert [off for off, _, _ in results] == list(small_config.sweep_grid)
+        for offset, history, report in results:
+            _, expected_history, expected_report = run_margin_entry(small_config, offset)
+            assert history.epoch_mean_loss == expected_history.epoch_mean_loss
+            assert report.min_rmmr_value == expected_report.min_rmmr_value
+            assert report.operating_points == expected_report.operating_points
 
     def test_margin_entry_deterministic(self, small_config):
         _, h1, r1 = run_margin_entry(small_config, -0.1)
