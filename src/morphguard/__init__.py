@@ -23,7 +23,6 @@ from .encoder import (
     DualHeadModel,
     TrainConfig,
     TrainHistory,
-    adapt,
     batch_gradients,
     forward,
     init_model,
@@ -45,6 +44,7 @@ from .datagen import (
     make_morph,
     make_selfmorph,
     pair_protocol,
+    protocol_parents,
     save_dataset,
     save_protocol,
     split_identities,
@@ -76,7 +76,6 @@ from .featviz import (
     chi2_quantile_2dof,
     confidence_ellipse,
     fit_rigid,
-    morph_spread,
     project_2d,
 )
 from . import errors

@@ -165,11 +165,6 @@ def _load_eval_inputs(args, config):
     model = load_checkpoint(args.checkpoint)
     bona_fides = datagen.load_dataset(args.data)
     protocol = datagen.load_protocol(args.protocol)
-    if bona_fides and bona_fides[0].input.shape[0] != model.input_dim:
-        raise DataError(
-            f"checkpoint expects input dim {model.input_dim} but data has "
-            f"{bona_fides[0].input.shape[0]}"
-        )
     expected = config.data.num_classes * config.data.samples_per_class
     if len(bona_fides) != expected:
         raise DataError(

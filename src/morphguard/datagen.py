@@ -97,6 +97,11 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
+def _blend(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """The morph and selfmorph input: alpha weights the first vector."""
+    return _unit(alpha * a + (1.0 - alpha) * b)
+
+
 def split_identities(num_classes: int, seed: int) -> np.ndarray:
     """Seeded balanced partition of identities into subsets 1 and 2."""
     if num_classes < 2:
@@ -210,7 +215,7 @@ def make_morph(universe: IdentityUniverse, sample_a: Sample, sample_b: Sample, a
             f"identities {id_a} and {id_b} share subset {sub_a}; morphing within a subset "
             "would make the labeling ambiguous"
         )
-    blended = _unit(alpha * sample_a.input + (1.0 - alpha) * sample_b.input)
+    blended = _blend(sample_a.input, sample_b.input, alpha)
     first, second = (id_a, id_b) if sub_a == 1 else (id_b, id_a)
     return Sample(
         input=blended,
@@ -225,12 +230,23 @@ def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
     id_b = _single_identity_of(sample_b)
     if id_a != id_b:
         raise ProtocolError(f"selfmorph parents must share an identity, got {id_a} and {id_b}")
-    blended = _unit(0.5 * sample_a.input + 0.5 * sample_b.input)
+    blended = _blend(sample_a.input, sample_b.input, 0.5)
     return Sample(
         input=blended,
         labels=LabelPair(id_a, id_a, SampleKind.SELF_MORPH),
         source_ids=(id_a,),
     )
+
+
+def protocol_parents(grouped: dict, pairs) -> list[tuple[Sample, Sample]]:
+    """(subset-1, subset-2) parent samples of each pair, from group_by_identity's pool."""
+    parents = []
+    for pair in pairs:
+        pool_a, pool_b = grouped.get(pair.identity_a, ()), grouped.get(pair.identity_b, ())
+        if not (0 <= pair.sample_a < len(pool_a) and 0 <= pair.sample_b < len(pool_b)):
+            raise CapacityError(f"protocol pair {pair} refers outside the bona fide pool")
+        parents.append((pool_a[pair.sample_a], pool_b[pair.sample_b]))
+    return parents
 
 
 def build_training_set(
@@ -269,14 +285,10 @@ def build_training_set(
         raise CapacityError(
             f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.pairs)}"
         )
-    morphs = []
-    for pair in protocol.pairs[:num_morphs]:
-        try:
-            parent_a = grouped[pair.identity_a][pair.sample_a]
-            parent_b = grouped[pair.identity_b][pair.sample_b]
-        except (KeyError, IndexError) as exc:
-            raise CapacityError(f"protocol pair {pair} refers outside the bona fide pool") from exc
-        morphs.append(make_morph(universe, parent_a, parent_b, alpha=alpha))
+    morphs = [
+        make_morph(universe, parent_a, parent_b, alpha=alpha)
+        for parent_a, parent_b in protocol_parents(grouped, protocol.pairs[:num_morphs])
+    ]
 
     rich = [i for i in sorted(grouped) if len(grouped[i]) >= 2]
     if num_selfmorphs > 0 and not rich:
@@ -329,6 +341,7 @@ def save_dataset(samples, path):
 
 
 def load_dataset(path) -> list[Sample]:
+    """Read save_dataset's records; every input must have the first record's shape."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -338,10 +351,16 @@ def load_dataset(path) -> list[Sample]:
                         record = json.loads(line)
                     except ValueError as exc:
                         raise DataError(f"{path} line {number} is not valid JSON: {exc}") from exc
-                    samples.append(_sample_from_record(record))
+                    sample = _sample_from_record(record)
+                    if samples and sample.input.shape != samples[0].input.shape:
+                        raise DataError(f"{path} line {number}: input shape {sample.input.shape}, not the first record's")
+                    samples.append(sample)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     return samples
+
+
+_PROTOCOL_KEYS = ("identity_a", "identity_b", "sample_a", "sample_b", "subset_a", "subset_b")
 
 
 def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path):
@@ -363,21 +382,23 @@ def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path)
 
 
 def load_protocol(path) -> MorphPairProtocol:
+    """Read save_protocol's file; each pair must run subset 1 -> 2, each identity be in one subset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        pairs = tuple(
-            MorphPair(
-                identity_a=int(r["identity_a"]),
-                identity_b=int(r["identity_b"]),
-                sample_a=int(r["sample_a"]),
-                sample_b=int(r["sample_b"]),
-            )
-            for r in records
-        )
+        rows = [tuple(int(r[key]) for key in _PROTOCOL_KEYS) for r in records]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed protocol file {path}") from exc
-    return MorphPairProtocol(pairs=pairs, seed=None)
+    pairs, subset_of = [], {}
+    for *fields, subset_a, subset_b in rows:
+        pair = MorphPair(*fields)
+        if (subset_a, subset_b) != (1, 2):
+            raise ProtocolError(f"{path}: pair {pair} runs subset {subset_a} -> {subset_b}, not 1 -> 2")
+        for identity, subset in ((pair.identity_a, 1), (pair.identity_b, 2)):
+            if subset_of.setdefault(identity, subset) != subset:
+                raise ProtocolError(f"{path}: identity {identity} is listed in both subsets")
+        pairs.append(pair)
+    return MorphPairProtocol(pairs=tuple(pairs), seed=None)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     CheckpointFormatError,
     ConfigError,
+    DataError,
     DegenerateEmbeddingError,
     DegenerateWeightError,
     NumericInputError,
@@ -158,6 +159,8 @@ def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int
 
 def _forward_batch(model: DualHeadModel, inputs: np.ndarray):
     """Run the MLP on (N, input_dim) rows; returns embeddings and cache."""
+    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+        raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
     activations = [inputs]
     pre_acts = []
     h = inputs
@@ -255,8 +258,6 @@ def train_step(model: DualHeadModel, batch, margin: MarginConfig, lr: float):
 
 def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:
     """Per-step learning rates, linear from lr_start to lr_end."""
-    if total_steps == 1:
-        return np.array([config.lr_start])
     return np.linspace(config.lr_start, config.lr_end, total_steps)
 
 
@@ -265,15 +266,19 @@ def train(model: DualHeadModel, dataset, config: TrainConfig, stage: str = "init
 
     Runs epochs * ceil(N / batch_size) steps; the shuffle for epoch e
     draws from the stream (seed, STREAM_SHUFFLE, e), so the whole run
-    is reproducible bit-for-bit from (model, dataset, config).
+    is reproducible bit-for-bit from (model, dataset, config). It also
+    runs the adaptation stage; ``stage`` only labels the history.
     """
     n = len(dataset)
     if n == 0:
         raise ConfigError("training requires a nonempty dataset")
+    inputs, first, second, is_morph = _stack_batch(dataset)
+    max_label = int(max(first.max(), second.max()))
+    if max_label >= model.num_classes:
+        raise ProtocolError(f"dataset labels reach {max_label} but model has {model.num_classes} classes")
     steps_per_epoch = -(-n // config.batch_size)
     lrs = lr_schedule(config, config.epochs * steps_per_epoch)
 
-    inputs, first, second, is_morph = _stack_batch(dataset)
     history = TrainHistory(epoch_mean_loss=[], epoch_lr=[], stage=stage)
     step = 0
     for epoch in range(config.epochs):
@@ -290,21 +295,6 @@ def train(model: DualHeadModel, dataset, config: TrainConfig, stage: str = "init
         history.epoch_mean_loss.append(loss_sum / n)
         history.epoch_lr.append(float(lrs[step - 1]))
     return model, history
-
-
-def adapt(model: DualHeadModel, dataset, config: TrainConfig):
-    """Continue training a pretrained model on a morph-augmented set.
-
-    Identical to train() but meant for the second-stage regime (lower
-    learning rates, nonzero morph offset); the history records the
-    stage so downstream reports can tell the regimes apart.
-    """
-    max_label = max(max(s.labels.first_label, s.labels.second_label) for s in dataset) if dataset else -1
-    if max_label >= model.num_classes:
-        raise ProtocolError(
-            f"dataset labels reach {max_label} but model has {model.num_classes} classes"
-        )
-    return train(model, dataset, config, stage="adaptation")
 
 
 def save_checkpoint(model: DualHeadModel, path):

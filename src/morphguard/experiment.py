@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, featviz, metrics
-from .datagen import _unit
-from .encoder import DualHeadModel, TrainConfig, _forward_batch, adapt, init_model, train
+from .datagen import _blend
+from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
 from .errors import ConfigError, DataError
 from .losses import MarginConfig
 from .metrics import MorphTrial, OperatingPoint, VerificationSet
@@ -49,6 +49,7 @@ class DataSettings:
             )
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ConfigError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
+        _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,20 @@ class ExperimentConfig:
     adapt: AdaptSettings = field(default_factory=AdaptSettings)
 
     def __post_init__(self):
-        # Every regime a recipe trains under is checked up front, so a bad
-        # sweep offset or adaptation stage fails before any model trains.
+        # Every regime a recipe trains under, and every setting its evaluation
+        # reads, is checked here, so a bad value fails before any model trains.
         train_config(self)
         for offset in self.sweep_grid:
             train_config(self, morph_offset=offset)
         adaptation_configs(self)
+        dim = self.model.embedding_dim
+        if dim < 2 or dim % 2 != 0:
+            raise ConfigError(f"embedding_dim must be even and >= 2 for the 2D feature projection, got {dim}")
+        if min(self.eval.genuine_pairs, self.eval.impostor_pairs) < 1:
+            raise ConfigError("eval needs at least one genuine and one impostor pair")
+        for kind, targets in (("FNMR", self.eval.fnmr_targets), ("FMR", self.eval.fmr_targets)):
+            for target in targets:
+                metrics.check_target(kind, target)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -177,18 +186,25 @@ class DataBundle:
     train_set: list
 
 
-def holdout_split(bona_fides, samples_per_class: int, fraction: float):
-    """Deterministic per-identity split: last samples are held out."""
+def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
+    """At least 1 training sample and the 2 held-out samples a genuine pair needs."""
     num_hold = max(1, int(round(samples_per_class * fraction)))
-    if num_hold >= samples_per_class:
+    if not (2 <= num_hold < samples_per_class):
         raise ConfigError(
-            f"holdout fraction {fraction} leaves no training samples "
-            f"({num_hold} of {samples_per_class} held out)"
+            f"holdout fraction {fraction} holds out {num_hold} of {samples_per_class} samples per "
+            "identity; verification needs >= 2 held out and training >= 1 kept"
         )
-    num_train = samples_per_class - num_hold
+    return num_hold
+
+
+def holdout_split(bona_fides, samples_per_class: int, fraction: float):
+    """Deterministic split of a pool of samples_per_class per identity: last samples are held out."""
+    num_train = samples_per_class - _held_out_per_identity(samples_per_class, fraction)
     grouped = datagen.group_by_identity(bona_fides)
     train, hold = [], []
     for identity in sorted(grouped):
+        if len(grouped[identity]) != samples_per_class:
+            raise DataError(f"identity {identity} has {len(grouped[identity])} samples, not {samples_per_class}")
         train.extend(grouped[identity][:num_train])
         hold.extend(grouped[identity][num_train:])
     return train, hold
@@ -293,20 +309,11 @@ def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> Veri
 def build_trial_triplets(train_bona, protocol, alpha: float):
     """(parent_a, parent_b, morph) input triplets for each protocol pair.
 
-    The blend reproduces the training-set morph construction exactly;
-    protocol pairs are already oriented subset-1 first.
+    The parents and the blend are the ones build_training_set uses, so
+    each morph is bit-identical to its training-set copy.
     """
-    grouped = datagen.group_by_identity(train_bona)
-    triplets = []
-    for pair in protocol.pairs:
-        try:
-            parent_a = grouped[pair.identity_a][pair.sample_a]
-            parent_b = grouped[pair.identity_b][pair.sample_b]
-        except (KeyError, IndexError) as exc:
-            raise DataError(f"protocol pair {pair} refers outside the bona fide pool") from exc
-        morph = _unit(alpha * parent_a.input + (1.0 - alpha) * parent_b.input)
-        triplets.append((parent_a.input, parent_b.input, morph))
-    return triplets
+    parents = datagen.protocol_parents(datagen.group_by_identity(train_bona), protocol.pairs)
+    return [(a.input, b.input, _blend(a.input, b.input, alpha)) for a, b in parents]
 
 
 def trial_features(model: DualHeadModel, train_bona, protocol, alpha: float) -> np.ndarray:
@@ -449,6 +456,6 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
         stage1_model, stage1_history = pretrained, None
     stage1_report = evaluate_model(stage1_model, bundle, config)
 
-    stage2_model, stage2_history = adapt(stage1_model.copy(), bundle.train_set, stage2_config)
+    stage2_model, stage2_history = train(stage1_model.copy(), bundle.train_set, stage2_config, stage="adaptation")
     stage2_report = evaluate_model(stage2_model, bundle, config)
     return (stage1_model, stage1_history, stage1_report), (stage2_model, stage2_history, stage2_report)

@@ -193,25 +193,6 @@ def aligned_spread(rows, level: float = 0.9, mode: str = "rigid"):
     return aligned, confidence_ellipse(aligned[:, 2, :], level=level)
 
 
-def morph_spread(input_triplets, model, level: float = 0.9, mode: str = "rigid"):
-    """Embed raw triplets with the model and measure the morph cloud.
-
-    input_triplets is a sequence of (input_a, input_b, input_morph) raw
-    vectors; returns (aligned morph points, Ellipse, size). The size is
-    invariant to any rigid motion of the input features because the
-    alignment itself removes pose.
-    """
-    from .encoder import _forward_batch
-
-    triplets = list(input_triplets)
-    if len(triplets) < 3:
-        raise ConfigError(f"need at least 3 triplets, got {len(triplets)}")
-    rows = np.stack([np.asarray(v, dtype=np.float64) for t in triplets for v in t])
-    embeddings, _ = _forward_batch(model, rows)
-    aligned, ellipse = aligned_spread(embeddings, level=level, mode=mode)
-    return aligned[:, 2, :], ellipse, ellipse.size
-
-
 # --- serialization ---------------------------------------------------------
 
 _ROLES = ("bona_a", "bona_b", "morph")

@@ -212,13 +212,17 @@ class OperatingPoint:
     value: float
 
 
+def check_target(kind: str, target: float):
+    if not (0.0 < target < 1.0):
+        raise ConfigError(f"{kind} target must lie in (0, 1), got {target}")
+
+
 def mmpmr_at_fnmr(trials, verification: VerificationSet, fnmr_targets) -> list[OperatingPoint]:
     """Morph match rate at thresholds pinned by FNMR targets."""
     fnmr, _ = fnmr_fmr_curves(verification)
     points = []
     for target in fnmr_targets:
-        if not (0.0 < target < 1.0):
-            raise ConfigError(f"FNMR target must lie in (0, 1), got {target}")
+        check_target("FNMR", target)
         try:
             tau, achieved = threshold_at(fnmr, target, FROM_BELOW)
         except UnattainableOperatingPointError as exc:
@@ -242,8 +246,7 @@ def fnmr_at_fmr(verification: VerificationSet, fmr_targets) -> list[OperatingPoi
     fnmr, fmr = fnmr_fmr_curves(verification)
     points = []
     for target in fmr_targets:
-        if not (0.0 < target < 1.0):
-            raise ConfigError(f"FMR target must lie in (0, 1), got {target}")
+        check_target("FMR", target)
         tau, achieved = threshold_at(fmr, target, FROM_ABOVE)
         idx = int(np.searchsorted(fmr.thresholds, tau))
         points.append(

@@ -7,7 +7,7 @@ import pytest
 from morphguard import metrics
 from morphguard.cli import main
 from morphguard.datagen import load_dataset
-from morphguard.encoder import load_checkpoint
+from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
 from morphguard.experiment import ExperimentConfig
 from morphguard.losses import SampleKind
 
@@ -251,6 +251,49 @@ class TestAnalyzeFeatures:
         assert len(aligned) == 1 + 3 * len(protocol)
 
 
+def edit_pool(data_dir, tmp_path, edit):
+    """Copy of the gen-data bona fide pool with edit(records) applied."""
+    records = [json.loads(line) for line in (data_dir / "bona_fides.jsonl").read_text().splitlines()]
+    edit(records)
+    path = tmp_path / "pool.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def edit_protocol(data_dir, tmp_path, edit):
+    """Copy of the gen-data protocol with edit(records) applied."""
+    records = json.loads((data_dir / "protocol.json").read_text())
+    edit(records)
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(records))
+    return path
+
+
+def swap_sides(records):
+    for r in records:
+        for key in ("identity", "sample", "subset"):
+            r[f"{key}_a"], r[f"{key}_b"] = r[f"{key}_b"], r[f"{key}_a"]
+
+
+def pair_within_subset_1(records):
+    first = records[0]["identity_a"]
+    other = next(r["identity_a"] for r in records if r["identity_a"] != first)
+    records[0].update(identity_b=other, subset_b=1)
+
+
+def list_identity_in_both_subsets(records):
+    first = records[0]["identity_a"]
+    records[0]["identity_b"] = next(r["identity_a"] for r in records if r["identity_a"] != first)
+
+
+def relabel_last_of_identity_0(records):
+    records[SMALL["data"]["samples_per_class"] - 1].update(y_dot=1, y_ddot=1, source_ids=[1])
+
+
+def truncate_record_45(records):
+    records[45]["input"] = records[45]["input"][:-1]
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 5
@@ -269,13 +312,24 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "sweep-margins", "adapt", "eval", "analyze-features"])
-    @pytest.mark.parametrize("bad", [{"sweep_grid": [0.0, -3.0]}, {"adapt": {"stage2_morph_offset": -3.0}}])
-    def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sweep_grid": [0.0, -3.0]},
+            {"adapt": {"stage2_morph_offset": -3.0}},
+            {"model": {**SMALL["model"], "embedding_dim": 31}},
+            {"eval": {"genuine_pairs": -5, "impostor_pairs": 200}},
+            {"eval": {**SMALL["eval"], "fmr_targets": [1.5]}},
+            {"data": {**SMALL["data"], "samples_per_class": 5}},
+        ],
+    )
+    def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL, **bad}))
         inputs = ["--checkpoint", "c.bin", "--data", "d.jsonl", "--protocol", "p.json"]
         argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
         assert main(argv + (inputs if command in ("eval", "analyze-features") else [])) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content", [b'[{"identity_a": ', b'\xff\xfe{}'])
@@ -323,3 +377,37 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+    def _assert_one_line_data_error(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data/protocol error: ")
+
+    @pytest.mark.parametrize("edit", [swap_sides, pair_within_subset_1, list_identity_in_both_subsets])
+    def test_bad_protocol(self, edit, config_path, data_dir, train_dir, tmp_path, capsys):
+        protocol = edit_protocol(data_dir, tmp_path, edit)
+        argv = [
+            "eval", "--config", config_path, "--out", str(tmp_path / "o"),
+            "--checkpoint", str(train_dir / "checkpoint.bin"),
+            "--data", str(data_dir / "bona_fides.jsonl"), "--protocol", str(protocol),
+        ]
+        self._assert_one_line_data_error(argv, capsys)
+
+    @pytest.mark.parametrize("edit", [relabel_last_of_identity_0, truncate_record_45])
+    def test_bad_pool(self, edit, config_path, data_dir, train_dir, tmp_path, capsys):
+        pool = edit_pool(data_dir, tmp_path, edit)
+        argv = [
+            "eval", "--config", config_path, "--out", str(tmp_path / "o"),
+            "--checkpoint", str(train_dir / "checkpoint.bin"),
+            "--data", str(pool), "--protocol", str(data_dir / "protocol.json"),
+        ]
+        self._assert_one_line_data_error(argv, capsys)
+
+    def test_adapt_checkpoint_of_other_input_width(self, config_path, tmp_path, capsys):
+        data = SMALL["data"]
+        model = init_model(2 * data["input_dim"], [16], 8, data["num_classes"], seed=1)
+        save_checkpoint(model, tmp_path / "wide.bin")
+        argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"),
+                "--checkpoint", str(tmp_path / "wide.bin")]
+        self._assert_one_line_data_error(argv, capsys)

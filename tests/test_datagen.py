@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from morphguard.datagen import (
     make_morph,
     make_selfmorph,
     pair_protocol,
+    protocol_parents,
     save_dataset,
     save_protocol,
     split_identities,
     synth_identities,
 )
-from morphguard.errors import CapacityError, ConfigError, ProtocolError
+from morphguard.errors import CapacityError, ConfigError, DataError, ProtocolError
 from morphguard.losses import LabelPair, SampleKind
 
 
@@ -283,6 +286,17 @@ class TestBuildTrainingSet:
         with pytest.raises(CapacityError):
             build_training_set(universe, samples, tiny, ratios=(2, 1, 1), seed=16)
 
+    @pytest.mark.parametrize(
+        "field, value", [("identity_a", 99), ("sample_a", 100), ("sample_b", -1)]
+    )
+    def test_pair_outside_pool_is_capacity_error(self, field, value):
+        universe, samples, protocol = self._setup()
+        pair = dataclasses.replace(protocol.pairs[0], **{field: value})
+        grouped = group_by_identity(samples)
+        assert len(protocol_parents(grouped, protocol.pairs)) == len(protocol.pairs)
+        with pytest.raises(CapacityError):
+            protocol_parents(grouped, [pair])
+
     def test_ratio_validation(self):
         universe, samples, protocol = self._setup()
         with pytest.raises(ConfigError):
@@ -318,3 +332,55 @@ class TestSerialization:
         path2 = tmp_path / "again.json"
         save_protocol(loaded, universe, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_ragged_dataset_rejected(self, tmp_path):
+        _, samples = synth_identities(4, 5, 8, spread=0.2, seed=17)
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(samples, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[7])
+        record["input"] = record["input"][:-1]
+        lines[7] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 8"):
+            load_dataset(path)
+
+    @staticmethod
+    def _saved_records(tmp_path):
+        universe, samples = synth_identities(6, 3, 8, spread=0.2, seed=18)
+        path = tmp_path / "protocol.json"
+        save_protocol(pair_protocol(universe, samples, 12, seed=18), universe, path)
+        return json.loads(path.read_text()), universe
+
+    def _load_records(self, tmp_path, records):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(records))
+        return load_protocol(path)
+
+    def test_swapped_protocol_rejected(self, tmp_path):
+        records, _ = self._saved_records(tmp_path)
+        for r in records:
+            for key in ("identity", "sample", "subset"):
+                r[f"{key}_a"], r[f"{key}_b"] = r[f"{key}_b"], r[f"{key}_a"]
+        with pytest.raises(ProtocolError, match="not 1 -> 2"):
+            self._load_records(tmp_path, records)
+
+    def test_within_subset_pair_rejected(self, tmp_path):
+        records, universe = self._saved_records(tmp_path)
+        other = next(i for i in range(universe.num_classes)
+                     if universe.subsets[i] == 1 and i != records[0]["identity_a"])
+        records[0].update(identity_b=other, subset_b=1)
+        with pytest.raises(ProtocolError, match="not 1 -> 2"):
+            self._load_records(tmp_path, records)
+
+    def test_identity_in_both_subsets_rejected(self, tmp_path):
+        records, _ = self._saved_records(tmp_path)
+        records[0]["identity_b"] = records[1]["identity_a"]
+        with pytest.raises(ProtocolError, match="both subsets"):
+            self._load_records(tmp_path, records)
+
+    def test_missing_subset_annotation_rejected(self, tmp_path):
+        records, _ = self._saved_records(tmp_path)
+        del records[3]["subset_a"]
+        with pytest.raises(DataError):
+            self._load_records(tmp_path, records)

@@ -5,7 +5,6 @@ from morphguard.datagen import Sample, synth_identities
 from morphguard.encoder import (
     DualHeadModel,
     TrainConfig,
-    adapt,
     batch_gradients,
     forward,
     init_model,
@@ -18,6 +17,7 @@ from morphguard.encoder import (
 from morphguard.errors import (
     CheckpointFormatError,
     ConfigError,
+    DataError,
     DegenerateEmbeddingError,
     ProtocolError,
 )
@@ -99,6 +99,13 @@ class TestForward:
         x = np.array([1.0, 0.0, 0.0])
         emb, _ = forward(model, x)
         np.testing.assert_allclose(emb, x, atol=1e-12)
+
+    def test_input_width_must_match_model(self):
+        model = init_model(6, [5], 4, 3, seed=2)
+        with pytest.raises(DataError):
+            forward(model, np.ones(5))
+        with pytest.raises(DataError):
+            train(model, random_batch(np.random.default_rng(4), 8, 7, 3), TrainConfig(epochs=1))
 
     def test_final_layer_scaling_invariance(self):
         # cosines, losses, and argmax all ride on the embedding alone
@@ -271,6 +278,16 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train(model, [], TrainConfig())
 
+    def test_label_beyond_class_count(self):
+        # Only the second label of the one morph is out of range.
+        dataset = self._dataset()[:10]
+        dataset.append(Sample(dataset[0].input, LabelPair(0, 4, SampleKind.MORPH), (0, 4)))
+        model = init_model(8, [], 6, 4, seed=1)
+        before = model.copy()
+        with pytest.raises(ProtocolError):
+            train(model, dataset, TrainConfig(epochs=1))
+        assert models_equal(model, before)
+
 
 class TestAdapt:
     def test_equivalent_to_train_continuation(self):
@@ -278,7 +295,7 @@ class TestAdapt:
         config = TrainConfig(epochs=2, lr_start=1e-4, lr_end=1e-5, batch_size=16, seed=9)
         base = init_model(8, [8], 6, 4, seed=9)
         m_train, _ = train(base.copy(), dataset, config)
-        m_adapt, history = adapt(base.copy(), dataset, config)
+        m_adapt, history = train(base.copy(), dataset, config, stage="adaptation")
         assert models_equal(m_train, m_adapt)
         assert history.stage == "adaptation"
 
@@ -286,14 +303,14 @@ class TestAdapt:
         _, dataset = synth_identities(4, 5, 8, spread=0.2, seed=2)
         model = init_model(8, [], 6, 2, seed=1)
         with pytest.raises(ProtocolError):
-            adapt(model, dataset, TrainConfig())
+            train(model, dataset, TrainConfig(), stage="adaptation")
 
     def test_deterministic(self):
         _, dataset = synth_identities(4, 10, 8, spread=0.2, seed=4)
         config = TrainConfig(epochs=1, lr_start=1e-4, lr_end=1e-5, batch_size=8, seed=11)
         base = init_model(8, [], 6, 4, seed=11)
-        a, _ = adapt(base.copy(), dataset, config)
-        b, _ = adapt(base.copy(), dataset, config)
+        a, _ = train(base.copy(), dataset, config, stage="adaptation")
+        b, _ = train(base.copy(), dataset, config, stage="adaptation")
         assert models_equal(a, b)
 
 

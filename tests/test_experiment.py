@@ -27,7 +27,7 @@ from morphguard.experiment import (
     verification_scores,
 )
 from morphguard.encoder import train
-from morphguard.losses import SampleKind
+from morphguard.losses import LabelPair, SampleKind
 
 SMALL = {
     "seed": 5,
@@ -79,6 +79,14 @@ class TestConfig:
             {"data": [1, 2]},
             {"sweep_grid": 3},
             [1, 2],
+            {"model": {"embedding_dim": 31}},
+            {"model": {"embedding_dim": 0}},
+            {"eval": {"genuine_pairs": -5}},
+            {"eval": {"impostor_pairs": 0}},
+            {"eval": {"fnmr_targets": [0.01, 1.0]}},
+            {"eval": {"fmr_targets": [0.0]}},
+            {"data": {"samples_per_class": 5}},
+            {"data": {"samples_per_class": 2, "holdout_fraction": 0.9}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):
@@ -120,6 +128,13 @@ class TestHoldoutSplit:
     def test_fraction_bounds(self, small_bundle):
         with pytest.raises(ConfigError):
             holdout_split(small_bundle.bona_fides, 10, 0.99)
+
+    def test_uneven_pool_rejected(self, small_bundle):
+        pool = list(small_bundle.bona_fides)
+        moved = pool[9]  # last sample of identity 0, relabeled as identity 1
+        pool[9] = datagen.Sample(moved.input, LabelPair(1, 1, moved.labels.kind), (1,))
+        with pytest.raises(DataError, match="identity 0 has 9"):
+            holdout_split(pool, 10, 0.2)
 
     def test_morph_budget(self):
         assert morph_budget(1600, (2, 1, 1)) == 800

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from morphguard.encoder import DualHeadModel
 from morphguard.errors import (
     ConfigError,
     DegenerateAnchorError,
@@ -14,10 +13,10 @@ from morphguard.featviz import (
     Triplet,
     align_feature_triplets,
     align_triplet,
+    aligned_spread,
     chi2_quantile_2dof,
     confidence_ellipse,
     fit_rigid,
-    morph_spread,
     project_2d,
     render_svg,
     save_aligned_csv,
@@ -199,36 +198,35 @@ class TestConfidenceEllipse:
             confidence_ellipse(pts, level=0.0)
 
 
-class TestMorphSpread:
-    def _identity_model(self, d):
-        return DualHeadModel(layers=[(np.eye(d), np.zeros(d))], head1=np.eye(d), head2=np.eye(d))
+class TestAlignedSpread:
+    """Rows run (bona_a, bona_b, morph) per triplet, as embedded for evaluation."""
 
     def test_returns_consistent_size(self):
         rng = np.random.default_rng(11)
         d = 8
-        triplets = []
+        rows = []
         for _ in range(40):
             a, b = rng.normal(size=d), rng.normal(size=d)
             m = a + b + 0.3 * rng.normal(size=d)
-            triplets.append((a, b, m))
-        cloud, ellipse, size = morph_spread(triplets, self._identity_model(d))
-        assert cloud.shape == (40, 2)
-        assert size == (ellipse.width + ellipse.height) / 2
+            rows += [a, b, m]
+        aligned, ellipse = aligned_spread(np.array(rows))
+        assert aligned.shape == (40, 3, 2)
+        assert ellipse.size == (ellipse.width + ellipse.height) / 2
         assert ellipse.width >= ellipse.height > 0
 
     def test_degenerate_cloud_propagates(self):
         rng = np.random.default_rng(12)
         d = 6
         a, b, m = rng.normal(size=d), rng.normal(size=d), rng.normal(size=d)
-        triplets = [(a, b, m)] * 5  # identical triplets: zero-variance cloud
+        rows = [a, b, m] * 5  # identical triplets: zero-variance cloud
         with pytest.raises(DegenerateCovarianceError):
-            morph_spread(triplets, self._identity_model(d))
+            aligned_spread(np.array(rows))
 
     def test_too_few_triplets(self):
         rng = np.random.default_rng(13)
         d = 4
         with pytest.raises(ConfigError):
-            morph_spread([(rng.normal(size=d),) * 3] * 2, self._identity_model(d))
+            aligned_spread(np.array([rng.normal(size=d)] * 6))
 
 
 class TestSerialization:

@@ -2,10 +2,12 @@
 
 Runs `gen-data`, `train`, `eval`, `analyze-features`, `sweep-margins`
 and `adapt` at the default config with `--seed N` in a temporary
-directory, using the `morphguard` package of the checkout this script
-lives in, and prints one `<relative path> <sha256>` line per output
-file, sorted by path. Diffing the output of two checkouts shows which
-output bytes a change moved:
+directory, and once more `adapt --checkpoint` from the `train`
+checkpoint into `adapt-pretrained/`. It uses the `morphguard` package
+of the checkout this script lives in, and prints one
+`<relative path> <sha256>` line per output file, sorted by path.
+Diffing the output of two checkouts shows which output bytes a change
+moved:
 
     python3 tools/cli_digests.py --seed 1 > before.txt
 
@@ -34,20 +36,23 @@ def run_commands(root: Path, seed: int) -> int:
         "--data", str(root / "gen-data" / "bona_fides.jsonl"),
         "--protocol", str(root / "gen-data" / "protocol.json"),
     ]
+    pretrained = ["--checkpoint", str(root / "train" / "checkpoint.bin")]
+    # (output directory, command and its own arguments)
     commands = [
-        ["gen-data"],
-        ["train"],
-        ["eval", *inputs],
-        ["analyze-features", *inputs],
-        ["sweep-margins"],
-        ["adapt"],
+        ("gen-data", ["gen-data"]),
+        ("train", ["train"]),
+        ("eval", ["eval", *inputs]),
+        ("analyze-features", ["analyze-features", *inputs]),
+        ("sweep-margins", ["sweep-margins"]),
+        ("adapt", ["adapt"]),
+        ("adapt-pretrained", ["adapt", *pretrained]),
     ]
-    for command in commands:
-        argv = [command[0], *common, "--out", str(root / command[0]), *command[1:]]
+    for out, command in commands:
+        argv = [command[0], *common, "--out", str(root / out), *command[1:]]
         with contextlib.redirect_stdout(sys.stderr):
             code = cli_main(argv)
         if code != 0:
-            print(f"`{command[0]}` exited {code}", file=sys.stderr)
+            print(f"`{out}` exited {code}", file=sys.stderr)
             return code
     return 0
 
