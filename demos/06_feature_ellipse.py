@@ -20,14 +20,14 @@ from morphguard.experiment import (
     generate_bundle,
     train_config,
 )
-from morphguard.featviz import align_triplet, confidence_ellipse, project_2d, Triplet, render_svg
+from morphguard.featviz import align_feature_triplets, confidence_ellipse, project_2d, render_svg
 
 # the projection and alignment on a hand-made triplet first
 rng = np.random.default_rng(3)
 feat_a, feat_b = rng.normal(size=8), rng.normal(size=8)
-triplet = Triplet(feat_a, feat_b, 0.5 * (feat_a + feat_b))
+triplets = np.array([[feat_a, feat_b, 0.5 * (feat_a + feat_b)]])  # (T, 3, D), here T = 1
 print("project_2d averages even/odd entries: [1,2,3,4] ->", project_2d([1.0, 2.0, 3.0, 4.0]))
-a2, b2, m2 = align_triplet(triplet)
+a2, b2, m2 = align_feature_triplets(triplets)[0]
 print("aligned originals sit at +-|delta|/2 on the diagonal:", np.round(a2, 4), np.round(b2, 4))
 print("a morph exactly midway lands at the origin:", np.round(m2, 12))
 

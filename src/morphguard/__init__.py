@@ -70,8 +70,7 @@ from .metrics import (
 from .featviz import (
     Ellipse,
     RigidTransform,
-    Triplet,
-    align_triplet,
+    align_feature_triplets,
     aligned_spread,
     chi2_quantile_2dof,
     confidence_ellipse,

@@ -141,7 +141,7 @@ def cmd_sweep_margins(args) -> int:
 
 def cmd_adapt(args) -> int:
     config, out_dir = _config_and_out_dir(args)
-    pretrained = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    pretrained = _load_checkpoint_for(args.checkpoint, config) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
     model1, history1, report1 = stage1
     model2, history2, report2 = stage2
@@ -161,8 +161,17 @@ def cmd_adapt(args) -> int:
     return 0
 
 
+def _load_checkpoint_for(path, config):
+    """Load a checkpoint, rejecting one whose widths differ from the config's."""
+    model = load_checkpoint(path)
+    widths, expected = (model.input_dim, model.embedding_dim), (config.data.input_dim, config.model.embedding_dim)
+    if widths != expected:
+        raise DataError(f"checkpoint {path} has (input, embedding) widths {widths}; the config sets {expected}")
+    return model
+
+
 def _load_eval_inputs(args, config):
-    model = load_checkpoint(args.checkpoint)
+    model = _load_checkpoint_for(args.checkpoint, config)
     bona_fides = datagen.load_dataset(args.data)
     protocol = datagen.load_protocol(args.protocol)
     expected = config.data.num_classes * config.data.samples_per_class
@@ -170,6 +179,8 @@ def _load_eval_inputs(args, config):
         raise DataError(
             f"bona fide pool holds {len(bona_fides)} samples but the config implies {expected}"
         )
+    if len(protocol.pairs) < featviz.MIN_ELLIPSE_POINTS:
+        raise DataError(f"protocol holds {len(protocol.pairs)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}")
     return model, bona_fides, protocol
 
 

@@ -112,6 +112,18 @@ def split_identities(num_classes: int, seed: int) -> np.ndarray:
     return subsets
 
 
+def check_synth_settings(num_classes: int, samples_per_class: int, input_dim: int, spread: float):
+    """Reject settings synth_identities cannot generate from."""
+    if num_classes < 2 or num_classes % 2 != 0:
+        raise ConfigError(f"identity count must be even and >= 2, got {num_classes}")
+    if samples_per_class < 2:
+        raise ConfigError(f"need at least 2 samples per identity, got {samples_per_class}")
+    if input_dim < 2:
+        raise ConfigError(f"input dimension must be >= 2, got {input_dim}")
+    if not (0 < spread < float("inf")):
+        raise ConfigError(f"spread must be positive and finite, got {spread}")
+
+
 def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, spread: float, seed: int):
     """Draw unit prototypes and renormalized noisy samples around them.
 
@@ -119,14 +131,7 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
     identity-major, sample-minor order; that ordering defines the
     per-identity sample indices the pairing protocol refers to.
     """
-    if num_classes < 2 or num_classes % 2 != 0:
-        raise ConfigError(f"identity count must be even and >= 2, got {num_classes}")
-    if samples_per_class < 2:
-        raise ConfigError(f"need at least 2 samples per identity, got {samples_per_class}")
-    if input_dim < 2:
-        raise ConfigError(f"input dimension must be >= 2, got {input_dim}")
-    if not (spread > 0):
-        raise ConfigError(f"spread must be positive, got {spread}")
+    check_synth_settings(num_classes, samples_per_class, input_dim, spread)
 
     proto_rng = rng_for(seed, STREAM_PROTOTYPES)
     prototypes = proto_rng.standard_normal((num_classes, input_dim))

@@ -49,7 +49,11 @@ class DataSettings:
             )
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ConfigError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
-        _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
+        datagen.check_synth_settings(self.num_classes, self.samples_per_class, self.input_dim, self.spread)
+        num_train = self.samples_per_class - _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
+        budget = morph_budget(self.num_classes * num_train, self.ratios)
+        if budget < featviz.MIN_ELLIPSE_POINTS:
+            raise ConfigError(f"ratios {self.ratios} give {budget} morph trials, fewer than {featviz.MIN_ELLIPSE_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class ExperimentConfig:
             )
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"unknown, missing or mistyped config field: {exc}") from exc
 
 

@@ -4,10 +4,8 @@ Each triplet (two bona fide originals plus their morph) is projected to
 2D by averaging even- and odd-indexed feature entries, then mapped by
 the rigid transform that sends the midpoint of the two originals to the
 origin and their direction onto the diagonal y = x. Rotation plus
-translation preserves all relative distances; the fixed target points
-(-0.5, -0.5) and (0.5, 0.5) are hit exactly only when the originals
-happen to be sqrt(2) apart, and an optional similarity mode adds the
-scale factor that pins them there.
+translation preserves all relative distances, so the originals land at
+-+(their distance / 2) along the diagonal.
 
 The pooled aligned morph points are summarized by a mean-centered
 covariance confidence ellipse (2-dof chi-square quantile, unbiased
@@ -27,38 +25,33 @@ from .errors import (
     DegenerateCovarianceError,
 )
 
+# Points the unbiased covariance of a confidence ellipse needs; an
+# evaluation therefore needs at least this many morph triplets.
+MIN_ELLIPSE_POINTS = 3
 
-@dataclass(frozen=True)
-class Triplet:
-    """Features of two bona fide originals and their morph."""
-
-    bona_a: np.ndarray
-    bona_b: np.ndarray
-    morph: np.ndarray
-
-    def __post_init__(self):
-        dims = {np.asarray(v).shape for v in (self.bona_a, self.bona_b, self.morph)}
-        if len(dims) != 1:
-            raise ConfigError(f"triplet members must share one shape, got {sorted(dims)}")
-        (dim,) = dims
-        if len(dim) != 1 or dim[0] % 2 != 0 or dim[0] < 2:
-            raise ConfigError(f"triplet features must be even-length vectors, got shape {dim}")
+# libm's atan2, elementwise: numpy's SIMD arctan2 can differ from it in the
+# last bit, which would move the bytes of every aligned point.
+_atan2 = np.vectorize(math.atan2, otypes=[float])
 
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation by ``angle`` followed by ``translation`` (det +1, no scale)."""
+    """Rotation by ``angle`` followed by ``translation`` (det +1, no scale);
+    a (T,) ``angle`` with (T, 2) translations holds T transforms."""
 
-    angle: float
+    angle: float | np.ndarray
     translation: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, -s], [s, c]])
+        """The (2, 2) rotation, or (T, 2, 2) rotations for T angles."""
+        c, s = np.cos(self.angle), np.sin(self.angle)
+        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
     def apply(self, points) -> np.ndarray:
+        """Map (..., 2) points by one transform, or (T, k, 2) points by T transforms."""
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.matrix().T + np.asarray(self.translation)
+        shift = np.asarray(self.translation)
+        return pts @ np.swapaxes(self.matrix(), -1, -2) + (shift[:, None, :] if shift.ndim == 2 else shift)
 
 
 @dataclass(frozen=True)
@@ -91,47 +84,40 @@ class Ellipse:
         return (local_x / (self.width / 2)) ** 2 + (local_y / (self.height / 2)) ** 2 <= 1.0
 
 
-def project_2d(feature) -> np.ndarray:
-    """(mean of even-indexed entries, mean of odd-indexed entries)."""
-    vec = np.asarray(feature, dtype=np.float64).ravel()
-    if vec.size < 2 or vec.size % 2 != 0:
-        raise ConfigError(f"projection needs an even-length vector, got {vec.size}")
-    return np.array([vec[0::2].mean(), vec[1::2].mean()])
+def project_2d(features) -> np.ndarray:
+    """(mean of even-indexed entries, mean of odd-indexed entries) over the
+    last axis: a D-vector maps to a 2-vector, a (..., D) stack to (..., 2)."""
+    x = np.asarray(features, dtype=np.float64)
+    dim = x.shape[-1] if x.ndim else 0
+    if dim < 2 or dim % 2 != 0:
+        raise ConfigError(f"projection needs an even-length last axis, got {dim}")
+    return np.stack([x[..., 0::2].mean(axis=-1), x[..., 1::2].mean(axis=-1)], axis=-1)
 
 
 def fit_rigid(p1, p2) -> RigidTransform:
     """Rigid map sending midpoint(p1, p2) to the origin and the p1->p2
     direction onto the unit diagonal.
 
+    Takes (2,) anchors for one transform or (T, 2) anchors for T.
     Distances are preserved, so p1 and p2 land at -+(|p2-p1|/2) along
     the diagonal rather than at fixed points.
     """
     a = np.asarray(p1, dtype=np.float64)
     b = np.asarray(p2, dtype=np.float64)
     delta = b - a
-    if np.linalg.norm(delta) <= 1e-12:
+    if np.any(np.linalg.norm(delta, axis=-1) <= 1e-12):
         raise DegenerateAnchorError("anchor points coincide; direction is undefined")
-    angle = math.pi / 4 - math.atan2(delta[1], delta[0])
-    transform = RigidTransform(angle=angle, translation=np.zeros(2))
-    midpoint_image = transform.apply((a + b) / 2)
+    angle = math.pi / 4 - _atan2(delta[..., 1], delta[..., 0])
+    rotation = RigidTransform(angle=angle, translation=np.zeros_like(a))
+    midpoint_image = rotation.apply(((a + b) / 2)[..., None, :])[..., 0, :]
     return RigidTransform(angle=angle, translation=-midpoint_image)
 
 
-def align_triplet(triplet: Triplet, mode: str = "rigid"):
-    """Project all three features and align on the two bona fide anchors.
-
-    mode "rigid" preserves distances; mode "similarity" additionally
-    rescales so the anchors land exactly on (-0.5, -0.5) and
-    (0.5, 0.5). Returns the three aligned 2-vectors (a, b, morph).
-    """
-    if mode not in ("rigid", "similarity"):
-        raise ConfigError(f"unknown alignment mode {mode!r}")
-    pa, pb, pm = (project_2d(v) for v in (triplet.bona_a, triplet.bona_b, triplet.morph))
-    transform = fit_rigid(pa, pb)
-    aligned = transform.apply(np.stack([pa, pb, pm]))
-    if mode == "similarity":
-        aligned = aligned * (math.sqrt(2.0) / np.linalg.norm(pb - pa))
-    return aligned[0], aligned[1], aligned[2]
+def align_feature_triplets(features) -> np.ndarray:
+    """Project (T, 3, D) feature triplets (bona_a, bona_b, morph) to 2D and
+    align each on its two bona fide anchors; returns (T, 3, 2) points."""
+    points = project_2d(features)
+    return fit_rigid(points[:, 0], points[:, 1]).apply(points)
 
 
 def chi2_quantile_2dof(level: float) -> float:
@@ -149,8 +135,8 @@ def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
     larger eigenvalue.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] < 3 or pts.shape[1] != 2:
-        raise ConfigError(f"need at least 3 points of dimension 2, got shape {pts.shape}")
+    if pts.shape[0] < MIN_ELLIPSE_POINTS or pts.shape[1] != 2:
+        raise ConfigError(f"need at least {MIN_ELLIPSE_POINTS} points of dimension 2, got shape {pts.shape}")
     q = chi2_quantile_2dof(level)
     cov = np.cov(pts.T, ddof=1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -172,25 +158,18 @@ def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
     )
 
 
-def align_feature_triplets(triplets, mode: str = "rigid"):
-    """Align a batch of feature triplets; returns (T, 3, 2) stacked points."""
-    aligned = [align_triplet(t, mode=mode) for t in triplets]
-    return np.array(aligned)
-
-
-def aligned_spread(rows, level: float = 0.9, mode: str = "rigid"):
+def aligned_spread(rows):
     """Align embedded triplets and fit the ellipse of their morph cloud.
 
     rows is a (3T, D) array of features ordered (bona_a, bona_b, morph)
-    per triplet; returns the (T, 3, 2) aligned points and the Ellipse of
-    their morph points.
+    per triplet; returns the (T, 3, 2) aligned points and the 0.9-level
+    Ellipse of their morph points.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    triplets = [Triplet(rows[i], rows[i + 1], rows[i + 2]) for i in range(0, len(rows), 3)]
-    if len(triplets) < 3:
-        raise ConfigError(f"need at least 3 triplets, got {len(triplets)}")
-    aligned = align_feature_triplets(triplets, mode=mode)
-    return aligned, confidence_ellipse(aligned[:, 2, :], level=level)
+    if rows.ndim != 2 or len(rows) % 3 != 0 or len(rows) < 3 * MIN_ELLIPSE_POINTS:
+        raise ConfigError(f"need (3T, D) rows of at least {MIN_ELLIPSE_POINTS} triplets, got shape {rows.shape}")
+    aligned = align_feature_triplets(rows.reshape(len(rows) // 3, 3, rows.shape[1]))
+    return aligned, confidence_ellipse(aligned[:, 2, :])
 
 
 # --- serialization ---------------------------------------------------------

@@ -8,6 +8,8 @@ count by the same pool size as the library, so agreement is expected
 bit-for-bit.
 """
 
+import math
+
 import numpy as np
 
 
@@ -97,3 +99,23 @@ def oracle_mmpmr_at_fnmr(trial_scores, genuine, impostor, targets):
         tau, achieved = found
         out.append((target, achieved, tau, oracle_mmpmr(trial_scores, tau)))
     return out
+
+
+# --- feature alignment, one triplet at a time ------------------------------
+
+
+def oracle_align_triplet(bona_a, bona_b, morph):
+    """Aligned (3, 2) points of one (bona_a, bona_b, morph) feature triplet.
+
+    Projects each vector to (mean of even entries, mean of odd entries),
+    rotates by pi/4 - atan2(anchor direction), with the angle and its
+    cosine and sine taken from libm, and translates the anchor midpoint
+    to the origin. The rotation is one 2x2 matrix product per triplet.
+    """
+    points = np.array([[np.mean(v[0::2]), np.mean(v[1::2])] for v in (bona_a, bona_b, morph)])
+    (ax, ay), (bx, by) = points[0], points[1]
+    angle = math.pi / 4 - math.atan2(by - ay, bx - ax)
+    c, s = math.cos(angle), math.sin(angle)
+    rotation = np.array([[c, -s], [s, c]])
+    translation = -(((points[0] + points[1]) / 2) @ rotation.T)
+    return points @ rotation.T + translation

@@ -286,6 +286,14 @@ def list_identity_in_both_subsets(records):
     records[0]["identity_b"] = next(r["identity_a"] for r in records if r["identity_a"] != first)
 
 
+def empty_protocol(records):
+    records.clear()
+
+
+def keep_two_pairs(records):
+    del records[2:]
+
+
 def relabel_last_of_identity_0(records):
     records[SMALL["data"]["samples_per_class"] - 1].update(y_dot=1, y_ddot=1, source_ids=[1])
 
@@ -321,6 +329,11 @@ class TestExitCodes:
             {"eval": {"genuine_pairs": -5, "impostor_pairs": 200}},
             {"eval": {**SMALL["eval"], "fmr_targets": [1.5]}},
             {"data": {**SMALL["data"], "samples_per_class": 5}},
+            {"data": {**SMALL["data"], "num_classes": 7}},
+            {"data": {**SMALL["data"], "input_dim": 1}},
+            {"data": {**SMALL["data"], "spread": -0.1}},
+            {"data": {**SMALL["data"], "ratios": [2, 0, 1]}},
+            {"data": {**SMALL["data"], "ratios": [2000, 1, 1]}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -384,7 +397,9 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data/protocol error: ")
 
-    @pytest.mark.parametrize("edit", [swap_sides, pair_within_subset_1, list_identity_in_both_subsets])
+    @pytest.mark.parametrize(
+        "edit", [swap_sides, pair_within_subset_1, list_identity_in_both_subsets, empty_protocol, keep_two_pairs]
+    )
     def test_bad_protocol(self, edit, config_path, data_dir, train_dir, tmp_path, capsys):
         protocol = edit_protocol(data_dir, tmp_path, edit)
         argv = [
@@ -411,3 +426,18 @@ class TestExitCodes:
         argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"),
                 "--checkpoint", str(tmp_path / "wide.bin")]
         self._assert_one_line_data_error(argv, capsys)
+
+    @pytest.mark.parametrize("embedding_dim", [7, 16])
+    @pytest.mark.parametrize("command", ["eval", "analyze-features", "adapt"])
+    def test_checkpoint_of_other_embedding_width(
+        self, command, embedding_dim, config_path, data_dir, tmp_path, capsys
+    ):
+        data = SMALL["data"]
+        model = init_model(data["input_dim"], [16], embedding_dim, data["num_classes"], seed=1)
+        save_checkpoint(model, tmp_path / "other.bin")
+        argv = [command, "--config", config_path, "--out", str(tmp_path / "o"),
+                "--checkpoint", str(tmp_path / "other.bin")]
+        if command != "adapt":
+            argv += ["--data", str(data_dir / "bona_fides.jsonl"), "--protocol", str(data_dir / "protocol.json")]
+        self._assert_one_line_data_error(argv, capsys)
+        assert not any((tmp_path / "o").iterdir())

@@ -5,6 +5,7 @@ import pytest
 
 from morphguard import datagen, metrics
 from morphguard.errors import ConfigError, DataError
+from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
 from morphguard.experiment import (
     DataBundle,
     ExperimentConfig,
@@ -28,6 +29,7 @@ from morphguard.experiment import (
 )
 from morphguard.encoder import train
 from morphguard.losses import LabelPair, SampleKind
+from oracles import oracle_align_triplet
 
 SMALL = {
     "seed": 5,
@@ -87,6 +89,14 @@ class TestConfig:
             {"eval": {"fmr_targets": [0.0]}},
             {"data": {"samples_per_class": 5}},
             {"data": {"samples_per_class": 2, "holdout_fraction": 0.9}},
+            {"data": {"num_classes": 7}},
+            {"data": {"num_classes": 0}},
+            {"data": {"input_dim": 1}},
+            {"data": {"spread": 0.0}},
+            {"data": {"ratios": [2, 0, 1]}},
+            {"data": {"ratios": [2000, 1, 1]}},
+            {"data": {"ratios": [2, float("inf"), 1]}},
+            {"data": {"spread": float("inf")}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):
@@ -244,6 +254,29 @@ class TestEvaluation:
             report.ellipse.height,
             report.ellipse.orientation,
         )
+
+
+class TestBatchedAlignment:
+    """The one batched alignment pass against per-triplet computations, bit for bit."""
+
+    def test_matches_per_triplet_oracle(self, trained, small_bundle, small_config):
+        rows = trial_features(trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha)
+        triplets = rows.reshape(-1, 3, rows.shape[1])
+        aligned = align_feature_triplets(triplets)
+        expected = np.array([oracle_align_triplet(*t) for t in triplets])
+        assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
+        assert aligned.tobytes() == expected.tobytes()
+
+    def test_batched_rigid_fit_equals_single_fits(self, trained, small_bundle, small_config):
+        rows = trial_features(trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha)
+        points = project_2d(rows.reshape(-1, 3, rows.shape[1]))
+        batched = fit_rigid(points[:, 0], points[:, 1])
+        image = batched.apply(points)
+        for t, triple in enumerate(points):
+            single = fit_rigid(triple[0], triple[1])
+            assert batched.angle[t] == single.angle
+            assert batched.translation[t].tobytes() == single.translation.tobytes()
+            assert image[t].tobytes() == single.apply(triple).tobytes()
 
 
 class TestRecipes:

@@ -10,9 +10,7 @@ from morphguard.errors import (
     DegenerateCovarianceError,
 )
 from morphguard.featviz import (
-    Triplet,
     align_feature_triplets,
-    align_triplet,
     aligned_spread,
     chi2_quantile_2dof,
     confidence_ellipse,
@@ -95,45 +93,36 @@ class TestFitRigid:
             fit_rigid([1.0, 1.0], [1.0, 1.0])
 
 
-class TestAlignTriplet:
-    def _triplet(self, rng, d=8, morph_midway=False):
-        a, b = rng.normal(size=d), rng.normal(size=d)
-        m = 0.5 * (a + b) if morph_midway else rng.normal(size=d)
-        return Triplet(a, b, m)
+class TestAlignFeatureTriplets:
+    def _features(self, rng, t=10, d=8, morph_midway=False):
+        a, b = rng.normal(size=(t, d)), rng.normal(size=(t, d))
+        m = 0.5 * (a + b) if morph_midway else rng.normal(size=(t, d))
+        return np.stack([a, b, m], axis=1)
 
     def test_midway_morph_lands_at_origin(self):
         rng = np.random.default_rng(4)
-        triplet = self._triplet(rng, morph_midway=True)
-        _, _, morph = align_triplet(triplet)
-        np.testing.assert_allclose(morph, [0.0, 0.0], atol=1e-12)
+        aligned = align_feature_triplets(self._features(rng, morph_midway=True))
+        np.testing.assert_allclose(aligned[:, 2], 0.0, atol=1e-12)
 
     def test_bona_fide_images_symmetric_on_diagonal(self):
         rng = np.random.default_rng(5)
-        a_img, b_img, _ = align_triplet(self._triplet(rng))
+        aligned = align_feature_triplets(self._features(rng))
+        a_img, b_img = aligned[:, 0], aligned[:, 1]
         np.testing.assert_allclose(a_img, -b_img, atol=1e-9)
-        assert abs(a_img[0] - a_img[1]) < 1e-9
+        assert np.all(np.abs(a_img[:, 0] - a_img[:, 1]) < 1e-9)
 
     def test_swapping_anchors_reflects_through_origin(self):
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            t = self._triplet(rng)
-            fwd = np.array(align_triplet(t))
-            swapped = np.array(align_triplet(Triplet(t.bona_b, t.bona_a, t.morph)))
-            np.testing.assert_allclose(swapped[0], -fwd[1], atol=1e-9)
-            np.testing.assert_allclose(swapped[1], -fwd[0], atol=1e-9)
-            np.testing.assert_allclose(swapped[2], -fwd[2], atol=1e-9)
-
-    def test_similarity_mode_hits_targets(self):
-        rng = np.random.default_rng(7)
-        a_img, b_img, _ = align_triplet(self._triplet(rng), mode="similarity")
-        np.testing.assert_allclose(a_img, [-0.5, -0.5], atol=1e-9)
-        np.testing.assert_allclose(b_img, [0.5, 0.5], atol=1e-9)
+        features = self._features(rng)
+        fwd = align_feature_triplets(features)
+        swapped = align_feature_triplets(features[:, [1, 0, 2]])
+        np.testing.assert_allclose(swapped[:, 0], -fwd[:, 1], atol=1e-9)
+        np.testing.assert_allclose(swapped[:, 1], -fwd[:, 0], atol=1e-9)
+        np.testing.assert_allclose(swapped[:, 2], -fwd[:, 2], atol=1e-9)
 
     def test_dimension_validation(self):
         with pytest.raises(ConfigError):
-            Triplet(np.zeros(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(ConfigError):
-            Triplet(np.zeros(4), np.zeros(6), np.zeros(4))
+            align_feature_triplets(np.zeros((2, 3, 3)))
 
 
 class TestConfidenceEllipse:
@@ -232,10 +221,7 @@ class TestAlignedSpread:
 class TestSerialization:
     def _aligned(self):
         rng = np.random.default_rng(14)
-        triplets = [
-            Triplet(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)) for _ in range(5)
-        ]
-        return align_feature_triplets(triplets)
+        return align_feature_triplets(rng.normal(size=(5, 3, 6)))
 
     def test_aligned_csv(self, tmp_path):
         aligned = self._aligned()
