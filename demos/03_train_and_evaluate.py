@@ -53,4 +53,4 @@ for point in report.operating_points:
     target = "" if point.target is None else f" @ {point.target}"
     print(f"  {point.metric}{target}: {point.value:.4f}")
 print(f"\nmin RMMR {report.min_rmmr_value:.4f} at threshold {report.min_rmmr_threshold:.4f}")
-print(f"morph feature-cloud ellipse size: {report.spread_size:.4f}")
+print(f"morph feature-cloud ellipse size: {report.ellipse.size:.4f}")

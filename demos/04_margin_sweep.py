@@ -33,7 +33,7 @@ for offset, history, report in results:
         f"{report.point('mmpmr_at_fnmr', 0.001).value:11.4f} | "
         f"{report.point('fnmr_at_fmr', 0.001).value:14.4f} | "
         f"{report.min_rmmr_value:9.4f} | "
-        f"{report.spread_size:9.4f}"
+        f"{report.ellipse.size:9.4f}"
     )
     print(row)
 print("\n(final mean training losses:",

@@ -42,7 +42,7 @@ rows = [
     ("MMPMR @ FNMR=0.001", report1.point("mmpmr_at_fnmr", 0.001).value, report2.point("mmpmr_at_fnmr", 0.001).value),
     ("FNMR @ FMR=0.001", report1.point("fnmr_at_fmr", 0.001).value, report2.point("fnmr_at_fmr", 0.001).value),
     ("min RMMR", report1.min_rmmr_value, report2.min_rmmr_value),
-    ("ellipse size S", report1.spread_size, report2.spread_size),
+    ("ellipse size S", report1.ellipse.size, report2.ellipse.size),
 ]
 for name, v1, v2 in rows:
     print(f"{name:<24} {v1:9.4f} {v2:9.4f}")

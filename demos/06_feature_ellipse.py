@@ -51,9 +51,9 @@ bundle = generate_bundle(config)
 model = fresh_model(config)
 model, _ = train(model, bundle.train_set, train_config(config))
 
-aligned, ellipse, size = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
+aligned, ellipse = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
 print(f"\n{len(aligned)} aligned triplets; morph-cloud ellipse "
-      f"W={ellipse.width:.4f} H={ellipse.height:.4f} S={size:.4f} "
+      f"W={ellipse.width:.4f} H={ellipse.height:.4f} S={ellipse.size:.4f} "
       f"orientation={ellipse.orientation:+.3f} rad")
 
 out = Path(__file__).resolve().parent / "feature_distribution.svg"

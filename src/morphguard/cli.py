@@ -18,7 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import datagen, featviz, metrics
+import numpy as np
+
+from . import __version__, datagen, featviz, metrics
 from .encoder import load_checkpoint, save_checkpoint, train
 from .errors import ConfigError, DataError, MorphGuardError, NumericError
 from .experiment import (
@@ -64,7 +66,14 @@ def _config_and_out_dir(args):
 
 
 def write_manifest(out_dir: Path, command: str, config: ExperimentConfig):
-    payload = {"command": command, "config": config.to_dict(), "seed": config.seed}
+    # numpy promises its Generator streams only within one numpy version.
+    payload = {
+        "command": command,
+        "config": config.to_dict(),
+        "seed": config.seed,
+        "morphguard_version": __version__,
+        "numpy_version": np.__version__,
+    }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -200,12 +209,12 @@ def cmd_eval(args) -> int:
 def cmd_analyze_features(args) -> int:
     config, out_dir = _config_and_out_dir(args)
     model, bona_fides, protocol = _load_eval_inputs(args, config)
-    aligned, ellipse, size = feature_analysis(model, bona_fides, protocol, config)
+    aligned, ellipse = feature_analysis(model, bona_fides, protocol, config)
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
     featviz.save_ellipse_csv(ellipse, out_dir / "ellipse.csv")
     featviz.render_svg(aligned, ellipse, out_dir / "features.svg")
     write_manifest(out_dir, "analyze-features", config)
-    print(f"analyzed {len(aligned)} triplets; ellipse size {size:.4f}")
+    print(f"analyzed {len(aligned)} triplets; ellipse size {ellipse.size:.4f}")
     return 0
 
 

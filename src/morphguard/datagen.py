@@ -170,11 +170,14 @@ def group_by_identity(samples) -> dict[int, list[Sample]]:
 
 
 def pair_protocol(universe: IdentityUniverse, samples, num_morphs: int, seed: int) -> MorphPairProtocol:
-    """Uniformly sample distinct cross-subset sample pairs.
+    """Uniformly sample distinct cross-subset sample pairs, in random order.
 
-    Enumerates every (subset-1 sample, subset-2 sample) combination,
-    then takes a seeded random subset, so no pair repeats and
-    within-subset pairs can never occur.
+    Each pair is a flat index into the (subset-1 sample, subset-2
+    sample) product, drawn without replacement, so no pair repeats and
+    within-subset pairs can never occur. The draw needs O(num_morphs)
+    memory, not O(product): numpy's Generator.choice runs Floyd's
+    algorithm for a small share of a large product and shuffles only a
+    tail of the candidates otherwise.
     """
     if num_morphs < 0:
         raise ConfigError(f"num_morphs must be >= 0, got {num_morphs}")
@@ -188,9 +191,9 @@ def pair_protocol(universe: IdentityUniverse, samples, num_morphs: int, seed: in
         raise CapacityError(
             f"requested {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
         )
-    chosen = rng_for(seed, STREAM_PAIRS).permutation(capacity)[:num_morphs]
+    chosen = rng_for(seed, STREAM_PAIRS).choice(capacity, size=num_morphs, replace=False)
     pairs = []
-    for flat in chosen:
+    for flat in chosen.tolist():
         ia, ka = side1[flat // len(side2)]
         ib, kb = side2[flat % len(side2)]
         pairs.append(MorphPair(identity_a=ia, identity_b=ib, sample_a=ka, sample_b=kb))

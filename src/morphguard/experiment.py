@@ -54,6 +54,12 @@ class DataSettings:
         budget = morph_budget(self.num_classes * num_train, self.ratios)
         if budget < featviz.MIN_ELLIPSE_POINTS:
             raise ConfigError(f"ratios {self.ratios} give {budget} morph trials, fewer than {featviz.MIN_ELLIPSE_POINTS}")
+        # split_identities halves the (even) identity count into the two subsets.
+        capacity = (self.num_classes // 2 * num_train) ** 2
+        if budget > capacity:
+            raise ConfigError(
+                f"ratios {self.ratios} need {budget} morphs but only {capacity} distinct cross-subset pairs exist"
+            )
 
 
 @dataclass(frozen=True)
@@ -283,30 +289,45 @@ def embed_holdout(model: DualHeadModel, holdout) -> dict:
     return {i: _embed(model, [s.input for s in grouped[i]]) for i in sorted(grouped)}
 
 
-def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> VerificationSet:
-    """Seeded genuine/impostor cosine scores over held-out embeddings."""
+def _probe_pool(probes: dict):
+    """Held-out embeddings stacked in identity order: (pool, counts, offsets, identities)."""
     identities = sorted(probes)
-    if any(len(probes[i]) < 2 for i in identities) or len(identities) < 2:
+    counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.concatenate([probes[i] for i in identities]), counts, offsets, identities
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Clipped row-wise dot products, each the same vector.vector product as a @ b."""
+    return np.clip((a[..., None, :] @ b[..., :, None])[..., 0, 0], -1.0, 1.0)
+
+
+def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> VerificationSet:
+    """Seeded genuine/impostor cosine scores over held-out embeddings.
+
+    Genuine pairs are an identity, then two distinct of its samples;
+    impostor pairs are two distinct identities, then one sample of each.
+    Every draw is one whole-array call, documented in the README.
+    """
+    if len(probes) < 2 or min(len(rows) for rows in probes.values()) < 2:
         raise ConfigError("verification needs >= 2 held-out samples for >= 2 identities")
+    pool, counts, offsets, identities = _probe_pool(probes)
+    num_ids = len(identities)
 
     rng = rng_for(seed, STREAM_GENUINE)
-    genuine = np.empty(settings.genuine_pairs)
-    for k in range(settings.genuine_pairs):
-        identity = identities[int(rng.integers(len(identities)))]
-        i, j = rng.choice(len(probes[identity]), size=2, replace=False)
-        genuine[k] = np.clip(probes[identity][i] @ probes[identity][j], -1.0, 1.0)
+    who = rng.integers(num_ids, size=settings.genuine_pairs)
+    i = rng.integers(counts[who])
+    j = rng.integers(counts[who] - 1)
+    j += j >= i
+    genuine = _cosines(pool[offsets[who] + i], pool[offsets[who] + j])
 
     rng = rng_for(seed, STREAM_IMPOSTOR)
-    impostor = np.empty(settings.impostor_pairs)
-    for k in range(settings.impostor_pairs):
-        a, b = rng.choice(len(identities), size=2, replace=False)
-        ia, ib = identities[int(a)], identities[int(b)]
-        impostor[k] = np.clip(
-            probes[ia][int(rng.integers(len(probes[ia])))]
-            @ probes[ib][int(rng.integers(len(probes[ib])))],
-            -1.0,
-            1.0,
-        )
+    a = rng.integers(num_ids, size=settings.impostor_pairs)
+    b = rng.integers(num_ids - 1, size=settings.impostor_pairs)
+    b += b >= a
+    sample_a = rng.integers(counts[a])
+    sample_b = rng.integers(counts[b])
+    impostor = _cosines(pool[offsets[a] + sample_a], pool[offsets[b] + sample_b])
     return VerificationSet(genuine, impostor)
 
 
@@ -331,15 +352,19 @@ def trial_features(model: DualHeadModel, train_bona, protocol, alpha: float) -> 
 
 
 def morph_trials(morph_embeddings: np.ndarray, probes: dict, protocol, seed: int):
-    """Score each protocol morph against one held-out sample per parent."""
-    rng = rng_for(seed, STREAM_TRIALS)
-    trials = []
-    for idx, pair in enumerate(protocol.pairs):
-        probe_a = probes[pair.identity_a][int(rng.integers(len(probes[pair.identity_a])))]
-        probe_b = probes[pair.identity_b][int(rng.integers(len(probes[pair.identity_b])))]
-        scores = np.clip([morph_embeddings[idx] @ probe_a, morph_embeddings[idx] @ probe_b], -1.0, 1.0)
-        trials.append(MorphTrial(idx, scores))
-    return trials
+    """Score each protocol morph against one held-out sample per parent.
+
+    The (T, 2) probe indices are one array-bound integers draw, which
+    consumes the stream pair by pair, parent a before parent b.
+    """
+    pool, counts, offsets, identities = _probe_pool(probes)
+    position = {identity: k for k, identity in enumerate(identities)}
+    parents = np.array(
+        [(position[p.identity_a], position[p.identity_b]) for p in protocol.pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    picks = rng_for(seed, STREAM_TRIALS).integers(counts[parents])
+    scores = _cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks])
+    return [MorphTrial(idx, row) for idx, row in enumerate(scores)]
 
 
 @dataclass
@@ -356,7 +381,6 @@ class EvalReport:
     min_rmmr_value: float
     aligned_cloud: np.ndarray
     ellipse: featviz.Ellipse
-    spread_size: float
 
     def point(self, metric: str, target: float | None = None) -> OperatingPoint:
         for p in self.operating_points:
@@ -390,7 +414,6 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
         min_rmmr_value=value,
         aligned_cloud=aligned[:, 2, :],
         ellipse=ellipse,
-        spread_size=ellipse.size,
     )
 
 
@@ -415,8 +438,7 @@ def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: Experim
     train_bona, _ = holdout_split(
         bona_fides, config.data.samples_per_class, config.data.holdout_fraction
     )
-    aligned, ellipse = featviz.aligned_spread(trial_features(model, train_bona, protocol, config.data.alpha))
-    return aligned, ellipse, ellipse.size
+    return featviz.aligned_spread(trial_features(model, train_bona, protocol, config.data.alpha))
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):

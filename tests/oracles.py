@@ -119,3 +119,21 @@ def oracle_align_triplet(bona_a, bona_b, morph):
     rotation = np.array([[c, -s], [s, c]])
     translation = -(((points[0] + points[1]) / 2) @ rotation.T)
     return points @ rotation.T + translation
+
+
+# --- morph trials, one protocol pair at a time -----------------------------
+
+
+def oracle_morph_trials(morph_embeddings, probes, protocol, seed):
+    """(T, 2) trial scores: two scalar probe draws and two dot products per pair.
+
+    The draws come from the trial-probe stream (tag 11) of the README's
+    seeding scheme, subset-1 parent first.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 11])))
+    scores = []
+    for idx, pair in enumerate(protocol.pairs):
+        probe_a = probes[pair.identity_a][int(rng.integers(len(probes[pair.identity_a])))]
+        probe_b = probes[pair.identity_b][int(rng.integers(len(probes[pair.identity_b])))]
+        scores.append(np.clip([morph_embeddings[idx] @ probe_a, morph_embeddings[idx] @ probe_b], -1.0, 1.0))
+    return np.array(scores).reshape(-1, 2)

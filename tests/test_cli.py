@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import morphguard
 from morphguard import metrics
 from morphguard.cli import main
 from morphguard.datagen import load_dataset
@@ -61,6 +62,8 @@ class TestGenData:
             assert (data_dir / name).exists()
         manifest = json.loads((data_dir / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
+        assert manifest["morphguard_version"] == morphguard.__version__
+        assert manifest["numpy_version"] == np.__version__
         assert ExperimentConfig.from_dict(manifest["config"]) == ExperimentConfig.from_dict(SMALL)
 
     def test_morph_count_matches_ratios(self, data_dir):
@@ -334,6 +337,7 @@ class TestExitCodes:
             {"data": {**SMALL["data"], "spread": -0.1}},
             {"data": {**SMALL["data"], "ratios": [2, 0, 1]}},
             {"data": {**SMALL["data"], "ratios": [2000, 1, 1]}},
+            {"data": {**SMALL["data"], "ratios": [2, 1000, 1]}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):

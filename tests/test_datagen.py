@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,24 @@ class TestPairProtocol:
         p1 = pair_protocol(universe, samples, 12, seed=10)
         p2 = pair_protocol(universe, samples, 12, seed=10)
         assert p1.pairs == p2.pairs
+
+    def test_small_share_of_a_large_product_in_bounded_memory(self):
+        # 100 x 40 samples per subset: 16e6 candidate pairs, of which 4000
+        # are drawn. Permuting every candidate would peak near 123 MiB.
+        universe, samples = synth_identities(200, 40, 2, spread=0.1, seed=19)
+        tracemalloc.start()
+        try:
+            protocol = pair_protocol(universe, samples, 4000, seed=19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        keys = {(p.identity_a, p.sample_a, p.identity_b, p.sample_b) for p in protocol.pairs}
+        assert len(protocol.pairs) == len(keys) == 4000
+        for pair in protocol.pairs:
+            assert (universe.subsets[pair.identity_a], universe.subsets[pair.identity_b]) == (1, 2)
+            assert 0 <= pair.identity_a < 200 and 0 <= pair.identity_b < 200
+            assert 0 <= pair.sample_a < 40 and 0 <= pair.sample_b < 40
 
 
 class TestMakeMorph:

@@ -8,6 +8,7 @@ from morphguard.errors import ConfigError, DataError
 from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
 from morphguard.experiment import (
     DataBundle,
+    EvalSettings,
     ExperimentConfig,
     adaptation_configs,
     build_trial_triplets,
@@ -29,7 +30,7 @@ from morphguard.experiment import (
 )
 from morphguard.encoder import train
 from morphguard.losses import LabelPair, SampleKind
-from oracles import oracle_align_triplet
+from oracles import oracle_align_triplet, oracle_morph_trials
 
 SMALL = {
     "seed": 5,
@@ -97,6 +98,7 @@ class TestConfig:
             {"data": {"ratios": [2000, 1, 1]}},
             {"data": {"ratios": [2, float("inf"), 1]}},
             {"data": {"spread": float("inf")}},
+            {"data": {"ratios": [2, 1000, 1]}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):
@@ -220,8 +222,8 @@ class TestEvaluation:
             "morph_spread",
         ]
         assert report.point("min_rmmr").value == report.min_rmmr_value
-        assert report.point("morph_spread").value == report.spread_size
-        assert report.spread_size == (report.ellipse.width + report.ellipse.height) / 2
+        assert report.point("morph_spread").value == report.ellipse.size
+        assert report.ellipse.size == (report.ellipse.width + report.ellipse.height) / 2
 
     def test_file_driven_eval_matches_in_process(self, trained, small_bundle, small_config, tmp_path):
         datagen.save_dataset(small_bundle.bona_fides, tmp_path / "pool.jsonl")
@@ -236,24 +238,79 @@ class TestEvaluation:
             assert a == b
 
     def test_feature_analysis_shapes(self, trained, small_bundle, small_config):
-        aligned, ellipse, size = feature_analysis(
+        aligned, _ = feature_analysis(
             trained, small_bundle.bona_fides, small_bundle.protocol, small_config
         )
         assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
-        assert size == ellipse.size
 
     def test_feature_analysis_matches_report(self, trained, small_bundle, small_config):
-        aligned, ellipse, size = feature_analysis(
+        aligned, ellipse = feature_analysis(
             trained, small_bundle.bona_fides, small_bundle.protocol, small_config
         )
         report = evaluate_model(trained, small_bundle, small_config)
         np.testing.assert_array_equal(aligned[:, 2, :], report.aligned_cloud)
-        assert size == report.spread_size
+        assert ellipse.size == report.ellipse.size
         assert (ellipse.width, ellipse.height, ellipse.orientation) == (
             report.ellipse.width,
             report.ellipse.height,
             report.ellipse.orientation,
         )
+
+
+class TestWholeArrayDraws:
+    """Evaluation draws made as whole arrays, against per-draw computations."""
+
+    @pytest.mark.parametrize("hidden, width", [(64, 32), (256, 128)], ids=["desk", "wide"])
+    def test_morph_trials_match_per_pair_oracle(self, hidden, width):
+        # Half of each identity's 10 samples held out, so each probe draw has 5 choices.
+        config = ExperimentConfig.from_dict(
+            {
+                **SMALL,
+                "data": {**SMALL["data"], "holdout_fraction": 0.5},
+                "model": {"hidden_dims": [hidden], "embedding_dim": width},
+            }
+        )
+        bundle = generate_bundle(config)
+        model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
+        probes = embed_holdout(model, bundle.holdout)
+        morphs = trial_features(model, bundle.train_bona, bundle.protocol, config.data.alpha)[2::3]
+        trials = morph_trials(morphs, probes, bundle.protocol, config.seed)
+        expected = oracle_morph_trials(morphs, probes, bundle.protocol, config.seed)
+        assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
+        assert np.array([t.subject_scores for t in trials]).tobytes() == expected.tobytes()
+
+    def test_verification_scores_are_exact_pair_scores(self):
+        rng = np.random.default_rng(3)
+        probes = {}
+        for identity, count in zip((0, 2, 3, 7, 8), (2, 3, 5, 4, 7)):
+            vectors = rng.standard_normal((count, 16))
+            probes[identity] = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+        same = {
+            float(np.clip(a @ b, -1.0, 1.0))
+            for rows in probes.values()
+            for i, a in enumerate(rows)
+            for j, b in enumerate(rows)
+            if i != j
+        }
+        cross = {
+            float(np.clip(a @ b, -1.0, 1.0))
+            for x in probes
+            for y in probes
+            if x != y
+            for a in probes[x]
+            for b in probes[y]
+        }
+        settings = EvalSettings(genuine_pairs=500, impostor_pairs=500)
+        scores = verification_scores(probes, settings, seed=4)
+        assert scores.genuine.shape == scores.impostor.shape == (500,)
+        assert set(scores.genuine.tolist()) <= same
+        assert set(scores.impostor.tolist()) <= cross
+        again = verification_scores(probes, settings, seed=4)
+        assert scores.genuine.tobytes() == again.genuine.tobytes()
+        assert scores.impostor.tobytes() == again.impostor.tobytes()
+        other = verification_scores(probes, settings, seed=5)
+        assert scores.genuine.tobytes() != other.genuine.tobytes()
+        assert scores.impostor.tobytes() != other.impostor.tobytes()
 
 
 class TestBatchedAlignment:
