@@ -7,6 +7,13 @@ finite differences in the test suite): through each head row w it uses
 d cos / d w = (e - cos * w/|w|) / |w|, and through the normalization
 e = z/|z| it uses the Jacobian (I - e e^T)/|z|.
 
+A step stacks the two heads: one (2C, E) array of unit rows, one
+(N, 2C) cosine array that the loss reads as (2N, C) rows (see
+losses.morphguard_loss_arrays), one (2C, E) head gradient viewed as
+head1/head2. The GEMMs alone stay per head, because OpenBLAS picks its
+kernel, and so its summation order, by the shape: a (N, 2C) or K = 2C
+GEMM would change the bytes that scoring the heads one by one gives.
+
 Training is plain SGD with a per-step linearly interpolated learning
 rate and a per-epoch seeded shuffle, which makes a run a pure function
 of (model, dataset, config).
@@ -14,6 +21,8 @@ of (model, dataset, config).
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -108,15 +117,15 @@ class TrainConfig:
     margin: MarginConfig = field(default_factory=MarginConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.lr_start >= self.lr_end > 0):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (math.inf > self.lr_start >= self.lr_end > 0):
             raise ConfigError(
-                f"learning rates must satisfy lr_start >= lr_end > 0, got "
+                f"learning rates must satisfy inf > lr_start >= lr_end > 0, got "
                 f"({self.lr_start}, {self.lr_end})"
             )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -157,26 +166,28 @@ def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int
     return model
 
 
+def _unit_rows(rows: np.ndarray, error, what: str):
+    """Rows scaled to unit length, and their norms (np.linalg.norm's arithmetic)."""
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if np.any(norms < 1e-12):
+        raise error(f"{what} norm below 1e-12 for row {int(np.argmin(norms))}")
+    return rows / norms[:, None], norms
+
+
 def _forward_batch(model: DualHeadModel, inputs: np.ndarray):
     """Run the MLP on (N, input_dim) rows; returns embeddings and cache."""
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
     activations = [inputs]
-    pre_acts = []
     h = inputs
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
-        z = h @ w.T + b
-        pre_acts.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
+        h = h @ w.T + b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
         activations.append(h)
-    norms = np.linalg.norm(h, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateEmbeddingError(
-            f"pre-normalization embedding norm below 1e-12 for row {int(np.argmin(norms))}"
-        )
-    embeddings = h / norms[:, None]
-    return embeddings, {"activations": activations, "pre_acts": pre_acts, "norms": norms}
+    embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding")
+    return embeddings, {"activations": activations, "norms": norms}
 
 
 def forward(model: DualHeadModel, x):
@@ -188,14 +199,6 @@ def forward(model: DualHeadModel, x):
     return embeddings[0], cache
 
 
-def _normalized_heads(model: DualHeadModel):
-    norms1 = np.linalg.norm(model.head1, axis=1)
-    norms2 = np.linalg.norm(model.head2, axis=1)
-    if np.any(norms1 < 1e-12) or np.any(norms2 < 1e-12):
-        raise DegenerateWeightError("a head row has norm below 1e-12")
-    return model.head1 / norms1[:, None], norms1, model.head2 / norms2[:, None], norms2
-
-
 def batch_gradients(model: DualHeadModel, inputs, first_labels, second_labels, is_morph, margin: MarginConfig):
     """Loss and analytic parameter gradients of one batch.
 
@@ -204,32 +207,36 @@ def batch_gradients(model: DualHeadModel, inputs, first_labels, second_labels, i
     (loss, grads) with grads keyed like model.parameters().
     """
     embeddings, cache = _forward_batch(model, inputs)
-    unit1, norms1, unit2, norms2 = _normalized_heads(model)
-    cos1 = np.clip(embeddings @ unit1.T, -1.0, 1.0)
-    cos2 = np.clip(embeddings @ unit2.T, -1.0, 1.0)
-    result = morphguard_loss_arrays(cos1, cos2, first_labels, second_labels, is_morph, margin)
+    unit, head_norms = _unit_rows(np.concatenate((model.head1, model.head2)), DegenerateWeightError, "head")
+    # Every GEMM keeps its one-head shape (see the module docstring).
+    c = model.num_classes
+    halves = (slice(0, c), slice(c, 2 * c))
+    cosines, grad_heads = np.empty((embeddings.shape[0], 2 * c)), np.empty_like(unit)
+    for half in halves:
+        np.matmul(embeddings, unit[half].T, out=cosines[:, half])
+    np.clip(cosines, -1.0, 1.0, out=cosines)
+    result = morphguard_loss_arrays(cosines, np.column_stack((first_labels, second_labels)), is_morph, margin)
+    cos_grads = result.cosine_grads
 
     # Head gradients: rows enter only through their normalized form.
-    grad_head1 = (result.first_grads.T @ embeddings - (result.first_grads * cos1).sum(axis=0)[:, None] * unit1) / norms1[:, None]
-    grad_head2 = (result.second_grads.T @ embeddings - (result.second_grads * cos2).sum(axis=0)[:, None] * unit2) / norms2[:, None]
+    for half in halves:
+        np.matmul(cos_grads[:, half].T, embeddings, out=grad_heads[half])
+    grad_heads -= (cos_grads * cosines).sum(axis=0)[:, None] * unit
+    grad_heads /= head_norms[:, None]
 
     # Into the encoder: through both heads, then the normalization.
-    grad_emb = result.first_grads @ unit1 + result.second_grads @ unit2
+    grad_emb = cos_grads[:, :c] @ unit[:c] + cos_grads[:, c:] @ unit[c:]
     radial = (grad_emb * embeddings).sum(axis=1, keepdims=True)
-    grad_z = (grad_emb - radial * embeddings) / cache["norms"][:, None]
+    upstream = (grad_emb - radial * embeddings) / cache["norms"][:, None]
 
     grads = {}
-    last = len(model.layers) - 1
-    upstream = grad_z
-    for i in range(last, -1, -1):
-        w, _ = model.layers[i]
-        if i != last:
-            upstream = upstream * (cache["pre_acts"][i] > 0.0)
-        grads[f"layer{i}.weight"] = upstream.T @ cache["activations"][i]
+    activations = cache["activations"]
+    for i in range(len(model.layers) - 1, -1, -1):
+        grads[f"layer{i}.weight"] = upstream.T @ activations[i]
         grads[f"layer{i}.bias"] = upstream.sum(axis=0)
-        upstream = upstream @ w
-    grads["head1"] = grad_head1
-    grads["head2"] = grad_head2
+        if i:
+            upstream = (upstream @ model.layers[i][0]) * (activations[i] > 0.0)
+    grads["head1"], grads["head2"] = grad_heads[:c], grad_heads[c:]
     return result.loss, grads
 
 

@@ -154,7 +154,7 @@ class ExperimentConfig:
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         try:
             return cls(
-                seed=int(raw.get("seed", 1)),
+                seed=raw.get("seed", 1),
                 data=DataSettings(**_tupled(raw.get("data", {}), "ratios")),
                 model=ModelSettings(**_tupled(raw.get("model", {}), "hidden_dims")),
                 train=TrainSettings(**raw.get("train", {})),

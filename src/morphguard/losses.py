@@ -62,8 +62,8 @@ class MarginConfig:
     morph_offset: float = 0.0
 
     def __post_init__(self):
-        if not (self.scale > 0):
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not (0 < self.scale < math.inf):
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
         if not (0.0 <= self.bona_fide_margin < math.pi / 2):
             raise ConfigError(
                 f"bona fide margin must lie in [0, pi/2), got {self.bona_fide_margin}"
@@ -113,15 +113,17 @@ class LabelPair:
 class MorphGuardResult:
     """Batch loss plus everything the backward pass needs.
 
-    Gradients are with respect to the raw cosines of each head and
-    already include the 1/N batch-mean factor; ``sample_losses`` holds
-    the unaveraged two-term loss of each sample.
+    ``cosine_grads`` (N, 2C) is laid out like the stacked cosines, with
+    views ``first_grads`` and ``second_grads`` on its halves; it already
+    includes the 1/N batch-mean factor. ``sample_losses`` holds the
+    unaveraged two-term loss of each sample.
     """
 
     loss: float
-    first_grads: np.ndarray
-    second_grads: np.ndarray
+    cosine_grads: np.ndarray
     sample_losses: np.ndarray
+    first_grads = property(lambda self: self.cosine_grads[:, : self.cosine_grads.shape[1] // 2])
+    second_grads = property(lambda self: self.cosine_grads[:, self.cosine_grads.shape[1] // 2 :])
 
 
 def _as_batch_f64(array, name: str) -> np.ndarray:
@@ -137,25 +139,22 @@ def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     The loss is evaluated as log1p(expm1(a) + R) - a with a the shifted
     target logit and R the summed non-target exponentials, which keeps
     losses far below float64 epsilon exact instead of rounding them to
-    zero.
+    zero. Works in place: ``logits`` is overwritten with the gradient
+    and returned as it.
     """
     rows = np.arange(logits.shape[0])
-    shift = logits.max(axis=1)
-    shifted = logits - shift[:, None]
-    exps = np.exp(shifted)
+    logits -= logits.max(axis=1)[:, None]
+    a = logits[rows, targets]
+    exps = np.exp(logits, out=logits)
     target_exp = exps[rows, targets]
-    exps_rest = exps.copy()
-    exps_rest[rows, targets] = 0.0
-    rest = exps_rest.sum(axis=1)
-
-    a = shifted[rows, targets]
+    exps[rows, targets] = 0.0
+    rest = exps.sum(axis=1)
     losses = np.log1p(np.expm1(a) + rest) - a
 
     total = rest + target_exp
-    probs = exps / total[:, None]
-    grads = probs.copy()
-    grads[rows, targets] -= 1.0
-    return losses, grads
+    exps /= total[:, None]
+    exps[rows, targets] = target_exp / total - 1.0
+    return losses, exps
 
 
 def softmax_ce(logits, target: int):
@@ -167,7 +166,7 @@ def softmax_ce(logits, target: int):
     vec = _as_batch_f64(logits, "logits").reshape(1, -1)
     if not (0 <= target < vec.shape[1]):
         raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
-    losses, grads = _cross_entropy_rows(vec, np.array([target]))
+    losses, grads = _cross_entropy_rows(vec.copy(), np.array([target]))
     return float(losses[0]), grads[0]
 
 
@@ -218,17 +217,18 @@ def _adjust_rows(cos_t: np.ndarray, margins: np.ndarray):
     used, with sin(theta) kept at least _COS_DERIV_BAND away from zero
     so the chain factor stays finite.
     """
-    theta = np.arccos(cos_t)
+    shifted = np.arccos(cos_t) + margins
+    cos_m, sin_m = np.cos(margins), np.sin(margins)
     sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
-    interior = cos_t * np.cos(margins) - sin_t * np.sin(margins)
+    interior = cos_t * cos_m - sin_t * sin_m
 
-    over = theta + margins > math.pi
-    under = theta + margins < 0.0
+    over = shifted > math.pi
+    under = shifted < 0.0
     adjusted = np.clip(np.where(over, -1.0, np.where(under, 1.0, interior)), -1.0, 1.0)
 
     cos_banded = np.clip(cos_t, -1.0 + _COS_DERIV_BAND, 1.0 - _COS_DERIV_BAND)
     sin_banded = np.sqrt(1.0 - cos_banded * cos_banded)
-    chain = np.cos(margins) + np.sin(margins) * cos_banded / sin_banded
+    chain = cos_m + sin_m * cos_banded / sin_banded
     chain = np.where(over | under, 0.0, chain)
     return adjusted, chain
 
@@ -236,16 +236,15 @@ def _adjust_rows(cos_t: np.ndarray, margins: np.ndarray):
 def _margin_ce_rows(cosines: np.ndarray, targets: np.ndarray, scale: float, margins: np.ndarray):
     """Row-wise margin-softmax cross-entropy with cosine gradients."""
     rows = np.arange(cosines.shape[0])
-    cos_t = cosines[rows, targets]
-    adjusted, chain = _adjust_rows(cos_t, margins)
+    adjusted, chain = _adjust_rows(cosines[rows, targets], margins)
 
     logits = scale * cosines
     logits[rows, targets] = scale * adjusted
-    losses, logit_grads = _cross_entropy_rows(logits, targets)
+    losses, grads = _cross_entropy_rows(logits, targets)
 
-    cosine_grads = scale * logit_grads
-    cosine_grads[rows, targets] *= chain
-    return losses, cosine_grads
+    grads *= scale
+    grads[rows, targets] *= chain
+    return losses, grads
 
 
 def margin_softmax_ce(cosines, target: int, scale: float, margin: float):
@@ -260,8 +259,8 @@ def margin_softmax_ce(cosines, target: int, scale: float, margin: float):
     vec = _check_cosines(_as_batch_f64(cosines, "cosines"), "cosines").reshape(1, -1)
     if not (0 <= target < vec.shape[1]):
         raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
-    if not (scale > 0):
-        raise ConfigError(f"scale must be positive, got {scale}")
+    if not (0 < scale < math.inf):
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
     if not math.isfinite(margin):
         raise NumericInputError(f"margin must be finite, got {margin}")
     losses, grads = _margin_ce_rows(vec, np.array([target]), float(scale), np.asarray([float(margin)]))
@@ -269,31 +268,30 @@ def margin_softmax_ce(cosines, target: int, scale: float, margin: float):
 
 
 def morphguard_loss_arrays(
-    first_cosines: np.ndarray,
-    second_cosines: np.ndarray,
-    first_labels: np.ndarray,
-    second_labels: np.ndarray,
-    is_morph: np.ndarray,
-    config: MarginConfig,
+    cosines: np.ndarray, labels: np.ndarray, is_morph: np.ndarray, config: MarginConfig
 ) -> MorphGuardResult:
-    """Batched dual-branch loss on pre-stacked cosine matrices.
+    """Batched dual-branch loss on the stacked cosines of both heads.
 
-    This is the fast path used by the trainer; ``morphguard_loss``
-    wraps it for per-sample inputs. Per-sample margins are the morph
-    margin where ``is_morph`` holds and the bona fide margin elsewhere.
+    The trainer's fast path; ``morphguard_loss`` wraps it for per-sample
+    inputs. ``cosines`` (N, 2C) holds each sample's head-1 cosines, then
+    its head-2 ones; ``labels`` (N, 2) its first and second label. Read
+    as (2N, C) without a copy, row 2i is head 1 of sample i and row
+    2i + 1 its head 2, so one row-wise margin-softmax pass over the
+    interleaved targets scores both heads with the bytes of two passes.
+    Margins are the morph margin where ``is_morph`` holds, else the bona
+    fide margin.
     """
-    n = first_cosines.shape[0]
+    n = cosines.shape[0]
     if n == 0:
         raise EmptyBatchError("loss requires a nonempty batch")
     margins = np.where(is_morph, config.morph_margin, config.bona_fide_margin)
-    first_losses, first_grads = _margin_ce_rows(first_cosines, first_labels, config.scale, margins)
-    second_losses, second_grads = _margin_ce_rows(second_cosines, second_labels, config.scale, margins)
-    sample_losses = first_losses + second_losses
+    losses, grads = _margin_ce_rows(
+        cosines.reshape(2 * n, -1), labels.reshape(-1), config.scale, np.repeat(margins, 2)
+    )
+    sample_losses = losses[0::2] + losses[1::2]
+    grads /= n
     return MorphGuardResult(
-        loss=float(sample_losses.sum() / n),
-        first_grads=first_grads / n,
-        second_grads=second_grads / n,
-        sample_losses=sample_losses,
+        loss=float(sample_losses.sum() / n), cosine_grads=grads.reshape(n, -1), sample_losses=sample_losses
     )
 
 
@@ -306,13 +304,9 @@ def morphguard_loss(batch, config: MarginConfig) -> MorphGuardResult:
     """
     if len(batch) == 0:
         raise EmptyBatchError("loss requires a nonempty batch")
-    first = _check_cosines(
-        _as_batch_f64(np.stack([np.ravel(c1) for c1, _, _ in batch]), "first cosines"),
-        "first cosines",
-    )
-    second = _check_cosines(
-        _as_batch_f64(np.stack([np.ravel(c2) for _, c2, _ in batch]), "second cosines"),
-        "second cosines",
+    first, second = (
+        _check_cosines(_as_batch_f64(np.stack([np.ravel(item[head]) for item in batch]), name), name)
+        for head, name in ((0, "first cosines"), (1, "second cosines"))
     )
     if first.shape != second.shape:
         raise ConfigError(f"cosine shapes differ between heads: {first.shape} vs {second.shape}")
@@ -327,10 +321,8 @@ def morphguard_loss(batch, config: MarginConfig) -> MorphGuardResult:
                 f"for {num_classes} classes"
             )
     return morphguard_loss_arrays(
-        first,
-        second,
-        np.array([p.first_label for p in labels]),
-        np.array([p.second_label for p in labels]),
+        np.concatenate((first, second), axis=1),
+        np.array([(p.first_label, p.second_label) for p in labels]),
         np.array([p.kind is SampleKind.MORPH for p in labels]),
         config,
     )

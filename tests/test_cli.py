@@ -322,6 +322,11 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        assert main(["train", "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["gen-data", "train", "sweep-margins", "adapt", "eval", "analyze-features"])
     @pytest.mark.parametrize(
         "bad",
@@ -338,6 +343,12 @@ class TestExitCodes:
             {"data": {**SMALL["data"], "ratios": [2, 0, 1]}},
             {"data": {**SMALL["data"], "ratios": [2000, 1, 1]}},
             {"data": {**SMALL["data"], "ratios": [2, 1000, 1]}},
+            {"train": {**SMALL["train"], "epochs": 1.5}},
+            {"train": {**SMALL["train"], "batch_size": 12.5}},
+            {"train": {**SMALL["train"], "epochs": True}},
+            {"margin": {"scale": float("inf")}},
+            {"seed": -3},
+            {"seed": 1.5},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):

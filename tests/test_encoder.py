@@ -13,6 +13,7 @@ from morphguard.encoder import (
     save_checkpoint,
     train,
     train_step,
+    _stack_batch,
 )
 from morphguard.errors import (
     CheckpointFormatError,
@@ -23,7 +24,7 @@ from morphguard.errors import (
 )
 from morphguard.losses import LabelPair, MarginConfig, SampleKind
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, oracle_batch_gradients, oracle_train
 
 
 def models_equal(a: DualHeadModel, b: DualHeadModel) -> bool:
@@ -221,6 +222,92 @@ class TestGradients:
 
             numeric = fd_gradient(objective, flatten_params(model))
             assert max_rel_err(flat_grad, numeric) < 1e-4
+
+
+def assert_same_bytes(actual, expected, what):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype, what
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+class TestFusedStepExactness:
+    """The stacked two-head step against the per-head oracle, byte for byte."""
+
+    @staticmethod
+    def check(model, batch, margin):
+        args = (model, *_stack_batch(batch), margin)
+        loss, grads = batch_gradients(*args)
+        expected_loss, expected = oracle_batch_gradients(*args)
+        assert_same_bytes(loss, expected_loss, "loss")
+        assert sorted(grads) == sorted(expected)
+        for name in expected:
+            assert_same_bytes(grads[name], expected[name], name)
+
+    # OpenBLAS picks its kernel by GEMM shape: a (N, 2C) cosine GEMM
+    # differs from two (N, C) ones at C = 40 for N in 16..30, and a
+    # (2C, E) head-gradient GEMM from two (C, E) ones at C = 6, N = 1001.
+    @pytest.mark.parametrize("emb_dim", [32, 128])
+    @pytest.mark.parametrize(
+        "classes, batch_size", [(40, 1), (40, 7), (40, 23), (40, 33), (40, 77), (40, 127), (6, 23), (6, 1001)]
+    )
+    def test_random_batches(self, emb_dim, classes, batch_size):
+        rng = np.random.default_rng(1000 * emb_dim + batch_size)
+        model = init_model(64, [64], emb_dim, classes, seed=batch_size)
+        margin = MarginConfig(scale=16.0, bona_fide_margin=0.5, morph_offset=-0.1)
+        self.check(model, random_batch(rng, batch_size, 64, classes), margin)
+
+    @pytest.mark.parametrize(
+        "bona_fide_margin, offset, fires_under", [(1.2, 0.3, False), (1.2, -0.3, False), (0.2, -0.3, True)]
+    )
+    def test_clamped_regime(self, bona_fide_margin, offset, fires_under):
+        # A margin of at least 0.9 never shifts an angle below 0, so the
+        # under-clamp needs a negative morph margin (0.2 - 0.3).
+        rng = np.random.default_rng(41)
+        model = init_model(16, [32], 32, 10, seed=41)
+        batch = random_batch(rng, 31, 16, 10)
+        batch[0] = Sample(input=batch[0].input, labels=LabelPair(3, 4, SampleKind.MORPH), source_ids=(3, 4))
+        batch[1] = Sample(input=batch[1].input, labels=LabelPair(5, 5, SampleKind.BONA_FIDE), source_ids=(5,))
+        # Head rows parallel and antiparallel to an embedding put the
+        # morph's head-1 target angle at 0 and the bona fide's head-2 one at pi.
+        model.head1[3] = 2.0 * forward(model, batch[0].input)[0]
+        model.head2[5] = -forward(model, batch[1].input)[0]
+        margin = MarginConfig(scale=30.0, bona_fide_margin=bona_fide_margin, morph_offset=offset)
+
+        inputs, first, second, is_morph = _stack_batch(batch)
+        embeddings = np.stack([forward(model, x)[0] for x in inputs])
+        margins = np.where(is_morph, margin.morph_margin, margin.bona_fide_margin)
+        shifted = []
+        for head, labels in ((model.head1, first), (model.head2, second)):
+            unit = head / np.linalg.norm(head, axis=1)[:, None]
+            cos_t = np.clip(np.sum(embeddings * unit[labels], axis=1), -1.0, 1.0)
+            shifted.append(np.arccos(cos_t) + margins)
+        shifted = np.concatenate(shifted)
+        assert np.any(shifted > np.pi)
+        assert np.any(shifted < 0.0) == fires_under
+        self.check(model, batch, margin)
+
+    @pytest.mark.parametrize(
+        "dims, batch_size", [((16, [24], 8, 6), 32), ((64, [64], 32, 40), 128)]
+    )
+    def test_two_epoch_train_matches_oracle_loop(self, dims, batch_size):
+        input_dim, hidden, emb_dim, classes = dims
+        rng = np.random.default_rng(input_dim)
+        dataset = random_batch(rng, 2 * batch_size + 23, input_dim, classes)
+        config = TrainConfig(
+            epochs=2,
+            lr_start=3e-2,
+            lr_end=1e-3,
+            batch_size=batch_size,
+            seed=5,
+            margin=MarginConfig(scale=16.0, bona_fide_margin=0.5, morph_offset=-0.1),
+        )
+        model = init_model(input_dim, hidden, emb_dim, classes, seed=7)
+        expected = model.copy()
+        expected_losses = oracle_train(expected, dataset, config)
+        trained, history = train(model, dataset, config)
+        assert_same_bytes(history.epoch_mean_loss, expected_losses, "epoch losses")
+        for (name, actual), (_, reference) in zip(trained.parameters(), expected.parameters()):
+            assert_same_bytes(actual, reference, name)
 
 
 class TestTraining:

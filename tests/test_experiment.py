@@ -99,6 +99,13 @@ class TestConfig:
             {"data": {"ratios": [2, float("inf"), 1]}},
             {"data": {"spread": float("inf")}},
             {"data": {"ratios": [2, 1000, 1]}},
+            {"train": {"epochs": 1.5}},
+            {"train": {"batch_size": 12.5}},
+            {"train": {"epochs": True}},
+            {"margin": {"scale": float("inf")}},
+            {"seed": -3},
+            {"seed": 1.5},
+            {"train": {"lr_start": float("inf")}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):

@@ -97,6 +97,11 @@ class TestSoftmaxCE:
         with pytest.raises(NumericInputError):
             softmax_ce([0.0, np.nan], 0)
 
+    def test_input_left_unchanged(self):
+        logits = np.array([2.1, -0.4, 0.7])
+        softmax_ce(logits, 1)
+        assert logits.tolist() == [2.1, -0.4, 0.7]
+
 
 class TestCosineLogits:
     def test_self_and_orthogonal(self):
@@ -210,6 +215,10 @@ class TestMarginConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             MarginConfig(scale=0.0)
+        with pytest.raises(ConfigError):
+            MarginConfig(scale=math.inf)
+        with pytest.raises(ConfigError):
+            margin_softmax_ce([0.5, 0.1], 0, math.inf, 0.1)
         with pytest.raises(ConfigError):
             MarginConfig(bona_fide_margin=math.pi / 2)
         with pytest.raises(ConfigError):
