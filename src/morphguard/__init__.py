@@ -37,6 +37,7 @@ from .datagen import (
     MorphPair,
     MorphPairProtocol,
     Sample,
+    SampleSet,
     build_training_set,
     group_by_identity,
     load_dataset,
@@ -54,6 +55,7 @@ from .metrics import (
     FROM_ABOVE,
     FROM_BELOW,
     MorphTrial,
+    MorphTrials,
     OperatingPoint,
     ThresholdCurve,
     VerificationSet,

@@ -1,5 +1,10 @@
 """Synthetic identities, the cross-subset morph pairing protocol, and
-morph/selfmorph construction.
+morph/selfmorph construction, on columnar sample sets.
+
+A SampleSet holds N samples as columns: (N, D) float64 inputs, int64
+first (head-1) and second (head-2) labels, and int8 kind codes into
+KINDS. Every step works on whole columns and gives the bytes that
+building one sample at a time gave; Sample is the view of one row.
 
 Identities are unit prototype vectors; bona fide samples are
 renormalized noisy copies. To keep morph labeling unambiguous the
@@ -17,11 +22,12 @@ exactly.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
+from .errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer
 from .losses import LabelPair, SampleKind
 from .seeding import (
     STREAM_MIX,
@@ -33,26 +39,60 @@ from .seeding import (
     rng_for,
 )
 
+KINDS = (SampleKind.BONA_FIDE, SampleKind.MORPH, SampleKind.SELF_MORPH)
+BONA_FIDE, MORPH, SELF_MORPH = range(3)  # the kind codes: indices into KINDS
+_COLUMNS = ("inputs", "first", "second", "kinds")  # SampleSet's fields, in order
+
 
 @dataclass(frozen=True)
 class Sample:
-    """One input vector with its label pair and contributing identities."""
+    """One input vector with its label pair: the view of one SampleSet row."""
 
     input: np.ndarray
     labels: LabelPair
-    source_ids: tuple[int, ...]
+
+    @property
+    def source_ids(self) -> tuple[int, ...]:
+        """Contributing identities: a morph's two labels in order, else its one identity."""
+        first, second = self.labels.first_label, self.labels.second_label
+        return (first, second) if self.labels.kind is SampleKind.MORPH else (first,)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """N samples as columns. Indexing with an integer (so iterating)
+    gives a Sample view, with a slice or index array a SampleSet."""
+
+    inputs: np.ndarray  # (N, D) float64
+    first: np.ndarray  # (N,) int64 head-1 labels
+    second: np.ndarray  # (N,) int64 head-2 labels
+    kinds: np.ndarray  # (N,) int8 kind codes
 
     def __post_init__(self):
-        if self.labels.kind is SampleKind.MORPH:
-            if len(self.source_ids) != 2:
-                raise ProtocolError("morph sample needs two source identities")
-            if self.source_ids != (self.labels.first_label, self.labels.second_label):
-                raise ProtocolError("morph source ids must match the label pair in order")
-        else:
-            if len(self.source_ids) != 1 or self.source_ids[0] != self.labels.first_label:
-                raise ProtocolError(
-                    f"{self.labels.kind.value} sample must cite exactly its own identity"
-                )
+        inputs, kinds = np.asarray(self.inputs, dtype=np.float64), np.asarray(self.kinds, dtype=np.int8)
+        first, second = np.asarray(self.first, dtype=np.int64), np.asarray(self.second, dtype=np.int64)
+        if inputs.ndim != 2 or any(c.shape != (len(inputs),) for c in (first, second, kinds)):
+            raise DataError(f"sample columns need (N, D) inputs and (N,) labels and kinds, got shapes "
+                            f"{inputs.shape}, {first.shape}, {second.shape}, {kinds.shape}")
+        # LabelPair's rules: nonnegative labels, distinct for a morph and repeated otherwise.
+        bad = (kinds < 0) | (kinds >= len(KINDS)) | (np.minimum(first, second) < 0)
+        bad |= (kinds == MORPH) == (first == second)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ProtocolError(f"sample {k} has kind code {kinds[k]} and labels ({first[k]}, {second[k]})")
+        for name, column in zip(_COLUMNS, (inputs, first, second, kinds)):
+            object.__setattr__(self, name, column)
+
+    is_morph = property(lambda self: self.kinds == MORPH)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if not isinstance(index, numbers.Integral):
+            return SampleSet(*(getattr(self, name)[index] for name in _COLUMNS))
+        i = range(len(self))[index]
+        return Sample(self.inputs[i], LabelPair(int(self.first[i]), int(self.second[i]), KINDS[self.kinds[i]]))
 
 
 @dataclass(frozen=True)
@@ -90,16 +130,18 @@ class MorphPairProtocol:
     seed: int | None = None
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale rows to unit length in place; each norm is np.linalg.norm's sqrt(x @ x) of its row."""
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if np.any(norms < 1e-12):
         raise NumericInputError("cannot normalize a (near-)zero vector")
-    return vec / norm
+    rows /= norms[:, None]
+    return rows
 
 
 def _blend(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """The morph and selfmorph input: alpha weights the first vector."""
-    return _unit(alpha * a + (1.0 - alpha) * b)
+    """Morph and selfmorph inputs of paired (M, D) rows: alpha weights the first."""
+    return _unit_rows(alpha * a + (1.0 - alpha) * b)
 
 
 def split_identities(num_classes: int, seed: int) -> np.ndarray:
@@ -114,12 +156,11 @@ def split_identities(num_classes: int, seed: int) -> np.ndarray:
 
 def check_synth_settings(num_classes: int, samples_per_class: int, input_dim: int, spread: float):
     """Reject settings synth_identities cannot generate from."""
-    if num_classes < 2 or num_classes % 2 != 0:
-        raise ConfigError(f"identity count must be even and >= 2, got {num_classes}")
-    if samples_per_class < 2:
-        raise ConfigError(f"need at least 2 samples per identity, got {samples_per_class}")
-    if input_dim < 2:
-        raise ConfigError(f"input dimension must be >= 2, got {input_dim}")
+    sizes = {"num_classes": num_classes, "samples_per_class": samples_per_class, "input_dim": input_dim}
+    for name, value in sizes.items():
+        check_integer(name, value, 2)
+    if num_classes % 2 != 0:
+        raise ConfigError(f"identity count must be even, got {num_classes}")
     if not (0 < spread < float("inf")):
         raise ConfigError(f"spread must be positive and finite, got {spread}")
 
@@ -127,9 +168,10 @@ def check_synth_settings(num_classes: int, samples_per_class: int, input_dim: in
 def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, spread: float, seed: int):
     """Draw unit prototypes and renormalized noisy samples around them.
 
-    Returns (universe, bona_fides) with the bona fide list in
+    Returns (universe, bona_fides) with the bona fide SampleSet in
     identity-major, sample-minor order; that ordering defines the
-    per-identity sample indices the pairing protocol refers to.
+    per-identity sample indices the pairing protocol refers to. One
+    (C*S, D) noise draw is the per-sample draws in that order.
     """
     check_synth_settings(num_classes, samples_per_class, input_dim, spread)
 
@@ -144,32 +186,30 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
         seed=int(seed),
     )
 
-    noise_rng = rng_for(seed, STREAM_SAMPLES)
-    samples = []
-    for identity in range(num_classes):
-        for _ in range(samples_per_class):
-            vec = _unit(prototypes[identity] + spread * noise_rng.standard_normal(input_dim))
-            samples.append(
-                Sample(
-                    input=vec,
-                    labels=LabelPair(identity, identity, SampleKind.BONA_FIDE),
-                    source_ids=(identity,),
-                )
-            )
-    return universe, samples
+    inputs = rng_for(seed, STREAM_SAMPLES).standard_normal((num_classes * samples_per_class, input_dim))
+    inputs *= spread
+    by_identity = inputs.reshape(num_classes, samples_per_class, input_dim)
+    by_identity += prototypes[:, None, :]
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    return universe, SampleSet(_unit_rows(inputs), labels, labels, np.full(labels.size, BONA_FIDE))
 
 
-def group_by_identity(samples) -> dict[int, list[Sample]]:
+def _pool_index(pool: SampleSet):
+    """(row order, identities, counts, offsets): the stable identity-major
+    order of a single-identity pool and its ascending identity groups."""
+    if pool.is_morph.any():
+        raise ProtocolError("morphs cannot serve as pairing-pool samples")
+    identities, counts = np.unique(pool.first, return_counts=True)
+    return np.argsort(pool.first, kind="stable"), identities, counts, np.cumsum(counts) - counts
+
+
+def group_by_identity(samples: SampleSet) -> dict[int, SampleSet]:
     """Single-identity samples grouped by identity, preserving order."""
-    grouped: dict[int, list[Sample]] = {}
-    for sample in samples:
-        if sample.labels.kind is SampleKind.MORPH:
-            raise ProtocolError("morphs cannot serve as pairing-pool samples")
-        grouped.setdefault(sample.labels.first_label, []).append(sample)
-    return grouped
+    order, identities, counts, offsets = _pool_index(samples)
+    return {i: samples[order[o : o + n]] for i, n, o in zip(identities.tolist(), counts.tolist(), offsets.tolist())}
 
 
-def pair_protocol(universe: IdentityUniverse, samples, num_morphs: int, seed: int) -> MorphPairProtocol:
+def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: int, seed: int) -> MorphPairProtocol:
     """Uniformly sample distinct cross-subset sample pairs, in random order.
 
     Each pair is a flat index into the (subset-1 sample, subset-2
@@ -181,23 +221,22 @@ def pair_protocol(universe: IdentityUniverse, samples, num_morphs: int, seed: in
     """
     if num_morphs < 0:
         raise ConfigError(f"num_morphs must be >= 0, got {num_morphs}")
-    grouped = group_by_identity(samples)
-    side1 = [(i, k) for i in sorted(grouped) if universe.subsets[i] == 1 for k in range(len(grouped[i]))]
-    side2 = [(i, k) for i in sorted(grouped) if universe.subsets[i] == 2 for k in range(len(grouped[i]))]
-    if not side1 or not side2:
+    order, _, counts, offsets = _pool_index(samples)
+    # Each side lists (identity, per-identity sample index), identities ascending.
+    ids, ks = samples.first[order], np.arange(len(order)) - np.repeat(offsets, counts)
+    in_first = universe.subsets[ids] == 1
+    (ids1, ks1), (ids2, ks2) = (ids[in_first], ks[in_first]), (ids[~in_first], ks[~in_first])
+    if not ids1.size or not ids2.size:
         raise ConfigError("both subsets need at least one sample to pair across")
-    capacity = len(side1) * len(side2)
+    capacity = ids1.size * ids2.size
     if num_morphs > capacity:
         raise CapacityError(
             f"requested {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
         )
     chosen = rng_for(seed, STREAM_PAIRS).choice(capacity, size=num_morphs, replace=False)
-    pairs = []
-    for flat in chosen.tolist():
-        ia, ka = side1[flat // len(side2)]
-        ib, kb = side2[flat % len(side2)]
-        pairs.append(MorphPair(identity_a=ia, identity_b=ib, sample_a=ka, sample_b=kb))
-    return MorphPairProtocol(pairs=tuple(pairs), seed=int(seed))
+    a, b = np.divmod(chosen, ids2.size)
+    rows = zip(ids1[a].tolist(), ids2[b].tolist(), ks1[a].tolist(), ks2[b].tolist())
+    return MorphPairProtocol(pairs=tuple(MorphPair(*row) for row in rows), seed=int(seed))
 
 
 def _single_identity_of(sample: Sample) -> int:
@@ -206,30 +245,36 @@ def _single_identity_of(sample: Sample) -> int:
     return sample.labels.first_label
 
 
+def _morphs(universe: IdentityUniverse, inputs_a, inputs_b, ids_a, ids_b, alpha: float) -> SampleSet:
+    """Morphs of paired cross-subset parent rows; alpha weights the a rows."""
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    ids_a, ids_b = np.asarray(ids_a, dtype=np.int64), np.asarray(ids_b, dtype=np.int64)
+    sub_a = universe.subsets[ids_a]
+    clash = np.flatnonzero(sub_a == universe.subsets[ids_b])
+    if clash.size:
+        k = clash[0]
+        raise ProtocolError(
+            f"identities {ids_a[k]} and {ids_b[k]} share subset {sub_a[k]}; morphing within a subset "
+            "would make the labeling ambiguous"
+        )
+    first, second = np.where(sub_a == 1, ids_a, ids_b), np.where(sub_a == 1, ids_b, ids_a)
+    return SampleSet(_blend(inputs_a, inputs_b, alpha), first, second, np.full(first.size, MORPH))
+
+
+def _selfmorphs(inputs_a, inputs_b, identities) -> SampleSet:
+    """Even blends of paired rows of one identity each, labeled as bona fide material."""
+    return SampleSet(_blend(inputs_a, inputs_b, 0.5), identities, identities, np.full(len(identities), SELF_MORPH))
+
+
 def make_morph(universe: IdentityUniverse, sample_a: Sample, sample_b: Sample, alpha: float = 0.5) -> Sample:
     """Blend two cross-subset samples into a morph.
 
     The label pair is oriented by subset (subset-1 parent first), not
     by argument order; alpha weights the first argument.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    id_a = _single_identity_of(sample_a)
-    id_b = _single_identity_of(sample_b)
-    sub_a = int(universe.subsets[id_a])
-    sub_b = int(universe.subsets[id_b])
-    if sub_a == sub_b:
-        raise ProtocolError(
-            f"identities {id_a} and {id_b} share subset {sub_a}; morphing within a subset "
-            "would make the labeling ambiguous"
-        )
-    blended = _blend(sample_a.input, sample_b.input, alpha)
-    first, second = (id_a, id_b) if sub_a == 1 else (id_b, id_a)
-    return Sample(
-        input=blended,
-        labels=LabelPair(first, second, SampleKind.MORPH),
-        source_ids=(first, second),
-    )
+    ids = [_single_identity_of(sample_a)], [_single_identity_of(sample_b)]
+    return _morphs(universe, sample_a.input[None], sample_b.input[None], *ids, alpha)[0]
 
 
 def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
@@ -238,54 +283,59 @@ def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
     id_b = _single_identity_of(sample_b)
     if id_a != id_b:
         raise ProtocolError(f"selfmorph parents must share an identity, got {id_a} and {id_b}")
-    blended = _blend(sample_a.input, sample_b.input, 0.5)
-    return Sample(
-        input=blended,
-        labels=LabelPair(id_a, id_a, SampleKind.SELF_MORPH),
-        source_ids=(id_a,),
-    )
+    return _selfmorphs(sample_a.input[None], sample_b.input[None], [id_a])[0]
 
 
-def protocol_parents(grouped: dict, pairs) -> list[tuple[Sample, Sample]]:
-    """(subset-1, subset-2) parent samples of each pair, from group_by_identity's pool."""
-    parents = []
-    for pair in pairs:
-        pool_a, pool_b = grouped.get(pair.identity_a, ()), grouped.get(pair.identity_b, ())
-        if not (0 <= pair.sample_a < len(pool_a) and 0 <= pair.sample_b < len(pool_b)):
-            raise CapacityError(f"protocol pair {pair} refers outside the bona fide pool")
-        parents.append((pool_a[pair.sample_a], pool_b[pair.sample_b]))
-    return parents
+def _pair_columns(pairs) -> np.ndarray:
+    """(T, 4) rows of identity_a, identity_b, sample_a, sample_b."""
+    rows = [(p.identity_a, p.identity_b, p.sample_a, p.sample_b) for p in pairs]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def protocol_parents(pool: SampleSet, pairs) -> np.ndarray:
+    """(T, 2) pool rows of each pair's (subset-1, subset-2) parent.
+
+    Sample indices count an identity's samples in pool order.
+    """
+    order, identities, counts, offsets = _pool_index(pool)
+    columns = _pair_columns(pairs)
+    ids, ks = columns[:, :2], columns[:, 2:]
+    # A sentinel group without samples takes the identities absent from the pool.
+    slot = np.searchsorted(identities, ids)
+    found = (np.append(identities, -1)[slot] == ids) & (0 <= ks) & (ks < np.append(counts, 0)[slot])
+    missing = np.flatnonzero(~found.all(axis=1))
+    if missing.size:
+        raise CapacityError(f"protocol pair {pairs[missing[0]]} refers outside the bona fide pool")
+    return order[np.append(offsets, 0)[slot] + ks]
 
 
 def build_training_set(
     universe: IdentityUniverse,
-    bona_fides,
+    bona_fides: SampleSet,
     protocol: MorphPairProtocol,
     ratios=(2, 1, 1),
     seed: int = 0,
     alpha: float = 0.5,
-):
+) -> SampleSet:
     """Interleave bona fides, protocol morphs, and random selfmorphs.
 
     ratios gives bona fide : morph : selfmorph proportions; with the
     default (2, 1, 1) a pool of 2k bona fides yields k morphs and k
     selfmorphs. Morphs consume protocol pairs in order and run out with
-    a CapacityError.
+    a CapacityError. Each selfmorph draws an identity, then two of its
+    samples, one selfmorph after another from one stream.
     """
     r_bf, r_m, r_s = (float(r) for r in ratios)
     if min(r_bf, r_m, r_s) < 0 or max(r_bf, r_m, r_s) == 0:
         raise ConfigError(f"ratios must be nonnegative and not all zero, got {ratios}")
-    grouped = group_by_identity(bona_fides)
+    order, _, counts, offsets = _pool_index(bona_fides)
 
     if r_bf > 0:
         unit = len(bona_fides) / r_bf
-        kept_bona_fides = list(bona_fides)
     elif r_m > 0:
         unit = len(protocol.pairs) / r_m
-        kept_bona_fides = []
     else:
         unit = len(bona_fides) / r_s
-        kept_bona_fides = []
     num_morphs = int(round(unit * r_m))
     num_selfmorphs = int(round(unit * r_s))
 
@@ -293,79 +343,87 @@ def build_training_set(
         raise CapacityError(
             f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.pairs)}"
         )
-    morphs = [
-        make_morph(universe, parent_a, parent_b, alpha=alpha)
-        for parent_a, parent_b in protocol_parents(grouped, protocol.pairs[:num_morphs])
-    ]
+    # The mixed order is drawn first, so each part is written straight to its
+    # output rows: no concatenated copy, and the output is allocated before the
+    # parts' temporaries (freed temporaries below it fragmented the heap).
+    num_bona_fides = len(bona_fides) if r_bf > 0 else 0
+    total = num_bona_fides + num_morphs + num_selfmorphs
+    slots = np.empty(total, dtype=np.int64)  # the output row of each row of bona fides + morphs + selfmorphs
+    slots[rng_for(seed, STREAM_MIX).permutation(total)] = np.arange(total)
+    inputs, labels = bona_fides.inputs, bona_fides.first
+    columns = [np.empty((total, inputs.shape[1]))] + [np.empty(total, dtype) for dtype in (np.int64, np.int64, np.int8)]
 
-    rich = [i for i in sorted(grouped) if len(grouped[i]) >= 2]
+    def place(start: int, part: SampleSet):
+        for column, name in zip(columns, _COLUMNS):
+            column[slots[start : start + len(part)]] = getattr(part, name)
+
+    place(0, bona_fides[:num_bona_fides])
+    a, b = protocol_parents(bona_fides, protocol.pairs[:num_morphs]).T
+    place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
+
+    rich = np.flatnonzero(counts >= 2).tolist()
     if num_selfmorphs > 0 and not rich:
         raise CapacityError("no identity has two samples to selfmorph")
     self_rng = rng_for(seed, STREAM_SELFMORPH)
-    selfmorphs = []
+    sizes, starts, picks = counts.tolist(), offsets.tolist(), []
     for _ in range(num_selfmorphs):
-        identity = rich[int(self_rng.integers(len(rich)))]
-        first, second = self_rng.choice(len(grouped[identity]), size=2, replace=False)
-        selfmorphs.append(make_selfmorph(grouped[identity][first], grouped[identity][second]))
-
-    combined = kept_bona_fides + morphs + selfmorphs
-    order = rng_for(seed, STREAM_MIX).permutation(len(combined))
-    return [combined[i] for i in order]
+        group = rich[int(self_rng.integers(len(rich)))]
+        picks.append(self_rng.choice(sizes[group], size=2, replace=False) + starts[group])
+    a, b = order[np.array(picks, dtype=np.int64).reshape(-1, 2)].T
+    place(num_bona_fides + num_morphs, _selfmorphs(inputs[a], inputs[b], labels[a]))
+    return SampleSet(*columns)
 
 
 # --- serialization ---------------------------------------------------------
 
-_KIND_FROM_WIRE = {kind.value: kind for kind in SampleKind}
+_KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 
 
-def _sample_to_record(sample: Sample) -> dict:
-    return {
-        "kind": sample.labels.kind.value,
-        "y_dot": sample.labels.first_label,
-        "y_ddot": sample.labels.second_label,
-        "source_ids": list(sample.source_ids),
-        "input": [float(v) for v in sample.input],
-    }
-
-
-def _sample_from_record(record: dict) -> Sample:
-    try:
-        kind = _KIND_FROM_WIRE[record["kind"]]
-        labels = LabelPair(int(record["y_dot"]), int(record["y_ddot"]), kind)
-        return Sample(
-            input=np.asarray(record["input"], dtype=np.float64),
-            labels=labels,
-            source_ids=tuple(int(s) for s in record["source_ids"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed dataset record: {record!r}") from exc
-
-
-def save_dataset(samples, path):
+def save_dataset(samples: SampleSet, path):
     """Write samples as line-delimited JSON records."""
+    columns = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist(), samples.inputs)
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(_sample_to_record(sample)) + "\n")
+        for kind, first, second, row in columns:
+            ids = [first, second] if kind == MORPH else [first]
+            record = {"kind": KINDS[kind].value, "y_dot": first, "y_ddot": second, "source_ids": ids}
+            fh.write(json.dumps({**record, "input": row.tolist()}) + "\n")
 
 
-def load_dataset(path) -> list[Sample]:
-    """Read save_dataset's records; every input must have the first record's shape."""
-    samples = []
+def load_dataset(path) -> SampleSet:
+    """Read save_dataset's records.
+
+    Labels and source ids must be JSON integers (not bools), the source
+    ids those the labels and kind imply, and each input a finite list of
+    JSON numbers as long as the first record's.
+    """
+    labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        record = json.loads(line)
-                    except ValueError as exc:
-                        raise DataError(f"{path} line {number} is not valid JSON: {exc}") from exc
-                    sample = _sample_from_record(record)
-                    if samples and sample.input.shape != samples[0].input.shape:
-                        raise DataError(f"{path} line {number}: input shape {sample.input.shape}, not the first record's")
-                    samples.append(sample)
+                if not line.strip():
+                    continue
+                where = f"{path} line {number}"
+                try:
+                    record = json.loads(line)
+                    kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
+                    ids, row = record["source_ids"], np.array(record["input"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise DataError(f"{where} is not a JSON dataset record: {exc!r}") from exc
+                implied = [first, second] if kind == MORPH else [first]
+                if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
+                    raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
+                if row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size):
+                    raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
+                labels.append((number, kind, first, second))
+                rows.append(row)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    return samples
+    line_numbers, kinds, firsts, seconds = np.array(labels, dtype=np.int64).reshape(-1, 4).T
+    inputs = np.array(rows, dtype=np.float64).reshape(len(rows), rows[0].size if rows else 0)
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
+    return SampleSet(inputs, firsts, seconds, kinds)
 
 
 _PROTOCOL_KEYS = ("identity_a", "identity_b", "sample_a", "sample_b", "subset_a", "subset_b")
@@ -390,18 +448,21 @@ def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path)
 
 
 def load_protocol(path) -> MorphPairProtocol:
-    """Read save_protocol's file; each pair must run subset 1 -> 2, each identity be in one subset."""
+    """Read save_protocol's file: JSON integer fields, each pair running
+    subset 1 -> 2, each identity in one subset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        rows = [tuple(int(r[key]) for key in _PROTOCOL_KEYS) for r in records]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = [tuple(r[key] for key in _PROTOCOL_KEYS) for r in records]
+    except (KeyError, TypeError) as exc:
         raise DataError(f"malformed protocol file {path}") from exc
     pairs, subset_of = [], {}
-    for *fields, subset_a, subset_b in rows:
+    for number, (*fields, subset_a, subset_b) in enumerate(rows):
+        if not all(type(v) is int for v in (*fields, subset_a, subset_b)):
+            raise DataError(f"{path}: pair {number} has a field that is not a JSON integer")
         pair = MorphPair(*fields)
         if (subset_a, subset_b) != (1, 2):
             raise ProtocolError(f"{path}: pair {pair} runs subset {subset_a} -> {subset_b}, not 1 -> 2")

@@ -22,12 +22,12 @@ of (model, dataset, config).
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import SampleSet
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -36,8 +36,9 @@ from .errors import (
     DegenerateWeightError,
     NumericInputError,
     ProtocolError,
+    check_integer,
 )
-from .losses import MarginConfig, SampleKind, morphguard_loss_arrays
+from .losses import MarginConfig, morphguard_loss_arrays
 from .seeding import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 _CHECKPOINT_MAGIC = b"MGCKPT01"
@@ -118,9 +119,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), least)
         if not (math.inf > self.lr_start >= self.lr_end > 0):
             raise ConfigError(
                 f"learning rates must satisfy inf > lr_start >= lr_end > 0, got "
@@ -167,25 +166,34 @@ def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int
 
 
 def _unit_rows(rows: np.ndarray, error, what: str):
-    """Rows scaled to unit length, and their norms (np.linalg.norm's arithmetic)."""
+    """Rows scaled to unit length in place, and their norms (np.linalg.norm's arithmetic)."""
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     if np.any(norms < 1e-12):
         raise error(f"{what} norm below 1e-12 for row {int(np.argmin(norms))}")
-    return rows / norms[:, None], norms
+    rows /= norms[:, None]
+    return rows, norms
 
 
-def _forward_batch(model: DualHeadModel, inputs: np.ndarray):
-    """Run the MLP on (N, input_dim) rows; returns embeddings and cache."""
+def _forward_batch(model: DualHeadModel, inputs: np.ndarray, keep_activations: bool = True):
+    """Run the MLP on (N, input_dim) rows; returns embeddings and cache.
+
+    The cache holds the norms before normalization and, unless the
+    caller only embeds, each layer's input, which the backward pass
+    reads; without it every hidden activation is freed as soon as the
+    next layer has read it, which bounds evaluation's peak memory.
+    """
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
-    activations = [inputs]
+    activations = []
     h = inputs
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
-        h = h @ w.T + b
+        if keep_activations:
+            activations.append(h)
+        h = h @ w.T
+        h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
-        activations.append(h)
     embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding")
     return embeddings, {"activations": activations, "norms": norms}
 
@@ -240,25 +248,17 @@ def batch_gradients(model: DualHeadModel, inputs, first_labels, second_labels, i
     return result.loss, grads
 
 
-def _stack_batch(batch):
-    inputs = np.stack([np.asarray(s.input, dtype=np.float64) for s in batch])
-    first = np.array([s.labels.first_label for s in batch])
-    second = np.array([s.labels.second_label for s in batch])
-    is_morph = np.array([s.labels.kind is SampleKind.MORPH for s in batch])
-    return inputs, first, second, is_morph
-
-
 def _sgd_update(model: DualHeadModel, grads, lr):
     """Move every parameter in place by -lr times its gradient."""
     for name, param in model.parameters():
         param -= lr * grads[name]
 
 
-def train_step(model: DualHeadModel, batch, margin: MarginConfig, lr: float):
-    """One SGD step over a batch of Samples; returns the pre-update loss."""
+def train_step(model: DualHeadModel, batch: SampleSet, margin: MarginConfig, lr: float):
+    """One SGD step over a SampleSet batch; returns the pre-update loss."""
     if len(batch) == 0:
         raise ConfigError("training step requires a nonempty batch")
-    loss, grads = batch_gradients(model, *_stack_batch(batch), margin)
+    loss, grads = batch_gradients(model, batch.inputs, batch.first, batch.second, batch.is_morph, margin)
     _sgd_update(model, grads, lr)
     return model, loss
 
@@ -268,7 +268,7 @@ def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:
     return np.linspace(config.lr_start, config.lr_end, total_steps)
 
 
-def train(model: DualHeadModel, dataset, config: TrainConfig, stage: str = "initial"):
+def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig, stage: str = "initial"):
     """SGD over seeded-shuffled batches with the linear LR schedule.
 
     Runs epochs * ceil(N / batch_size) steps; the shuffle for epoch e
@@ -279,7 +279,7 @@ def train(model: DualHeadModel, dataset, config: TrainConfig, stage: str = "init
     n = len(dataset)
     if n == 0:
         raise ConfigError("training requires a nonempty dataset")
-    inputs, first, second, is_morph = _stack_batch(dataset)
+    inputs, first, second, is_morph = dataset.inputs, dataset.first, dataset.second, dataset.is_morph
     max_label = int(max(first.max(), second.max()))
     if max_label >= model.num_classes:
         raise ProtocolError(f"dataset labels reach {max_label} but model has {model.num_classes} classes")

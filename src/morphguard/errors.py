@@ -5,6 +5,8 @@ DataError (protocol/capacity/checkpoint) -> 3, NumericError -> 4,
 and plain OSError -> 5.
 """
 
+import numbers
+
 
 class MorphGuardError(Exception):
     """Base class for all errors raised by this package."""
@@ -12,6 +14,12 @@ class MorphGuardError(Exception):
 
 class ConfigError(MorphGuardError, ValueError):
     """Invalid configuration value or unusable empty input."""
+
+
+def check_integer(name: str, value, least: int):
+    """Raise ConfigError unless value is an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class EmptyBatchError(ConfigError):

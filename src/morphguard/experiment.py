@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, featviz, metrics
-from .datagen import _blend
+from .datagen import SampleSet, _blend, _pool_index
 from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .losses import MarginConfig
-from .metrics import MorphTrial, OperatingPoint, VerificationSet
+from .metrics import MorphTrials, OperatingPoint, VerificationSet
 from .seeding import STREAM_GENUINE, STREAM_IMPOSTOR, STREAM_TRIALS, rng_for
 
 # Margin grid of the sweep experiments, positive to negative offsets.
@@ -67,6 +67,13 @@ class ModelSettings:
     hidden_dims: tuple = (64,)
     embedding_dim: int = 32
 
+    def __post_init__(self):
+        for width in self.hidden_dims:
+            check_integer("hidden_dims entry", width, 1)
+        check_integer("embedding_dim", self.embedding_dim, 2)
+        if self.embedding_dim % 2:
+            raise ConfigError(f"embedding_dim must be even for the 2D feature projection, got {self.embedding_dim}")
+
 
 @dataclass(frozen=True)
 class TrainSettings:
@@ -97,6 +104,13 @@ class EvalSettings:
     fmr_targets: tuple = (0.001, 0.0001)
     genuine_pairs: int = 2000
     impostor_pairs: int = 2000
+
+    def __post_init__(self):
+        for name in ("genuine_pairs", "impostor_pairs"):
+            check_integer(name, getattr(self, name), 1)
+        for kind, targets in (("FNMR", self.fnmr_targets), ("FMR", self.fmr_targets)):
+            for target in targets:
+                metrics.check_target(kind, target)
 
 
 @dataclass(frozen=True)
@@ -136,14 +150,6 @@ class ExperimentConfig:
         for offset in self.sweep_grid:
             train_config(self, morph_offset=offset)
         adaptation_configs(self)
-        dim = self.model.embedding_dim
-        if dim < 2 or dim % 2 != 0:
-            raise ConfigError(f"embedding_dim must be even and >= 2 for the 2D feature projection, got {dim}")
-        if min(self.eval.genuine_pairs, self.eval.impostor_pairs) < 1:
-            raise ConfigError("eval needs at least one genuine and one impostor pair")
-        for kind, targets in (("FNMR", self.eval.fnmr_targets), ("FMR", self.eval.fmr_targets)):
-            for target in targets:
-                metrics.check_target(kind, target)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -184,16 +190,17 @@ def _tupled(section: dict, *keys) -> dict:
 class DataBundle:
     """Everything one experiment run derives from (config, seed).
 
-    File-driven evaluation reconstructs a bundle without the universe
-    (the protocol already carries the subset orientation).
+    Every sample field is a columnar datagen.SampleSet. File-driven
+    evaluation reconstructs a bundle without the universe (the protocol
+    already carries the subset orientation) and with an empty train_set.
     """
 
     universe: datagen.IdentityUniverse | None
-    bona_fides: list  # full canonical pool, identity-major
-    train_bona: list  # per identity: the first (1 - holdout_fraction) samples
-    holdout: list  # per identity: the remaining samples
+    bona_fides: SampleSet  # full canonical pool, identity-major
+    train_bona: SampleSet  # per identity: the first (1 - holdout_fraction) samples
+    holdout: SampleSet  # per identity: the remaining samples
     protocol: datagen.MorphPairProtocol
-    train_set: list
+    train_set: SampleSet  # bona fides, morphs and selfmorphs in STREAM_MIX order
 
 
 def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
@@ -207,17 +214,19 @@ def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
     return num_hold
 
 
-def holdout_split(bona_fides, samples_per_class: int, fraction: float):
-    """Deterministic split of a pool of samples_per_class per identity: last samples are held out."""
+def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float):
+    """Deterministic split of a pool of samples_per_class per identity: last samples are held out.
+
+    Both parts run identity-major, each identity's samples in pool order.
+    """
     num_train = samples_per_class - _held_out_per_identity(samples_per_class, fraction)
-    grouped = datagen.group_by_identity(bona_fides)
-    train, hold = [], []
-    for identity in sorted(grouped):
-        if len(grouped[identity]) != samples_per_class:
-            raise DataError(f"identity {identity} has {len(grouped[identity])} samples, not {samples_per_class}")
-        train.extend(grouped[identity][:num_train])
-        hold.extend(grouped[identity][num_train:])
-    return train, hold
+    order, identities, counts, _ = _pool_index(bona_fides)
+    uneven = np.flatnonzero(counts != samples_per_class)
+    if uneven.size:
+        k = uneven[0]
+        raise DataError(f"identity {identities[k]} has {counts[k]} samples, not {samples_per_class}")
+    kept = np.arange(order.size) % samples_per_class < num_train
+    return bona_fides[order[kept]], bona_fides[order[~kept]]
 
 
 def morph_budget(num_train_bona: int, ratios) -> int:
@@ -278,15 +287,10 @@ def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConf
 # --- evaluation -------------------------------------------------------------
 
 
-def _embed(model: DualHeadModel, vectors) -> np.ndarray:
-    embeddings, _ = _forward_batch(model, np.stack(vectors))
-    return embeddings
-
-
-def embed_holdout(model: DualHeadModel, holdout) -> dict:
+def embed_holdout(model: DualHeadModel, holdout: SampleSet) -> dict:
     """Held-out embeddings per identity, one forward batch per identity."""
     grouped = datagen.group_by_identity(holdout)
-    return {i: _embed(model, [s.input for s in grouped[i]]) for i in sorted(grouped)}
+    return {i: _forward_batch(model, grouped[i].inputs, keep_activations=False)[0] for i in sorted(grouped)}
 
 
 def _probe_pool(probes: dict):
@@ -331,40 +335,39 @@ def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> Veri
     return VerificationSet(genuine, impostor)
 
 
-def build_trial_triplets(train_bona, protocol, alpha: float):
-    """(parent_a, parent_b, morph) input triplets for each protocol pair.
+def build_trial_triplets(train_bona: SampleSet, protocol, alpha: float) -> np.ndarray:
+    """(T, 3, D) inputs of (parent_a, parent_b, morph) for each protocol pair.
 
     The parents and the blend are the ones build_training_set uses, so
     each morph is bit-identical to its training-set copy.
     """
-    parents = datagen.protocol_parents(datagen.group_by_identity(train_bona), protocol.pairs)
-    return [(a.input, b.input, _blend(a.input, b.input, alpha)) for a, b in parents]
+    a, b = train_bona.inputs[datagen.protocol_parents(train_bona, protocol.pairs).T]
+    return np.stack((a, b, _blend(a, b, alpha)), axis=1)
 
 
-def trial_features(model: DualHeadModel, train_bona, protocol, alpha: float) -> np.ndarray:
+def trial_features(model: DualHeadModel, train_bona: SampleSet, protocol, alpha: float) -> np.ndarray:
     """Embed every trial triplet in one batch of 3T rows.
 
     Rows run (parent_a, parent_b, morph) per protocol pair, the layout
     featviz.aligned_spread expects; rows 2::3 are the morph embeddings.
     """
     triplets = build_trial_triplets(train_bona, protocol, alpha)
-    return _embed(model, [v for t in triplets for v in t])
+    return _forward_batch(model, triplets.reshape(-1, triplets.shape[2]), keep_activations=False)[0]
 
 
-def morph_trials(morph_embeddings: np.ndarray, probes: dict, protocol, seed: int):
+def morph_trials(morph_embeddings: np.ndarray, probes: dict, protocol, seed: int) -> MorphTrials:
     """Score each protocol morph against one held-out sample per parent.
 
     The (T, 2) probe indices are one array-bound integers draw, which
     consumes the stream pair by pair, parent a before parent b.
     """
     pool, counts, offsets, identities = _probe_pool(probes)
-    position = {identity: k for k, identity in enumerate(identities)}
-    parents = np.array(
-        [(position[p.identity_a], position[p.identity_b]) for p in protocol.pairs], dtype=np.int64
-    ).reshape(-1, 2)
+    named = datagen._pair_columns(protocol.pairs)[:, :2]
+    parents = np.searchsorted(identities, named)
+    if not np.array_equal(np.append(identities, -1)[parents], named):
+        raise DataError("a protocol pair names an identity without held-out probes")
     picks = rng_for(seed, STREAM_TRIALS).integers(counts[parents])
-    scores = _cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks])
-    return [MorphTrial(idx, row) for idx, row in enumerate(scores)]
+    return MorphTrials(_cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks]))
 
 
 @dataclass
@@ -372,7 +375,7 @@ class EvalReport:
     """All metric artifacts of one model on one bundle."""
 
     verification: VerificationSet
-    trials: list
+    trials: MorphTrials
     fnmr_curve: metrics.ThresholdCurve
     fmr_curve: metrics.ThresholdCurve
     mmpmr_curve: metrics.ThresholdCurve
@@ -429,7 +432,7 @@ def evaluate_from_files(model: DualHeadModel, bona_fides, protocol, config: Expe
     train_bona, holdout = holdout_split(
         bona_fides, config.data.samples_per_class, config.data.holdout_fraction
     )
-    bundle = DataBundle(None, bona_fides, train_bona, holdout, protocol, [])
+    bundle = DataBundle(None, bona_fides, train_bona, holdout, protocol, bona_fides[:0])
     return evaluate_model(model, bundle, config)
 
 

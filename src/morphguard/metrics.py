@@ -64,6 +64,49 @@ class MorphTrial:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class MorphTrials:
+    """Morph trials as one (T, K) score array, K >= 2, checked once.
+
+    Item t (so iteration) is the MorphTrial view of row t. The metrics
+    below take these or ragged MorphTrial lists.
+    """
+
+    scores: np.ndarray
+
+    def __post_init__(self):
+        scores = _scores_array(self.scores, "subject scores").reshape(np.shape(self.scores))
+        if scores.ndim != 2 or scores.shape[1] < 2:
+            raise ConfigError(f"morph trials need a (T, K >= 2) score array, got shape {scores.shape}")
+        object.__setattr__(self, "scores", scores)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, index: int) -> MorphTrial:
+        return MorphTrial(range(len(self))[index], self.scores[index])
+
+
+def _trial_minima(trials):
+    """Sorted per-trial minimum scores and all subject scores of nonempty
+    trials; a ragged MorphTrial list is padded with +inf, which no
+    minimum takes."""
+    if len(trials) == 0:
+        raise ConfigError("need at least one morph trial")
+    if isinstance(trials, MorphTrials):
+        scores = trials.scores
+    else:
+        scores = np.full((len(trials), max(t.subject_scores.size for t in trials)), np.inf)
+        for row, trial in zip(scores, trials):
+            row[: trial.subject_scores.size] = trial.subject_scores
+    return np.sort(scores.min(axis=1)), scores[np.isfinite(scores)]
+
+
+def _match_rate(sorted_minima: np.ndarray, thresholds):
+    """Share of trials whose minimum score exceeds each threshold."""
+    return (sorted_minima.size - np.searchsorted(sorted_minima, thresholds, side="right")) / sorted_minima.size
+
+
 @dataclass(frozen=True)
 class ThresholdCurve:
     """A rate evaluated over a strictly increasing threshold grid."""
@@ -153,20 +196,13 @@ def threshold_at(curve: ThresholdCurve, target: float, direction: str):
 
 def mmpmr(trials, tau: float) -> float:
     """Fraction of morphs whose weakest subject score still exceeds tau."""
-    if len(trials) == 0:
-        raise ConfigError("need at least one morph trial")
-    mins = np.array([trial.subject_scores.min() for trial in trials])
-    return int((mins > tau).sum()) / len(trials)
+    return float(_match_rate(_trial_minima(trials)[0], tau))
 
 
 def mmpmr_curve(trials, thresholds) -> ThresholdCurve:
     """Pointwise match rate over a sorted threshold grid."""
     grid = np.asarray(thresholds, dtype=np.float64)
-    if len(trials) == 0:
-        raise ConfigError("need at least one morph trial")
-    mins = np.sort(np.array([trial.subject_scores.min() for trial in trials]))
-    counts = mins.size - np.searchsorted(mins, grid, side="right")
-    return ThresholdCurve(grid, counts / len(trials))
+    return ThresholdCurve(grid, _match_rate(_trial_minima(trials)[0], grid))
 
 
 def rmmr(mmpmr_value: float, fnmr_value: float) -> float:
@@ -187,16 +223,11 @@ def min_rmmr(trials, verification: VerificationSet):
     grid of all distinct scores plus sentinels contains a global
     minimizer; ties resolve to the smallest threshold.
     """
-    if len(trials) == 0:
-        raise ConfigError("need at least one morph trial")
+    mins, subject_scores = _trial_minima(trials)
     if verification.genuine.size == 0:
         raise ConfigError("need nonempty genuine scores")
-    subject_scores = np.concatenate([trial.subject_scores for trial in trials])
     grid = _candidate_grid(verification.genuine, verification.impostor, subject_scores)
-    mins = np.sort(np.array([trial.subject_scores.min() for trial in trials]))
-    match_rate = (mins.size - np.searchsorted(mins, grid, side="right")) / len(trials)
-    fnmr = _fnmr_at(np.sort(verification.genuine), grid)
-    values = match_rate + fnmr
+    values = _match_rate(mins, grid) + _fnmr_at(np.sort(verification.genuine), grid)
     idx = int(np.argmin(values))
     return float(grid[idx]), float(values[idx])
 

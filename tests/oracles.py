@@ -3,14 +3,37 @@
 Everything here is deliberately written as plain loops and direct
 formula transcriptions, independent of the implementation paths it
 checks: finite differences for gradients, O(n^2) enumeration for every
-rate metric, and closed-form geometry. Rates divide the same integer
-count by the same pool size as the library, so agreement is expected
-bit-for-bit.
+rate metric, closed-form geometry, and the data path built one Sample
+object at a time. Rates divide the same integer count by the same pool
+size as the library, so agreement is expected bit-for-bit.
 """
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from morphguard.datagen import (
+    IdentityUniverse,
+    MorphPair,
+    MorphPairProtocol,
+    check_synth_settings,
+    split_identities,
+)
+from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
+from morphguard.experiment import _held_out_per_identity
+from morphguard.losses import LabelPair, SampleKind
+from morphguard.metrics import MorphTrial
+from morphguard.seeding import (
+    STREAM_MIX,
+    STREAM_PAIRS,
+    STREAM_PROTOTYPES,
+    STREAM_SAMPLES,
+    STREAM_SELFMORPH,
+    STREAM_TRIALS,
+    rng_for,
+)
 
 
 def fd_gradient(func, x, h=1e-6):
@@ -256,3 +279,249 @@ def oracle_train(model, dataset, config):
             step += 1
         epoch_losses.append(loss_sum / n)
     return epoch_losses
+
+
+# --- the per-sample data path, one Sample object at a time -----------------
+#
+# The synthesis, split, pairing, training-set and trial functions as they
+# stood before samples became columns, copied with their helpers; only the
+# names carry an oracle_ prefix. The columnar versions must match them bit
+# for bit.
+
+@dataclass(frozen=True)
+class OracleSample:
+    """One input vector with its label pair and contributing identities."""
+
+    input: np.ndarray
+    labels: LabelPair
+    source_ids: tuple
+
+    def __post_init__(self):
+        if self.labels.kind is SampleKind.MORPH:
+            if len(self.source_ids) != 2:
+                raise ProtocolError("morph sample needs two source identities")
+            if self.source_ids != (self.labels.first_label, self.labels.second_label):
+                raise ProtocolError("morph source ids must match the label pair in order")
+        else:
+            if len(self.source_ids) != 1 or self.source_ids[0] != self.labels.first_label:
+                raise ProtocolError(
+                    f"{self.labels.kind.value} sample must cite exactly its own identity"
+                )
+
+
+def _oracle_unit(vec):
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        raise NumericInputError("cannot normalize a (near-)zero vector")
+    return vec / norm
+
+
+def _oracle_blend(a, b, alpha):
+    """The morph and selfmorph input: alpha weights the first vector."""
+    return _oracle_unit(alpha * a + (1.0 - alpha) * b)
+
+
+def oracle_synth_identities(num_classes, samples_per_class, input_dim, spread, seed):
+    check_synth_settings(num_classes, samples_per_class, input_dim, spread)
+
+    proto_rng = rng_for(seed, STREAM_PROTOTYPES)
+    prototypes = proto_rng.standard_normal((num_classes, input_dim))
+    prototypes /= np.linalg.norm(prototypes, axis=1)[:, None]
+    universe = IdentityUniverse(
+        num_classes=num_classes,
+        prototypes=prototypes,
+        subsets=split_identities(num_classes, seed),
+        spread=float(spread),
+        seed=int(seed),
+    )
+
+    noise_rng = rng_for(seed, STREAM_SAMPLES)
+    samples = []
+    for identity in range(num_classes):
+        for _ in range(samples_per_class):
+            vec = _oracle_unit(prototypes[identity] + spread * noise_rng.standard_normal(input_dim))
+            samples.append(
+                OracleSample(
+                    input=vec,
+                    labels=LabelPair(identity, identity, SampleKind.BONA_FIDE),
+                    source_ids=(identity,),
+                )
+            )
+    return universe, samples
+
+
+def oracle_group_by_identity(samples):
+    grouped = {}
+    for sample in samples:
+        if sample.labels.kind is SampleKind.MORPH:
+            raise ProtocolError("morphs cannot serve as pairing-pool samples")
+        grouped.setdefault(sample.labels.first_label, []).append(sample)
+    return grouped
+
+
+def oracle_holdout_split(bona_fides, samples_per_class, fraction):
+    num_train = samples_per_class - _held_out_per_identity(samples_per_class, fraction)
+    grouped = oracle_group_by_identity(bona_fides)
+    train, hold = [], []
+    for identity in sorted(grouped):
+        if len(grouped[identity]) != samples_per_class:
+            raise DataError(f"identity {identity} has {len(grouped[identity])} samples, not {samples_per_class}")
+        train.extend(grouped[identity][:num_train])
+        hold.extend(grouped[identity][num_train:])
+    return train, hold
+
+
+def oracle_pair_protocol(universe, samples, num_morphs, seed):
+    if num_morphs < 0:
+        raise ConfigError(f"num_morphs must be >= 0, got {num_morphs}")
+    grouped = oracle_group_by_identity(samples)
+    side1 = [(i, k) for i in sorted(grouped) if universe.subsets[i] == 1 for k in range(len(grouped[i]))]
+    side2 = [(i, k) for i in sorted(grouped) if universe.subsets[i] == 2 for k in range(len(grouped[i]))]
+    if not side1 or not side2:
+        raise ConfigError("both subsets need at least one sample to pair across")
+    capacity = len(side1) * len(side2)
+    if num_morphs > capacity:
+        raise CapacityError(
+            f"requested {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
+        )
+    chosen = rng_for(seed, STREAM_PAIRS).choice(capacity, size=num_morphs, replace=False)
+    pairs = []
+    for flat in chosen.tolist():
+        ia, ka = side1[flat // len(side2)]
+        ib, kb = side2[flat % len(side2)]
+        pairs.append(MorphPair(identity_a=ia, identity_b=ib, sample_a=ka, sample_b=kb))
+    return MorphPairProtocol(pairs=tuple(pairs), seed=int(seed))
+
+
+def _oracle_single_identity_of(sample):
+    if sample.labels.kind is SampleKind.MORPH:
+        raise ProtocolError("a morph cannot be a blending parent")
+    return sample.labels.first_label
+
+
+def oracle_make_morph(universe, sample_a, sample_b, alpha=0.5):
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    id_a = _oracle_single_identity_of(sample_a)
+    id_b = _oracle_single_identity_of(sample_b)
+    sub_a = int(universe.subsets[id_a])
+    sub_b = int(universe.subsets[id_b])
+    if sub_a == sub_b:
+        raise ProtocolError(
+            f"identities {id_a} and {id_b} share subset {sub_a}; morphing within a subset "
+            "would make the labeling ambiguous"
+        )
+    blended = _oracle_blend(sample_a.input, sample_b.input, alpha)
+    first, second = (id_a, id_b) if sub_a == 1 else (id_b, id_a)
+    return OracleSample(
+        input=blended,
+        labels=LabelPair(first, second, SampleKind.MORPH),
+        source_ids=(first, second),
+    )
+
+
+def oracle_make_selfmorph(sample_a, sample_b):
+    id_a = _oracle_single_identity_of(sample_a)
+    id_b = _oracle_single_identity_of(sample_b)
+    if id_a != id_b:
+        raise ProtocolError(f"selfmorph parents must share an identity, got {id_a} and {id_b}")
+    blended = _oracle_blend(sample_a.input, sample_b.input, 0.5)
+    return OracleSample(
+        input=blended,
+        labels=LabelPair(id_a, id_a, SampleKind.SELF_MORPH),
+        source_ids=(id_a,),
+    )
+
+
+def oracle_protocol_parents(grouped, pairs):
+    parents = []
+    for pair in pairs:
+        pool_a, pool_b = grouped.get(pair.identity_a, ()), grouped.get(pair.identity_b, ())
+        if not (0 <= pair.sample_a < len(pool_a) and 0 <= pair.sample_b < len(pool_b)):
+            raise CapacityError(f"protocol pair {pair} refers outside the bona fide pool")
+        parents.append((pool_a[pair.sample_a], pool_b[pair.sample_b]))
+    return parents
+
+
+def oracle_build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), seed=0, alpha=0.5):
+    r_bf, r_m, r_s = (float(r) for r in ratios)
+    if min(r_bf, r_m, r_s) < 0 or max(r_bf, r_m, r_s) == 0:
+        raise ConfigError(f"ratios must be nonnegative and not all zero, got {ratios}")
+    grouped = oracle_group_by_identity(bona_fides)
+
+    if r_bf > 0:
+        unit = len(bona_fides) / r_bf
+        kept_bona_fides = list(bona_fides)
+    elif r_m > 0:
+        unit = len(protocol.pairs) / r_m
+        kept_bona_fides = []
+    else:
+        unit = len(bona_fides) / r_s
+        kept_bona_fides = []
+    num_morphs = int(round(unit * r_m))
+    num_selfmorphs = int(round(unit * r_s))
+
+    if num_morphs > len(protocol.pairs):
+        raise CapacityError(
+            f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.pairs)}"
+        )
+    morphs = [
+        oracle_make_morph(universe, parent_a, parent_b, alpha=alpha)
+        for parent_a, parent_b in oracle_protocol_parents(grouped, protocol.pairs[:num_morphs])
+    ]
+
+    rich = [i for i in sorted(grouped) if len(grouped[i]) >= 2]
+    if num_selfmorphs > 0 and not rich:
+        raise CapacityError("no identity has two samples to selfmorph")
+    self_rng = rng_for(seed, STREAM_SELFMORPH)
+    selfmorphs = []
+    for _ in range(num_selfmorphs):
+        identity = rich[int(self_rng.integers(len(rich)))]
+        first, second = self_rng.choice(len(grouped[identity]), size=2, replace=False)
+        selfmorphs.append(oracle_make_selfmorph(grouped[identity][first], grouped[identity][second]))
+
+    combined = kept_bona_fides + morphs + selfmorphs
+    order = rng_for(seed, STREAM_MIX).permutation(len(combined))
+    return [combined[i] for i in order]
+
+
+def oracle_build_trial_triplets(train_bona, protocol, alpha):
+    parents = oracle_protocol_parents(oracle_group_by_identity(train_bona), protocol.pairs)
+    return [(a.input, b.input, _oracle_blend(a.input, b.input, alpha)) for a, b in parents]
+
+
+def _oracle_probe_pool(probes):
+    identities = sorted(probes)
+    counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.concatenate([probes[i] for i in identities]), counts, offsets, identities
+
+
+def _oracle_cosines(a, b):
+    return np.clip((a[..., None, :] @ b[..., :, None])[..., 0, 0], -1.0, 1.0)
+
+
+def oracle_morph_trial_list(morph_embeddings, probes, protocol, seed):
+    """The MorphTrial list of the whole-array trial draw, one object per pair."""
+    pool, counts, offsets, identities = _oracle_probe_pool(probes)
+    position = {identity: k for k, identity in enumerate(identities)}
+    parents = np.array(
+        [(position[p.identity_a], position[p.identity_b]) for p in protocol.pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    picks = rng_for(seed, STREAM_TRIALS).integers(counts[parents])
+    scores = _oracle_cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks])
+    return [MorphTrial(idx, row) for idx, row in enumerate(scores)]
+
+
+def oracle_save_dataset(samples, path):
+    """Line-delimited JSON records, one json.dumps per sample."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in samples:
+            record = {
+                "kind": sample.labels.kind.value,
+                "y_dot": sample.labels.first_label,
+                "y_ddot": sample.labels.second_label,
+                "source_ids": list(sample.source_ids),
+                "input": [float(v) for v in sample.input],
+            }
+            fh.write(json.dumps(record) + "\n")

@@ -297,12 +297,32 @@ def keep_two_pairs(records):
     del records[2:]
 
 
+def sample_a_float(records):
+    records[0]["sample_a"] = 1.7
+
+
+def sample_a_string(records):
+    records[0]["sample_a"] = "3"
+
+
+def sample_a_bool(records):
+    records[0]["sample_a"] = True
+
+
 def relabel_last_of_identity_0(records):
     records[SMALL["data"]["samples_per_class"] - 1].update(y_dot=1, y_ddot=1, source_ids=[1])
 
 
 def truncate_record_45(records):
     records[45]["input"] = records[45]["input"][:-1]
+
+
+def nan_input_45(records):
+    records[45]["input"][3] = float("nan")
+
+
+def float_label_45(records):
+    records[45]["y_dot"] = records[45]["y_ddot"] = float(records[45]["y_dot"])
 
 
 class TestExitCodes:
@@ -349,6 +369,13 @@ class TestExitCodes:
             {"margin": {"scale": float("inf")}},
             {"seed": -3},
             {"seed": 1.5},
+            {"data": {**SMALL["data"], "num_classes": 6.0}},
+            {"data": {**SMALL["data"], "samples_per_class": True}},
+            {"data": {**SMALL["data"], "input_dim": 16.0}},
+            {"model": {**SMALL["model"], "hidden_dims": [16.0]}},
+            {"model": {**SMALL["model"], "embedding_dim": 8.0}},
+            {"eval": {**SMALL["eval"], "genuine_pairs": 2.5}},
+            {"eval": {**SMALL["eval"], "impostor_pairs": True}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -413,7 +440,17 @@ class TestExitCodes:
         assert err.startswith("data/protocol error: ")
 
     @pytest.mark.parametrize(
-        "edit", [swap_sides, pair_within_subset_1, list_identity_in_both_subsets, empty_protocol, keep_two_pairs]
+        "edit",
+        [
+            swap_sides,
+            pair_within_subset_1,
+            list_identity_in_both_subsets,
+            empty_protocol,
+            keep_two_pairs,
+            sample_a_float,
+            sample_a_string,
+            sample_a_bool,
+        ],
     )
     def test_bad_protocol(self, edit, config_path, data_dir, train_dir, tmp_path, capsys):
         protocol = edit_protocol(data_dir, tmp_path, edit)
@@ -424,7 +461,7 @@ class TestExitCodes:
         ]
         self._assert_one_line_data_error(argv, capsys)
 
-    @pytest.mark.parametrize("edit", [relabel_last_of_identity_0, truncate_record_45])
+    @pytest.mark.parametrize("edit", [relabel_last_of_identity_0, truncate_record_45, nan_input_45, float_label_45])
     def test_bad_pool(self, edit, config_path, data_dir, train_dir, tmp_path, capsys):
         pool = edit_pool(data_dir, tmp_path, edit)
         argv = [

@@ -1,0 +1,175 @@
+"""Columnar sample sets and trial scores against the per-sample oracles, bit for bit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from morphguard.datagen import (
+    KINDS,
+    MORPH,
+    SampleSet,
+    build_training_set,
+    pair_protocol,
+    save_dataset,
+    synth_identities,
+)
+from morphguard.errors import DataError, ProtocolError
+from morphguard.experiment import (
+    DataSettings,
+    ExperimentConfig,
+    ModelSettings,
+    build_trial_triplets,
+    embed_holdout,
+    fresh_model,
+    holdout_split,
+    morph_budget,
+    morph_trials,
+    trial_features,
+)
+from morphguard.metrics import MorphTrial, MorphTrials, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
+
+from oracles import (
+    oracle_build_training_set,
+    oracle_build_trial_triplets,
+    oracle_holdout_split,
+    oracle_morph_trial_list,
+    oracle_pair_protocol,
+    oracle_save_dataset,
+    oracle_synth_identities,
+)
+
+CONFIGS = {
+    "default-seed1": ExperimentConfig(seed=1),
+    "default-seed2": ExperimentConfig(seed=2),
+    "default-seed3": ExperimentConfig(seed=3),
+    "200x50-d128": ExperimentConfig(
+        seed=1,
+        data=DataSettings(num_classes=200, samples_per_class=50, input_dim=128),
+        model=ModelSettings(hidden_dims=(64,), embedding_dim=32),
+    ),
+}
+
+
+def assert_same_samples(columns: SampleSet, samples: list):
+    """A SampleSet holds the per-sample list's inputs, labels, kinds and source ids."""
+    assert len(columns) == len(samples)
+    assert columns.inputs.tobytes() == np.stack([s.input for s in samples]).tobytes()
+    labels = [(s.labels.first_label, s.labels.second_label, s.labels.kind) for s in samples]
+    assert labels == [(f, s, KINDS[k]) for f, s, k in zip(columns.first.tolist(), columns.second.tolist(), columns.kinds)]
+    assert [s.source_ids for s in columns] == [s.source_ids for s in samples]
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def pipelines(request):
+    """The columnar and the per-sample data path of one config, stage by stage."""
+    config = CONFIGS[request.param]
+    d = config.data
+    synth_args = (d.num_classes, d.samples_per_class, d.input_dim, d.spread, config.seed)
+    stages = {}
+    for name, synth, split, pairing in (
+        ("columns", synth_identities, holdout_split, pair_protocol),
+        ("oracle", oracle_synth_identities, oracle_holdout_split, oracle_pair_protocol),
+    ):
+        universe, bona_fides = synth(*synth_args)
+        train_bona, holdout = split(bona_fides, d.samples_per_class, d.holdout_fraction)
+        protocol = pairing(universe, train_bona, morph_budget(len(train_bona), d.ratios), config.seed)
+        stages[name] = (universe, bona_fides, train_bona, holdout, protocol)
+    return config, stages["columns"], stages["oracle"]
+
+
+class TestAgainstPerSampleOracles:
+    def test_synthesis_split_and_pairing(self, pipelines):
+        _, columns, oracle = pipelines
+        universe, o_universe = columns[0], oracle[0]
+        assert universe.prototypes.tobytes() == o_universe.prototypes.tobytes()
+        assert universe.subsets.tobytes() == o_universe.subsets.tobytes()
+        for sample_set, sample_list in zip(columns[1:4], oracle[1:4]):
+            assert_same_samples(sample_set, sample_list)
+        assert columns[4].pairs == oracle[4].pairs
+
+    @pytest.mark.parametrize("ratios", [None, (1, 0, 0), (2, 1, 0)], ids=["config", "1-0-0", "2-1-0"])
+    def test_training_set(self, pipelines, ratios):
+        config, (universe, _, train_bona, _, protocol), oracle = pipelines
+        kwargs = {"ratios": ratios or config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
+        expected = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
+        assert_same_samples(build_training_set(universe, train_bona, protocol, **kwargs), expected)
+
+    def test_trial_triplets_and_trials(self, pipelines):
+        config, (_, _, train_bona, holdout, protocol), oracle = pipelines
+        triplets = build_trial_triplets(train_bona, protocol, config.data.alpha)
+        expected = oracle_build_trial_triplets(oracle[2], oracle[4], config.data.alpha)
+        assert triplets.shape == (len(protocol.pairs), 3, config.data.input_dim)
+        assert triplets.reshape(-1, triplets.shape[2]).tobytes() == np.stack([v for t in expected for v in t]).tobytes()
+
+        model = fresh_model(config)
+        probes = embed_holdout(model, holdout)
+        morphs = trial_features(model, train_bona, protocol, config.data.alpha)[2::3]
+        trials = morph_trials(morphs, probes, protocol, config.seed)
+        expected = oracle_morph_trial_list(morphs, probes, protocol, config.seed)
+        assert [t.morph_id for t in trials] == [t.morph_id for t in expected]
+        assert trials.scores.tobytes() == np.array([t.subject_scores for t in expected]).tobytes()
+
+    def test_dataset_bytes(self, pipelines, tmp_path):
+        config, (universe, bona_fides, train_bona, _, protocol), oracle = pipelines
+        kwargs = {"ratios": config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
+        train_set = build_training_set(universe, train_bona, protocol, **kwargs)
+        o_train_set = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
+        # The first 2000 records of a set: every kind occurs, and the wide case stays quick.
+        for name, samples, o_samples in (("bona_fides", bona_fides, oracle[1]), ("dataset", train_set, o_train_set)):
+            save_dataset(samples[:2000], tmp_path / f"{name}.jsonl")
+            oracle_save_dataset(o_samples[:2000], tmp_path / f"{name}.oracle.jsonl")
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / f"{name}.oracle.jsonl").read_bytes()
+
+
+class TestSampleSet:
+    def test_views_slices_and_index_arrays(self):
+        _, samples = synth_identities(4, 3, 8, spread=0.1, seed=1)
+        assert len(samples) == 12 and len(list(samples)) == 12
+        view = samples[-1]
+        assert view.input.tobytes() == samples.inputs[11].tobytes()
+        assert (view.labels.first_label, view.source_ids) == (3, (3,))
+        assert samples[1:3].first.tolist() == [0, 0]
+        assert samples[np.array([11, 0])].first.tolist() == [3, 0]
+        with pytest.raises(IndexError):
+            samples[12]
+
+    @pytest.mark.parametrize(
+        "first, second, kinds",
+        [([0, 1], [0, 1], [0, MORPH]), ([0, 1], [0, 2], [0, 0]), ([-1, 1], [-1, 1], [0, 0]), ([0, 1], [0, 1], [0, 3])],
+        ids=["morph-repeats-label", "bona-fide-two-labels", "negative-label", "unknown-kind"],
+    )
+    def test_label_rules(self, first, second, kinds):
+        with pytest.raises(ProtocolError, match=r"sample [01] has kind code"):
+            SampleSet(np.ones((2, 4)), first, second, kinds)
+
+    def test_shapes_checked(self):
+        with pytest.raises(DataError):
+            SampleSet(np.ones(4), [0], [0], [0])
+        with pytest.raises(DataError):
+            SampleSet(np.ones((2, 4)), [0], [0], [0])
+
+    def test_frozen(self):
+        _, samples = synth_identities(2, 2, 4, spread=0.1, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            samples.first = samples.second
+
+
+class TestMorphTrials:
+    def test_views_and_checks(self):
+        trials = MorphTrials(np.array([[0.5, -0.25], [0.75, 0.125]]))
+        assert [(t.morph_id, t.subject_scores.tolist()) for t in trials] == [(0, [0.5, -0.25]), (1, [0.75, 0.125])]
+        assert trials[-1].morph_id == 1
+        for bad in (np.array([[0.5, np.nan]]), np.array([[0.5, 1.5]]), np.array([[0.5]]), np.array([0.5, 0.5])):
+            with pytest.raises(ValueError):
+                MorphTrials(bad)
+
+    def test_metrics_equal_on_columns_and_objects(self):
+        rng = np.random.default_rng(5)
+        scores = np.round(rng.uniform(-1, 1, (50, 2)), 2)
+        columns, objects = MorphTrials(scores), [MorphTrial(t, row) for t, row in enumerate(scores)]
+        verification = VerificationSet(np.round(rng.uniform(-1, 1, 30), 2), np.round(rng.uniform(-1, 1, 30), 2))
+        grid = np.linspace(-1, 1, 41)
+        assert mmpmr(columns, 0.1) == mmpmr(objects, 0.1)
+        assert mmpmr_curve(columns, grid).values.tobytes() == mmpmr_curve(objects, grid).values.tobytes()
+        assert min_rmmr(columns, verification) == min_rmmr(objects, verification)

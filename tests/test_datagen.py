@@ -28,11 +28,7 @@ from morphguard.losses import LabelPair, SampleKind
 
 def bona_fide(identity, vec):
     arr = np.asarray(vec, dtype=np.float64)
-    return Sample(
-        input=arr / np.linalg.norm(arr),
-        labels=LabelPair(identity, identity, SampleKind.BONA_FIDE),
-        source_ids=(identity,),
-    )
+    return Sample(input=arr / np.linalg.norm(arr), labels=LabelPair(identity, identity, SampleKind.BONA_FIDE))
 
 
 class TestSynthIdentities:
@@ -188,11 +184,7 @@ class TestMakeMorph:
     def test_identical_inputs_blend_to_same(self):
         universe, grouped, first, second = self._tiny_universe()
         shared = grouped[first][0].input
-        fake_b = Sample(
-            input=shared.copy(),
-            labels=LabelPair(second, second, SampleKind.BONA_FIDE),
-            source_ids=(second,),
-        )
+        fake_b = Sample(input=shared.copy(), labels=LabelPair(second, second, SampleKind.BONA_FIDE))
         morph = make_morph(universe, grouped[first][0], fake_b, alpha=0.5)
         np.testing.assert_allclose(morph.input, shared, atol=1e-12)
 
@@ -210,8 +202,8 @@ class TestMakeMorph:
         universe, grouped, first, second = self._tiny_universe()
         pa = universe.prototypes[first]
         pb = universe.prototypes[second]
-        sample_a = Sample(input=pa, labels=LabelPair(first, first, SampleKind.BONA_FIDE), source_ids=(first,))
-        sample_b = Sample(input=pb, labels=LabelPair(second, second, SampleKind.BONA_FIDE), source_ids=(second,))
+        sample_a = Sample(input=pa, labels=LabelPair(first, first, SampleKind.BONA_FIDE))
+        sample_b = Sample(input=pb, labels=LabelPair(second, second, SampleKind.BONA_FIDE))
         morph = make_morph(universe, sample_a, sample_b, alpha=0.5)
         expected = np.sqrt((1.0 + float(pa @ pb)) / 2.0)
         assert float(morph.input @ pa) == pytest.approx(expected, abs=1e-12)
@@ -311,10 +303,9 @@ class TestBuildTrainingSet:
     def test_pair_outside_pool_is_capacity_error(self, field, value):
         universe, samples, protocol = self._setup()
         pair = dataclasses.replace(protocol.pairs[0], **{field: value})
-        grouped = group_by_identity(samples)
-        assert len(protocol_parents(grouped, protocol.pairs)) == len(protocol.pairs)
+        assert protocol_parents(samples, protocol.pairs).shape == (len(protocol.pairs), 2)
         with pytest.raises(CapacityError):
-            protocol_parents(grouped, [pair])
+            protocol_parents(samples, [pair])
 
     def test_ratio_validation(self):
         universe, samples, protocol = self._setup()
@@ -363,6 +354,40 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 8"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("input", [float("nan")] * 8, "line 4: input has non-finite values"),
+            ("input", ["0.5"] * 8, "line 4: input is not a list of JSON numbers"),
+            ("input", [True] * 8, "line 4: input is not a list of JSON numbers"),
+            ("input", [[0.5]] * 8, "line 4: input is not a list of JSON numbers"),
+            ("input", [0.5] * 9, "line 4: input is not a list of JSON numbers as long as"),
+            ("input", [[0.5, 0.5]] + [0.5] * 7, "line 4 is not a JSON dataset record"),
+            ("y_dot", 1.0, "line 4: labels must be JSON integers"),
+            ("y_ddot", True, "line 4: labels must be JSON integers"),
+            ("source_ids", [True], "line 4: labels must be JSON integers"),
+            ("source_ids", [2], "line 4: labels must be JSON integers and source ids"),
+        ],
+    )
+    def test_mistyped_dataset_record_rejected(self, tmp_path, field, value, message):
+        _, samples = synth_identities(4, 5, 8, spread=0.2, seed=17)
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(samples, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record[field] = value
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [1.7, "3", True, None])
+    def test_non_integer_protocol_field_rejected(self, tmp_path, value):
+        records, _ = self._saved_records(tmp_path)
+        records[2]["sample_a"] = value
+        with pytest.raises(DataError, match="pair 2 has a field that is not a JSON integer"):
+            self._load_records(tmp_path, records)
 
     @staticmethod
     def _saved_records(tmp_path):

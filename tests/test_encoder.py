@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morphguard.datagen import Sample, synth_identities
+from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, synth_identities
 from morphguard.encoder import (
     DualHeadModel,
     TrainConfig,
@@ -13,7 +13,6 @@ from morphguard.encoder import (
     save_checkpoint,
     train,
     train_step,
-    _stack_batch,
 )
 from morphguard.errors import (
     CheckpointFormatError,
@@ -22,7 +21,7 @@ from morphguard.errors import (
     DegenerateEmbeddingError,
     ProtocolError,
 )
-from morphguard.losses import LabelPair, MarginConfig, SampleKind
+from morphguard.losses import MarginConfig
 
 from oracles import fd_gradient, max_rel_err, oracle_batch_gradients, oracle_train
 
@@ -37,20 +36,32 @@ def models_equal(a: DualHeadModel, b: DualHeadModel) -> bool:
 
 
 def random_batch(rng, n, input_dim, num_classes, morph_fraction=0.5):
-    batch = []
+    inputs, labels = [], []
     for _ in range(n):
         vec = rng.normal(size=input_dim)
         vec /= np.linalg.norm(vec)
         first = int(rng.integers(num_classes))
         if num_classes > 1 and rng.random() < morph_fraction:
             second = int((first + 1 + rng.integers(num_classes - 1)) % num_classes)
-            pair = LabelPair(first, second, SampleKind.MORPH)
-            ids = (first, second)
+            labels.append((first, second, MORPH))
         else:
-            pair = LabelPair(first, first, SampleKind.BONA_FIDE)
-            ids = (first,)
-        batch.append(Sample(input=vec, labels=pair, source_ids=ids))
-    return batch
+            labels.append((first, first, BONA_FIDE))
+        inputs.append(vec)
+    first, second, kinds = np.array(labels, dtype=np.int64).reshape(-1, 3).T
+    return SampleSet(np.array(inputs).reshape(n, input_dim), first, second, kinds)
+
+
+def columns(batch):
+    """batch_gradients' (inputs, first, second, is_morph) arguments of a SampleSet."""
+    return batch.inputs, batch.first, batch.second, batch.is_morph
+
+
+def relabeled(samples, rows, first, second, kinds):
+    """samples with the label pairs and kinds of the given rows replaced."""
+    new = [samples.first.copy(), samples.second.copy(), samples.kinds.copy()]
+    for column, values in zip(new, (first, second, kinds)):
+        column[rows] = values
+    return SampleSet(samples.inputs, *new)
 
 
 def flatten_params(model):
@@ -153,10 +164,7 @@ class TestGradients:
         model = init_model(5, [4], 3, 4, seed=11)
         batch = random_batch(rng, 1, 5, 4)
         margin = MarginConfig(scale=16.0, bona_fide_margin=0.4, morph_offset=-0.1)
-        inputs = np.stack([s.input for s in batch])
-        first = np.array([s.labels.first_label for s in batch])
-        second = np.array([s.labels.second_label for s in batch])
-        is_morph = np.array([s.labels.kind is SampleKind.MORPH for s in batch])
+        inputs, first, second, is_morph = columns(batch)
 
         loss, grads = batch_gradients(model, inputs, first, second, is_morph, margin)
         flat_grad = np.concatenate([grads[name].ravel() for name, _ in model.parameters()])
@@ -206,10 +214,7 @@ class TestGradients:
                 bona_fide_margin=float(rng.uniform(0.0, 0.6)),
                 morph_offset=float(rng.uniform(-0.3, 0.2)),
             )
-            inputs = np.stack([s.input for s in batch])
-            first = np.array([s.labels.first_label for s in batch])
-            second = np.array([s.labels.second_label for s in batch])
-            is_morph = np.array([s.labels.kind is SampleKind.MORPH for s in batch])
+            inputs, first, second, is_morph = columns(batch)
             _, grads = batch_gradients(model, inputs, first, second, is_morph, margin)
             flat_grad = np.concatenate([grads[n].ravel() for n, _ in model.parameters()])
 
@@ -235,7 +240,7 @@ class TestFusedStepExactness:
 
     @staticmethod
     def check(model, batch, margin):
-        args = (model, *_stack_batch(batch), margin)
+        args = (model, *columns(batch), margin)
         loss, grads = batch_gradients(*args)
         expected_loss, expected = oracle_batch_gradients(*args)
         assert_same_bytes(loss, expected_loss, "loss")
@@ -264,16 +269,14 @@ class TestFusedStepExactness:
         # under-clamp needs a negative morph margin (0.2 - 0.3).
         rng = np.random.default_rng(41)
         model = init_model(16, [32], 32, 10, seed=41)
-        batch = random_batch(rng, 31, 16, 10)
-        batch[0] = Sample(input=batch[0].input, labels=LabelPair(3, 4, SampleKind.MORPH), source_ids=(3, 4))
-        batch[1] = Sample(input=batch[1].input, labels=LabelPair(5, 5, SampleKind.BONA_FIDE), source_ids=(5,))
+        batch = relabeled(random_batch(rng, 31, 16, 10), [0, 1], [3, 5], [4, 5], [MORPH, BONA_FIDE])
         # Head rows parallel and antiparallel to an embedding put the
         # morph's head-1 target angle at 0 and the bona fide's head-2 one at pi.
         model.head1[3] = 2.0 * forward(model, batch[0].input)[0]
         model.head2[5] = -forward(model, batch[1].input)[0]
         margin = MarginConfig(scale=30.0, bona_fide_margin=bona_fide_margin, morph_offset=offset)
 
-        inputs, first, second, is_morph = _stack_batch(batch)
+        inputs, first, second, is_morph = columns(batch)
         embeddings = np.stack([forward(model, x)[0] for x in inputs])
         margins = np.where(is_morph, margin.morph_margin, margin.bona_fide_margin)
         shifted = []
@@ -363,12 +366,11 @@ class TestTraining:
     def test_empty_dataset(self):
         model = init_model(8, [], 6, 4, seed=1)
         with pytest.raises(ConfigError):
-            train(model, [], TrainConfig())
+            train(model, self._dataset()[:0], TrainConfig())
 
     def test_label_beyond_class_count(self):
         # Only the second label of the one morph is out of range.
-        dataset = self._dataset()[:10]
-        dataset.append(Sample(dataset[0].input, LabelPair(0, 4, SampleKind.MORPH), (0, 4)))
+        dataset = relabeled(self._dataset()[np.r_[0:10, 0]], 10, 0, 4, MORPH)
         model = init_model(8, [], 6, 4, seed=1)
         before = model.copy()
         with pytest.raises(ProtocolError):

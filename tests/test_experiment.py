@@ -29,7 +29,7 @@ from morphguard.experiment import (
     verification_scores,
 )
 from morphguard.encoder import train
-from morphguard.losses import LabelPair, SampleKind
+from morphguard.losses import SampleKind
 from oracles import oracle_align_triplet, oracle_morph_trials
 
 SMALL = {
@@ -106,6 +106,14 @@ class TestConfig:
             {"seed": -3},
             {"seed": 1.5},
             {"train": {"lr_start": float("inf")}},
+            {"data": {"num_classes": 40.0}},
+            {"data": {"samples_per_class": 50.0}},
+            {"data": {"input_dim": True}},
+            {"model": {"hidden_dims": [64.0]}},
+            {"model": {"hidden_dims": [False]}},
+            {"model": {"embedding_dim": 32.0}},
+            {"eval": {"genuine_pairs": 2.5}},
+            {"eval": {"impostor_pairs": True}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):
@@ -149,9 +157,10 @@ class TestHoldoutSplit:
             holdout_split(small_bundle.bona_fides, 10, 0.99)
 
     def test_uneven_pool_rejected(self, small_bundle):
-        pool = list(small_bundle.bona_fides)
-        moved = pool[9]  # last sample of identity 0, relabeled as identity 1
-        pool[9] = datagen.Sample(moved.input, LabelPair(1, 1, moved.labels.kind), (1,))
+        pool = small_bundle.bona_fides
+        labels = pool.first.copy()
+        labels[9] = 1  # last sample of identity 0, relabeled as identity 1
+        pool = datagen.SampleSet(pool.inputs, labels, labels, pool.kinds)
         with pytest.raises(DataError, match="identity 0 has 9"):
             holdout_split(pool, 10, 0.2)
 
@@ -206,6 +215,13 @@ class TestEvaluation:
         )
         assert len(trials) == len(small_bundle.protocol.pairs)
         assert all(t.subject_scores.shape == (2,) for t in trials)
+
+    def test_trials_need_probes_of_both_parents(self, trained, small_bundle, small_config):
+        probes = embed_holdout(trained, small_bundle.holdout)
+        del probes[small_bundle.protocol.pairs[0].identity_b]
+        morphs = np.zeros((len(small_bundle.protocol.pairs), trained.embedding_dim))
+        with pytest.raises(DataError, match="without held-out probes"):
+            morph_trials(morphs, probes, small_bundle.protocol, small_config.seed)
 
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
         triplets = build_trial_triplets(
