@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 data/protocol error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -65,7 +66,13 @@ def _config_and_out_dir(args):
     return config, out_dir
 
 
-def write_manifest(out_dir: Path, command: str, config: ExperimentConfig):
+def input_digests(args, *roles) -> dict:
+    """The sha256 of each input file named by args, keyed by its role (the
+    option name, not the path, so inputs at other paths give the same manifest)."""
+    return {role: hashlib.sha256(Path(getattr(args, role)).read_bytes()).hexdigest() for role in roles}
+
+
+def write_manifest(out_dir: Path, command: str, config: ExperimentConfig, inputs: dict | None = None):
     # numpy promises its Generator streams only within one numpy version.
     payload = {
         "command": command,
@@ -74,6 +81,8 @@ def write_manifest(out_dir: Path, command: str, config: ExperimentConfig):
         "morphguard_version": __version__,
         "numpy_version": np.__version__,
     }
+    if inputs:
+        payload["inputs"] = inputs
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -162,7 +171,7 @@ def cmd_adapt(args) -> int:
     write_point_table(out_dir / "stage_metrics.csv", "stage", [("stage1", report1), ("stage2", report2)])
     write_report_files(out_dir, report1, prefix="stage1_")
     write_report_files(out_dir, report2, prefix="stage2_")
-    write_manifest(out_dir, "adapt", config)
+    write_manifest(out_dir, "adapt", config, input_digests(args, "checkpoint") if args.checkpoint else None)
     print(
         f"stage1 min-RMMR {report1.min_rmmr_value:.4f} -> stage2 {report2.min_rmmr_value:.4f}; "
         f"reports at {out_dir}"
@@ -198,7 +207,7 @@ def cmd_eval(args) -> int:
     model, bona_fides, protocol = _load_eval_inputs(args, config)
     report = evaluate_from_files(model, bona_fides, protocol, config)
     write_report_files(out_dir, report)
-    write_manifest(out_dir, "eval", config)
+    write_manifest(out_dir, "eval", config, input_digests(args, "checkpoint", "data", "protocol"))
     print(
         f"evaluated {len(report.trials)} morph trials; min-RMMR {report.min_rmmr_value:.4f} "
         f"at threshold {report.min_rmmr_threshold:.4f}"
@@ -213,7 +222,7 @@ def cmd_analyze_features(args) -> int:
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
     featviz.save_ellipse_csv(ellipse, out_dir / "ellipse.csv")
     featviz.render_svg(aligned, ellipse, out_dir / "features.svg")
-    write_manifest(out_dir, "analyze-features", config)
+    write_manifest(out_dir, "analyze-features", config, input_digests(args, "checkpoint", "data", "protocol"))
     print(f"analyzed {len(aligned)} triplets; ellipse size {ellipse.size:.4f}")
     return 0
 

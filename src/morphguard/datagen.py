@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer
+from .errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
 from .losses import LabelPair, SampleKind
 from .seeding import (
     STREAM_MIX,
@@ -161,8 +161,12 @@ def check_synth_settings(num_classes: int, samples_per_class: int, input_dim: in
         check_integer(name, value, 2)
     if num_classes % 2 != 0:
         raise ConfigError(f"identity count must be even, got {num_classes}")
-    if not (0 < spread < float("inf")):
-        raise ConfigError(f"spread must be positive and finite, got {spread}")
+    check_real("spread", spread, 0.0)
+
+
+def check_alpha(alpha: float):
+    """Reject a morph blend weight outside (0, 1)."""
+    check_real("alpha", alpha, 0.0, 1.0)
 
 
 def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, spread: float, seed: int):
@@ -247,8 +251,7 @@ def _single_identity_of(sample: Sample) -> int:
 
 def _morphs(universe: IdentityUniverse, inputs_a, inputs_b, ids_a, ids_b, alpha: float) -> SampleSet:
     """Morphs of paired cross-subset parent rows; alpha weights the a rows."""
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     ids_a, ids_b = np.asarray(ids_a, dtype=np.int64), np.asarray(ids_b, dtype=np.int64)
     sub_a = universe.subsets[ids_a]
     clash = np.flatnonzero(sub_a == universe.subsets[ids_b])
@@ -322,8 +325,9 @@ def build_training_set(
     ratios gives bona fide : morph : selfmorph proportions; with the
     default (2, 1, 1) a pool of 2k bona fides yields k morphs and k
     selfmorphs. Morphs consume protocol pairs in order and run out with
-    a CapacityError. Each selfmorph draws an identity, then two of its
-    samples, one selfmorph after another from one stream.
+    a CapacityError. Selfmorphs draw whole arrays from one stream, as
+    genuine verification pairs do: for each an identity with two or more
+    samples, then an ordered pair of distinct samples of it.
     """
     r_bf, r_m, r_s = (float(r) for r in ratios)
     if min(r_bf, r_m, r_s) < 0 or max(r_bf, r_m, r_s) == 0:
@@ -361,15 +365,15 @@ def build_training_set(
     a, b = protocol_parents(bona_fides, protocol.pairs[:num_morphs]).T
     place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
 
-    rich = np.flatnonzero(counts >= 2).tolist()
-    if num_selfmorphs > 0 and not rich:
+    rich = np.flatnonzero(counts >= 2)
+    if num_selfmorphs > 0 and not rich.size:
         raise CapacityError("no identity has two samples to selfmorph")
     self_rng = rng_for(seed, STREAM_SELFMORPH)
-    sizes, starts, picks = counts.tolist(), offsets.tolist(), []
-    for _ in range(num_selfmorphs):
-        group = rich[int(self_rng.integers(len(rich)))]
-        picks.append(self_rng.choice(sizes[group], size=2, replace=False) + starts[group])
-    a, b = order[np.array(picks, dtype=np.int64).reshape(-1, 2)].T
+    group = rich[self_rng.integers(rich.size, size=num_selfmorphs)]
+    i = self_rng.integers(counts[group])
+    j = self_rng.integers(counts[group] - 1)
+    j += j >= i
+    a, b = order[offsets[group] + i], order[offsets[group] + j]
     place(num_bona_fides + num_morphs, _selfmorphs(inputs[a], inputs[b], labels[a]))
     return SampleSet(*columns)
 

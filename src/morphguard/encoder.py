@@ -21,7 +21,6 @@ of (model, dataset, config).
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ from .errors import (
     NumericInputError,
     ProtocolError,
     check_integer,
+    check_real,
 )
 from .losses import MarginConfig, morphguard_loss_arrays
 from .seeding import STREAM_INIT, STREAM_SHUFFLE, rng_for
@@ -120,10 +120,11 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), least)
-        if not (math.inf > self.lr_start >= self.lr_end > 0):
+        check_real("lr_start", self.lr_start, 0.0)
+        check_real("lr_end", self.lr_end, 0.0)
+        if self.lr_start < self.lr_end:
             raise ConfigError(
-                f"learning rates must satisfy inf > lr_start >= lr_end > 0, got "
-                f"({self.lr_start}, {self.lr_end})"
+                f"learning rates must satisfy lr_start >= lr_end, got ({self.lr_start}, {self.lr_end})"
             )
 
 

@@ -5,6 +5,7 @@ DataError (protocol/capacity/checkpoint) -> 3, NumericError -> 4,
 and plain OSError -> 5.
 """
 
+import math
 import numbers
 
 
@@ -20,6 +21,13 @@ def check_integer(name: str, value, least: int):
     """Raise ConfigError unless value is an integer >= least; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf):
+    """Raise ConfigError unless value is a real number strictly between low
+    and high, so finite; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (low < value < high):
+        raise ConfigError(f"{name} must be a real number in ({low}, {high}), got {value!r}")
 
 
 class EmptyBatchError(ConfigError):

@@ -23,7 +23,7 @@ import numpy as np
 from . import datagen, featviz, metrics
 from .datagen import SampleSet, _blend, _pool_index
 from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
-from .errors import ConfigError, DataError, check_integer
+from .errors import ConfigError, DataError, check_integer, check_real
 from .losses import MarginConfig
 from .metrics import MorphTrials, OperatingPoint, VerificationSet
 from .seeding import STREAM_GENUINE, STREAM_IMPOSTOR, STREAM_TRIALS, rng_for
@@ -43,12 +43,14 @@ class DataSettings:
     alpha: float = 0.5
 
     def __post_init__(self):
+        for ratio in self.ratios:
+            check_real("ratios entry", ratio)
         if len(self.ratios) != 3 or self.ratios[0] <= 0:
             raise ConfigError(
                 f"ratios must be (bona fide, morph, selfmorph) with bona fide > 0, got {self.ratios}"
             )
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ConfigError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
+        check_real("holdout_fraction", self.holdout_fraction, 0.0, 1.0)
+        datagen.check_alpha(self.alpha)
         datagen.check_synth_settings(self.num_classes, self.samples_per_class, self.input_dim, self.spread)
         num_train = self.samples_per_class - _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
         budget = morph_budget(self.num_classes * num_train, self.ratios)

@@ -28,6 +28,7 @@ from .errors import (
     NumericInputError,
     DegenerateWeightError,
     ProtocolError,
+    check_real,
 )
 
 # |cos theta| is kept this far away from 1 inside derivative
@@ -62,8 +63,9 @@ class MarginConfig:
     morph_offset: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.scale < math.inf):
-            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
+        check_real("scale", self.scale, 0.0)
+        check_real("bona_fide_margin", self.bona_fide_margin)
+        check_real("morph_offset", self.morph_offset)
         if not (0.0 <= self.bona_fide_margin < math.pi / 2):
             raise ConfigError(
                 f"bona fide margin must lie in [0, pi/2), got {self.bona_fide_margin}"

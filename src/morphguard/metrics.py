@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericInputError, UnattainableOperatingPointError
+from .errors import ConfigError, DataError, NumericInputError, UnattainableOperatingPointError, check_real
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -244,8 +244,7 @@ class OperatingPoint:
 
 
 def check_target(kind: str, target: float):
-    if not (0.0 < target < 1.0):
-        raise ConfigError(f"{kind} target must lie in (0, 1), got {target}")
+    check_real(f"{kind} target", target, 0.0, 1.0)
 
 
 def mmpmr_at_fnmr(trials, verification: VerificationSet, fnmr_targets) -> list[OperatingPoint]:
@@ -381,10 +380,11 @@ def load_scores_csv(path) -> VerificationSet:
 
 def save_trials_json(trials, path):
     """Write morph trials as a JSON array of id/score objects."""
-    records = [
-        {"morph_id": trial.morph_id, "subject_scores": [float(s) for s in trial.subject_scores]}
-        for trial in trials
-    ]
+    if isinstance(trials, MorphTrials):
+        rows = enumerate(trials.scores.tolist())
+    else:
+        rows = ((trial.morph_id, [float(s) for s in trial.subject_scores]) for trial in trials)
+    records = [{"morph_id": morph_id, "subject_scores": scores} for morph_id, scores in rows]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")

@@ -473,11 +473,15 @@ def oracle_build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), 
     rich = [i for i in sorted(grouped) if len(grouped[i]) >= 2]
     if num_selfmorphs > 0 and not rich:
         raise CapacityError("no identity has two samples to selfmorph")
+    # The 0.3.0 draw as scalar calls: every identity, then every first
+    # sample, then every second sample among the identity's other samples.
     self_rng = rng_for(seed, STREAM_SELFMORPH)
+    identities = [rich[int(self_rng.integers(len(rich)))] for _ in range(num_selfmorphs)]
+    firsts = [int(self_rng.integers(len(grouped[i]))) for i in identities]
+    seconds = [int(self_rng.integers(len(grouped[i]) - 1)) for i in identities]
     selfmorphs = []
-    for _ in range(num_selfmorphs):
-        identity = rich[int(self_rng.integers(len(rich)))]
-        first, second = self_rng.choice(len(grouped[identity]), size=2, replace=False)
+    for identity, first, second in zip(identities, firsts, seconds):
+        second += second >= first
         selfmorphs.append(oracle_make_selfmorph(grouped[identity][first], grouped[identity][second]))
 
     combined = kept_bona_fides + morphs + selfmorphs

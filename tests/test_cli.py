@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,11 @@ class TestGenData:
         assert manifest["morphguard_version"] == morphguard.__version__
         assert manifest["numpy_version"] == np.__version__
         assert ExperimentConfig.from_dict(manifest["config"]) == ExperimentConfig.from_dict(SMALL)
+
+    def test_pyproject_version_is_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["version"] == morphguard.__version__
 
     def test_morph_count_matches_ratios(self, data_dir):
         dataset = load_dataset(data_dir / "dataset.jsonl")
@@ -254,6 +261,42 @@ class TestAnalyzeFeatures:
         assert len(aligned) == 1 + 3 * len(protocol)
 
 
+def manifest_of(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestManifestInputs:
+    def inputs(self, data_dir, train_dir):
+        return {
+            "checkpoint": train_dir / "checkpoint.bin",
+            "data": data_dir / "bona_fides.jsonl",
+            "protocol": data_dir / "protocol.json",
+        }
+
+    def test_eval_records_input_digests(self, eval_dir, data_dir, train_dir):
+        expected = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in self.inputs(data_dir, train_dir).items()}
+        assert manifest_of(eval_dir)["inputs"] == expected
+        assert "inputs" not in manifest_of(data_dir) and "inputs" not in manifest_of(train_dir)
+
+    def test_analyze_features_digests_are_keyed_by_role(self, config_path, data_dir, train_dir, tmp_path):
+        originals = self.inputs(data_dir, train_dir)
+        copies = {role: tmp_path / f"copy_of_{path.name}" for role, path in originals.items()}
+        for role, path in originals.items():
+            shutil.copyfile(path, copies[role])
+        for out, paths in (("a", originals), ("b", copies)):
+            argv = ["analyze-features", "--config", config_path, "--out", str(tmp_path / out)]
+            assert main(argv + [arg for role, path in paths.items() for arg in (f"--{role}", str(path))]) == 0
+        expected = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in originals.items()}
+        assert manifest_of(tmp_path / "a")["inputs"] == expected
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_adapt_records_its_checkpoint_digest(self, config_path, train_dir, tmp_path):
+        checkpoint = train_dir / "checkpoint.bin"
+        argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"), "--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        assert manifest_of(tmp_path / "o")["inputs"] == {"checkpoint": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
+
+
 def edit_pool(data_dir, tmp_path, edit):
     """Copy of the gen-data bona fide pool with edit(records) applied."""
     records = [json.loads(line) for line in (data_dir / "bona_fides.jsonl").read_text().splitlines()]
@@ -376,6 +419,14 @@ class TestExitCodes:
             {"model": {**SMALL["model"], "embedding_dim": 8.0}},
             {"eval": {**SMALL["eval"], "genuine_pairs": 2.5}},
             {"eval": {**SMALL["eval"], "impostor_pairs": True}},
+            {"data": {**SMALL["data"], "alpha": "x"}},
+            {"data": {**SMALL["data"], "alpha": float("nan")}},
+            {"data": {**SMALL["data"], "alpha": 1.5}},
+            {"margin": {"scale": True}},
+            {"data": {**SMALL["data"], "spread": True}},
+            {"train": {**SMALL["train"], "lr_end": True}},
+            {"sweep_grid": [0.0, True]},
+            {"data": {**SMALL["data"], "ratios": [2, True, 1]}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):

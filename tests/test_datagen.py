@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphguard.datagen import (
+    SELF_MORPH,
     MorphPairProtocol,
     Sample,
     build_training_set,
@@ -313,6 +316,53 @@ class TestBuildTrainingSet:
             build_training_set(universe, samples, protocol, ratios=(0, 0, 0), seed=0)
         with pytest.raises(ConfigError):
             build_training_set(universe, samples, protocol, ratios=(1, -1, 0), seed=0)
+
+
+def uneven_pool(counts, seed=21):
+    """(universe, pool) where identity i keeps its first counts[i] samples."""
+    universe, samples = synth_identities(len(counts), max(max(counts), 2), 8, spread=0.1, seed=seed)
+    per_class = len(samples) // len(counts)
+    rows = [i * per_class + k for i, n in enumerate(counts) for k in range(n)]
+    return universe, samples[np.array(rows, dtype=np.int64)]
+
+
+def selfmorph_set(counts, seed):
+    universe, pool = uneven_pool(counts)
+    return pool, build_training_set(universe, pool, MorphPairProtocol(pairs=()), ratios=(1, 0, 1), seed=seed)
+
+
+class TestSelfmorphDraw:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        counts=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4)
+        .map(lambda pairs: [n for pair in pairs for n in pair])
+        .filter(lambda counts: max(counts) >= 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parents_are_two_distinct_samples_of_one_rich_identity(self, counts, seed):
+        pool, out = selfmorph_set(counts, seed)
+        selfmorphs = out[out.kinds == SELF_MORPH]
+        assert len(selfmorphs) == len(pool)
+        for sample in selfmorphs:
+            identity = sample.labels.first_label
+            own = [s for s in pool if s.labels.first_label == identity]
+            assert counts[identity] >= 2 and len(own) == counts[identity]
+            blends = {make_selfmorph(a, b).input.tobytes() for a, b in itertools.permutations(own, 2)}
+            assert sample.input.tobytes() in blends
+        again = selfmorph_set(counts, seed)[1]
+        assert again.inputs.tobytes() == out.inputs.tobytes() and again.first.tobytes() == out.first.tobytes()
+
+    def test_draw_differs_across_seeds(self):
+        draws = {selfmorph_set([1, 3, 2, 4, 1, 2], seed)[1].inputs.tobytes() for seed in range(4)}
+        assert len(draws) == 4
+
+    def test_pool_without_rich_identity(self):
+        universe, pool = uneven_pool([1] * 6)
+        protocol = pair_protocol(universe, pool, 3, seed=2)
+        out = build_training_set(universe, pool, protocol, ratios=(2, 1, 0), seed=2)
+        assert len(out) == 9 and not (out.kinds == SELF_MORPH).any()
+        with pytest.raises(CapacityError):
+            build_training_set(universe, pool, protocol, ratios=(2, 1, 1), seed=2)
 
 
 class TestSerialization:

@@ -114,6 +114,23 @@ class TestConfig:
             {"model": {"embedding_dim": 32.0}},
             {"eval": {"genuine_pairs": 2.5}},
             {"eval": {"impostor_pairs": True}},
+            {"data": {"alpha": "x"}},
+            {"data": {"alpha": float("nan")}},
+            {"data": {"alpha": 1.5}},
+            {"data": {"alpha": True}},
+            {"data": {"spread": True}},
+            {"data": {"holdout_fraction": True}},
+            {"margin": {"scale": True}},
+            {"margin": {"bona_fide_margin": False}},
+            {"margin": {"morph_offset": False}},
+            {"margin": {"morph_offset": float("nan")}},
+            {"train": {"lr_start": True}},
+            {"train": {"lr_end": "x"}},
+            {"adapt": {"stage2_lr_end": True}},
+            {"adapt": {"stage2_morph_offset": True}},
+            {"sweep_grid": [0.0, False]},
+            {"eval": {"fnmr_targets": [0.01, float("nan")]}},
+            {"data": {"ratios": [2, True, 1]}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):

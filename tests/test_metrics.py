@@ -8,6 +8,7 @@ from morphguard.metrics import (
     FROM_ABOVE,
     FROM_BELOW,
     MorphTrial,
+    MorphTrials,
     OperatingPoint,
     ThresholdCurve,
     VerificationSet,
@@ -347,6 +348,14 @@ class TestSerialization:
         for a, b in zip(trials, loaded):
             assert a.morph_id == b.morph_id
             np.testing.assert_array_equal(a.subject_scores, b.subject_scores)
+
+    def test_trial_array_and_trial_list_write_the_same_bytes(self, tmp_path):
+        scores = np.random.default_rng(12).uniform(-1.0, 1.0, size=(50, 2))
+        scores[0] = (-1.0, 1.0)
+        scores[1] = (0.0, -0.0)
+        save_trials_json(MorphTrials(scores), tmp_path / "array.json")
+        save_trials_json([MorphTrial(t, row) for t, row in enumerate(scores)], tmp_path / "list.json")
+        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
     def test_operating_points_roundtrip(self, tmp_path):
         points = [
