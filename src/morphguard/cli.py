@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 data/protocol error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -52,9 +53,7 @@ def load_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     if args.seed is not None:
-        raw = config.to_dict()
-        raw["seed"] = args.seed
-        config = ExperimentConfig.from_dict(raw)
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 

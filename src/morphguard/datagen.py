@@ -169,6 +169,23 @@ def check_alpha(alpha: float):
     check_real("alpha", alpha, 0.0, 1.0)
 
 
+def mix_counts(num_bona_fides: int, ratios) -> tuple[int, int]:
+    """(morphs, selfmorphs) that mix with num_bona_fides bona fides.
+
+    ratios gives bona fide : morph : selfmorph proportions; each count
+    is round(n / r_bf * r). A training set's protocol holds exactly its
+    morphs, so the same count sizes both.
+    """
+    for ratio in ratios:
+        check_real("ratios entry", ratio)
+    if len(ratios) != 3 or ratios[0] <= 0 or min(ratios) < 0:
+        raise ConfigError(
+            f"ratios must be (bona fide, morph, selfmorph) with bona fide > 0 and none negative, got {ratios}"
+        )
+    unit = num_bona_fides / float(ratios[0])
+    return int(round(unit * float(ratios[1]))), int(round(unit * float(ratios[2])))
+
+
 def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, spread: float, seed: int):
     """Draw unit prototypes and renormalized noisy samples around them.
 
@@ -312,6 +329,17 @@ def protocol_parents(pool: SampleSet, pairs) -> np.ndarray:
     return order[np.append(offsets, 0)[slot] + ks]
 
 
+def build_trial_triplets(pool: SampleSet, protocol: MorphPairProtocol, alpha: float) -> np.ndarray:
+    """(T, 3, D) inputs of (parent_a, parent_b, morph) for each protocol pair.
+
+    The parents and the blend are the ones build_training_set uses, so
+    each morph is bit-identical to its training-set copy.
+    """
+    check_alpha(alpha)
+    a, b = pool.inputs[protocol_parents(pool, protocol.pairs).T]
+    return np.stack((a, b, _blend(a, b, alpha)), axis=1)
+
+
 def build_training_set(
     universe: IdentityUniverse,
     bona_fides: SampleSet,
@@ -322,27 +350,14 @@ def build_training_set(
 ) -> SampleSet:
     """Interleave bona fides, protocol morphs, and random selfmorphs.
 
-    ratios gives bona fide : morph : selfmorph proportions; with the
-    default (2, 1, 1) a pool of 2k bona fides yields k morphs and k
-    selfmorphs. Morphs consume protocol pairs in order and run out with
-    a CapacityError. Selfmorphs draw whole arrays from one stream, as
-    genuine verification pairs do: for each an identity with two or more
-    samples, then an ordered pair of distinct samples of it.
+    Every bona fide is kept, with the morph and selfmorph counts that
+    mix_counts gives for ratios. Morphs consume protocol pairs in order
+    and run out with a CapacityError. Selfmorphs draw whole arrays from
+    one stream, as genuine verification pairs do: for each an identity
+    with two or more samples, then an ordered pair of distinct samples of it.
     """
-    r_bf, r_m, r_s = (float(r) for r in ratios)
-    if min(r_bf, r_m, r_s) < 0 or max(r_bf, r_m, r_s) == 0:
-        raise ConfigError(f"ratios must be nonnegative and not all zero, got {ratios}")
+    num_morphs, num_selfmorphs = mix_counts(len(bona_fides), ratios)
     order, _, counts, offsets = _pool_index(bona_fides)
-
-    if r_bf > 0:
-        unit = len(bona_fides) / r_bf
-    elif r_m > 0:
-        unit = len(protocol.pairs) / r_m
-    else:
-        unit = len(bona_fides) / r_s
-    num_morphs = int(round(unit * r_m))
-    num_selfmorphs = int(round(unit * r_s))
-
     if num_morphs > len(protocol.pairs):
         raise CapacityError(
             f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.pairs)}"
@@ -350,7 +365,7 @@ def build_training_set(
     # The mixed order is drawn first, so each part is written straight to its
     # output rows: no concatenated copy, and the output is allocated before the
     # parts' temporaries (freed temporaries below it fragmented the heap).
-    num_bona_fides = len(bona_fides) if r_bf > 0 else 0
+    num_bona_fides = len(bona_fides)
     total = num_bona_fides + num_morphs + num_selfmorphs
     slots = np.empty(total, dtype=np.int64)  # the output row of each row of bona fides + morphs + selfmorphs
     slots[rng_for(seed, STREAM_MIX).permutation(total)] = np.arange(total)
@@ -361,7 +376,7 @@ def build_training_set(
         for column, name in zip(columns, _COLUMNS):
             column[slots[start : start + len(part)]] = getattr(part, name)
 
-    place(0, bona_fides[:num_bona_fides])
+    place(0, bona_fides)
     a, b = protocol_parents(bona_fides, protocol.pairs[:num_morphs]).T
     place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
 

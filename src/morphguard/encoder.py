@@ -130,11 +130,10 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch mean loss and learning rate, plus which stage ran."""
+    """Per-epoch mean loss and learning rate."""
 
     epoch_mean_loss: list[float]
     epoch_lr: list[float]
-    stage: str = "initial"
 
 
 def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int, seed: int) -> DualHeadModel:
@@ -269,13 +268,12 @@ def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:
     return np.linspace(config.lr_start, config.lr_end, total_steps)
 
 
-def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig, stage: str = "initial"):
+def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
     """SGD over seeded-shuffled batches with the linear LR schedule.
 
     Runs epochs * ceil(N / batch_size) steps; the shuffle for epoch e
     draws from the stream (seed, STREAM_SHUFFLE, e), so the whole run
-    is reproducible bit-for-bit from (model, dataset, config). It also
-    runs the adaptation stage; ``stage`` only labels the history.
+    is reproducible bit-for-bit from (model, dataset, config).
     """
     n = len(dataset)
     if n == 0:
@@ -287,7 +285,7 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig, stage: 
     steps_per_epoch = -(-n // config.batch_size)
     lrs = lr_schedule(config, config.epochs * steps_per_epoch)
 
-    history = TrainHistory(epoch_mean_loss=[], epoch_lr=[], stage=stage)
+    history = TrainHistory(epoch_mean_loss=[], epoch_lr=[])
     step = 0
     for epoch in range(config.epochs):
         order = rng_for(config.seed, STREAM_SHUFFLE, epoch).permutation(n)

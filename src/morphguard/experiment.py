@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, featviz, metrics
-from .datagen import SampleSet, _blend, _pool_index
+from .datagen import SampleSet, _pool_index
 from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
 from .errors import ConfigError, DataError, check_integer, check_real
 from .losses import MarginConfig
@@ -43,24 +43,20 @@ class DataSettings:
     alpha: float = 0.5
 
     def __post_init__(self):
-        for ratio in self.ratios:
-            check_real("ratios entry", ratio)
-        if len(self.ratios) != 3 or self.ratios[0] <= 0:
-            raise ConfigError(
-                f"ratios must be (bona fide, morph, selfmorph) with bona fide > 0, got {self.ratios}"
-            )
         check_real("holdout_fraction", self.holdout_fraction, 0.0, 1.0)
         datagen.check_alpha(self.alpha)
         datagen.check_synth_settings(self.num_classes, self.samples_per_class, self.input_dim, self.spread)
         num_train = self.samples_per_class - _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
-        budget = morph_budget(self.num_classes * num_train, self.ratios)
-        if budget < featviz.MIN_ELLIPSE_POINTS:
-            raise ConfigError(f"ratios {self.ratios} give {budget} morph trials, fewer than {featviz.MIN_ELLIPSE_POINTS}")
+        num_morphs, num_selfmorphs = datagen.mix_counts(self.num_classes * num_train, self.ratios)
+        if num_selfmorphs and num_train < 2:
+            raise ConfigError(f"ratios {self.ratios} need selfmorphs but each identity keeps 1 training sample")
+        if num_morphs < featviz.MIN_ELLIPSE_POINTS:
+            raise ConfigError(f"ratios {self.ratios} give {num_morphs} morph trials, fewer than {featviz.MIN_ELLIPSE_POINTS}")
         # split_identities halves the (even) identity count into the two subsets.
         capacity = (self.num_classes // 2 * num_train) ** 2
-        if budget > capacity:
+        if num_morphs > capacity:
             raise ConfigError(
-                f"ratios {self.ratios} need {budget} morphs but only {capacity} distinct cross-subset pairs exist"
+                f"ratios {self.ratios} need {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
             )
 
 
@@ -148,6 +144,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # Every regime a recipe trains under, and every setting its evaluation
         # reads, is checked here, so a bad value fails before any model trains.
+        if len(self.sweep_grid) == 0:
+            raise ConfigError("sweep needs a nonempty margin grid")
         train_config(self)
         for offset in self.sweep_grid:
             train_config(self, morph_offset=offset)
@@ -231,20 +229,14 @@ def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float
     return bona_fides[order[kept]], bona_fides[order[~kept]]
 
 
-def morph_budget(num_train_bona: int, ratios) -> int:
-    """Number of protocol morphs the training-set ratios will consume."""
-    return int(round(num_train_bona * float(ratios[1]) / float(ratios[0])))
-
-
 def generate_bundle(config: ExperimentConfig) -> DataBundle:
     data = config.data
     universe, bona_fides = datagen.synth_identities(
         data.num_classes, data.samples_per_class, data.input_dim, data.spread, config.seed
     )
     train_bona, holdout = holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)
-    protocol = datagen.pair_protocol(
-        universe, train_bona, morph_budget(len(train_bona), data.ratios), config.seed
-    )
+    num_morphs, _ = datagen.mix_counts(len(train_bona), data.ratios)
+    protocol = datagen.pair_protocol(universe, train_bona, num_morphs, config.seed)
     train_set = datagen.build_training_set(
         universe, train_bona, protocol, ratios=data.ratios, seed=config.seed, alpha=data.alpha
     )
@@ -337,23 +329,13 @@ def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> Veri
     return VerificationSet(genuine, impostor)
 
 
-def build_trial_triplets(train_bona: SampleSet, protocol, alpha: float) -> np.ndarray:
-    """(T, 3, D) inputs of (parent_a, parent_b, morph) for each protocol pair.
-
-    The parents and the blend are the ones build_training_set uses, so
-    each morph is bit-identical to its training-set copy.
-    """
-    a, b = train_bona.inputs[datagen.protocol_parents(train_bona, protocol.pairs).T]
-    return np.stack((a, b, _blend(a, b, alpha)), axis=1)
-
-
 def trial_features(model: DualHeadModel, train_bona: SampleSet, protocol, alpha: float) -> np.ndarray:
     """Embed every trial triplet in one batch of 3T rows.
 
     Rows run (parent_a, parent_b, morph) per protocol pair, the layout
     featviz.aligned_spread expects; rows 2::3 are the morph embeddings.
     """
-    triplets = build_trial_triplets(train_bona, protocol, alpha)
+    triplets = datagen.build_trial_triplets(train_bona, protocol, alpha)
     return _forward_batch(model, triplets.reshape(-1, triplets.shape[2]), keep_activations=False)[0]
 
 
@@ -462,8 +444,6 @@ def _sweep_worker(config: ExperimentConfig, morph_offset: float):
 
 def run_sweep(config: ExperimentConfig):
     """One (offset, history, report) per grid offset, in grid order."""
-    if len(config.sweep_grid) == 0:
-        raise ConfigError("sweep needs a nonempty margin grid")
     return [_sweep_worker(config, offset) for offset in config.sweep_grid]
 
 
@@ -487,6 +467,6 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
         stage1_model, stage1_history = pretrained, None
     stage1_report = evaluate_model(stage1_model, bundle, config)
 
-    stage2_model, stage2_history = train(stage1_model.copy(), bundle.train_set, stage2_config, stage="adaptation")
+    stage2_model, stage2_history = train(stage1_model.copy(), bundle.train_set, stage2_config)
     stage2_report = evaluate_model(stage2_model, bundle, config)
     return (stage1_model, stage1_history, stage1_report), (stage2_model, stage2_history, stage2_report)

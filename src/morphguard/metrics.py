@@ -102,9 +102,10 @@ def _trial_minima(trials):
     return np.sort(scores.min(axis=1)), scores[np.isfinite(scores)]
 
 
-def _match_rate(sorted_minima: np.ndarray, thresholds):
-    """Share of trials whose minimum score exceeds each threshold."""
-    return (sorted_minima.size - np.searchsorted(sorted_minima, thresholds, side="right")) / sorted_minima.size
+def _match_rate(sorted_scores: np.ndarray, thresholds):
+    """Share of sorted scores above each threshold: the FMR of impostor
+    scores, the MMPMR of trial minimum scores."""
+    return (sorted_scores.size - np.searchsorted(sorted_scores, thresholds, side="right")) / sorted_scores.size
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,6 @@ def _fnmr_at(genuine_sorted: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return counts / genuine_sorted.size
 
 
-def _fmr_at(impostor_sorted: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    counts = impostor_sorted.size - np.searchsorted(impostor_sorted, thresholds, side="right")
-    return counts / impostor_sorted.size
-
-
 def fnmr_fmr_curves(verification: VerificationSet):
     """FNMR and FMR over the union of all scores plus sentinels."""
     if verification.genuine.size == 0 or verification.impostor.size == 0:
@@ -162,7 +158,7 @@ def fnmr_fmr_curves(verification: VerificationSet):
     genuine_sorted = np.sort(verification.genuine)
     impostor_sorted = np.sort(verification.impostor)
     fnmr = ThresholdCurve(grid, _fnmr_at(genuine_sorted, grid))
-    fmr = ThresholdCurve(grid, _fmr_at(impostor_sorted, grid))
+    fmr = ThresholdCurve(grid, _match_rate(impostor_sorted, grid))
     return fnmr, fmr
 
 

@@ -80,6 +80,15 @@ class TestGenData:
         assert kinds.count(SampleKind.MORPH) == n_bona // 2
         assert kinds.count(SampleKind.SELF_MORPH) == n_bona // 2
 
+    def test_protocol_holds_exactly_the_training_morphs(self, tmp_path):
+        # n / r_bf * r_m rounds to 413 morphs, n * r_m / r_bf to 412 pairs.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"num_classes": 30, "ratios": [3.2, 1.1, 1]}}))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        dataset = load_dataset(tmp_path / "o" / "dataset.jsonl")
+        assert len(json.loads((tmp_path / "o" / "protocol.json").read_text())) == 413
+        assert int(dataset.is_morph.sum()) == 413
+
     def test_rerun_byte_identical(self, data_dir, config_path, tmp_path):
         again = tmp_path / "again"
         assert main(["gen-data", "--config", config_path, "--out", str(again)]) == 0
@@ -427,6 +436,9 @@ class TestExitCodes:
             {"train": {**SMALL["train"], "lr_end": True}},
             {"sweep_grid": [0.0, True]},
             {"data": {**SMALL["data"], "ratios": [2, True, 1]}},
+            {"sweep_grid": []},
+            {"data": {**SMALL["data"], "ratios": [2, 1, -1]}},
+            {"data": {**SMALL["data"], "samples_per_class": 3, "holdout_fraction": 0.5}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):

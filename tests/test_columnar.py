@@ -10,6 +10,8 @@ from morphguard.datagen import (
     MORPH,
     SampleSet,
     build_training_set,
+    build_trial_triplets,
+    mix_counts,
     pair_protocol,
     save_dataset,
     synth_identities,
@@ -19,11 +21,9 @@ from morphguard.experiment import (
     DataSettings,
     ExperimentConfig,
     ModelSettings,
-    build_trial_triplets,
     embed_holdout,
     fresh_model,
     holdout_split,
-    morph_budget,
     morph_trials,
     trial_features,
 )
@@ -73,7 +73,7 @@ def pipelines(request):
     ):
         universe, bona_fides = synth(*synth_args)
         train_bona, holdout = split(bona_fides, d.samples_per_class, d.holdout_fraction)
-        protocol = pairing(universe, train_bona, morph_budget(len(train_bona), d.ratios), config.seed)
+        protocol = pairing(universe, train_bona, mix_counts(len(train_bona), d.ratios)[0], config.seed)
         stages[name] = (universe, bona_fides, train_bona, holdout, protocol)
     return config, stages["columns"], stages["oracle"]
 

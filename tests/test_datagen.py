@@ -13,11 +13,13 @@ from morphguard.datagen import (
     MorphPairProtocol,
     Sample,
     build_training_set,
+    build_trial_triplets,
     group_by_identity,
     load_dataset,
     load_protocol,
     make_morph,
     make_selfmorph,
+    mix_counts,
     pair_protocol,
     protocol_parents,
     save_dataset,
@@ -316,6 +318,16 @@ class TestBuildTrainingSet:
             build_training_set(universe, samples, protocol, ratios=(0, 0, 0), seed=0)
         with pytest.raises(ConfigError):
             build_training_set(universe, samples, protocol, ratios=(1, -1, 0), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(0, 1, 1), (2, 1, -1), (2, 1), (2, 1, 1, 1), (2, float("nan"), 1), (2, True, 1)])
+    def test_mix_counts_rejects_ratios(self, ratios):
+        with pytest.raises(ConfigError):
+            mix_counts(400, ratios)
+
+    def test_trial_triplets_reject_alpha_outside_unit_interval(self):
+        universe, samples, protocol = self._setup()
+        with pytest.raises(ConfigError):
+            build_trial_triplets(samples, protocol, alpha=1.5)
 
 
 def uneven_pool(counts, seed=21):

@@ -384,22 +384,21 @@ class TestAdapt:
         config = TrainConfig(epochs=2, lr_start=1e-4, lr_end=1e-5, batch_size=16, seed=9)
         base = init_model(8, [8], 6, 4, seed=9)
         m_train, _ = train(base.copy(), dataset, config)
-        m_adapt, history = train(base.copy(), dataset, config, stage="adaptation")
+        m_adapt, history = train(base.copy(), dataset, config)
         assert models_equal(m_train, m_adapt)
-        assert history.stage == "adaptation"
 
     def test_class_count_mismatch(self):
         _, dataset = synth_identities(4, 5, 8, spread=0.2, seed=2)
         model = init_model(8, [], 6, 2, seed=1)
         with pytest.raises(ProtocolError):
-            train(model, dataset, TrainConfig(), stage="adaptation")
+            train(model, dataset, TrainConfig())
 
     def test_deterministic(self):
         _, dataset = synth_identities(4, 10, 8, spread=0.2, seed=4)
         config = TrainConfig(epochs=1, lr_start=1e-4, lr_end=1e-5, batch_size=8, seed=11)
         base = init_model(8, [], 6, 4, seed=11)
-        a, _ = train(base.copy(), dataset, config, stage="adaptation")
-        b, _ = train(base.copy(), dataset, config, stage="adaptation")
+        a, _ = train(base.copy(), dataset, config)
+        b, _ = train(base.copy(), dataset, config)
         assert models_equal(a, b)
 
 

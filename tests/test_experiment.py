@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphguard import datagen, metrics
 from morphguard.errors import ConfigError, DataError
@@ -11,7 +13,6 @@ from morphguard.experiment import (
     EvalSettings,
     ExperimentConfig,
     adaptation_configs,
-    build_trial_triplets,
     embed_holdout,
     evaluate_from_files,
     evaluate_model,
@@ -19,7 +20,6 @@ from morphguard.experiment import (
     fresh_model,
     generate_bundle,
     holdout_split,
-    morph_budget,
     morph_trials,
     run_adaptation,
     run_margin_entry,
@@ -131,6 +131,8 @@ class TestConfig:
             {"sweep_grid": [0.0, False]},
             {"eval": {"fnmr_targets": [0.01, float("nan")]}},
             {"data": {"ratios": [2, True, 1]}},
+            {"sweep_grid": []},
+            {"data": {"ratios": [2, 1, -1]}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):
@@ -182,8 +184,15 @@ class TestHoldoutSplit:
             holdout_split(pool, 10, 0.2)
 
     def test_morph_budget(self):
-        assert morph_budget(1600, (2, 1, 1)) == 800
-        assert morph_budget(48, (2, 1, 1)) == 24
+        assert datagen.mix_counts(1600, (2, 1, 1)) == (800, 800)
+        assert datagen.mix_counts(48, (2, 1, 1)) == (24, 24)
+
+    def test_selfmorphs_need_two_training_samples_per_identity(self):
+        one_kept = {"samples_per_class": 3, "holdout_fraction": 0.5}
+        with pytest.raises(ConfigError, match="selfmorphs"):
+            ExperimentConfig.from_dict({"data": one_kept})
+        config = ExperimentConfig.from_dict({"data": {**one_kept, "ratios": [2, 1, 0]}})
+        assert len(generate_bundle(config).protocol.pairs) == 20
 
 
 class TestBundle:
@@ -193,8 +202,16 @@ class TestBundle:
         kinds = [s.labels.kind for s in small_bundle.train_set]
         n_train_bona = len(small_bundle.train_bona)
         assert kinds.count(SampleKind.BONA_FIDE) == n_train_bona
-        assert kinds.count(SampleKind.MORPH) == morph_budget(n_train_bona, data.ratios)
-        assert len(small_bundle.protocol.pairs) == morph_budget(n_train_bona, data.ratios)
+        num_morphs, num_selfmorphs = datagen.mix_counts(n_train_bona, data.ratios)
+        assert kinds.count(SampleKind.MORPH) == num_morphs
+        assert kinds.count(SampleKind.SELF_MORPH) == num_selfmorphs
+        assert len(small_bundle.protocol.pairs) == num_morphs
+
+    def test_protocol_holds_exactly_the_training_morphs(self):
+        # n / r_bf * r_m is 227.49999999999997 and rounds to 227; n * r_m / r_bf is 227.5.
+        config = ExperimentConfig.from_dict({"data": {"num_classes": 26, "ratios": [3.2, 0.7, 1]}})
+        bundle = generate_bundle(config)
+        assert len(bundle.protocol.pairs) == int(bundle.train_set.is_morph.sum()) == 227
 
     def test_deterministic(self, small_config, small_bundle):
         again = generate_bundle(small_config)
@@ -202,6 +219,36 @@ class TestBundle:
         for a, b in zip(again.train_set, small_bundle.train_set):
             assert a.labels == b.labels
             np.testing.assert_array_equal(a.input, b.input)
+
+
+class TestMixRule:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        num_classes=st.integers(1, 6).map(lambda half: 2 * half),
+        # (samples per class, samples held out), so every holdout is a valid one
+        split=st.integers(5, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        ratios=st.tuples(st.floats(0.25, 4.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+    )
+    # 16 / 3.2 * 0.7 rounds to 4 morphs and 16 * 0.7 / 3.2 to 3.
+    @example(num_classes=2, split=(10, 2), ratios=(3.2, 0.7, 1.0))
+    def test_protocol_holds_the_training_morphs(self, num_classes, split, ratios):
+        samples_per_class, held_out = split
+        data = {
+            "num_classes": num_classes,
+            "samples_per_class": samples_per_class,
+            "input_dim": 8,
+            "holdout_fraction": held_out / samples_per_class,
+            "ratios": ratios,
+        }
+        try:
+            config = ExperimentConfig.from_dict({"data": data})
+        except ConfigError:
+            return
+        bundle = generate_bundle(config)
+        morphs = bundle.train_set.inputs[bundle.train_set.is_morph]
+        assert len(bundle.protocol.pairs) == len(morphs)
+        triplets = datagen.build_trial_triplets(bundle.train_bona, bundle.protocol, config.data.alpha)
+        assert sorted(row.tobytes() for row in triplets[:, 2]) == sorted(row.tobytes() for row in morphs)
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +288,7 @@ class TestEvaluation:
             morph_trials(morphs, probes, small_bundle.protocol, small_config.seed)
 
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
-        triplets = build_trial_triplets(
+        triplets = datagen.build_trial_triplets(
             small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha
         )
         train_morphs = {
@@ -394,8 +441,6 @@ class TestRecipes:
 
     def test_adaptation_stages(self, small_config):
         (m1, h1, r1), (m2, h2, r2) = run_adaptation(small_config)
-        assert h1.stage == "initial"
-        assert h2.stage == "adaptation"
         assert len(h1.epoch_mean_loss) == small_config.adapt.stage1_epochs
         assert len(h2.epoch_mean_loss) == small_config.adapt.stage2_epochs
         assert r1.min_rmmr_value >= 0 and r2.min_rmmr_value >= 0
@@ -406,4 +451,3 @@ class TestRecipes:
         (m1, h1, _), _ = run_adaptation(small_config)
         (m1b, h1b, _), (m2, h2, _) = run_adaptation(small_config, pretrained=m1.copy())
         assert h1b is None
-        assert h2.stage == "adaptation"
