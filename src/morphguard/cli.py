@@ -117,8 +117,10 @@ def write_point_table(path: Path, key: str, keyed_reports):
 def cmd_gen_data(args) -> int:
     config, out_dir = _config_and_out_dir(args)
     bundle = generate_bundle(config)
-    datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl")
-    datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl")
+    # The training set's bona fides are pool rows: one text cache formats each once.
+    texts = {}
+    datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
+    datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl", texts)
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
     write_manifest(out_dir, "gen-data", config)
     print(

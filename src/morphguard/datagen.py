@@ -22,6 +22,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -183,7 +184,10 @@ def mix_counts(num_bona_fides: int, ratios) -> tuple[int, int]:
             f"ratios must be (bona fide, morph, selfmorph) with bona fide > 0 and none negative, got {ratios}"
         )
     unit = num_bona_fides / float(ratios[0])
-    return int(round(unit * float(ratios[1]))), int(round(unit * float(ratios[2])))
+    counts = unit * float(ratios[1]), unit * float(ratios[2])
+    if not all(math.isfinite(count) for count in counts):
+        raise ConfigError(f"ratios {ratios} give no finite morph and selfmorph counts for {num_bona_fides} bona fides")
+    return int(round(counts[0])), int(round(counts[1]))
 
 
 def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, spread: float, seed: int):
@@ -396,16 +400,44 @@ def build_training_set(
 # --- serialization ---------------------------------------------------------
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
+_KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
+_KEY_PIECE = 32  # doubles per piece of a row key
 
 
-def save_dataset(samples: SampleSet, path):
-    """Write samples as line-delimited JSON records."""
+def _row_key(row: np.ndarray) -> tuple:
+    """A hashable key equal for two rows exactly when their bytes are equal.
+
+    The bytes come in pieces of at most 256, so each piece stays within
+    CPython's 512-byte small-object allocator: one bytes object per
+    64-float row (545 bytes) would go to malloc, and a few thousand of
+    them left the heap fragmented after they were freed.
+    """
+    return tuple(row[i : i + _KEY_PIECE].tobytes() for i in range(0, row.size, _KEY_PIECE))
+
+
+def save_dataset(samples: SampleSet, path, texts: dict | None = None):
+    """Write samples as line-delimited JSON records.
+
+    Each line holds the bytes json.dumps gives the record {"kind",
+    "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
+    streamed to the file. texts, if given, maps a bona fide row's bytes
+    (as _row_key pieces) to its input text: pass one dict to several
+    calls and a bona fide row they share is formatted once. Equal bytes
+    are equal doubles, so a cached text is the text json.dumps would give.
+    """
     columns = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist(), samples.inputs)
     with open(path, "w", encoding="utf-8") as fh:
         for kind, first, second, row in columns:
-            ids = [first, second] if kind == MORPH else [first]
-            record = {"kind": KINDS[kind].value, "y_dot": first, "y_ddot": second, "source_ids": ids}
-            fh.write(json.dumps({**record, "input": row.tolist()}) + "\n")
+            if texts is None or kind != BONA_FIDE:
+                text = json.dumps(row.tolist())
+            else:
+                key = _row_key(row)
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = json.dumps(row.tolist())
+            ids = f"{first}, {second}" if kind == MORPH else f"{first}"
+            fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
+                     f'"source_ids": [{ids}], "input": {text}}}\n')
 
 
 def load_dataset(path) -> SampleSet:

@@ -181,9 +181,8 @@ def save_aligned_csv(aligned_points: np.ndarray, path):
     """Write (T, 3, 2) aligned points as `triplet_id,role,x,y` rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("triplet_id,role,x,y\n")
-        for t, triple in enumerate(aligned_points):
-            for role, point in zip(_ROLES, triple):
-                fh.write(f"{t},{role},{float(point[0])!r},{float(point[1])!r}\n")
+        for t, triple in enumerate(np.asarray(aligned_points, dtype=np.float64).tolist()):
+            fh.writelines(f"{t},{role},{x!r},{y!r}\n" for role, (x, y) in zip(_ROLES, triple))
 
 
 def save_ellipse_csv(ellipse: Ellipse, path):

@@ -294,8 +294,7 @@ def save_curve_csv(curve: ThresholdCurve, path):
     """Write a curve as `threshold,value` rows with full float precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,value\n")
-        for t, v in zip(curve.thresholds, curve.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.writelines(f"{t!r},{v!r}\n" for t, v in zip(curve.thresholds.tolist(), curve.values.tolist()))
 
 
 def load_curve_csv(path) -> ThresholdCurve:
@@ -355,10 +354,8 @@ def save_scores_csv(verification: VerificationSet, path):
     """Write scores as `label,score` rows, genuine first."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("label,score\n")
-        for score in verification.genuine:
-            fh.write(f"genuine,{float(score)!r}\n")
-        for score in verification.impostor:
-            fh.write(f"impostor,{float(score)!r}\n")
+        fh.writelines(f"genuine,{score!r}\n" for score in verification.genuine.tolist())
+        fh.writelines(f"impostor,{score!r}\n" for score in verification.impostor.tolist())
 
 
 def load_scores_csv(path) -> VerificationSet:

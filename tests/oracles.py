@@ -529,3 +529,30 @@ def oracle_save_dataset(samples, path):
                 "input": [float(v) for v in sample.input],
             }
             fh.write(json.dumps(record) + "\n")
+
+
+def oracle_save_curve_csv(curve, path):
+    """`threshold,value` rows, each value formatted as repr(float(numpy scalar))."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("threshold,value\n")
+        for t, v in zip(curve.thresholds, curve.values):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def oracle_save_scores_csv(verification, path):
+    """`label,score` rows, genuine first, each score repr(float(numpy scalar))."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("label,score\n")
+        for score in verification.genuine:
+            fh.write(f"genuine,{float(score)!r}\n")
+        for score in verification.impostor:
+            fh.write(f"impostor,{float(score)!r}\n")
+
+
+def oracle_save_aligned_csv(aligned_points, path):
+    """`triplet_id,role,x,y` rows, one point at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("triplet_id,role,x,y\n")
+        for t, triple in enumerate(aligned_points):
+            for role, point in zip(("bona_a", "bona_b", "morph"), triple):
+                fh.write(f"{t},{role},{float(point[0])!r},{float(point[1])!r}\n")

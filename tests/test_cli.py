@@ -439,6 +439,8 @@ class TestExitCodes:
             {"sweep_grid": []},
             {"data": {**SMALL["data"], "ratios": [2, 1, -1]}},
             {"data": {**SMALL["data"], "samples_per_class": 3, "holdout_fraction": 0.5}},
+            {"data": {**SMALL["data"], "ratios": [1e-320, 1, 1]}},
+            {"data": {**SMALL["data"], "ratios": [1e-300, 1e300, 1]}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):

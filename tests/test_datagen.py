@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -319,10 +320,18 @@ class TestBuildTrainingSet:
         with pytest.raises(ConfigError):
             build_training_set(universe, samples, protocol, ratios=(1, -1, 0), seed=0)
 
-    @pytest.mark.parametrize("ratios", [(0, 1, 1), (2, 1, -1), (2, 1), (2, 1, 1, 1), (2, float("nan"), 1), (2, True, 1)])
+    @pytest.mark.parametrize(
+        "ratios",
+        [(0, 1, 1), (2, 1, -1), (2, 1), (2, 1, 1, 1), (2, float("nan"), 1), (2, True, 1), (1e-320, 1, 1), (1e-300, 1e300, 1)],
+    )
     def test_mix_counts_rejects_ratios(self, ratios):
         with pytest.raises(ConfigError):
             mix_counts(400, ratios)
+
+    @pytest.mark.parametrize("ratios", [(1e-320, 1, 1), (1e-320, 0, 1), (1e-300, 1e300, 1)])
+    def test_mix_counts_rejects_infinite_counts_naming_the_ratios(self, ratios):
+        with pytest.raises(ConfigError, match=re.escape(f"ratios {ratios} give no finite")):
+            mix_counts(1600, ratios)
 
     def test_trial_triplets_reject_alpha_outside_unit_interval(self):
         universe, samples, protocol = self._setup()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, synth_identities
+from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, build_training_set, synth_identities
 from morphguard.encoder import (
     DualHeadModel,
     TrainConfig,
@@ -21,9 +21,20 @@ from morphguard.errors import (
     DegenerateEmbeddingError,
     ProtocolError,
 )
+from morphguard.experiment import ExperimentConfig, adaptation_configs, fresh_model, generate_bundle, run_adaptation
 from morphguard.losses import MarginConfig
 
 from oracles import fd_gradient, max_rel_err, oracle_batch_gradients, oracle_train
+
+# A two-stage regime small enough to run twice in a test.
+ADAPT_CONFIG = {
+    "seed": 4,
+    "data": {"num_classes": 6, "samples_per_class": 10, "input_dim": 16, "spread": 0.15},
+    "model": {"hidden_dims": [16], "embedding_dim": 8},
+    "train": {"batch_size": 32},
+    "eval": {"genuine_pairs": 50, "impostor_pairs": 50},
+    "adapt": {"stage1_epochs": 2, "stage2_epochs": 2},
+}
 
 
 def models_equal(a: DualHeadModel, b: DualHeadModel) -> bool:
@@ -380,12 +391,21 @@ class TestTraining:
 
 class TestAdapt:
     def test_equivalent_to_train_continuation(self):
-        _, dataset = synth_identities(4, 20, 8, spread=0.2, seed=2)
-        config = TrainConfig(epochs=2, lr_start=1e-4, lr_end=1e-5, batch_size=16, seed=9)
-        base = init_model(8, [8], 6, 4, seed=9)
-        m_train, _ = train(base.copy(), dataset, config)
-        m_adapt, history = train(base.copy(), dataset, config)
-        assert models_equal(m_train, m_adapt)
+        """Stage 2 of run_adaptation is train() continued from a copy of the
+        stage-1 model, and the stage-1 model it returns is left as stage 1 made it."""
+        config = ExperimentConfig.from_dict(ADAPT_CONFIG)
+        bundle = generate_bundle(config)
+        stage1_config, stage2_config = adaptation_configs(config)
+        (m1, _, _), (m2, h2, _) = run_adaptation(config)
+        stage1_set = build_training_set(
+            bundle.universe, bundle.train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
+        )
+        expected1, _ = train(fresh_model(config), stage1_set, stage1_config)
+        assert models_equal(m1, expected1)
+        expected2, expected_h2 = train(m1.copy(), bundle.train_set, stage2_config)
+        assert models_equal(m2, expected2)
+        assert h2.epoch_mean_loss == expected_h2.epoch_mean_loss
+        assert not models_equal(m1, m2)
 
     def test_class_count_mismatch(self):
         _, dataset = synth_identities(4, 5, 8, spread=0.2, seed=2)

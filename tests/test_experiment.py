@@ -133,6 +133,8 @@ class TestConfig:
             {"data": {"ratios": [2, True, 1]}},
             {"sweep_grid": []},
             {"data": {"ratios": [2, 1, -1]}},
+            {"data": {"ratios": [1e-320, 1, 1]}},
+            {"data": {"ratios": [1e-300, 1e300, 1]}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):

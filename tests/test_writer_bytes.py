@@ -1,0 +1,114 @@
+"""Text writers against the oracles' per-record and per-scalar formatting, byte for byte."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morphguard.datagen import BONA_FIDE, MORPH, SELF_MORPH, SampleSet, _row_key, save_dataset
+from morphguard.featviz import save_aligned_csv
+from morphguard.metrics import ThresholdCurve, VerificationSet, save_curve_csv, save_scores_csv
+
+from oracles import oracle_save_aligned_csv, oracle_save_curve_csv, oracle_save_dataset, oracle_save_scores_csv
+
+EDGE_VALUES = [0.0, -0.0, 1e-5, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), 3.0, -0.1]
+
+
+def edge_samples() -> SampleSet:
+    """Bona fide rows that differ only in the sign of a zero, a repeated
+    bona fide row, a morph row equal to a bona fide one and a selfmorph
+    row of new values."""
+    base = np.array(EDGE_VALUES)
+    signed = base.copy()
+    signed[0] = -0.0
+    inputs = np.stack([base, signed, base, np.roll(base, 3), base, np.roll(signed, 5), base[::-1]])
+    first = [0, 1, 0, 2, 0, 1, 3]
+    second = [0, 1, 0, 2, 3, 1, 3]
+    kinds = [BONA_FIDE, BONA_FIDE, BONA_FIDE, BONA_FIDE, MORPH, SELF_MORPH, BONA_FIDE]
+    return SampleSet(inputs, first, second, kinds)
+
+
+def oracle_bytes(samples, path) -> bytes:
+    oracle_save_dataset(samples, path)
+    return path.read_bytes()
+
+
+class TestDatasetRecords:
+    def test_edge_rows_match_json_dumps(self, tmp_path):
+        samples = edge_samples()
+        expected = oracle_bytes(samples, tmp_path / "oracle.jsonl")
+        assert b"NaN" in expected and b"-Infinity" in expected and b"5e-324" in expected
+        save_dataset(samples, tmp_path / "plain.jsonl")
+        save_dataset(samples, tmp_path / "cached.jsonl", {})
+        assert (tmp_path / "plain.jsonl").read_bytes() == expected
+        assert (tmp_path / "cached.jsonl").read_bytes() == expected
+
+    def test_shared_texts_give_separate_calls_bytes(self, tmp_path):
+        samples = edge_samples()
+        pool, mixed = samples[:4], samples[np.array([6, 4, 1, 0, 5, 2])]
+        texts = {}
+        save_dataset(pool, tmp_path / "pool_shared.jsonl", texts)
+        save_dataset(mixed, tmp_path / "mixed_shared.jsonl", texts)
+        save_dataset(pool, tmp_path / "pool.jsonl")
+        save_dataset(mixed, tmp_path / "mixed.jsonl")
+        assert (tmp_path / "pool_shared.jsonl").read_bytes() == (tmp_path / "pool.jsonl").read_bytes()
+        assert (tmp_path / "mixed_shared.jsonl").read_bytes() == (tmp_path / "mixed.jsonl").read_bytes()
+        assert (tmp_path / "mixed.jsonl").read_bytes() == oracle_bytes(mixed, tmp_path / "mixed.oracle.jsonl")
+        # Only bona fide rows are cached, one text per distinct row bytes: 0.0 and -0.0 stay apart.
+        bona_rows = samples.inputs[samples.kinds == BONA_FIDE]
+        assert set(texts) == {_row_key(row) for row in bona_rows} and len(texts) == 4
+        assert all(text == json.dumps(np.frombuffer(b"".join(key)).tolist()) for key, text in texts.items())
+
+    def test_a_cached_text_is_reused(self, tmp_path):
+        samples = edge_samples()[:1]
+        texts = {_row_key(samples.inputs[0]): "[1.5]"}
+        save_dataset(samples, tmp_path / "d.jsonl", texts)
+        assert (tmp_path / "d.jsonl").read_text().endswith('"input": [1.5]}\n')
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6),
+        kind=st.sampled_from([BONA_FIDE, SELF_MORPH]),
+    )
+    def test_any_float_row_matches_json_dumps(self, tmp_path_factory, rows, kind):
+        path = tmp_path_factory.mktemp("rows")
+        samples = SampleSet(np.array(rows), [0] * len(rows), [0] * len(rows), [kind] * len(rows))
+        save_dataset(samples, path / "d.jsonl", {})
+        assert (path / "d.jsonl").read_bytes() == oracle_bytes(samples, path / "o.jsonl")
+
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 100])
+    def test_row_key_is_the_row_bytes(self, width):
+        row = np.arange(width, dtype=np.float64)
+        other = row.copy()
+        other[-1] = np.nextafter(other[-1], 1.0)
+        assert b"".join(_row_key(row)) == row.tobytes()
+        assert _row_key(row) == _row_key(row.copy()) and _row_key(row) != _row_key(other)
+        assert all(len(piece) <= 256 for piece in _row_key(row))
+
+
+class TestReportRows:
+    def test_curve_csv(self, tmp_path):
+        curve = ThresholdCurve(np.array([-1.0, -0.0, 1e-5, 0.5, 1.0]), np.array([-0.0, 0.0, 5e-324, 0.1, 1.0]))
+        save_curve_csv(curve, tmp_path / "c.csv")
+        oracle_save_curve_csv(curve, tmp_path / "o.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+        assert "-0.0,0.0\n" in (tmp_path / "c.csv").read_text()
+
+    def test_scores_csv(self, tmp_path):
+        verification = VerificationSet(np.array([-0.0, 1.0, 0.1, 5e-324]), np.array([-1.0, 0.0, 1e-5, 1 / 3]))
+        save_scores_csv(verification, tmp_path / "s.csv")
+        oracle_save_scores_csv(verification, tmp_path / "o.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+        assert "genuine,-0.0\ngenuine,1.0\n" in (tmp_path / "s.csv").read_text()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_aligned_csv(self, tmp_path, dtype):
+        values = np.array([-0.0, 3.0, 1e16, 1e-5, 5e-324, float("nan"), float("inf"), 0.1, -2.0, 0.0, 7.0, 1 / 3])
+        if dtype is np.int64:
+            values = np.nan_to_num(values, posinf=9.0)
+        points = values.reshape(2, 3, 2).astype(dtype)
+        save_aligned_csv(points, tmp_path / "a.csv")
+        oracle_save_aligned_csv(points, tmp_path / "o.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
