@@ -44,6 +44,7 @@ from .datagen import (
     load_protocol,
     make_morph,
     make_selfmorph,
+    pair_columns,
     pair_protocol,
     protocol_parents,
     save_dataset,
@@ -82,4 +83,4 @@ from .featviz import (
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.3.0"
+__version__ = "0.4.0"

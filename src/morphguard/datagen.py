@@ -310,38 +310,28 @@ def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
     return _selfmorphs(sample_a.input[None], sample_b.input[None], [id_a])[0]
 
 
-def _pair_columns(pairs) -> np.ndarray:
+def pair_columns(pairs) -> np.ndarray:
     """(T, 4) rows of identity_a, identity_b, sample_a, sample_b."""
     rows = [(p.identity_a, p.identity_b, p.sample_a, p.sample_b) for p in pairs]
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def protocol_parents(pool: SampleSet, pairs) -> np.ndarray:
+def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:
     """(T, 2) pool rows of each pair's (subset-1, subset-2) parent.
 
-    Sample indices count an identity's samples in pool order.
+    columns are the pairs' pair_columns; sample indices count an
+    identity's samples in pool order.
     """
     order, identities, counts, offsets = _pool_index(pool)
-    columns = _pair_columns(pairs)
     ids, ks = columns[:, :2], columns[:, 2:]
     # A sentinel group without samples takes the identities absent from the pool.
     slot = np.searchsorted(identities, ids)
     found = (np.append(identities, -1)[slot] == ids) & (0 <= ks) & (ks < np.append(counts, 0)[slot])
     missing = np.flatnonzero(~found.all(axis=1))
     if missing.size:
-        raise CapacityError(f"protocol pair {pairs[missing[0]]} refers outside the bona fide pool")
+        pair = MorphPair(*columns[missing[0]].tolist())
+        raise CapacityError(f"protocol pair {pair} refers outside the bona fide pool")
     return order[np.append(offsets, 0)[slot] + ks]
-
-
-def build_trial_triplets(pool: SampleSet, protocol: MorphPairProtocol, alpha: float) -> np.ndarray:
-    """(T, 3, D) inputs of (parent_a, parent_b, morph) for each protocol pair.
-
-    The parents and the blend are the ones build_training_set uses, so
-    each morph is bit-identical to its training-set copy.
-    """
-    check_alpha(alpha)
-    a, b = pool.inputs[protocol_parents(pool, protocol.pairs).T]
-    return np.stack((a, b, _blend(a, b, alpha)), axis=1)
 
 
 def build_training_set(
@@ -381,7 +371,7 @@ def build_training_set(
             column[slots[start : start + len(part)]] = getattr(part, name)
 
     place(0, bona_fides)
-    a, b = protocol_parents(bona_fides, protocol.pairs[:num_morphs]).T
+    a, b = protocol_parents(bona_fides, pair_columns(protocol.pairs[:num_morphs])).T
     place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
 
     rich = np.flatnonzero(counts >= 2)
@@ -402,6 +392,7 @@ def build_training_set(
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
 _KEY_PIECE = 32  # doubles per piece of a row key
+_INT64 = range(-(2**63), 2**63)  # the integers a label or protocol column can hold
 
 
 def _row_key(row: np.ndarray) -> tuple:
@@ -443,9 +434,9 @@ def save_dataset(samples: SampleSet, path, texts: dict | None = None):
 def load_dataset(path) -> SampleSet:
     """Read save_dataset's records.
 
-    Labels and source ids must be JSON integers (not bools), the source
-    ids those the labels and kind imply, and each input a finite list of
-    JSON numbers as long as the first record's.
+    Labels and source ids must be JSON integers (not bools) that fit in
+    64 bits, the source ids those the labels and kind imply, and each
+    input a finite list of JSON numbers as long as the first record's.
     """
     labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -463,6 +454,8 @@ def load_dataset(path) -> SampleSet:
                 implied = [first, second] if kind == MORPH else [first]
                 if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
                     raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
+                if first not in _INT64 or second not in _INT64:
+                    raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
                 if row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size):
                     raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
                 labels.append((number, kind, first, second))
@@ -499,8 +492,8 @@ def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path)
 
 
 def load_protocol(path) -> MorphPairProtocol:
-    """Read save_protocol's file: JSON integer fields, each pair running
-    subset 1 -> 2, each identity in one subset."""
+    """Read save_protocol's file: JSON integer fields that fit in 64
+    bits, each pair running subset 1 -> 2, each identity in one subset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
@@ -514,6 +507,8 @@ def load_protocol(path) -> MorphPairProtocol:
     for number, (*fields, subset_a, subset_b) in enumerate(rows):
         if not all(type(v) is int for v in (*fields, subset_a, subset_b)):
             raise DataError(f"{path}: pair {number} has a field that is not a JSON integer")
+        if not all(v in _INT64 for v in fields):
+            raise DataError(f"{path}: pair {number} has a field that does not fit in a 64-bit integer")
         pair = MorphPair(*fields)
         if (subset_a, subset_b) != (1, 2):
             raise ProtocolError(f"{path}: pair {pair} runs subset {subset_a} -> {subset_b}, not 1 -> 2")

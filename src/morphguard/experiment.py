@@ -281,18 +281,16 @@ def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConf
 # --- evaluation -------------------------------------------------------------
 
 
-def embed_holdout(model: DualHeadModel, holdout: SampleSet) -> dict:
-    """Held-out embeddings per identity, one forward batch per identity."""
-    grouped = datagen.group_by_identity(holdout)
-    return {i: _forward_batch(model, grouped[i].inputs, keep_activations=False)[0] for i in sorted(grouped)}
+def embed_holdout(model: DualHeadModel, holdout: SampleSet):
+    """Held-out embeddings stacked by identity, ascending, in one forward batch.
 
-
-def _probe_pool(probes: dict):
-    """Held-out embeddings stacked in identity order: (pool, counts, offsets, identities)."""
-    identities = sorted(probes)
-    counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
-    offsets = np.cumsum(counts) - counts
-    return np.concatenate([probes[i] for i in identities]), counts, offsets, identities
+    Returns (pool, counts, offsets, identities): rows offsets[k] to
+    offsets[k] + counts[k] of pool embed identities[k]'s held-out
+    samples, in holdout order.
+    """
+    order, identities, counts, offsets = _pool_index(holdout)
+    pool = _forward_batch(model, holdout.inputs[order], keep_activations=False)[0]
+    return pool, counts, offsets, identities
 
 
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,17 +298,17 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip((a[..., None, :] @ b[..., :, None])[..., 0, 0], -1.0, 1.0)
 
 
-def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> VerificationSet:
-    """Seeded genuine/impostor cosine scores over held-out embeddings.
+def verification_scores(held, settings: EvalSettings, seed: int) -> VerificationSet:
+    """Seeded genuine/impostor cosine scores over embed_holdout's embeddings.
 
     Genuine pairs are an identity, then two distinct of its samples;
     impostor pairs are two distinct identities, then one sample of each.
     Every draw is one whole-array call, documented in the README.
     """
-    if len(probes) < 2 or min(len(rows) for rows in probes.values()) < 2:
-        raise ConfigError("verification needs >= 2 held-out samples for >= 2 identities")
-    pool, counts, offsets, identities = _probe_pool(probes)
+    pool, counts, offsets, identities = held
     num_ids = len(identities)
+    if num_ids < 2 or counts.min() < 2:
+        raise ConfigError("verification needs >= 2 held-out samples for >= 2 identities")
 
     rng = rng_for(seed, STREAM_GENUINE)
     who = rng.integers(num_ids, size=settings.genuine_pairs)
@@ -329,24 +327,35 @@ def verification_scores(probes: dict, settings: EvalSettings, seed: int) -> Veri
     return VerificationSet(genuine, impostor)
 
 
-def trial_features(model: DualHeadModel, train_bona: SampleSet, protocol, alpha: float) -> np.ndarray:
-    """Embed every trial triplet in one batch of 3T rows.
+def trial_features(model: DualHeadModel, inputs: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
+    """(3T, E) embeddings of every trial triplet, each distinct input row embedded once.
 
-    Rows run (parent_a, parent_b, morph) per protocol pair, the layout
-    featviz.aligned_spread expects; rows 2::3 are the morph embeddings.
+    inputs are the pool's (N, D) rows and parents the (T, 2) rows of
+    each pair's parents (datagen.protocol_parents). Each distinct parent
+    row goes through one batch, the T morphs (blended as
+    build_training_set blends them) through another. Rows run
+    (parent_a, parent_b, morph) per pair, the layout
+    featviz.aligned_spread reads; rows 2::3 are the morph embeddings.
     """
-    triplets = datagen.build_trial_triplets(train_bona, protocol, alpha)
-    return _forward_batch(model, triplets.reshape(-1, triplets.shape[2]), keep_activations=False)[0]
+    datagen.check_alpha(alpha)
+    rows, inverse = np.unique(parents, return_inverse=True)
+    features = np.empty((len(parents), 3, model.embedding_dim))
+    features[:, :2] = _forward_batch(model, inputs[rows], keep_activations=False)[0][inverse.reshape(parents.shape)]
+    morphs = datagen._blend(inputs[parents[:, 0]], inputs[parents[:, 1]], alpha)
+    features[:, 2] = _forward_batch(model, morphs, keep_activations=False)[0]
+    return features.reshape(-1, model.embedding_dim)
 
 
-def morph_trials(morph_embeddings: np.ndarray, probes: dict, protocol, seed: int) -> MorphTrials:
+def morph_trials(morph_embeddings: np.ndarray, held, columns: np.ndarray, seed: int) -> MorphTrials:
     """Score each protocol morph against one held-out sample per parent.
 
-    The (T, 2) probe indices are one array-bound integers draw, which
-    consumes the stream pair by pair, parent a before parent b.
+    held is embed_holdout's result and columns the protocol's
+    datagen.pair_columns. The (T, 2) probe indices are one array-bound
+    integers draw, which consumes the stream pair by pair, parent a
+    before parent b.
     """
-    pool, counts, offsets, identities = _probe_pool(probes)
-    named = datagen._pair_columns(protocol.pairs)[:, :2]
+    pool, counts, offsets, identities = held
+    named = columns[:, :2]
     parents = np.searchsorted(identities, named)
     if not np.array_equal(np.append(identities, -1)[parents], named):
         raise DataError("a protocol pair names an identity without held-out probes")
@@ -377,10 +386,12 @@ class EvalReport:
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
-    probes = embed_holdout(model, bundle.holdout)
-    verification = verification_scores(probes, config.eval, config.seed)
-    features = trial_features(model, bundle.train_bona, bundle.protocol, config.data.alpha)
-    trials = morph_trials(features[2::3], probes, bundle.protocol, config.seed)
+    columns = datagen.pair_columns(bundle.protocol.pairs)
+    held = embed_holdout(model, bundle.holdout)
+    verification = verification_scores(held, config.eval, config.seed)
+    parents = datagen.protocol_parents(bundle.train_bona, columns)
+    features = trial_features(model, bundle.train_bona.inputs, parents, config.data.alpha)
+    trials = morph_trials(features[2::3], held, columns, config.seed)
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
     tau, value = metrics.min_rmmr(trials, verification)
@@ -425,7 +436,8 @@ def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: Experim
     train_bona, _ = holdout_split(
         bona_fides, config.data.samples_per_class, config.data.holdout_fraction
     )
-    return featviz.aligned_spread(trial_features(model, train_bona, protocol, config.data.alpha))
+    parents = datagen.protocol_parents(train_bona, datagen.pair_columns(protocol.pairs))
+    return featviz.aligned_spread(trial_features(model, train_bona.inputs, parents, config.data.alpha))
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):

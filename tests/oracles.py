@@ -494,11 +494,19 @@ def oracle_build_trial_triplets(train_bona, protocol, alpha):
     return [(a.input, b.input, _oracle_blend(a.input, b.input, alpha)) for a, b in parents]
 
 
-def _oracle_probe_pool(probes):
+def oracle_probe_pool(probes):
+    """Per-identity held-out embeddings stacked as experiment.embed_holdout
+    returns them: (pool, counts, offsets, identities), identities ascending."""
     identities = sorted(probes)
     counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
     offsets = np.cumsum(counts) - counts
-    return np.concatenate([probes[i] for i in identities]), counts, offsets, identities
+    return np.concatenate([probes[i] for i in identities]), counts, offsets, np.array(identities, dtype=np.int64)
+
+
+def probes_by_identity(held):
+    """embed_holdout's (pool, counts, offsets, identities) as the per-identity dict the trial oracles read."""
+    pool, counts, offsets, identities = held
+    return {i: pool[o : o + n] for i, n, o in zip(identities.tolist(), counts.tolist(), offsets.tolist())}
 
 
 def _oracle_cosines(a, b):
@@ -507,8 +515,8 @@ def _oracle_cosines(a, b):
 
 def oracle_morph_trial_list(morph_embeddings, probes, protocol, seed):
     """The MorphTrial list of the whole-array trial draw, one object per pair."""
-    pool, counts, offsets, identities = _oracle_probe_pool(probes)
-    position = {identity: k for k, identity in enumerate(identities)}
+    pool, counts, offsets, identities = oracle_probe_pool(probes)
+    position = {identity: k for k, identity in enumerate(identities.tolist())}
     parents = np.array(
         [(position[p.identity_a], position[p.identity_b]) for p in protocol.pairs], dtype=np.int64
     ).reshape(-1, 2)

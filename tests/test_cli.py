@@ -377,6 +377,22 @@ def float_label_45(records):
     records[45]["y_dot"] = records[45]["y_ddot"] = float(records[45]["y_dot"])
 
 
+def identity_a_1e30(records):
+    records[0]["identity_a"] = 10**30
+
+
+def sample_b_2_63(records):
+    records[0]["sample_b"] = 2**63
+
+
+def relabel_45_1e30(records):
+    records[45].update(y_dot=10**30, y_ddot=10**30, source_ids=[10**30])
+
+
+def y_ddot_45_2_63(records):
+    records[45]["y_ddot"] = 2**63
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 5
@@ -503,6 +519,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data/protocol error: ")
+        return err
 
     @pytest.mark.parametrize(
         "edit",
@@ -535,6 +552,25 @@ class TestExitCodes:
             "--data", str(pool), "--protocol", str(data_dir / "protocol.json"),
         ]
         self._assert_one_line_data_error(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    @pytest.mark.parametrize(
+        "edit_file, edit",
+        [
+            (edit_protocol, identity_a_1e30),
+            (edit_protocol, sample_b_2_63),
+            (edit_pool, relabel_45_1e30),
+            (edit_pool, y_ddot_45_2_63),
+        ],
+        ids=["protocol-identity_a_1e30", "protocol-sample_b_2_63", "pool-labels_1e30", "pool-y_ddot_2_63"],
+    )
+    def test_integer_outside_int64(self, command, edit_file, edit, config_path, data_dir, train_dir, tmp_path, capsys):
+        inputs = {"--data": data_dir / "bona_fides.jsonl", "--protocol": data_dir / "protocol.json"}
+        inputs["--data" if edit_file is edit_pool else "--protocol"] = edit_file(data_dir, tmp_path, edit)
+        argv = [command, "--config", config_path, "--out", str(tmp_path / "o"),
+                "--checkpoint", str(train_dir / "checkpoint.bin")]
+        argv += [str(part) for option, path in inputs.items() for part in (option, path)]
+        assert "fit in a 64-bit integer" in self._assert_one_line_data_error(argv, capsys)
 
     def test_adapt_checkpoint_of_other_input_width(self, config_path, tmp_path, capsys):
         data = SMALL["data"]

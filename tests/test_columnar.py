@@ -10,12 +10,14 @@ from morphguard.datagen import (
     MORPH,
     SampleSet,
     build_training_set,
-    build_trial_triplets,
     mix_counts,
+    pair_columns,
     pair_protocol,
+    protocol_parents,
     save_dataset,
     synth_identities,
 )
+from morphguard.encoder import _forward_batch
 from morphguard.errors import DataError, ProtocolError
 from morphguard.experiment import (
     DataSettings,
@@ -37,6 +39,7 @@ from oracles import (
     oracle_pair_protocol,
     oracle_save_dataset,
     oracle_synth_identities,
+    probes_by_identity,
 )
 
 CONFIGS = {
@@ -97,16 +100,23 @@ class TestAgainstPerSampleOracles:
 
     def test_trial_triplets_and_trials(self, pipelines):
         config, (_, _, train_bona, holdout, protocol), oracle = pipelines
-        triplets = build_trial_triplets(train_bona, protocol, config.data.alpha)
         expected = oracle_build_trial_triplets(oracle[2], oracle[4], config.data.alpha)
-        assert triplets.shape == (len(protocol.pairs), 3, config.data.input_dim)
-        assert triplets.reshape(-1, triplets.shape[2]).tobytes() == np.stack([v for t in expected for v in t]).tobytes()
+        columns = pair_columns(protocol.pairs)
+        parents = protocol_parents(train_bona, columns)
+        assert parents.shape == (len(protocol.pairs), 2)
+        assert train_bona.inputs[parents].tobytes() == np.array([t[:2] for t in expected]).tobytes()
 
+        # Each distinct parent and each morph embedded once: the bytes of one batch of the 3T triplet rows.
         model = fresh_model(config)
-        probes = embed_holdout(model, holdout)
-        morphs = trial_features(model, train_bona, protocol, config.data.alpha)[2::3]
-        trials = morph_trials(morphs, probes, protocol, config.seed)
-        expected = oracle_morph_trial_list(morphs, probes, protocol, config.seed)
+        features = trial_features(model, train_bona.inputs, parents, config.data.alpha)
+        rows = np.stack([v for t in expected for v in t])
+        assert features.shape == (3 * len(protocol.pairs), config.model.embedding_dim)
+        assert features.tobytes() == _forward_batch(model, rows, keep_activations=False)[0].tobytes()
+
+        held = embed_holdout(model, holdout)
+        morphs = features[2::3]
+        trials = morph_trials(morphs, held, columns, config.seed)
+        expected = oracle_morph_trial_list(morphs, probes_by_identity(held), protocol, config.seed)
         assert [t.morph_id for t in trials] == [t.morph_id for t in expected]
         assert trials.scores.tobytes() == np.array([t.subject_scores for t in expected]).tobytes()
 

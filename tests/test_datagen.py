@@ -14,13 +14,13 @@ from morphguard.datagen import (
     MorphPairProtocol,
     Sample,
     build_training_set,
-    build_trial_triplets,
     group_by_identity,
     load_dataset,
     load_protocol,
     make_morph,
     make_selfmorph,
     mix_counts,
+    pair_columns,
     pair_protocol,
     protocol_parents,
     save_dataset,
@@ -28,7 +28,9 @@ from morphguard.datagen import (
     split_identities,
     synth_identities,
 )
+from morphguard.encoder import init_model
 from morphguard.errors import CapacityError, ConfigError, DataError, ProtocolError
+from morphguard.experiment import trial_features
 from morphguard.losses import LabelPair, SampleKind
 
 
@@ -309,9 +311,9 @@ class TestBuildTrainingSet:
     def test_pair_outside_pool_is_capacity_error(self, field, value):
         universe, samples, protocol = self._setup()
         pair = dataclasses.replace(protocol.pairs[0], **{field: value})
-        assert protocol_parents(samples, protocol.pairs).shape == (len(protocol.pairs), 2)
-        with pytest.raises(CapacityError):
-            protocol_parents(samples, [pair])
+        assert protocol_parents(samples, pair_columns(protocol.pairs)).shape == (len(protocol.pairs), 2)
+        with pytest.raises(CapacityError, match=re.escape(f"protocol pair {pair} refers outside")):
+            protocol_parents(samples, pair_columns([pair]))
 
     def test_ratio_validation(self):
         universe, samples, protocol = self._setup()
@@ -335,8 +337,10 @@ class TestBuildTrainingSet:
 
     def test_trial_triplets_reject_alpha_outside_unit_interval(self):
         universe, samples, protocol = self._setup()
+        model = init_model(samples.inputs.shape[1], [], 4, 2, seed=0)
+        parents = protocol_parents(samples, pair_columns(protocol.pairs))
         with pytest.raises(ConfigError):
-            build_trial_triplets(samples, protocol, alpha=1.5)
+            trial_features(model, samples.inputs, parents, alpha=1.5)
 
 
 def uneven_pool(counts, seed=21):

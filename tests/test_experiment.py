@@ -28,9 +28,9 @@ from morphguard.experiment import (
     trial_features,
     verification_scores,
 )
-from morphguard.encoder import train
+from morphguard.encoder import DualHeadModel, _forward_batch, train
 from morphguard.losses import SampleKind
-from oracles import oracle_align_triplet, oracle_morph_trials
+from oracles import oracle_align_triplet, oracle_morph_trials, oracle_probe_pool, probes_by_identity
 
 SMALL = {
     "seed": 5,
@@ -41,6 +41,25 @@ SMALL = {
     "sweep_grid": [0.0, -0.1],
     "eval": {"genuine_pairs": 200, "impostor_pairs": 200},
 }
+
+
+def protocol_features(model, bundle, config):
+    """trial_features of the bundle's protocol pairs, parents from its training pool."""
+    parents = datagen.protocol_parents(bundle.train_bona, datagen.pair_columns(bundle.protocol.pairs))
+    return trial_features(model, bundle.train_bona.inputs, parents, config.data.alpha)
+
+
+def protocol_triplet_inputs(bundle, config):
+    """(T, 3, D) parent_a, parent_b and morph input rows of the bundle's protocol pairs."""
+    parents = datagen.protocol_parents(bundle.train_bona, datagen.pair_columns(bundle.protocol.pairs))
+    a, b = bundle.train_bona.inputs[parents.T]
+    return np.stack((a, b, datagen._blend(a, b, config.data.alpha)), axis=1)
+
+
+def identity_model(dim: int, num_classes: int) -> DualHeadModel:
+    """One identity layer: the embedding of a row is the row scaled to unit length."""
+    heads = np.ones((2, num_classes, dim))
+    return DualHeadModel(layers=[(np.eye(dim), np.zeros(dim))], head1=heads[0], head2=heads[1])
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +268,8 @@ class TestMixRule:
         bundle = generate_bundle(config)
         morphs = bundle.train_set.inputs[bundle.train_set.is_morph]
         assert len(bundle.protocol.pairs) == len(morphs)
-        triplets = datagen.build_trial_triplets(bundle.train_bona, bundle.protocol, config.data.alpha)
-        assert sorted(row.tobytes() for row in triplets[:, 2]) == sorted(row.tobytes() for row in morphs)
+        rebuilt = protocol_triplet_inputs(bundle, config)[:, 2]
+        assert sorted(row.tobytes() for row in rebuilt) == sorted(row.tobytes() for row in morphs)
 
 
 @pytest.fixture(scope="module")
@@ -270,34 +289,33 @@ class TestEvaluation:
         np.testing.assert_array_equal(vs1.impostor, vs2.impostor)
 
     def test_trials_match_protocol(self, trained, small_bundle, small_config):
-        features = trial_features(
-            trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha
-        )
+        features = protocol_features(trained, small_bundle, small_config)
         trials = morph_trials(
             features[2::3],
             embed_holdout(trained, small_bundle.holdout),
-            small_bundle.protocol,
+            datagen.pair_columns(small_bundle.protocol.pairs),
             small_config.seed,
         )
         assert len(trials) == len(small_bundle.protocol.pairs)
         assert all(t.subject_scores.shape == (2,) for t in trials)
 
     def test_trials_need_probes_of_both_parents(self, trained, small_bundle, small_config):
-        probes = embed_holdout(trained, small_bundle.holdout)
+        probes = probes_by_identity(embed_holdout(trained, small_bundle.holdout))
         del probes[small_bundle.protocol.pairs[0].identity_b]
         morphs = np.zeros((len(small_bundle.protocol.pairs), trained.embedding_dim))
+        columns = datagen.pair_columns(small_bundle.protocol.pairs)
         with pytest.raises(DataError, match="without held-out probes"):
-            morph_trials(morphs, probes, small_bundle.protocol, small_config.seed)
+            morph_trials(morphs, oracle_probe_pool(probes), columns, small_config.seed)
 
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
-        triplets = datagen.build_trial_triplets(
-            small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha
-        )
-        train_morphs = {
-            s.input.tobytes() for s in small_bundle.train_set if s.labels.kind is SampleKind.MORPH
-        }
-        rebuilt = {t[2].tobytes() for t in triplets}
-        assert train_morphs == rebuilt
+        train_morphs = small_bundle.train_set.inputs[small_bundle.train_set.is_morph]
+        rebuilt = protocol_triplet_inputs(small_bundle, small_config)[:, 2]
+        assert {row.tobytes() for row in train_morphs} == {row.tobytes() for row in rebuilt}
+        # Through an identity layer, embedding is the same per-row scaling to unit length on
+        # both sides, so trial_features must give the training morphs' embeddings.
+        model = identity_model(small_config.data.input_dim, small_config.data.num_classes)
+        embedded = {row.tobytes() for row in _forward_batch(model, train_morphs, keep_activations=False)[0]}
+        assert {row.tobytes() for row in protocol_features(model, small_bundle, small_config)[2::3]} == embedded
 
     def test_report_contents(self, trained, small_bundle, small_config):
         report = evaluate_model(trained, small_bundle, small_config)
@@ -361,10 +379,10 @@ class TestWholeArrayDraws:
         )
         bundle = generate_bundle(config)
         model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
-        probes = embed_holdout(model, bundle.holdout)
-        morphs = trial_features(model, bundle.train_bona, bundle.protocol, config.data.alpha)[2::3]
-        trials = morph_trials(morphs, probes, bundle.protocol, config.seed)
-        expected = oracle_morph_trials(morphs, probes, bundle.protocol, config.seed)
+        held = embed_holdout(model, bundle.holdout)
+        morphs = protocol_features(model, bundle, config)[2::3]
+        trials = morph_trials(morphs, held, datagen.pair_columns(bundle.protocol.pairs), config.seed)
+        expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
         assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
         assert np.array([t.subject_scores for t in trials]).tobytes() == expected.tobytes()
 
@@ -390,23 +408,57 @@ class TestWholeArrayDraws:
             for b in probes[y]
         }
         settings = EvalSettings(genuine_pairs=500, impostor_pairs=500)
-        scores = verification_scores(probes, settings, seed=4)
+        scores = verification_scores(oracle_probe_pool(probes), settings, seed=4)
         assert scores.genuine.shape == scores.impostor.shape == (500,)
         assert set(scores.genuine.tolist()) <= same
         assert set(scores.impostor.tolist()) <= cross
-        again = verification_scores(probes, settings, seed=4)
+        again = verification_scores(oracle_probe_pool(probes), settings, seed=4)
         assert scores.genuine.tobytes() == again.genuine.tobytes()
         assert scores.impostor.tobytes() == again.impostor.tobytes()
-        other = verification_scores(probes, settings, seed=5)
+        other = verification_scores(oracle_probe_pool(probes), settings, seed=5)
         assert scores.genuine.tobytes() != other.genuine.tobytes()
         assert scores.impostor.tobytes() != other.impostor.tobytes()
+
+
+WIDE = {"data": {"num_classes": 200, "input_dim": 128}, "model": {"hidden_dims": [256], "embedding_dim": 128}}
+
+
+class TestOnePassEmbedding:
+    """Evaluation embeds each row once, in the bytes of one batch over every row it reads."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[{"seed": 1}, {"seed": 2}, {"seed": 1, **WIDE}],
+        ids=["desk-seed1", "desk-seed2", "wide-seed1"],
+    )
+    def case(self, request):
+        config = ExperimentConfig.from_dict(request.param)
+        return config, generate_bundle(config), fresh_model(config)
+
+    def test_trial_features_equal_one_batch_of_triplet_rows(self, case):
+        config, bundle, model = case
+        rows = protocol_triplet_inputs(bundle, config)
+        expected = _forward_batch(model, rows.reshape(-1, rows.shape[2]), keep_activations=False)[0]
+        assert len(np.unique(rows[:, :2].reshape(-1, rows.shape[2]), axis=0)) < 2 * len(rows)  # shared parents
+        assert protocol_features(model, bundle, config).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["pool-order", "reversed"])
+    def test_holdout_pool_equals_one_batch_in_identity_order(self, case, step):
+        _, bundle, model = case
+        holdout = bundle.holdout[::step]
+        order = np.argsort(holdout.first, kind="stable")
+        pool, counts, offsets, identities = embed_holdout(model, holdout)
+        expected = _forward_batch(model, holdout.inputs[order], keep_activations=False)[0]
+        assert pool.tobytes() == expected.tobytes()
+        assert np.repeat(identities, counts).tolist() == holdout.first[order].tolist()
+        assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
 
 
 class TestBatchedAlignment:
     """The one batched alignment pass against per-triplet computations, bit for bit."""
 
     def test_matches_per_triplet_oracle(self, trained, small_bundle, small_config):
-        rows = trial_features(trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha)
+        rows = protocol_features(trained, small_bundle, small_config)
         triplets = rows.reshape(-1, 3, rows.shape[1])
         aligned = align_feature_triplets(triplets)
         expected = np.array([oracle_align_triplet(*t) for t in triplets])
@@ -414,7 +466,7 @@ class TestBatchedAlignment:
         assert aligned.tobytes() == expected.tobytes()
 
     def test_batched_rigid_fit_equals_single_fits(self, trained, small_bundle, small_config):
-        rows = trial_features(trained, small_bundle.train_bona, small_bundle.protocol, small_config.data.alpha)
+        rows = protocol_features(trained, small_bundle, small_config)
         points = project_2d(rows.reshape(-1, 3, rows.shape[1]))
         batched = fit_rigid(points[:, 0], points[:, 1])
         image = batched.apply(points)
