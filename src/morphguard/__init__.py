@@ -12,7 +12,6 @@ from .losses import (
     MarginConfig,
     MorphGuardResult,
     SampleKind,
-    cosine_logits,
     margin_adjust,
     margin_softmax_ce,
     morphguard_loss,
@@ -24,13 +23,11 @@ from .encoder import (
     TrainConfig,
     TrainHistory,
     batch_gradients,
-    forward,
     init_model,
     load_checkpoint,
     lr_schedule,
     save_checkpoint,
     train,
-    train_step,
 )
 from .datagen import (
     IdentityUniverse,
@@ -60,7 +57,6 @@ from .metrics import (
     OperatingPoint,
     ThresholdCurve,
     VerificationSet,
-    cosine_similarity,
     fnmr_at_fmr,
     fnmr_fmr_curves,
     min_rmmr,

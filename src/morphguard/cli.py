@@ -33,6 +33,7 @@ from .experiment import (
     generate_bundle,
     run_adaptation,
     run_sweep,
+    sweep_dir_name,
     train_config,
 )
 
@@ -149,7 +150,7 @@ def cmd_sweep_margins(args) -> int:
         out_dir / "summary.csv", "margin", [(repr(float(offset)), report) for offset, _, report in results]
     )
     for offset, history, report in results:
-        sub = out_dir / f"margin_{offset:+.3f}"
+        sub = out_dir / sweep_dir_name(offset)
         sub.mkdir(exist_ok=True)
         write_report_files(sub, report)
         write_history_csv(sub / "history.csv", [("sweep", history)])

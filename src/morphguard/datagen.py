@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
+from .errors import (
+    INT64, CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
+)
 from .losses import LabelPair, SampleKind
 from .seeding import (
     STREAM_MIX,
@@ -51,12 +53,6 @@ class Sample:
 
     input: np.ndarray
     labels: LabelPair
-
-    @property
-    def source_ids(self) -> tuple[int, ...]:
-        """Contributing identities: a morph's two labels in order, else its one identity."""
-        first, second = self.labels.first_label, self.labels.second_label
-        return (first, second) if self.labels.kind is SampleKind.MORPH else (first,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +99,6 @@ class IdentityUniverse:
     num_classes: int
     prototypes: np.ndarray
     subsets: np.ndarray  # per-identity subset id, 1 or 2
-    spread: float
-    seed: int
 
     def __post_init__(self):
         counts = [int((self.subsets == s).sum()) for s in (1, 2)]
@@ -128,7 +122,6 @@ class MorphPair:
 @dataclass(frozen=True)
 class MorphPairProtocol:
     pairs: tuple[MorphPair, ...]
-    seed: int | None = None
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -203,13 +196,7 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
     proto_rng = rng_for(seed, STREAM_PROTOTYPES)
     prototypes = proto_rng.standard_normal((num_classes, input_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1)[:, None]
-    universe = IdentityUniverse(
-        num_classes=num_classes,
-        prototypes=prototypes,
-        subsets=split_identities(num_classes, seed),
-        spread=float(spread),
-        seed=int(seed),
-    )
+    universe = IdentityUniverse(num_classes, prototypes, split_identities(num_classes, seed))
 
     inputs = rng_for(seed, STREAM_SAMPLES).standard_normal((num_classes * samples_per_class, input_dim))
     inputs *= spread
@@ -261,7 +248,7 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
     chosen = rng_for(seed, STREAM_PAIRS).choice(capacity, size=num_morphs, replace=False)
     a, b = np.divmod(chosen, ids2.size)
     rows = zip(ids1[a].tolist(), ids2[b].tolist(), ks1[a].tolist(), ks2[b].tolist())
-    return MorphPairProtocol(pairs=tuple(MorphPair(*row) for row in rows), seed=int(seed))
+    return MorphPairProtocol(tuple(MorphPair(*row) for row in rows))
 
 
 def _single_identity_of(sample: Sample) -> int:
@@ -392,7 +379,6 @@ def build_training_set(
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
 _KEY_PIECE = 32  # doubles per piece of a row key
-_INT64 = range(-(2**63), 2**63)  # the integers a label or protocol column can hold
 
 
 def _row_key(row: np.ndarray) -> tuple:
@@ -454,7 +440,7 @@ def load_dataset(path) -> SampleSet:
                 implied = [first, second] if kind == MORPH else [first]
                 if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
                     raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
-                if first not in _INT64 or second not in _INT64:
+                if first not in INT64 or second not in INT64:
                     raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
                 if row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size):
                     raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
@@ -507,7 +493,7 @@ def load_protocol(path) -> MorphPairProtocol:
     for number, (*fields, subset_a, subset_b) in enumerate(rows):
         if not all(type(v) is int for v in (*fields, subset_a, subset_b)):
             raise DataError(f"{path}: pair {number} has a field that is not a JSON integer")
-        if not all(v in _INT64 for v in fields):
+        if not all(v in INT64 for v in fields):
             raise DataError(f"{path}: pair {number} has a field that does not fit in a 64-bit integer")
         pair = MorphPair(*fields)
         if (subset_a, subset_b) != (1, 2):
@@ -516,4 +502,4 @@ def load_protocol(path) -> MorphPairProtocol:
             if subset_of.setdefault(identity, subset) != subset:
                 raise ProtocolError(f"{path}: identity {identity} is listed in both subsets")
         pairs.append(pair)
-    return MorphPairProtocol(pairs=tuple(pairs), seed=None)
+    return MorphPairProtocol(tuple(pairs))

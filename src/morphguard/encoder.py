@@ -118,8 +118,9 @@ class TrainConfig:
     margin: MarginConfig = field(default_factory=MarginConfig)
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            check_integer(name, getattr(self, name), least)
+        for name in ("epochs", "batch_size"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0, int64=False)  # SeedSequence takes any size
         check_real("lr_start", self.lr_start, 0.0)
         check_real("lr_end", self.lr_end, 0.0)
         if self.lr_start < self.lr_end:
@@ -198,19 +199,10 @@ def _forward_batch(model: DualHeadModel, inputs: np.ndarray, keep_activations: b
     return embeddings, {"activations": activations, "norms": norms}
 
 
-def forward(model: DualHeadModel, x):
-    """Encode one input vector to a unit embedding (plus backward cache)."""
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise NumericInputError("input contains non-finite values")
-    embeddings, cache = _forward_batch(model, arr.reshape(1, -1))
-    return embeddings[0], cache
-
-
 def batch_gradients(model: DualHeadModel, inputs, first_labels, second_labels, is_morph, margin: MarginConfig):
     """Loss and analytic parameter gradients of one batch.
 
-    Exposed separately from train_step so gradient checks can compare
+    Exposed separately from train so gradient checks can compare
     against finite differences without performing an update. Returns
     (loss, grads) with grads keyed like model.parameters().
     """
@@ -252,15 +244,6 @@ def _sgd_update(model: DualHeadModel, grads, lr):
     """Move every parameter in place by -lr times its gradient."""
     for name, param in model.parameters():
         param -= lr * grads[name]
-
-
-def train_step(model: DualHeadModel, batch: SampleSet, margin: MarginConfig, lr: float):
-    """One SGD step over a SampleSet batch; returns the pre-update loss."""
-    if len(batch) == 0:
-        raise ConfigError("training step requires a nonempty batch")
-    loss, grads = batch_gradients(model, batch.inputs, batch.first, batch.second, batch.is_morph, margin)
-    _sgd_update(model, grads, lr)
-    return model, loss
 
 
 def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:

@@ -17,10 +17,16 @@ class ConfigError(MorphGuardError, ValueError):
     """Invalid configuration value or unusable empty input."""
 
 
-def check_integer(name: str, value, least: int):
-    """Raise ConfigError unless value is an integer >= least; a bool is not one."""
+INT64 = range(-(2**63), 2**63)  # the integers a numpy size, label or protocol column can hold
+
+
+def check_integer(name: str, value, least: int, int64: bool = True):
+    """Raise ConfigError unless value is an integer >= least that, if int64,
+    is in INT64; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    if int64 and value not in INT64:
+        raise ConfigError(f"{name} {value} does not fit in a 64-bit integer")
 
 
 def check_real(name: str, value, low: float = -math.inf, high: float = math.inf):

@@ -30,6 +30,8 @@ from .seeding import STREAM_GENUINE, STREAM_IMPOSTOR, STREAM_TRIALS, rng_for
 
 # Margin grid of the sweep experiments, positive to negative offsets.
 DEFAULT_MARGIN_GRID = (0.1, 0.05, 0.0, -0.05, -0.1, -0.2, -0.3)
+# The experiment's margins: scale 16 suits the small backbone (see TrainSettings).
+DEFAULT_MARGIN = MarginConfig(scale=16.0)
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,6 @@ class TrainSettings:
 
 
 @dataclass(frozen=True)
-class MarginSettings:
-    scale: float = 16.0
-    bona_fide_margin: float = 0.5
-    morph_offset: float = 0.0
-
-
-@dataclass(frozen=True)
 class EvalSettings:
     fnmr_targets: tuple = (0.01, 0.001)
     fmr_targets: tuple = (0.001, 0.0001)
@@ -136,7 +131,7 @@ class ExperimentConfig:
     data: DataSettings = field(default_factory=DataSettings)
     model: ModelSettings = field(default_factory=ModelSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
-    margin: MarginSettings = field(default_factory=MarginSettings)
+    margin: MarginConfig = DEFAULT_MARGIN
     sweep_grid: tuple = DEFAULT_MARGIN_GRID
     eval: EvalSettings = field(default_factory=EvalSettings)
     adapt: AdaptSettings = field(default_factory=AdaptSettings)
@@ -149,6 +144,9 @@ class ExperimentConfig:
         train_config(self)
         for offset in self.sweep_grid:
             train_config(self, morph_offset=offset)
+        names = [sweep_dir_name(offset) for offset in self.sweep_grid]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"sweep offsets {self.sweep_grid} share output directories: {names}")
         adaptation_configs(self)
 
     def to_dict(self) -> dict:
@@ -164,7 +162,7 @@ class ExperimentConfig:
                 data=DataSettings(**_tupled(raw.get("data", {}), "ratios")),
                 model=ModelSettings(**_tupled(raw.get("model", {}), "hidden_dims")),
                 train=TrainSettings(**raw.get("train", {})),
-                margin=MarginSettings(**raw.get("margin", {})),
+                margin=dataclasses.replace(DEFAULT_MARGIN, **raw.get("margin", {})),
                 sweep_grid=tuple(raw.get("sweep_grid", DEFAULT_MARGIN_GRID)),
                 eval=EvalSettings(**_tupled(raw.get("eval", {}), "fnmr_targets", "fmr_targets")),
                 adapt=AdaptSettings(**raw.get("adapt", {})),
@@ -254,11 +252,7 @@ def fresh_model(config: ExperimentConfig) -> DualHeadModel:
 
 
 def train_config(config: ExperimentConfig, morph_offset=None, epochs=None, lr_start=None, lr_end=None) -> TrainConfig:
-    margin = MarginConfig(
-        scale=config.margin.scale,
-        bona_fide_margin=config.margin.bona_fide_margin,
-        morph_offset=config.margin.morph_offset if morph_offset is None else morph_offset,
-    )
+    margin = config.margin if morph_offset is None else dataclasses.replace(config.margin, morph_offset=morph_offset)
     return TrainConfig(
         epochs=config.train.epochs if epochs is None else epochs,
         lr_start=config.train.lr_start if lr_start is None else lr_start,
@@ -267,6 +261,11 @@ def train_config(config: ExperimentConfig, morph_offset=None, epochs=None, lr_st
         seed=config.seed,
         margin=margin,
     )
+
+
+def sweep_dir_name(offset: float) -> str:
+    """The sweep-margins subdirectory of one grid offset."""
+    return f"margin_{offset:+.3f}"
 
 
 def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConfig]:

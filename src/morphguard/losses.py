@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     EmptyBatchError,
     NumericInputError,
-    DegenerateWeightError,
     ProtocolError,
     check_real,
 )
@@ -170,25 +169,6 @@ def softmax_ce(logits, target: int):
         raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
     losses, grads = _cross_entropy_rows(vec.copy(), np.array([target]))
     return float(losses[0]), grads[0]
-
-
-def cosine_logits(embedding, head) -> np.ndarray:
-    """Cosines between a unit embedding and each (normalized) head row."""
-    emb = _as_batch_f64(embedding, "embedding").ravel()
-    mat = _as_batch_f64(head, "head")
-    if mat.ndim != 2 or mat.shape[1] != emb.shape[0]:
-        raise ConfigError(f"head shape {mat.shape} incompatible with embedding of dim {emb.shape[0]}")
-    if emb.shape[0] < 2:
-        raise ConfigError("embedding dimension must be at least 2")
-    norm = np.linalg.norm(emb)
-    if abs(norm - 1.0) > _COS_INPUT_TOL:
-        raise NumericInputError(f"embedding norm {norm} deviates from 1 by more than {_COS_INPUT_TOL}")
-    row_norms = np.linalg.norm(mat, axis=1)
-    if np.any(row_norms < 1e-12):
-        raise DegenerateWeightError(
-            f"head row {int(np.argmin(row_norms))} has norm below 1e-12"
-        )
-    return np.clip(mat @ emb / row_norms, -1.0, 1.0)
 
 
 def _check_cosines(cosines: np.ndarray, name: str) -> np.ndarray:

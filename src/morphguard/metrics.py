@@ -16,13 +16,12 @@ which makes outputs reproducible bit-for-bit by direct enumeration.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericInputError, UnattainableOperatingPointError, check_real
+from .errors import ConfigError, NumericInputError, UnattainableOperatingPointError, check_real
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -126,18 +125,6 @@ class ThresholdCurve:
             raise ConfigError("curve values must lie in [0, 1]")
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "values", val)
-
-
-def cosine_similarity(e1, e2) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(e1, dtype=np.float64).ravel()
-    b = np.asarray(e2, dtype=np.float64).ravel()
-    for name, vec in (("e1", a), ("e2", b)):
-        if not np.all(np.isfinite(vec)):
-            raise NumericInputError(f"{name} contains non-finite values")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise NumericInputError(f"{name} is not unit-norm within 1e-9")
-    return float(np.clip(a @ b, -1.0, 1.0))
 
 
 def _candidate_grid(*score_groups) -> np.ndarray:
@@ -297,16 +284,6 @@ def save_curve_csv(curve: ThresholdCurve, path):
         fh.writelines(f"{t!r},{v!r}\n" for t, v in zip(curve.thresholds.tolist(), curve.values.tolist()))
 
 
-def load_curve_csv(path) -> ThresholdCurve:
-    thresholds, values = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            thresholds.append(float(row["threshold"]))
-            values.append(float(row["value"]))
-    return ThresholdCurve(np.array(thresholds), np.array(values))
-
-
 OPERATING_POINT_HEADER = "metric,target,achieved,threshold,value"
 
 
@@ -334,22 +311,6 @@ def save_operating_points_csv(points, path):
             fh.write(operating_point_row(point) + "\n")
 
 
-def load_operating_points_csv(path):
-    points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(
-                OperatingPoint(
-                    metric=row["metric"],
-                    target=float(row["target"]) if row["target"] else None,
-                    achieved=float(row["achieved"]) if row["achieved"] else None,
-                    threshold=float(row["threshold"]) if row["threshold"] else None,
-                    value=float(row["value"]),
-                )
-            )
-    return points
-
-
 def save_scores_csv(verification: VerificationSet, path):
     """Write scores as `label,score` rows, genuine first."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -358,38 +319,9 @@ def save_scores_csv(verification: VerificationSet, path):
         fh.writelines(f"impostor,{score!r}\n" for score in verification.impostor.tolist())
 
 
-def load_scores_csv(path) -> VerificationSet:
-    genuine, impostor = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["label"] == "genuine":
-                genuine.append(float(row["score"]))
-            elif row["label"] == "impostor":
-                impostor.append(float(row["score"]))
-            else:
-                raise DataError(f"unknown score label {row['label']!r}")
-    return VerificationSet(np.array(genuine), np.array(impostor))
-
-
-def save_trials_json(trials, path):
-    """Write morph trials as a JSON array of id/score objects."""
-    if isinstance(trials, MorphTrials):
-        rows = enumerate(trials.scores.tolist())
-    else:
-        rows = ((trial.morph_id, [float(s) for s in trial.subject_scores]) for trial in trials)
-    records = [{"morph_id": morph_id, "subject_scores": scores} for morph_id, scores in rows]
+def save_trials_json(trials: MorphTrials, path):
+    """Write MorphTrials as a JSON array of id/score objects, ids counting rows."""
+    records = [{"morph_id": t, "subject_scores": scores} for t, scores in enumerate(trials.scores.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
-
-
-def load_trials_json(path) -> list[MorphTrial]:
-    with open(path, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
-    try:
-        return [
-            MorphTrial(morph_id=int(r["morph_id"]), subject_scores=np.asarray(r["subject_scores"]))
-            for r in records
-        ]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed trials file {path}") from exc

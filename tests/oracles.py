@@ -331,8 +331,6 @@ def oracle_synth_identities(num_classes, samples_per_class, input_dim, spread, s
         num_classes=num_classes,
         prototypes=prototypes,
         subsets=split_identities(num_classes, seed),
-        spread=float(spread),
-        seed=int(seed),
     )
 
     noise_rng = rng_for(seed, STREAM_SAMPLES)
@@ -390,7 +388,7 @@ def oracle_pair_protocol(universe, samples, num_morphs, seed):
         ia, ka = side1[flat // len(side2)]
         ib, kb = side2[flat % len(side2)]
         pairs.append(MorphPair(identity_a=ia, identity_b=ib, sample_a=ka, sample_b=kb))
-    return MorphPairProtocol(pairs=tuple(pairs), seed=int(seed))
+    return MorphPairProtocol(pairs=tuple(pairs))
 
 
 def _oracle_single_identity_of(sample):
@@ -526,14 +524,16 @@ def oracle_morph_trial_list(morph_embeddings, probes, protocol, seed):
 
 
 def oracle_save_dataset(samples, path):
-    """Line-delimited JSON records, one json.dumps per sample."""
+    """Line-delimited JSON records, one json.dumps per sample; the source ids
+    are a morph's two labels in order, else its one identity."""
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
+            first, second, kind = sample.labels.first_label, sample.labels.second_label, sample.labels.kind
             record = {
-                "kind": sample.labels.kind.value,
-                "y_dot": sample.labels.first_label,
-                "y_ddot": sample.labels.second_label,
-                "source_ids": list(sample.source_ids),
+                "kind": kind.value,
+                "y_dot": first,
+                "y_ddot": second,
+                "source_ids": [first, second] if kind is SampleKind.MORPH else [first],
                 "input": [float(v) for v in sample.input],
             }
             fh.write(json.dumps(record) + "\n")

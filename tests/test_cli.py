@@ -14,6 +14,8 @@ from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
 from morphguard.experiment import ExperimentConfig
 from morphguard.losses import SampleKind
 
+import readers
+
 SMALL = {
     "seed": 9,
     "data": {"num_classes": 6, "samples_per_class": 10, "input_dim": 16, "spread": 0.15},
@@ -143,7 +145,7 @@ class TestEval:
             assert (eval_dir / name).exists()
 
     def test_sentinel_rows(self, eval_dir):
-        fnmr = metrics.load_curve_csv(eval_dir / "fnmr.csv")
+        fnmr = readers.load_curve_csv(eval_dir / "fnmr.csv")
         assert fnmr.thresholds[0] == -1.0
         assert fnmr.values[0] == 0.0  # no genuine score reaches -1
         assert fnmr.values[-1] == 1.0
@@ -151,13 +153,13 @@ class TestEval:
     def test_csv_values_rederivable_from_api(self, eval_dir):
         # dual path: everything in the CSVs must equal fresh API calls on
         # the emitted scores and trials
-        scores = metrics.load_scores_csv(eval_dir / "scores.csv")
-        trials = metrics.load_trials_json(eval_dir / "trials.json")
+        scores = readers.load_scores_csv(eval_dir / "scores.csv")
+        trials = readers.load_trials_json(eval_dir / "trials.json")
         fnmr, fmr = metrics.fnmr_fmr_curves(scores)
-        disk_fnmr = metrics.load_curve_csv(eval_dir / "fnmr.csv")
+        disk_fnmr = readers.load_curve_csv(eval_dir / "fnmr.csv")
         np.testing.assert_array_equal(disk_fnmr.thresholds, fnmr.thresholds)
         np.testing.assert_array_equal(disk_fnmr.values, fnmr.values)
-        disk_points = metrics.load_operating_points_csv(eval_dir / "operating_points.csv")
+        disk_points = readers.load_operating_points_csv(eval_dir / "operating_points.csv")
         fresh = metrics.mmpmr_at_fnmr(trials, scores, [0.01, 0.001])
         fresh += metrics.fnmr_at_fmr(scores, [0.001, 0.0001])
         tau, value = metrics.min_rmmr(trials, scores)
@@ -166,7 +168,7 @@ class TestEval:
         assert (min_row.threshold, min_row.value) == (tau, value)
 
     def test_trial_count_matches_protocol(self, eval_dir, data_dir):
-        trials = metrics.load_trials_json(eval_dir / "trials.json")
+        trials = readers.load_trials_json(eval_dir / "trials.json")
         protocol = json.loads((data_dir / "protocol.json").read_text())
         assert len(trials) == len(protocol)
 
@@ -324,6 +326,15 @@ def edit_protocol(data_dir, tmp_path, edit):
     return path
 
 
+def edit_config(data_dir, tmp_path, edit):
+    """Copy of the SMALL config with edit(config) applied."""
+    config = json.loads(json.dumps(SMALL))
+    edit(config)
+    path = tmp_path / "edited_config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 def swap_sides(records):
     for r in records:
         for key in ("identity", "sample", "subset"):
@@ -393,6 +404,26 @@ def y_ddot_45_2_63(records):
     records[45]["y_ddot"] = 2**63
 
 
+def num_classes_2_70(config):
+    config["data"]["num_classes"] = 2**70
+
+
+def samples_per_class_2_70(config):
+    config["data"]["samples_per_class"] = 2**70
+
+
+def hidden_width_2_70(config):
+    config["model"]["hidden_dims"] = [2**70]
+
+
+def embedding_dim_2_70(config):
+    config["model"]["embedding_dim"] = 2**70
+
+
+def epochs_2_70(config):
+    config["train"]["epochs"] = 2**70
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 5
@@ -457,6 +488,7 @@ class TestExitCodes:
             {"data": {**SMALL["data"], "samples_per_class": 3, "holdout_fraction": 0.5}},
             {"data": {**SMALL["data"], "ratios": [1e-320, 1, 1]}},
             {"data": {**SMALL["data"], "ratios": [1e-300, 1e300, 1]}},
+            {"sweep_grid": [0.0001, 0.0004], "train": {**SMALL["train"], "epochs": 1}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -561,16 +593,34 @@ class TestExitCodes:
             (edit_protocol, sample_b_2_63),
             (edit_pool, relabel_45_1e30),
             (edit_pool, y_ddot_45_2_63),
+            (edit_config, num_classes_2_70),
+            (edit_config, samples_per_class_2_70),
+            (edit_config, hidden_width_2_70),
+            (edit_config, embedding_dim_2_70),
+            (edit_config, epochs_2_70),
         ],
-        ids=["protocol-identity_a_1e30", "protocol-sample_b_2_63", "pool-labels_1e30", "pool-y_ddot_2_63"],
+        ids=[
+            "protocol-identity_a_1e30", "protocol-sample_b_2_63", "pool-labels_1e30", "pool-y_ddot_2_63",
+            "config-num_classes_2_70", "config-samples_per_class_2_70", "config-hidden_width_2_70",
+            "config-embedding_dim_2_70", "config-epochs_2_70",
+        ],
     )
     def test_integer_outside_int64(self, command, edit_file, edit, config_path, data_dir, train_dir, tmp_path, capsys):
-        inputs = {"--data": data_dir / "bona_fides.jsonl", "--protocol": data_dir / "protocol.json"}
-        inputs["--data" if edit_file is edit_pool else "--protocol"] = edit_file(data_dir, tmp_path, edit)
-        argv = [command, "--config", config_path, "--out", str(tmp_path / "o"),
-                "--checkpoint", str(train_dir / "checkpoint.bin")]
+        """An out-of-int64 input integer exits 3, a config one exits 2 before --out exists."""
+        inputs = {"--config": config_path, "--data": data_dir / "bona_fides.jsonl",
+                  "--protocol": data_dir / "protocol.json"}
+        option = {edit_config: "--config", edit_pool: "--data", edit_protocol: "--protocol"}[edit_file]
+        inputs[option] = edit_file(data_dir, tmp_path, edit)
+        argv = [command, "--out", str(tmp_path / "o"), "--checkpoint", str(train_dir / "checkpoint.bin")]
         argv += [str(part) for option, path in inputs.items() for part in (option, path)]
-        assert "fit in a 64-bit integer" in self._assert_one_line_data_error(argv, capsys)
+        if edit_file is not edit_config:
+            assert "fit in a 64-bit integer" in self._assert_one_line_data_error(argv, capsys)
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
+        assert "fit in a 64-bit integer" in err
+        assert not (tmp_path / "o").exists()
 
     def test_adapt_checkpoint_of_other_input_width(self, config_path, tmp_path, capsys):
         data = SMALL["data"]

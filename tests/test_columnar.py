@@ -29,6 +29,7 @@ from morphguard.experiment import (
     morph_trials,
     trial_features,
 )
+from morphguard.losses import LabelPair, SampleKind
 from morphguard.metrics import MorphTrial, MorphTrials, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
 
 from oracles import (
@@ -60,7 +61,9 @@ def assert_same_samples(columns: SampleSet, samples: list):
     assert columns.inputs.tobytes() == np.stack([s.input for s in samples]).tobytes()
     labels = [(s.labels.first_label, s.labels.second_label, s.labels.kind) for s in samples]
     assert labels == [(f, s, KINDS[k]) for f, s, k in zip(columns.first.tolist(), columns.second.tolist(), columns.kinds)]
-    assert [s.source_ids for s in columns] == [s.source_ids for s in samples]
+    firsts, seconds = columns.first.tolist(), columns.second.tolist()
+    implied = [(f, s) if k == MORPH else (f,) for f, s, k in zip(firsts, seconds, columns.kinds)]
+    assert implied == [s.source_ids for s in samples]
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -138,7 +141,7 @@ class TestSampleSet:
         assert len(samples) == 12 and len(list(samples)) == 12
         view = samples[-1]
         assert view.input.tobytes() == samples.inputs[11].tobytes()
-        assert (view.labels.first_label, view.source_ids) == (3, (3,))
+        assert view.labels == LabelPair(3, 3, SampleKind.BONA_FIDE)
         assert samples[1:3].first.tolist() == [0, 0]
         assert samples[np.array([11, 0])].first.tolist() == [3, 0]
         with pytest.raises(IndexError):

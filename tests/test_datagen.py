@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphguard.datagen import (
+    MORPH,
     SELF_MORPH,
     MorphPairProtocol,
     Sample,
@@ -401,11 +402,19 @@ class TestSerialization:
         assert len(loaded) == len(dataset)
         for a, b in zip(dataset, loaded):
             assert a.labels == b.labels
-            assert a.source_ids == b.source_ids
             np.testing.assert_array_equal(a.input, b.input)
+        firsts, seconds = dataset.first.tolist(), dataset.second.tolist()
+        implied = [[f, s] if k == MORPH else [f] for f, s, k in zip(firsts, seconds, dataset.kinds)]
+        assert [json.loads(line)["source_ids"] for line in path.read_text().splitlines()] == implied
         path2 = tmp_path / "again.jsonl"
         save_dataset(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_loaded_protocol_equals_the_saved_one(self, tmp_path):
+        universe, samples = synth_identities(4, 3, 8, spread=0.2, seed=18)
+        protocol = pair_protocol(universe, samples, 9, seed=18)
+        save_protocol(protocol, universe, tmp_path / "protocol.json")
+        assert load_protocol(tmp_path / "protocol.json") == protocol
 
     def test_protocol_roundtrip(self, tmp_path):
         universe, samples = synth_identities(4, 3, 8, spread=0.2, seed=18)

@@ -5,14 +5,14 @@ from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, build_training_set, 
 from morphguard.encoder import (
     DualHeadModel,
     TrainConfig,
+    _forward_batch,
+    _sgd_update,
     batch_gradients,
-    forward,
     init_model,
     load_checkpoint,
     lr_schedule,
     save_checkpoint,
     train,
-    train_step,
 )
 from morphguard.errors import (
     CheckpointFormatError,
@@ -75,6 +75,11 @@ def relabeled(samples, rows, first, second, kinds):
     return SampleSet(samples.inputs, *new)
 
 
+def embed(model, x):
+    """The unit embedding of one input vector, from a one-row forward batch."""
+    return _forward_batch(model, np.asarray(x, dtype=np.float64)[None])[0][0]
+
+
 def flatten_params(model):
     return np.concatenate([arr.ravel() for _, arr in model.parameters()])
 
@@ -120,13 +125,13 @@ class TestForward:
             layers=[(np.eye(3), np.zeros(3))], head1=np.eye(3), head2=np.eye(3)
         )
         x = np.array([1.0, 0.0, 0.0])
-        emb, _ = forward(model, x)
+        emb = embed(model, x)
         np.testing.assert_allclose(emb, x, atol=1e-12)
 
     def test_input_width_must_match_model(self):
         model = init_model(6, [5], 4, 3, seed=2)
         with pytest.raises(DataError):
-            forward(model, np.ones(5))
+            _forward_batch(model, np.ones((1, 5)))
         with pytest.raises(DataError):
             train(model, random_batch(np.random.default_rng(4), 8, 7, 3), TrainConfig(epochs=1))
 
@@ -138,11 +143,9 @@ class TestForward:
         margin = MarginConfig(scale=12.0, bona_fide_margin=0.3)
 
         def snapshot():
-            emb, _ = forward(model, x)
-            from morphguard.losses import cosine_logits, margin_softmax_ce
-
-            cosines = cosine_logits(emb, model.head1)
-            loss, _ = margin_softmax_ce(cosines, 1, margin.scale, margin.bona_fide_margin)
+            emb = embed(model, x)
+            cosines = model.head1 @ emb / np.linalg.norm(model.head1, axis=1)
+            loss, _ = batch_gradients(model, x[None], [1], [1], [False], margin)
             return emb, cosines, loss, int(np.argmax(cosines))
 
         emb_before, cos_before, loss_before, arg_before = snapshot()
@@ -157,8 +160,7 @@ class TestForward:
     def test_unit_norm_property(self):
         rng = np.random.default_rng(3)
         model = init_model(8, [6], 5, 4, seed=3)
-        for _ in range(1000):
-            emb, _ = forward(model, rng.normal(size=8))
+        for emb in _forward_batch(model, rng.normal(size=(1000, 8)))[0]:
             assert abs(np.linalg.norm(emb) - 1.0) < 1e-12
 
     def test_degenerate_embedding(self):
@@ -166,7 +168,7 @@ class TestForward:
             layers=[(np.zeros((3, 3)), np.zeros(3))], head1=np.eye(3), head2=np.eye(3)
         )
         with pytest.raises(DegenerateEmbeddingError):
-            forward(model, np.ones(3))
+            _forward_batch(model, np.ones((1, 3)))
 
 
 class TestGradients:
@@ -283,12 +285,12 @@ class TestFusedStepExactness:
         batch = relabeled(random_batch(rng, 31, 16, 10), [0, 1], [3, 5], [4, 5], [MORPH, BONA_FIDE])
         # Head rows parallel and antiparallel to an embedding put the
         # morph's head-1 target angle at 0 and the bona fide's head-2 one at pi.
-        model.head1[3] = 2.0 * forward(model, batch[0].input)[0]
-        model.head2[5] = -forward(model, batch[1].input)[0]
+        model.head1[3] = 2.0 * embed(model, batch[0].input)
+        model.head2[5] = -embed(model, batch[1].input)
         margin = MarginConfig(scale=30.0, bona_fide_margin=bona_fide_margin, morph_offset=offset)
 
         inputs, first, second, is_morph = columns(batch)
-        embeddings = np.stack([forward(model, x)[0] for x in inputs])
+        embeddings = np.stack([embed(model, x) for x in inputs])
         margins = np.where(is_morph, margin.morph_margin, margin.bona_fide_margin)
         shifted = []
         for head, labels in ((model.head1, first), (model.head2, second)):
@@ -334,7 +336,8 @@ class TestTraining:
         model = init_model(5, [4], 3, 4, seed=19)
         before = model.copy()
         batch = random_batch(rng, 3, 5, 4)
-        _, loss = train_step(model, batch, MarginConfig(), lr=0.0)
+        loss, grads = batch_gradients(model, *columns(batch), MarginConfig())
+        _sgd_update(model, grads, 0.0)
         assert np.isfinite(loss)
         assert models_equal(model, before)
 

@@ -29,7 +29,7 @@ from morphguard.experiment import (
     verification_scores,
 )
 from morphguard.encoder import DualHeadModel, _forward_batch, train
-from morphguard.losses import SampleKind
+from morphguard.losses import MarginConfig, SampleKind
 from oracles import oracle_align_triplet, oracle_morph_trials, oracle_probe_pool, probes_by_identity
 
 SMALL = {
@@ -83,6 +83,8 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"data": {"no_such_knob": 1}})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"margin": {"no_such_knob": 1}})
 
     def test_ratio_validation(self):
         with pytest.raises(ConfigError):
@@ -159,6 +161,11 @@ class TestConfig:
     def test_untrainable_or_mistyped_config_rejected(self, raw):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
+
+    def test_margin_section_is_a_margin_config_at_scale_16(self):
+        config = ExperimentConfig.from_dict({"margin": {"bona_fide_margin": 0.4}})
+        assert config.margin == MarginConfig(scale=16.0, bona_fide_margin=0.4)
+        assert train_config(config, morph_offset=-0.1).margin == MarginConfig(16.0, 0.4, -0.1)
 
     def test_adaptation_configs_follow_settings(self):
         config = ExperimentConfig()

@@ -10,14 +10,16 @@ from morphguard.errors import (
     DegenerateWeightError,
     ProtocolError,
 )
+from morphguard import encoder
+from morphguard.encoder import DualHeadModel, batch_gradients
 from morphguard.losses import (
     LabelPair,
     MarginConfig,
     SampleKind,
-    cosine_logits,
     margin_adjust,
     margin_softmax_ce,
     morphguard_loss,
+    morphguard_loss_arrays,
     softmax_ce,
 )
 
@@ -103,31 +105,44 @@ class TestSoftmaxCE:
         assert logits.tolist() == [2.1, -0.4, 0.7]
 
 
+def head1_cosines(monkeypatch, embedding, head):
+    """The head-1 cosine logits batch_gradients hands the loss for one unit
+    embedding, through a model whose one identity layer passes it on."""
+    seen = []
+
+    def spy(cosines, *args):
+        seen.append(cosines.copy())
+        return morphguard_loss_arrays(cosines, *args)
+
+    monkeypatch.setattr(encoder, "morphguard_loss_arrays", spy)
+    emb = np.asarray(embedding, dtype=np.float64)
+    model = DualHeadModel([(np.eye(emb.size), np.zeros(emb.size))], head, head.copy())
+    labels = np.zeros(1, dtype=np.int64)
+    batch_gradients(model, emb[None], labels, labels, np.zeros(1, dtype=bool), MarginConfig())
+    return seen[0][0, : head.shape[0]]
+
+
 class TestCosineLogits:
-    def test_self_and_orthogonal(self):
+    def test_self_and_orthogonal(self, monkeypatch):
         head = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        values = cosine_logits([1.0, 0.0, 0.0], head)
+        values = head1_cosines(monkeypatch, [1.0, 0.0, 0.0], head)
         assert values[0] == 1.0
         assert values[1] == 0.0
 
-    def test_matches_bruteforce_dots(self):
+    def test_matches_bruteforce_dots(self, monkeypatch):
         rng = np.random.default_rng(11)
         emb = rng.normal(size=4)
         emb /= np.linalg.norm(emb)
         head = rng.normal(size=(3, 4))
-        values = cosine_logits(emb, head)
+        values = head1_cosines(monkeypatch, emb, head)
         for j in range(3):
             expected = float(np.dot(emb, head[j] / np.linalg.norm(head[j])))
             assert values[j] == pytest.approx(expected, abs=1e-12)
         assert np.all(np.abs(values) <= 1.0)
 
-    def test_degenerate_row(self):
+    def test_degenerate_row(self, monkeypatch):
         with pytest.raises(DegenerateWeightError):
-            cosine_logits([1.0, 0.0], np.array([[0.0, 0.0], [1.0, 1.0]]))
-
-    def test_non_unit_embedding(self):
-        with pytest.raises(NumericInputError):
-            cosine_logits([2.0, 0.0], np.eye(2))
+            head1_cosines(monkeypatch, [1.0, 0.0], np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 class TestMarginAdjust:

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphguard.errors import ConfigError, NumericInputError, UnattainableOperatingPointError
+from morphguard.errors import ConfigError, UnattainableOperatingPointError
+from morphguard.experiment import _cosines
 from morphguard.metrics import (
     FROM_ABOVE,
     FROM_BELOW,
@@ -12,13 +15,8 @@ from morphguard.metrics import (
     OperatingPoint,
     ThresholdCurve,
     VerificationSet,
-    cosine_similarity,
     fnmr_at_fmr,
     fnmr_fmr_curves,
-    load_curve_csv,
-    load_operating_points_csv,
-    load_scores_csv,
-    load_trials_json,
     min_rmmr,
     mmpmr,
     mmpmr_at_fnmr,
@@ -31,6 +29,7 @@ from morphguard.metrics import (
     threshold_at,
 )
 
+from readers import load_curve_csv, load_operating_points_csv, load_scores_csv, load_trials_json
 from oracles import (
     oracle_curves,
     oracle_fmr,
@@ -57,11 +56,13 @@ def random_instance(rng, max_scores=100):
 
 
 class TestCosineSimilarity:
+    """The verification and trial scores: experiment._cosines of embedding rows."""
+
     def test_trivials(self):
-        e = np.array([1.0, 0.0, 0.0])
-        assert cosine_similarity(e, e) == 1.0
-        assert cosine_similarity(e, [0.0, 1.0, 0.0]) == 0.0
-        assert cosine_similarity(e, -e) == -1.0
+        e = np.array([[1.0, 0.0, 0.0]])
+        assert _cosines(e, e)[0] == 1.0
+        assert _cosines(e, np.array([[0.0, 1.0, 0.0]]))[0] == 0.0
+        assert _cosines(e, -e)[0] == -1.0
 
     def test_matches_dot_product(self):
         rng = np.random.default_rng(0)
@@ -69,11 +70,7 @@ class TestCosineSimilarity:
         a /= np.linalg.norm(a)
         b = rng.normal(size=6)
         b /= np.linalg.norm(b)
-        assert cosine_similarity(a, b) == pytest.approx(float(a @ b), abs=1e-12)
-
-    def test_norm_violation(self):
-        with pytest.raises(NumericInputError):
-            cosine_similarity([2.0, 0.0], [1.0, 0.0])
+        assert _cosines(a[None], b[None])[0] == pytest.approx(float(a @ b), abs=1e-12)
 
 
 class TestCurves:
@@ -340,7 +337,7 @@ class TestSerialization:
 
     def test_trials_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        _, trials = random_instance(rng)
+        trials = MorphTrials(np.round(rng.uniform(-1, 1, (int(rng.integers(1, 50)), 3)), 3))
         path = tmp_path / "trials.json"
         save_trials_json(trials, path)
         loaded = load_trials_json(path)
@@ -349,13 +346,14 @@ class TestSerialization:
             assert a.morph_id == b.morph_id
             np.testing.assert_array_equal(a.subject_scores, b.subject_scores)
 
-    def test_trial_array_and_trial_list_write_the_same_bytes(self, tmp_path):
+    def test_trial_array_writes_the_json_dump_of_its_rows(self, tmp_path):
         scores = np.random.default_rng(12).uniform(-1.0, 1.0, size=(50, 2))
         scores[0] = (-1.0, 1.0)
         scores[1] = (0.0, -0.0)
         save_trials_json(MorphTrials(scores), tmp_path / "array.json")
-        save_trials_json([MorphTrial(t, row) for t, row in enumerate(scores)], tmp_path / "list.json")
-        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+        records = [{"morph_id": t, "subject_scores": [float(s) for s in row]} for t, row in enumerate(scores)]
+        expected = json.dumps(records, indent=1) + "\n"
+        assert (tmp_path / "array.json").read_bytes() == expected.encode("utf-8")
 
     def test_operating_points_roundtrip(self, tmp_path):
         points = [
