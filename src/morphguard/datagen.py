@@ -126,7 +126,11 @@ class MorphPairProtocol:
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Scale rows to unit length in place; each norm is np.linalg.norm's sqrt(x @ x) of its row."""
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if np.any(np.isinf(norms)):
+        row = int(np.argmax(np.isinf(norms)))
+        raise NumericInputError(f"cannot normalize row {row}: its squared norm overflows float64")
     if np.any(norms < 1e-12):
         raise NumericInputError("cannot normalize a (near-)zero vector")
     rows /= norms[:, None]

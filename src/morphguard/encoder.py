@@ -14,6 +14,12 @@ head1/head2. The GEMMs alone stay per head, because OpenBLAS picks its
 kernel, and so its summation order, by the shape: a (N, 2C) or K = 2C
 GEMM would change the bytes that scoring the heads one by one gives.
 
+Each train call does its per-run work once: the (N, 2) label pairs,
+the per-row margins with their cosines and sines, and one set of
+buffers per batch size. A step then gathers its batch into those
+buffers and runs fixed-shape arithmetic in them, every operation the
+one the per-head oracle in the tests performs, so the bytes agree.
+
 Training is plain SGD with a per-step linearly interpolated learning
 rate and a per-epoch seeded shuffle, which makes a run a pure function
 of (model, dataset, config).
@@ -21,6 +27,7 @@ of (model, dataset, config).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -33,12 +40,13 @@ from .errors import (
     DataError,
     DegenerateEmbeddingError,
     DegenerateWeightError,
+    NumericError,
     NumericInputError,
     ProtocolError,
     check_integer,
     check_real,
 )
-from .losses import MarginConfig, morphguard_loss_arrays
+from .losses import MarginConfig, _margin_table, _Rows, morphguard_loss_arrays
 from .seeding import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 _CHECKPOINT_MAGIC = b"MGCKPT01"
@@ -166,84 +174,167 @@ def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int
     return model
 
 
-def _unit_rows(rows: np.ndarray, error, what: str):
-    """Rows scaled to unit length in place, and their norms (np.linalg.norm's arithmetic)."""
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
-    if np.any(norms < 1e-12):
+def _unit_rows(rows: np.ndarray, error, what: str, squares=None, norms=None):
+    """Rows scaled to unit length in place, and their norms (np.linalg.norm's
+    arithmetic); ``squares`` and ``norms`` are optional work arrays."""
+    squares = np.multiply(rows, rows, out=squares)
+    norms = np.add.reduce(squares, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    if norms.size and np.minimum.reduce(norms) < 1e-12:
         raise error(f"{what} norm below 1e-12 for row {int(np.argmin(norms))}")
     rows /= norms[:, None]
     return rows, norms
 
 
-def _forward_batch(model: DualHeadModel, inputs: np.ndarray, keep_activations: bool = True):
+def _check_width(model: DualHeadModel, inputs: np.ndarray):
+    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+        raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
+
+
+def _forward_batch(model: DualHeadModel, inputs: np.ndarray, keep_activations: bool = True, buffers=None):
     """Run the MLP on (N, input_dim) rows; returns embeddings and cache.
 
     The cache holds the norms before normalization and, unless the
     caller only embeds, each layer's input, which the backward pass
     reads; without it every hidden activation is freed as soon as the
-    next layer has read it, which bounds evaluation's peak memory.
+    next layer has read it, which bounds evaluation's peak memory. A
+    training step passes its ``_StepBuffers`` to write into.
     """
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
-        raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
+    _check_width(model, inputs)
     activations = []
     h = inputs
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
         if keep_activations:
             activations.append(h)
-        h = h @ w.T
+        h = np.matmul(h, w.T, out=None if buffers is None else buffers.outputs[i])
         h += b
         if i != last:
             np.maximum(h, 0.0, out=h)
-    embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding")
+    work = () if buffers is None else (buffers.squares, buffers.norms)
+    embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", *work)
     return embeddings, {"activations": activations, "norms": norms}
 
 
-def batch_gradients(model: DualHeadModel, inputs, first_labels, second_labels, is_morph, margin: MarginConfig):
+class _StepTables:
+    """A sample set as a training step reads it: inputs, (N, 2) label
+    pairs and the loss's per-row margin table, gathered batch by batch
+    into one ``_StepBuffers`` per batch size."""
+
+    def __init__(self, model: DualHeadModel, inputs, first, second, is_morph, margin: MarginConfig):
+        self.model = model
+        self.inputs = np.asarray(inputs, dtype=np.float64)
+        _check_width(model, self.inputs)
+        self.is_morph = np.asarray(is_morph, dtype=bool)
+        self.labels = np.column_stack((first, second)).astype(np.int64, copy=False)
+        if self.labels.shape[0] != len(self.inputs) or self.is_morph.shape != (len(self.inputs),):
+            raise DataError(f"{len(self.inputs)} input rows need as many label pairs and morph flags")
+        self.margins = _margin_table(self.is_morph, margin)
+        self._buffers = {}
+
+    def gather(self, idx: np.ndarray) -> "_StepBuffers":
+        """The buffers of len(idx) rows, filled with rows idx (in range)."""
+        n = len(idx)
+        buffers = self._buffers.get(n)
+        if buffers is None:
+            buffers = self._buffers[n] = _StepBuffers(self.model, n)
+        self.inputs.take(idx, axis=0, out=buffers.inputs, mode="clip")
+        self.is_morph.take(idx, out=buffers.is_morph, mode="clip")
+        self.labels.take(idx, axis=0, out=buffers.labels, mode="clip")
+        self.margins.take(idx, axis=1, out=buffers.loss.margins.reshape(3, n, 2), mode="clip")
+        buffers.loss.set_targets(buffers.labels.reshape(-1))
+        return buffers
+
+
+class _StepBuffers:
+    """Every array one step over n rows writes. ``grads`` maps each
+    parameter name to its gradient array, refilled by each step."""
+
+    def __init__(self, model: DualHeadModel, n: int):
+        c, e = model.num_classes, model.embedding_dim
+        self.inputs = np.empty((n, model.input_dim))
+        self.is_morph = np.empty(n, dtype=bool)
+        self.labels = np.empty((n, 2), dtype=np.int64)
+        self.first, self.second = self.labels.T
+        self.loss = _Rows(2 * n, c)
+        self.outputs = [np.empty((n, w.shape[0])) for w, _ in model.layers]
+        self.squares, self.norms = np.empty((n, e)), np.empty(n)
+        self.unit, self.unit_squares, self.head_norms = np.empty((2 * c, e)), np.empty((2 * c, e)), np.empty(2 * c)
+        self.cosines, self.column = np.empty((n, 2 * c)), np.empty(2 * c)
+        self.grad_emb, self.spare, self.radial = np.empty((n, e)), np.empty((n, e)), np.empty(n)
+        # The gradient into each hidden layer's output, and that output's ReLU mask.
+        self.upstream = [np.empty((n, w.shape[1])) for w, _ in model.layers[1:]]
+        self.masks = [np.empty((n, w.shape[1]), dtype=bool) for w, _ in model.layers[1:]]
+        self.grad_heads = np.empty((2 * c, e))
+        self.layer_grads = [(np.empty_like(w), np.empty_like(bias)) for w, bias in model.layers]
+        self.grads = {}
+        for i, (weight_grad, bias_grad) in enumerate(self.layer_grads):
+            self.grads[f"layer{i}.weight"], self.grads[f"layer{i}.bias"] = weight_grad, bias_grad
+        self.grads["head1"], self.grads["head2"] = self.grad_heads[:c], self.grad_heads[c:]
+
+
+def batch_gradients(
+    model: DualHeadModel, inputs, first_labels, second_labels, is_morph, margin: MarginConfig, _buffers=None
+):
     """Loss and analytic parameter gradients of one batch.
 
     Exposed separately from train so gradient checks can compare
     against finite differences without performing an update. Returns
-    (loss, grads) with grads keyed like model.parameters().
+    (loss, grads) with grads keyed like model.parameters(). ``train``
+    passes ``_buffers``, its batch already gathered into them; the
+    gradients are then arrays of it that the next step overwrites.
     """
-    embeddings, cache = _forward_batch(model, inputs)
-    unit, head_norms = _unit_rows(np.concatenate((model.head1, model.head2)), DegenerateWeightError, "head")
+    if _buffers is None:
+        tables = _StepTables(model, inputs, first_labels, second_labels, is_morph, margin)
+        _buffers = tables.gather(np.arange(len(tables.inputs)))
+    b = _buffers
+    embeddings, cache = _forward_batch(model, b.inputs, buffers=b)
+    unit = np.concatenate((model.head1, model.head2), out=b.unit)
+    unit, head_norms = _unit_rows(unit, DegenerateWeightError, "head", b.unit_squares, b.head_norms)
     # Every GEMM keeps its one-head shape (see the module docstring).
     c = model.num_classes
     halves = (slice(0, c), slice(c, 2 * c))
-    cosines, grad_heads = np.empty((embeddings.shape[0], 2 * c)), np.empty_like(unit)
+    cosines, grad_heads = b.cosines, b.grad_heads
     for half in halves:
         np.matmul(embeddings, unit[half].T, out=cosines[:, half])
-    np.clip(cosines, -1.0, 1.0, out=cosines)
-    result = morphguard_loss_arrays(cosines, np.column_stack((first_labels, second_labels)), is_morph, margin)
+    np.minimum(cosines, 1.0, out=cosines)
+    np.maximum(cosines, -1.0, out=cosines)
+    result = morphguard_loss_arrays(cosines, b.labels, b.is_morph, margin, b.loss)
     cos_grads = result.cosine_grads
 
     # Head gradients: rows enter only through their normalized form.
     for half in halves:
         np.matmul(cos_grads[:, half].T, embeddings, out=grad_heads[half])
-    grad_heads -= (cos_grads * cosines).sum(axis=0)[:, None] * unit
+    column = np.add.reduce(np.multiply(cos_grads, cosines, out=cosines), axis=0, out=b.column)
+    grad_heads -= np.multiply(column[:, None], unit, out=b.unit_squares)
     grad_heads /= head_norms[:, None]
 
     # Into the encoder: through both heads, then the normalization.
-    grad_emb = cos_grads[:, :c] @ unit[:c] + cos_grads[:, c:] @ unit[c:]
-    radial = (grad_emb * embeddings).sum(axis=1, keepdims=True)
-    upstream = (grad_emb - radial * embeddings) / cache["norms"][:, None]
+    grad_emb = np.matmul(cos_grads[:, :c], unit[:c], out=b.grad_emb)
+    grad_emb += np.matmul(cos_grads[:, c:], unit[c:], out=b.spare)
+    radial = np.add.reduce(np.multiply(grad_emb, embeddings, out=b.spare), axis=1, out=b.radial)
+    upstream = grad_emb
+    upstream -= np.multiply(radial[:, None], embeddings, out=b.spare)
+    upstream /= cache["norms"][:, None]
 
-    grads = {}
     activations = cache["activations"]
     for i in range(len(model.layers) - 1, -1, -1):
-        grads[f"layer{i}.weight"] = upstream.T @ activations[i]
-        grads[f"layer{i}.bias"] = upstream.sum(axis=0)
+        weight_grad, bias_grad = b.layer_grads[i]
+        np.matmul(upstream.T, activations[i], out=weight_grad)
+        np.add.reduce(upstream, axis=0, out=bias_grad)
         if i:
-            upstream = (upstream @ model.layers[i][0]) * (activations[i] > 0.0)
-    grads["head1"], grads["head2"] = grad_heads[:c], grad_heads[c:]
-    return result.loss, grads
+            below = np.matmul(upstream, model.layers[i][0], out=b.upstream[i - 1])
+            upstream = np.multiply(below, np.greater(activations[i], 0.0, out=b.masks[i - 1]), out=below)
+    return result.loss, b.grads
 
 
 def _sgd_update(model: DualHeadModel, grads, lr):
-    """Move every parameter in place by -lr times its gradient."""
+    """Move every parameter in place by -lr times its gradient; the
+    gradient arrays are scaled by lr on the way."""
     for name, param in model.parameters():
-        param -= lr * grads[name]
+        grad = grads[name]
+        grad *= lr
+        param -= grad
 
 
 def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:
@@ -261,28 +352,35 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
     n = len(dataset)
     if n == 0:
         raise ConfigError("training requires a nonempty dataset")
-    inputs, first, second, is_morph = dataset.inputs, dataset.first, dataset.second, dataset.is_morph
+    first, second = dataset.first, dataset.second
     max_label = int(max(first.max(), second.max()))
     if max_label >= model.num_classes:
         raise ProtocolError(f"dataset labels reach {max_label} but model has {model.num_classes} classes")
     steps_per_epoch = -(-n // config.batch_size)
     lrs = lr_schedule(config, config.epochs * steps_per_epoch)
+    tables = _StepTables(model, dataset.inputs, first, second, dataset.is_morph, config.margin)
 
     history = TrainHistory(epoch_mean_loss=[], epoch_lr=[])
     step = 0
-    for epoch in range(config.epochs):
-        order = rng_for(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = batch_gradients(
-                model, inputs[idx], first[idx], second[idx], is_morph[idx], config.margin
-            )
-            _sgd_update(model, grads, lrs[step])
-            loss_sum += loss * len(idx)
-            step += 1
-        history.epoch_mean_loss.append(loss_sum / n)
-        history.epoch_lr.append(float(lrs[step - 1]))
+    # A diverging run is stopped at its first non-finite loss below,
+    # so numpy's overflow and invalid-value warnings say nothing more.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            order = rng_for(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                b = tables.gather(order[start : start + config.batch_size])
+                loss, grads = batch_gradients(model, b.inputs, b.first, b.second, b.is_morph, config.margin, b)
+                if not math.isfinite(loss):
+                    raise NumericError(
+                        f"training diverged: the loss of epoch {epoch + 1}, step "
+                        f"{start // config.batch_size + 1} of {steps_per_epoch} is {loss}"
+                    )
+                _sgd_update(model, grads, lrs[step])
+                loss_sum += loss * len(b.inputs)
+                step += 1
+            history.epoch_mean_loss.append(loss_sum / n)
+            history.epoch_lr.append(float(lrs[step - 1]))
     return model, history
 
 

@@ -134,27 +134,65 @@ def _as_batch_f64(array, name: str) -> np.ndarray:
     return out
 
 
-def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
+class _Rows:
+    """Targets, margins and work arrays of a margin-softmax pass over
+    ``count`` rows of ``num_classes`` logits.
+
+    A trainer allocates one per batch shape and refills ``targets`` and
+    ``margins`` each step; the per-call entry points make a fresh one.
+    """
+
+    def __init__(self, count: int, num_classes: int):
+        self.offsets = np.arange(count) * num_classes  # flat index of each row's first entry
+        self.targets = np.empty(count, dtype=np.int64)  # flat index of each row's target entry
+        self.margins = np.empty((3, count))  # each row's margin, its cosine and its sine
+        self.logits = np.empty((count, num_classes))
+        self.transposed = np.empty((num_classes, count))
+        self.shifted, self.sin_t, self.adjusted, self.spare, self.chain, self.row_max, self.rest, self.losses = (
+            np.empty((8, count))
+        )
+
+    def set_targets(self, labels: np.ndarray):
+        """Point each row at the entry of its label."""
+        np.add(self.offsets, labels, out=self.targets)
+
+
+def _margin_table(is_morph, config: MarginConfig) -> np.ndarray:
+    """(3, N, 2): the margin of each (sample, head) row, its cosine and its
+    sine; morph samples carry the morph margin, all others the bona fide one."""
+    margins = np.repeat(np.where(is_morph, config.morph_margin, config.bona_fide_margin), 2)
+    return np.stack((margins, np.cos(margins), np.sin(margins))).reshape(3, -1, 2)
+
+
+def _cross_entropy_rows(logits: np.ndarray, rows: _Rows):
     """Row-wise -log softmax[target] with gradient, overflow-free.
 
     The loss is evaluated as log1p(expm1(a) + R) - a with a the shifted
     target logit and R the summed non-target exponentials, which keeps
     losses far below float64 epsilon exact instead of rounding them to
-    zero. Works in place: ``logits`` is overwritten with the gradient
-    and returned as it.
+    zero. Works in place: ``logits`` (C-contiguous) is overwritten with
+    the gradient and returned as it.
     """
-    rows = np.arange(logits.shape[0])
-    logits -= logits.max(axis=1)[:, None]
-    a = logits[rows, targets]
+    flat, targets = logits.reshape(-1), rows.targets
+    # A max is exact in any order, and reducing a transposed copy over
+    # its first axis is the fast way to take it for each row.
+    np.copyto(rows.transposed, logits.T)
+    logits -= np.maximum.reduce(rows.transposed, axis=0, out=rows.row_max)[:, None]
+    a = flat[targets]
     exps = np.exp(logits, out=logits)
-    target_exp = exps[rows, targets]
-    exps[rows, targets] = 0.0
-    rest = exps.sum(axis=1)
-    losses = np.log1p(np.expm1(a) + rest) - a
+    target_exp = flat[targets]
+    flat[targets] = 0.0
+    rest = np.add.reduce(exps, axis=1, out=rows.rest)
+    losses = np.expm1(a, out=rows.losses)
+    losses += rest
+    np.log1p(losses, out=losses)
+    losses -= a
 
-    total = rest + target_exp
+    total = np.add(rest, target_exp, out=rest)
     exps /= total[:, None]
-    exps[rows, targets] = target_exp / total - 1.0
+    target_exp /= total
+    target_exp -= 1.0
+    flat[targets] = target_exp
     return losses, exps
 
 
@@ -167,7 +205,10 @@ def softmax_ce(logits, target: int):
     vec = _as_batch_f64(logits, "logits").reshape(1, -1)
     if not (0 <= target < vec.shape[1]):
         raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
-    losses, grads = _cross_entropy_rows(vec.copy(), np.array([target]))
+    rows = _Rows(1, vec.shape[1])
+    rows.set_targets(target)
+    rows.logits[:] = vec
+    losses, grads = _cross_entropy_rows(rows.logits, rows)
     return float(losses[0]), grads[0]
 
 
@@ -177,6 +218,17 @@ def _check_cosines(cosines: np.ndarray, name: str) -> np.ndarray:
     return np.clip(cosines, -1.0, 1.0)
 
 
+def _single_row(num_classes: int, target: int, margin: float) -> _Rows:
+    """A one-row pass against ``target`` with the given margin."""
+    if not math.isfinite(margin):
+        raise NumericInputError(f"margin must be finite, got {margin}")
+    rows = _Rows(1, num_classes)
+    rows.set_targets(target)
+    margins = np.asarray([float(margin)])
+    rows.margins[:] = margins, np.cos(margins), np.sin(margins)
+    return rows
+
+
 def margin_adjust(cos_theta: float, margin: float) -> float:
     """cos of the margin-shifted angle, clamped to the [0, pi] arc.
 
@@ -184,48 +236,65 @@ def margin_adjust(cos_theta: float, margin: float) -> float:
     cos(theta)cos(m) - sin(theta)sin(m); when theta + m leaves [0, pi]
     the result saturates at cos(pi) = -1 or cos(0) = 1.
     """
-    value = _check_cosines(np.asarray([float(cos_theta)]), "cos_theta")[0]
-    if not math.isfinite(margin):
-        raise NumericInputError(f"margin must be finite, got {margin}")
-    adjusted, _ = _adjust_rows(np.asarray([value]), np.asarray([float(margin)]))
+    value = _check_cosines(np.asarray([float(cos_theta)]), "cos_theta")
+    adjusted, _ = _adjust_rows(value, _single_row(1, 0, margin))
     return float(adjusted[0])
 
 
-def _adjust_rows(cos_t: np.ndarray, margins: np.ndarray):
+def _adjust_rows(cos_t: np.ndarray, rows: _Rows):
     """Vectorized margin shift plus its derivative wrt the raw cosine.
 
     Strictly beyond the clamp the output is constant, so the derivative
     is zero; exactly on the boundary the one-sided interior limit is
     used, with sin(theta) kept at least _COS_DERIV_BAND away from zero
-    so the chain factor stays finite.
+    so the chain factor stays finite. Both results are views of ``rows``.
     """
-    shifted = np.arccos(cos_t) + margins
-    cos_m, sin_m = np.cos(margins), np.sin(margins)
-    sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 0.0))
-    interior = cos_t * cos_m - sin_t * sin_m
+    margins, cos_m, sin_m = rows.margins
+    shifted = np.arccos(cos_t, out=rows.shifted)
+    shifted += margins
+    sin_t = np.multiply(cos_t, cos_t, out=rows.sin_t)
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.maximum(sin_t, 0.0, out=sin_t)
+    np.sqrt(sin_t, out=sin_t)
+    adjusted = np.multiply(cos_t, cos_m, out=rows.adjusted)
+    adjusted -= np.multiply(sin_t, sin_m, out=rows.spare)
 
-    over = shifted > math.pi
-    under = shifted < 0.0
-    adjusted = np.clip(np.where(over, -1.0, np.where(under, 1.0, interior)), -1.0, 1.0)
+    # fmax and fmin skip NaNs, so a NaN row cannot hide a clamped one.
+    clamped = np.fmax.reduce(shifted) > math.pi or np.fmin.reduce(shifted) < 0.0
+    if clamped:
+        over, under = shifted > math.pi, shifted < 0.0
+        adjusted[under] = 1.0
+        adjusted[over] = -1.0
+    np.minimum(adjusted, 1.0, out=adjusted)
+    np.maximum(adjusted, -1.0, out=adjusted)
 
-    cos_banded = np.clip(cos_t, -1.0 + _COS_DERIV_BAND, 1.0 - _COS_DERIV_BAND)
-    sin_banded = np.sqrt(1.0 - cos_banded * cos_banded)
-    chain = cos_m + sin_m * cos_banded / sin_banded
-    chain = np.where(over | under, 0.0, chain)
+    # Inside the band the banded cosine is cos_t itself, and its sine sin_t.
+    if np.fmax.reduce(cos_t) > 1.0 - _COS_DERIV_BAND or np.fmin.reduce(cos_t) < -1.0 + _COS_DERIV_BAND:
+        cos_t = np.clip(cos_t, -1.0 + _COS_DERIV_BAND, 1.0 - _COS_DERIV_BAND)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    chain = np.multiply(sin_m, cos_t, out=rows.chain)
+    chain /= sin_t
+    chain += cos_m
+    if clamped:
+        chain[over | under] = 0.0
     return adjusted, chain
 
 
-def _margin_ce_rows(cosines: np.ndarray, targets: np.ndarray, scale: float, margins: np.ndarray):
+def _margin_ce_rows(cosines: np.ndarray, scale: float, rows: _Rows):
     """Row-wise margin-softmax cross-entropy with cosine gradients."""
-    rows = np.arange(cosines.shape[0])
-    adjusted, chain = _adjust_rows(cosines[rows, targets], margins)
+    targets = rows.targets
+    adjusted, chain = _adjust_rows(cosines.reshape(-1)[targets], rows)
 
-    logits = scale * cosines
-    logits[rows, targets] = scale * adjusted
-    losses, grads = _cross_entropy_rows(logits, targets)
+    logits = np.multiply(cosines, scale, out=rows.logits)
+    adjusted *= scale
+    logits.reshape(-1)[targets] = adjusted
+    losses, grads = _cross_entropy_rows(logits, rows)
 
     grads *= scale
-    grads[rows, targets] *= chain
+    flat = grads.reshape(-1)
+    target_grads = flat[targets]
+    target_grads *= chain
+    flat[targets] = target_grads
     return losses, grads
 
 
@@ -243,14 +312,12 @@ def margin_softmax_ce(cosines, target: int, scale: float, margin: float):
         raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
     if not (0 < scale < math.inf):
         raise ConfigError(f"scale must be positive and finite, got {scale}")
-    if not math.isfinite(margin):
-        raise NumericInputError(f"margin must be finite, got {margin}")
-    losses, grads = _margin_ce_rows(vec, np.array([target]), float(scale), np.asarray([float(margin)]))
+    losses, grads = _margin_ce_rows(vec, float(scale), _single_row(vec.shape[1], target, margin))
     return float(losses[0]), grads[0]
 
 
 def morphguard_loss_arrays(
-    cosines: np.ndarray, labels: np.ndarray, is_morph: np.ndarray, config: MarginConfig
+    cosines: np.ndarray, labels: np.ndarray, is_morph: np.ndarray, config: MarginConfig, _rows: _Rows | None = None
 ) -> MorphGuardResult:
     """Batched dual-branch loss on the stacked cosines of both heads.
 
@@ -262,16 +329,29 @@ def morphguard_loss_arrays(
     interleaved targets scores both heads with the bytes of two passes.
     Margins are the morph margin where ``is_morph`` holds, else the bona
     fide margin.
+
+    ``train`` passes ``_rows``, the rows of its batch shape already
+    filled from ``labels`` and ``is_morph``; the result's arrays are
+    then views of it, valid until the next step refills it.
     """
     n = cosines.shape[0]
     if n == 0:
         raise EmptyBatchError("loss requires a nonempty batch")
-    margins = np.where(is_morph, config.morph_margin, config.bona_fide_margin)
-    losses, grads = _margin_ce_rows(
-        cosines.reshape(2 * n, -1), labels.reshape(-1), config.scale, np.repeat(margins, 2)
-    )
+    if _rows is None:
+        num_classes = cosines.shape[1] // 2
+        labels = np.asarray(labels)
+        if labels.shape != (n, 2) or labels.min() < 0 or labels.max() >= num_classes:
+            raise ProtocolError(f"need ({n}, 2) labels in [0, {num_classes}), got {labels.tolist()}")
+        labels = labels.reshape(-1)
+        _rows = _Rows(2 * n, num_classes)
+        _rows.set_targets(labels)
+        _rows.margins[:] = _margin_table(is_morph, config).reshape(3, -1)
+    losses, grads = _margin_ce_rows(cosines.reshape(2 * n, -1), config.scale, _rows)
     sample_losses = losses[0::2] + losses[1::2]
-    grads /= n
+    if n & (n - 1):
+        grads /= n
+    else:  # n is a power of two, so 1/n is exact and x * (1/n) is x / n to the bit
+        grads *= 1.0 / n
     return MorphGuardResult(
         loss=float(sample_losses.sum() / n), cosine_grads=grads.reshape(n, -1), sample_losses=sample_losses
     )

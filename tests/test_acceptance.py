@@ -5,16 +5,14 @@ tolerance is pinned here, nothing is deferred to calibration.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from morphguard import datagen, metrics
 from morphguard.cli import main as cli_main
-from morphguard.encoder import batch_gradients, init_model, load_checkpoint, save_checkpoint, train
+from morphguard.encoder import batch_gradients, init_model, load_checkpoint, save_checkpoint
 from morphguard.experiment import (
     ExperimentConfig,
     generate_bundle,
@@ -35,7 +33,6 @@ from oracles import (
     fd_gradient,
     max_rel_err,
     oracle_curves,
-    oracle_grid,
     oracle_min_rmmr,
     oracle_mmpmr,
     oracle_mmpmr_at_fnmr,

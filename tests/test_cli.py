@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +624,31 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
         assert "fit in a 64-bit integer" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, fields, message",
+        [
+            ("train", "train", {"epochs": 1, "lr_start": 1e300, "lr_end": 1e300}, "epoch 1, step 2 of 3 is nan"),
+            ("train", "margin", {"scale": 1e308}, "training diverged: the loss of epoch 1, step 1 of 3 is inf"),
+            ("gen-data", "data", {"spread": 1e300}, "its squared norm overflows float64"),
+        ],
+        ids=["train-lr_1e300", "train-scale_1e308", "gen-data-spread_1e300"],
+    )
+    def test_numeric_failure_is_one_line(self, command, section, fields, message, tmp_path):
+        """A diverging run or an overflowing row norm exits 4 with one stderr
+        line and no numpy warning. Run in a subprocess: pytest captures
+        warnings, so only the process's own stderr shows them."""
+        config = json.loads(json.dumps(SMALL))
+        config[section].update(fields)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        src = str(Path(morphguard.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "morphguard.cli", command, "--config", str(path), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric error: ") and message in lines[0], proc.stderr
 
     def test_adapt_checkpoint_of_other_input_width(self, config_path, tmp_path, capsys):
         data = SMALL["data"]

@@ -30,7 +30,7 @@ from morphguard.datagen import (
     synth_identities,
 )
 from morphguard.encoder import init_model
-from morphguard.errors import CapacityError, ConfigError, DataError, ProtocolError
+from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import trial_features
 from morphguard.losses import LabelPair, SampleKind
 
@@ -99,6 +99,12 @@ class TestSynthIdentities:
             synth_identities(4, 1, 8, spread=0.1, seed=0)
         with pytest.raises(ConfigError):
             synth_identities(4, 3, 8, spread=0.0, seed=0)
+
+    def test_overflowing_norm_is_named(self):
+        # The squared norm of a row at spread 1e300 overflows float64;
+        # dividing by the inf norm would turn every row into zeros.
+        with pytest.raises(NumericInputError, match="row 0: its squared norm overflows float64"):
+            synth_identities(4, 5, 8, spread=1e300, seed=1)
 
 
 class TestSplitIdentities:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from morphguard import encoder, losses
 from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, build_training_set, synth_identities
 from morphguard.encoder import (
     DualHeadModel,
@@ -19,6 +22,7 @@ from morphguard.errors import (
     ConfigError,
     DataError,
     DegenerateEmbeddingError,
+    NumericError,
     ProtocolError,
 )
 from morphguard.experiment import ExperimentConfig, adaptation_configs, fresh_model, generate_bundle, run_adaptation
@@ -324,6 +328,89 @@ class TestFusedStepExactness:
         assert_same_bytes(history.epoch_mean_loss, expected_losses, "epoch losses")
         for (name, actual), (_, reference) in zip(trained.parameters(), expected.parameters()):
             assert_same_bytes(actual, reference, name)
+
+
+def clamped_run(batch_size):
+    """A model, a 31-sample set and a config under which the first step
+    shifts a morph's head-1 target angle below 0 and a bona fide's
+    head-2 one past pi (the construction of test_clamped_regime)."""
+    rng = np.random.default_rng(43)
+    model = init_model(16, [32], 32, 10, seed=43)
+    dataset = relabeled(random_batch(rng, 31, 16, 10), [0, 1], [3, 5], [4, 5], [MORPH, BONA_FIDE])
+    model.head1[3] = 2.0 * embed(model, dataset[0].input)
+    model.head2[5] = -embed(model, dataset[1].input)
+    margin = MarginConfig(scale=30.0, bona_fide_margin=0.2, morph_offset=-0.6)
+    config = TrainConfig(epochs=3, lr_start=1e-3, lr_end=1e-4, batch_size=batch_size, seed=3, margin=margin)
+    return model, dataset, config
+
+
+def assert_matches_oracle(model, dataset, config):
+    """train(model, ...) leaves the bytes oracle_train leaves on a copy."""
+    expected = model.copy()
+    expected_losses = oracle_train(expected, dataset, config)
+    _, history = train(model, dataset, config)
+    assert_same_bytes(history.epoch_mean_loss, expected_losses, "epoch losses")
+    for (name, actual), (_, reference) in zip(model.parameters(), expected.parameters()):
+        assert_same_bytes(actual, reference, name)
+
+
+class TestTrainStep:
+    """train's per-run tables and buffers against the per-head oracle loop."""
+
+    # 8 gives three full batches and a partial one; 64 > 31 one partial batch.
+    @pytest.mark.parametrize("batch_size", [8, 64])
+    def test_clamped_run_matches_oracle(self, batch_size, monkeypatch):
+        fired = {"over": 0, "under": 0}
+        adjust = losses._adjust_rows
+
+        def spy(cos_t, rows):
+            shifted = np.arccos(cos_t) + rows.margins[0]
+            fired["over"] += bool(np.any(shifted > np.pi))
+            fired["under"] += bool(np.any(shifted < 0.0))
+            return adjust(cos_t, rows)
+
+        monkeypatch.setattr(losses, "_adjust_rows", spy)
+        assert_matches_oracle(*clamped_run(batch_size))
+        assert fired["over"] > 0 and fired["under"] > 0
+
+    @pytest.mark.parametrize("n, batch_size, epochs", [(31, 8, 3), (31, 64, 2), (32, 8, 2), (5, 1, 1)])
+    def test_one_gradient_and_one_loss_call_per_step(self, n, batch_size, epochs, monkeypatch):
+        calls = {"batch_gradients": 0, "morphguard_loss_arrays": 0}
+        for name in calls:
+            original = getattr(encoder, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(encoder, name, counted)
+        dataset = random_batch(np.random.default_rng(n), n, 6, 4)
+        train(init_model(6, [5], 4, 4, seed=n), dataset, TrainConfig(epochs=epochs, batch_size=batch_size))
+        steps = epochs * -(-n // batch_size)
+        assert calls == {"batch_gradients": steps, "morphguard_loss_arrays": steps}
+
+    def test_updates_in_place_and_keeps_no_state_between_runs(self):
+        model, dataset, config = clamped_run(8)
+        arrays = [id(array) for _, array in model.parameters()]
+        trained, _ = train(model, dataset, config)
+        assert trained is model
+        assert [id(array) for _, array in model.parameters()] == arrays
+        # A second run with another sample set, batch shape and margin.
+        other = random_batch(np.random.default_rng(5), 45, 16, 10)
+        margin = MarginConfig(scale=16.0, bona_fide_margin=0.5, morph_offset=0.2)
+        assert_matches_oracle(model, other, dataclasses.replace(config, batch_size=16, margin=margin))
+        assert [id(array) for _, array in model.parameters()] == arrays
+
+    def test_batch_columns_must_match_the_input_rows(self):
+        model = init_model(6, [5], 4, 4, seed=1)
+        with pytest.raises(DataError):
+            batch_gradients(model, np.ones((3, 6)), [0, 1], [0, 1], [False, False], MarginConfig())
+
+    def test_first_non_finite_loss_stops_the_run(self):
+        model = init_model(6, [5], 4, 4, seed=1)
+        config = TrainConfig(epochs=2, lr_start=1e300, lr_end=1e300, batch_size=8)
+        with pytest.raises(NumericError, match=r"training diverged: the loss of epoch 1, step 2 of 4 is nan"):
+            train(model, random_batch(np.random.default_rng(1), 31, 6, 4), config)
 
 
 class TestTraining:

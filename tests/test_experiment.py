@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphguard import datagen, metrics
+from morphguard import datagen
 from morphguard.errors import ConfigError, DataError
 from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
 from morphguard.experiment import (
-    DataBundle,
     EvalSettings,
     ExperimentConfig,
     adaptation_configs,

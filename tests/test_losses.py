@@ -356,3 +356,11 @@ class TestMorphGuardLoss:
         pair = LabelPair(0, 5, SampleKind.MORPH)  # valid pair, out of range for C=3
         with pytest.raises(ProtocolError):
             morphguard_loss([(np.zeros(3), np.zeros(3), pair)], cfg)
+
+    @pytest.mark.parametrize(
+        "labels", [[[0, 1], [2, 3]], [[0, 1], [-1, 2]], [[0, 1]]], ids=["label_3", "label_-1", "one_pair"]
+    )
+    def test_arrays_reject_labels_that_name_no_class(self, labels):
+        # Three classes per head; a flat target index must not reach a neighbouring row.
+        with pytest.raises(ProtocolError):
+            morphguard_loss_arrays(np.zeros((2, 6)), np.array(labels), np.array([False, True]), MarginConfig())
