@@ -42,11 +42,10 @@ from .errors import (
     DegenerateWeightError,
     NumericError,
     NumericInputError,
-    ProtocolError,
     check_integer,
     check_real,
 )
-from .losses import MarginConfig, _margin_table, _Rows, morphguard_loss_arrays
+from .losses import MarginConfig, _check_label_range, _margin_table, _Rows, morphguard_loss_arrays
 from .seeding import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 _CHECKPOINT_MAGIC = b"MGCKPT01"
@@ -229,6 +228,7 @@ class _StepTables:
         self.labels = np.column_stack((first, second)).astype(np.int64, copy=False)
         if self.labels.shape[0] != len(self.inputs) or self.is_morph.shape != (len(self.inputs),):
             raise DataError(f"{len(self.inputs)} input rows need as many label pairs and morph flags")
+        _check_label_range(self.labels, model.num_classes)
         self.margins = _margin_table(self.is_morph, margin)
         self._buffers = {}
 
@@ -352,13 +352,9 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
     n = len(dataset)
     if n == 0:
         raise ConfigError("training requires a nonempty dataset")
-    first, second = dataset.first, dataset.second
-    max_label = int(max(first.max(), second.max()))
-    if max_label >= model.num_classes:
-        raise ProtocolError(f"dataset labels reach {max_label} but model has {model.num_classes} classes")
     steps_per_epoch = -(-n // config.batch_size)
     lrs = lr_schedule(config, config.epochs * steps_per_epoch)
-    tables = _StepTables(model, dataset.inputs, first, second, dataset.is_morph, config.margin)
+    tables = _StepTables(model, dataset.inputs, dataset.first, dataset.second, dataset.is_morph, config.margin)
 
     history = TrainHistory(epoch_mean_loss=[], epoch_lr=[])
     step = 0

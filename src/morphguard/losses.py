@@ -164,6 +164,15 @@ def _margin_table(is_morph, config: MarginConfig) -> np.ndarray:
     return np.stack((margins, np.cos(margins), np.sin(margins))).reshape(3, -1, 2)
 
 
+def _check_label_range(labels: np.ndarray, num_classes: int):
+    """Reject a label pair naming no class: its flat target index would
+    read a neighbouring row's logit instead of failing."""
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        row = int(np.argmax(outside.any(axis=1)))
+        raise ProtocolError(f"label pair {labels[row].tolist()} of row {row} is outside [0, {num_classes})")
+
+
 def _cross_entropy_rows(logits: np.ndarray, rows: _Rows):
     """Row-wise -log softmax[target] with gradient, overflow-free.
 
@@ -340,18 +349,16 @@ def morphguard_loss_arrays(
     if _rows is None:
         num_classes = cosines.shape[1] // 2
         labels = np.asarray(labels)
-        if labels.shape != (n, 2) or labels.min() < 0 or labels.max() >= num_classes:
-            raise ProtocolError(f"need ({n}, 2) labels in [0, {num_classes}), got {labels.tolist()}")
+        if labels.shape != (n, 2):
+            raise ProtocolError(f"need ({n}, 2) labels, got shape {labels.shape}")
+        _check_label_range(labels, num_classes)
         labels = labels.reshape(-1)
         _rows = _Rows(2 * n, num_classes)
         _rows.set_targets(labels)
         _rows.margins[:] = _margin_table(is_morph, config).reshape(3, -1)
     losses, grads = _margin_ce_rows(cosines.reshape(2 * n, -1), config.scale, _rows)
     sample_losses = losses[0::2] + losses[1::2]
-    if n & (n - 1):
-        grads /= n
-    else:  # n is a power of two, so 1/n is exact and x * (1/n) is x / n to the bit
-        grads *= 1.0 / n
+    grads /= n
     return MorphGuardResult(
         loss=float(sample_losses.sum() / n), cosine_grads=grads.reshape(n, -1), sample_losses=sample_losses
     )

@@ -406,6 +406,13 @@ class TestTrainStep:
         with pytest.raises(DataError):
             batch_gradients(model, np.ones((3, 6)), [0, 1], [0, 1], [False, False], MarginConfig())
 
+    # With 4 classes, label 4 of row 0 would read row 1's class 0 through a flat target index.
+    @pytest.mark.parametrize("first", [[4, 0], [0, -1]], ids=["label_4", "label_-1"])
+    def test_batch_labels_must_name_a_class(self, first):
+        model = init_model(6, [5], 4, 4, seed=1)
+        with pytest.raises(ProtocolError, match=r"outside \[0, 4\)"):
+            batch_gradients(model, np.ones((2, 6)), first, [0, 0], [False, False], MarginConfig())
+
     def test_first_non_finite_loss_stops_the_run(self):
         model = init_model(6, [5], 4, 4, seed=1)
         config = TrainConfig(epochs=2, lr_start=1e300, lr_end=1e300, batch_size=8)
