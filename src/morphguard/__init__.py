@@ -41,7 +41,6 @@ from .datagen import (
     load_protocol,
     make_morph,
     make_selfmorph,
-    pair_columns,
     pair_protocol,
     protocol_parents,
     save_dataset,

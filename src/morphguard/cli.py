@@ -58,12 +58,11 @@ def load_config(args) -> ExperimentConfig:
     return config
 
 
-def _config_and_out_dir(args):
-    """Resolve the config first, so a rejected config leaves no output directory."""
-    config = load_config(args)
+def _out_dir(args) -> Path:
+    """Create --out once a command has results to write, so a failed command leaves none."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return config, out_dir
+    return out_dir
 
 
 def input_digests(args, *roles) -> dict:
@@ -116,8 +115,9 @@ def write_point_table(path: Path, key: str, keyed_reports):
 
 
 def cmd_gen_data(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     bundle = generate_bundle(config)
+    out_dir = _out_dir(args)
     # The training set's bona fides are pool rows: one text cache formats each once.
     texts = {}
     datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
@@ -126,16 +126,17 @@ def cmd_gen_data(args) -> int:
     write_manifest(out_dir, "gen-data", config)
     print(
         f"wrote {len(bundle.bona_fides)} bona fides, {len(bundle.train_set)} training samples, "
-        f"{len(bundle.protocol.pairs)} protocol pairs to {out_dir}"
+        f"{len(bundle.protocol.columns)} protocol pairs to {out_dir}"
     )
     return 0
 
 
 def cmd_train(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     bundle = generate_bundle(config)
     model = fresh_model(config)
     model, history = train(model, bundle.train_set, train_config(config))
+    out_dir = _out_dir(args)
     save_checkpoint(model, out_dir / "checkpoint.bin")
     write_history_csv(out_dir / "history.csv", [("initial", history)])
     write_manifest(out_dir, "train", config)
@@ -144,8 +145,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_margins(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     results = run_sweep(config)
+    out_dir = _out_dir(args)
     write_point_table(
         out_dir / "summary.csv", "margin", [(repr(float(offset)), report) for offset, _, report in results]
     )
@@ -160,9 +162,10 @@ def cmd_sweep_margins(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     pretrained = _load_checkpoint_for(args.checkpoint, config) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
+    out_dir = _out_dir(args)
     model1, history1, report1 = stage1
     model2, history2, report2 = stage2
     if history1 is not None:
@@ -196,18 +199,19 @@ def _load_eval_inputs(args, config):
     protocol = datagen.load_protocol(args.protocol)
     expected = config.data.num_classes * config.data.samples_per_class
     if len(bona_fides) != expected:
+        raise DataError(f"bona fide pool holds {len(bona_fides)} samples but the config implies {expected}")
+    if len(protocol.columns) < featviz.MIN_ELLIPSE_POINTS:
         raise DataError(
-            f"bona fide pool holds {len(bona_fides)} samples but the config implies {expected}"
+            f"protocol holds {len(protocol.columns)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}"
         )
-    if len(protocol.pairs) < featviz.MIN_ELLIPSE_POINTS:
-        raise DataError(f"protocol holds {len(protocol.pairs)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}")
     return model, bona_fides, protocol
 
 
 def cmd_eval(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     model, bona_fides, protocol = _load_eval_inputs(args, config)
     report = evaluate_from_files(model, bona_fides, protocol, config)
+    out_dir = _out_dir(args)
     write_report_files(out_dir, report)
     write_manifest(out_dir, "eval", config, input_digests(args, "checkpoint", "data", "protocol"))
     print(
@@ -218,9 +222,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze_features(args) -> int:
-    config, out_dir = _config_and_out_dir(args)
+    config = load_config(args)
     model, bona_fides, protocol = _load_eval_inputs(args, config)
     aligned, ellipse = feature_analysis(model, bona_fides, protocol, config)
+    out_dir = _out_dir(args)
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
     featviz.save_ellipse_csv(ellipse, out_dir / "ellipse.csv")
     featviz.render_svg(aligned, ellipse, out_dir / "features.svg")

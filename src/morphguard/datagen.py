@@ -111,7 +111,7 @@ class IdentityUniverse:
 
 @dataclass(frozen=True)
 class MorphPair:
-    """One protocol entry: which two samples get blended."""
+    """The view of one MorphPairProtocol row: which two samples get blended."""
 
     identity_a: int
     identity_b: int
@@ -119,9 +119,22 @@ class MorphPair:
     sample_b: int  # per-identity sample index of the subset-2 parent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorphPairProtocol:
-    pairs: tuple[MorphPair, ...]
+    """T pairs as (T, 4) int64 columns in MorphPair's field order; pairs gives their views."""
+
+    columns: np.ndarray
+
+    def __post_init__(self):
+        columns = np.asarray(self.columns)
+        if columns.dtype.kind not in "iu" or not np.can_cast(columns.dtype, np.int64) or columns.shape[1:] != (4,):
+            raise DataError(f"protocol columns need a (T, 4) integer array, got {columns.dtype} {columns.shape}")
+        object.__setattr__(self, "columns", columns.astype(np.int64, copy=False))
+
+    pairs = property(lambda self: tuple(MorphPair(*row) for row in self.columns.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, MorphPairProtocol) and np.array_equal(self.columns, other.columns)
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -251,8 +264,7 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
         )
     chosen = rng_for(seed, STREAM_PAIRS).choice(capacity, size=num_morphs, replace=False)
     a, b = np.divmod(chosen, ids2.size)
-    rows = zip(ids1[a].tolist(), ids2[b].tolist(), ks1[a].tolist(), ks2[b].tolist())
-    return MorphPairProtocol(tuple(MorphPair(*row) for row in rows))
+    return MorphPairProtocol(np.column_stack((ids1[a], ids2[b], ks1[a], ks2[b])))
 
 
 def _single_identity_of(sample: Sample) -> int:
@@ -301,16 +313,10 @@ def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
     return _selfmorphs(sample_a.input[None], sample_b.input[None], [id_a])[0]
 
 
-def pair_columns(pairs) -> np.ndarray:
-    """(T, 4) rows of identity_a, identity_b, sample_a, sample_b."""
-    rows = [(p.identity_a, p.identity_b, p.sample_a, p.sample_b) for p in pairs]
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
-
-
 def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:
     """(T, 2) pool rows of each pair's (subset-1, subset-2) parent.
 
-    columns are the pairs' pair_columns; sample indices count an
+    columns are a protocol's (T, 4) columns; sample indices count an
     identity's samples in pool order.
     """
     order, identities, counts, offsets = _pool_index(pool)
@@ -343,10 +349,8 @@ def build_training_set(
     """
     num_morphs, num_selfmorphs = mix_counts(len(bona_fides), ratios)
     order, _, counts, offsets = _pool_index(bona_fides)
-    if num_morphs > len(protocol.pairs):
-        raise CapacityError(
-            f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.pairs)}"
-        )
+    if num_morphs > len(protocol.columns):
+        raise CapacityError(f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.columns)}")
     # The mixed order is drawn first, so each part is written straight to its
     # output rows: no concatenated copy, and the output is allocated before the
     # parts' temporaries (freed temporaries below it fragmented the heap).
@@ -362,7 +366,7 @@ def build_training_set(
             column[slots[start : start + len(part)]] = getattr(part, name)
 
     place(0, bona_fides)
-    a, b = protocol_parents(bona_fides, pair_columns(protocol.pairs[:num_morphs])).T
+    a, b = protocol_parents(bona_fides, protocol.columns[:num_morphs]).T
     place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
 
     rich = np.flatnonzero(counts >= 2)
@@ -465,19 +469,9 @@ _PROTOCOL_KEYS = ("identity_a", "identity_b", "sample_a", "sample_b", "subset_a"
 
 def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path):
     """Write the pairing protocol as a JSON array with subset annotations."""
-    records = [
-        {
-            "identity_a": p.identity_a,
-            "identity_b": p.identity_b,
-            "sample_a": p.sample_a,
-            "sample_b": p.sample_b,
-            "subset_a": int(universe.subsets[p.identity_a]),
-            "subset_b": int(universe.subsets[p.identity_b]),
-        }
-        for p in protocol.pairs
-    ]
+    rows = np.column_stack((protocol.columns, universe.subsets[protocol.columns[:, :2]].astype(np.int64))).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
+        json.dump([dict(zip(_PROTOCOL_KEYS, row)) for row in rows], fh, indent=1)
         fh.write("\n")
 
 
@@ -490,20 +484,22 @@ def load_protocol(path) -> MorphPairProtocol:
         except ValueError as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        rows = [tuple(r[key] for key in _PROTOCOL_KEYS) for r in records]
+        rows = [[r[key] for key in _PROTOCOL_KEYS] for r in records]
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed protocol file {path}") from exc
-    pairs, subset_of = [], {}
-    for number, (*fields, subset_a, subset_b) in enumerate(rows):
-        if not all(type(v) is int for v in (*fields, subset_a, subset_b)):
+    for number, row in enumerate(rows):
+        if not all(type(v) is int for v in row):
             raise DataError(f"{path}: pair {number} has a field that is not a JSON integer")
-        if not all(v in INT64 for v in fields):
-            raise DataError(f"{path}: pair {number} has a field that does not fit in a 64-bit integer")
-        pair = MorphPair(*fields)
-        if (subset_a, subset_b) != (1, 2):
-            raise ProtocolError(f"{path}: pair {pair} runs subset {subset_a} -> {subset_b}, not 1 -> 2")
-        for identity, subset in ((pair.identity_a, 1), (pair.identity_b, 2)):
-            if subset_of.setdefault(identity, subset) != subset:
-                raise ProtocolError(f"{path}: identity {identity} is listed in both subsets")
-        pairs.append(pair)
-    return MorphPairProtocol(tuple(pairs))
+    values = np.array(rows, dtype=object).reshape(-1, len(_PROTOCOL_KEYS))  # Python ints of any size
+    fits = ((values[:, :4] >= INT64.start) & (values[:, :4] < INT64.stop)).all(axis=1)
+    if not fits.all():
+        raise DataError(f"{path}: pair {np.argmin(fits)} has a field that does not fit in a 64-bit integer")
+    wrong = np.flatnonzero((values[:, 4:] != (1, 2)).any(axis=1))
+    if wrong.size:
+        pair, (subset_a, subset_b) = MorphPair(*values[wrong[0], :4]), values[wrong[0], 4:]
+        raise ProtocolError(f"{path}: pair {pair} runs subset {subset_a} -> {subset_b}, not 1 -> 2")
+    columns = values[:, :4].astype(np.int64)
+    both = np.intersect1d(columns[:, 0], columns[:, 1])
+    if both.size:
+        raise ProtocolError(f"{path}: identity {both[0]} is listed in both subsets")
+    return MorphPairProtocol(columns)

@@ -190,21 +190,20 @@ def _check_width(model: DualHeadModel, inputs: np.ndarray):
         raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
 
 
-def _forward_batch(model: DualHeadModel, inputs: np.ndarray, keep_activations: bool = True, buffers=None):
+def _forward_batch(model: DualHeadModel, inputs: np.ndarray, buffers=None):
     """Run the MLP on (N, input_dim) rows; returns embeddings and cache.
 
-    The cache holds the norms before normalization and, unless the
-    caller only embeds, each layer's input, which the backward pass
-    reads; without it every hidden activation is freed as soon as the
-    next layer has read it, which bounds evaluation's peak memory. A
-    training step passes its ``_StepBuffers`` to write into.
+    The cache holds the norms before normalization and, for a training
+    step, which passes its ``_StepBuffers`` to write into, each layer's
+    input, which the backward pass reads. A call that only embeds keeps
+    no activations: each hidden one is freed as soon as the next layer
+    has read it, which bounds evaluation's peak memory.
     """
     _check_width(model, inputs)
-    activations = []
-    h = inputs
+    activations, h = [], inputs
     last = len(model.layers) - 1
     for i, (w, b) in enumerate(model.layers):
-        if keep_activations:
+        if buffers is not None:
             activations.append(h)
         h = np.matmul(h, w.T, out=None if buffers is None else buffers.outputs[i])
         h += b

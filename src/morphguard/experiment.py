@@ -288,7 +288,7 @@ def embed_holdout(model: DualHeadModel, holdout: SampleSet):
     samples, in holdout order.
     """
     order, identities, counts, offsets = _pool_index(holdout)
-    pool = _forward_batch(model, holdout.inputs[order], keep_activations=False)[0]
+    pool = _forward_batch(model, holdout.inputs[order])[0]
     return pool, counts, offsets, identities
 
 
@@ -339,19 +339,19 @@ def trial_features(model: DualHeadModel, inputs: np.ndarray, parents: np.ndarray
     datagen.check_alpha(alpha)
     rows, inverse = np.unique(parents, return_inverse=True)
     features = np.empty((len(parents), 3, model.embedding_dim))
-    features[:, :2] = _forward_batch(model, inputs[rows], keep_activations=False)[0][inverse.reshape(parents.shape)]
+    features[:, :2] = _forward_batch(model, inputs[rows])[0][inverse.reshape(parents.shape)]
     morphs = datagen._blend(inputs[parents[:, 0]], inputs[parents[:, 1]], alpha)
-    features[:, 2] = _forward_batch(model, morphs, keep_activations=False)[0]
+    features[:, 2] = _forward_batch(model, morphs)[0]
     return features.reshape(-1, model.embedding_dim)
 
 
 def morph_trials(morph_embeddings: np.ndarray, held, columns: np.ndarray, seed: int) -> MorphTrials:
     """Score each protocol morph against one held-out sample per parent.
 
-    held is embed_holdout's result and columns the protocol's
-    datagen.pair_columns. The (T, 2) probe indices are one array-bound
-    integers draw, which consumes the stream pair by pair, parent a
-    before parent b.
+    held is embed_holdout's result and columns the protocol's (T, 4)
+    columns. The (T, 2) probe indices are one array-bound integers
+    draw, which consumes the stream pair by pair, parent a before
+    parent b.
     """
     pool, counts, offsets, identities = held
     named = columns[:, :2]
@@ -385,7 +385,7 @@ class EvalReport:
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
-    columns = datagen.pair_columns(bundle.protocol.pairs)
+    columns = bundle.protocol.columns
     held = embed_holdout(model, bundle.holdout)
     verification = verification_scores(held, config.eval, config.seed)
     parents = datagen.protocol_parents(bundle.train_bona, columns)
@@ -435,7 +435,7 @@ def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: Experim
     train_bona, _ = holdout_split(
         bona_fides, config.data.samples_per_class, config.data.holdout_fraction
     )
-    parents = datagen.protocol_parents(train_bona, datagen.pair_columns(protocol.pairs))
+    parents = datagen.protocol_parents(train_bona, protocol.columns)
     return featviz.aligned_spread(trial_features(model, train_bona.inputs, parents, config.data.alpha))
 
 

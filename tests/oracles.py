@@ -10,7 +10,7 @@ size as the library, so agreement is expected bit-for-bit.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -388,7 +388,7 @@ def oracle_pair_protocol(universe, samples, num_morphs, seed):
         ia, ka = side1[flat // len(side2)]
         ib, kb = side2[flat % len(side2)]
         pairs.append(MorphPair(identity_a=ia, identity_b=ib, sample_a=ka, sample_b=kb))
-    return MorphPairProtocol(pairs=tuple(pairs))
+    return MorphPairProtocol(np.array([astuple(p) for p in pairs], dtype=np.int64).reshape(-1, 4))
 
 
 def _oracle_single_identity_of(sample):

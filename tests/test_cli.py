@@ -650,6 +650,32 @@ class TestExitCodes:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: ") and message in lines[0], proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, section, fields, code",
+        [
+            ("train", "train", {"epochs": 1, "lr_start": 1e300, "lr_end": 1e300}, 4),
+            ("gen-data", "data", {"spread": 1e300}, 4),
+            ("eval", None, None, 5),
+        ],
+        ids=["train-lr_1e300", "gen-data-spread_1e300", "eval-missing_protocol"],
+    )
+    def test_failed_command_leaves_no_out_dir(
+        self, command, section, fields, code, data_dir, train_dir, tmp_path, capsys
+    ):
+        """A command that fails after its config is accepted creates no --out."""
+        config = json.loads(json.dumps(SMALL))
+        if section:
+            config[section].update(fields)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if command == "eval":
+            argv += ["--checkpoint", str(train_dir / "checkpoint.bin"), "--data", str(data_dir / "bona_fides.jsonl"),
+                     "--protocol", str(tmp_path / "missing.json")]
+        assert main(argv) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_adapt_checkpoint_of_other_input_width(self, config_path, tmp_path, capsys):
         data = SMALL["data"]
         model = init_model(2 * data["input_dim"], [16], 8, data["num_classes"], seed=1)
@@ -671,4 +697,4 @@ class TestExitCodes:
         if command != "adapt":
             argv += ["--data", str(data_dir / "bona_fides.jsonl"), "--protocol", str(data_dir / "protocol.json")]
         self._assert_one_line_data_error(argv, capsys)
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()

@@ -11,7 +11,6 @@ from morphguard.datagen import (
     SampleSet,
     build_training_set,
     mix_counts,
-    pair_columns,
     pair_protocol,
     protocol_parents,
     save_dataset,
@@ -104,7 +103,7 @@ class TestAgainstPerSampleOracles:
     def test_trial_triplets_and_trials(self, pipelines):
         config, (_, _, train_bona, holdout, protocol), oracle = pipelines
         expected = oracle_build_trial_triplets(oracle[2], oracle[4], config.data.alpha)
-        columns = pair_columns(protocol.pairs)
+        columns = protocol.columns
         parents = protocol_parents(train_bona, columns)
         assert parents.shape == (len(protocol.pairs), 2)
         assert train_bona.inputs[parents].tobytes() == np.array([t[:2] for t in expected]).tobytes()
@@ -114,7 +113,7 @@ class TestAgainstPerSampleOracles:
         features = trial_features(model, train_bona.inputs, parents, config.data.alpha)
         rows = np.stack([v for t in expected for v in t])
         assert features.shape == (3 * len(protocol.pairs), config.model.embedding_dim)
-        assert features.tobytes() == _forward_batch(model, rows, keep_activations=False)[0].tobytes()
+        assert features.tobytes() == _forward_batch(model, rows)[0].tobytes()
 
         held = embed_holdout(model, holdout)
         morphs = features[2::3]

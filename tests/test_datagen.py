@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from morphguard.datagen import (
     MORPH,
     SELF_MORPH,
+    MorphPair,
     MorphPairProtocol,
     Sample,
     build_training_set,
@@ -21,7 +22,6 @@ from morphguard.datagen import (
     make_morph,
     make_selfmorph,
     mix_counts,
-    pair_columns,
     pair_protocol,
     protocol_parents,
     save_dataset,
@@ -168,6 +168,27 @@ class TestPairProtocol:
         p1 = pair_protocol(universe, samples, 12, seed=10)
         p2 = pair_protocol(universe, samples, 12, seed=10)
         assert p1.pairs == p2.pairs
+
+    def test_columns_hold_the_pairs_in_field_order(self):
+        universe, samples = synth_identities(6, 3, 8, spread=0.1, seed=10)
+        protocol = pair_protocol(universe, samples, 12, seed=10)
+        assert protocol.columns.shape == (12, 4) and protocol.columns.dtype == np.int64
+        assert [dataclasses.astuple(p) for p in protocol.pairs] == [tuple(row) for row in protocol.columns.tolist()]
+        assert all(type(v) is int for p in protocol.pairs for v in dataclasses.astuple(p))
+        assert [f.name for f in dataclasses.fields(MorphPair)] == ["identity_a", "identity_b", "sample_a", "sample_b"]
+        assert MorphPairProtocol(protocol.columns.astype(np.int32)) == protocol
+        assert MorphPairProtocol(protocol.columns[::-1]) != protocol
+        assert protocol != protocol.pairs
+
+    @pytest.mark.parametrize(
+        "columns",
+        [np.zeros((3, 3), dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros((3, 4)),
+         np.zeros((3, 4), dtype=bool), np.zeros((3, 4), dtype=np.uint64), np.zeros((2, 3, 4), dtype=np.int64)],
+        ids=["T-by-3", "1-D", "float", "bool", "uint64", "3-D"],
+    )
+    def test_protocol_needs_T_by_4_integer_columns(self, columns):
+        with pytest.raises(DataError, match=r"need a \(T, 4\) integer array"):
+            MorphPairProtocol(columns)
 
     def test_small_share_of_a_large_product_in_bounded_memory(self):
         # 100 x 40 samples per subset: 16e6 candidate pairs, of which 4000
@@ -318,9 +339,9 @@ class TestBuildTrainingSet:
     def test_pair_outside_pool_is_capacity_error(self, field, value):
         universe, samples, protocol = self._setup()
         pair = dataclasses.replace(protocol.pairs[0], **{field: value})
-        assert protocol_parents(samples, pair_columns(protocol.pairs)).shape == (len(protocol.pairs), 2)
+        assert protocol_parents(samples, protocol.columns).shape == (len(protocol.pairs), 2)
         with pytest.raises(CapacityError, match=re.escape(f"protocol pair {pair} refers outside")):
-            protocol_parents(samples, pair_columns([pair]))
+            protocol_parents(samples, np.array([dataclasses.astuple(pair)]))
 
     def test_ratio_validation(self):
         universe, samples, protocol = self._setup()
@@ -345,7 +366,7 @@ class TestBuildTrainingSet:
     def test_trial_triplets_reject_alpha_outside_unit_interval(self):
         universe, samples, protocol = self._setup()
         model = init_model(samples.inputs.shape[1], [], 4, 2, seed=0)
-        parents = protocol_parents(samples, pair_columns(protocol.pairs))
+        parents = protocol_parents(samples, protocol.columns)
         with pytest.raises(ConfigError):
             trial_features(model, samples.inputs, parents, alpha=1.5)
 
@@ -360,7 +381,8 @@ def uneven_pool(counts, seed=21):
 
 def selfmorph_set(counts, seed):
     universe, pool = uneven_pool(counts)
-    return pool, build_training_set(universe, pool, MorphPairProtocol(pairs=()), ratios=(1, 0, 1), seed=seed)
+    no_pairs = MorphPairProtocol(np.empty((0, 4), dtype=np.int64))
+    return pool, build_training_set(universe, pool, no_pairs, ratios=(1, 0, 1), seed=seed)
 
 
 class TestSelfmorphDraw:

@@ -167,6 +167,17 @@ class TestForward:
         for emb in _forward_batch(model, rng.normal(size=(1000, 8)))[0]:
             assert abs(np.linalg.norm(emb) - 1.0) < 1e-12
 
+    def test_embedding_only_call_keeps_no_activations(self):
+        model = init_model(6, [5, 4], 3, 2, seed=5)
+        x = np.random.default_rng(5).normal(size=(7, 6))
+        embeddings, cache = _forward_batch(model, x)
+        assert cache["activations"] == []
+        buffers = encoder._StepBuffers(model, len(x))
+        buffers.inputs[...] = x
+        stepped, cache = _forward_batch(model, buffers.inputs, buffers=buffers)
+        assert [a.shape for a in cache["activations"]] == [(7, 6), (7, 5), (7, 4)]
+        assert stepped.tobytes() == embeddings.tobytes()
+
     def test_degenerate_embedding(self):
         model = DualHeadModel(
             layers=[(np.zeros((3, 3)), np.zeros(3))], head1=np.eye(3), head2=np.eye(3)

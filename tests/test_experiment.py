@@ -44,13 +44,13 @@ SMALL = {
 
 def protocol_features(model, bundle, config):
     """trial_features of the bundle's protocol pairs, parents from its training pool."""
-    parents = datagen.protocol_parents(bundle.train_bona, datagen.pair_columns(bundle.protocol.pairs))
+    parents = datagen.protocol_parents(bundle.train_bona, bundle.protocol.columns)
     return trial_features(model, bundle.train_bona.inputs, parents, config.data.alpha)
 
 
 def protocol_triplet_inputs(bundle, config):
     """(T, 3, D) parent_a, parent_b and morph input rows of the bundle's protocol pairs."""
-    parents = datagen.protocol_parents(bundle.train_bona, datagen.pair_columns(bundle.protocol.pairs))
+    parents = datagen.protocol_parents(bundle.train_bona, bundle.protocol.columns)
     a, b = bundle.train_bona.inputs[parents.T]
     return np.stack((a, b, datagen._blend(a, b, config.data.alpha)), axis=1)
 
@@ -299,7 +299,7 @@ class TestEvaluation:
         trials = morph_trials(
             features[2::3],
             embed_holdout(trained, small_bundle.holdout),
-            datagen.pair_columns(small_bundle.protocol.pairs),
+            small_bundle.protocol.columns,
             small_config.seed,
         )
         assert len(trials) == len(small_bundle.protocol.pairs)
@@ -309,7 +309,7 @@ class TestEvaluation:
         probes = probes_by_identity(embed_holdout(trained, small_bundle.holdout))
         del probes[small_bundle.protocol.pairs[0].identity_b]
         morphs = np.zeros((len(small_bundle.protocol.pairs), trained.embedding_dim))
-        columns = datagen.pair_columns(small_bundle.protocol.pairs)
+        columns = small_bundle.protocol.columns
         with pytest.raises(DataError, match="without held-out probes"):
             morph_trials(morphs, oracle_probe_pool(probes), columns, small_config.seed)
 
@@ -320,7 +320,7 @@ class TestEvaluation:
         # Through an identity layer, embedding is the same per-row scaling to unit length on
         # both sides, so trial_features must give the training morphs' embeddings.
         model = identity_model(small_config.data.input_dim, small_config.data.num_classes)
-        embedded = {row.tobytes() for row in _forward_batch(model, train_morphs, keep_activations=False)[0]}
+        embedded = {row.tobytes() for row in _forward_batch(model, train_morphs)[0]}
         assert {row.tobytes() for row in protocol_features(model, small_bundle, small_config)[2::3]} == embedded
 
     def test_report_contents(self, trained, small_bundle, small_config):
@@ -387,7 +387,7 @@ class TestWholeArrayDraws:
         model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
         held = embed_holdout(model, bundle.holdout)
         morphs = protocol_features(model, bundle, config)[2::3]
-        trials = morph_trials(morphs, held, datagen.pair_columns(bundle.protocol.pairs), config.seed)
+        trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
         expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
         assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
         assert np.array([t.subject_scores for t in trials]).tobytes() == expected.tobytes()
@@ -444,7 +444,7 @@ class TestOnePassEmbedding:
     def test_trial_features_equal_one_batch_of_triplet_rows(self, case):
         config, bundle, model = case
         rows = protocol_triplet_inputs(bundle, config)
-        expected = _forward_batch(model, rows.reshape(-1, rows.shape[2]), keep_activations=False)[0]
+        expected = _forward_batch(model, rows.reshape(-1, rows.shape[2]))[0]
         assert len(np.unique(rows[:, :2].reshape(-1, rows.shape[2]), axis=0)) < 2 * len(rows)  # shared parents
         assert protocol_features(model, bundle, config).tobytes() == expected.tobytes()
 
@@ -454,7 +454,7 @@ class TestOnePassEmbedding:
         holdout = bundle.holdout[::step]
         order = np.argsort(holdout.first, kind="stable")
         pool, counts, offsets, identities = embed_holdout(model, holdout)
-        expected = _forward_batch(model, holdout.inputs[order], keep_activations=False)[0]
+        expected = _forward_batch(model, holdout.inputs[order])[0]
         assert pool.tobytes() == expected.tobytes()
         assert np.repeat(identities, counts).tolist() == holdout.first[order].tolist()
         assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()

@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphguard.datagen import BONA_FIDE, MORPH, SELF_MORPH, SampleSet, _row_key, save_dataset
+from morphguard.datagen import (
+    BONA_FIDE,
+    MORPH,
+    SELF_MORPH,
+    IdentityUniverse,
+    MorphPairProtocol,
+    SampleSet,
+    _row_key,
+    save_dataset,
+    save_protocol,
+    synth_identities,
+)
 from morphguard.featviz import save_aligned_csv
 from morphguard.metrics import ThresholdCurve, VerificationSet, save_curve_csv, save_scores_csv
 
@@ -86,6 +97,43 @@ class TestDatasetRecords:
         assert b"".join(_row_key(row)) == row.tobytes()
         assert _row_key(row) == _row_key(row.copy()) and _row_key(row) != _row_key(other)
         assert all(len(piece) <= 256 for piece in _row_key(row))
+
+
+@st.composite
+def drawn_protocols(draw):
+    """(universe, protocol): pairs of any identities of the universe and any int64 sample indices.
+    The universe's subset ids are int64 or float64 arrays."""
+    num_classes = 2 * draw(st.integers(1, 5))
+    universe, _ = synth_identities(num_classes, 2, 2, spread=0.1, seed=draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        universe = IdentityUniverse(num_classes, universe.prototypes, universe.subsets.astype(np.float64))
+    identity, index = st.integers(0, num_classes - 1), st.integers(-(2**63), 2**63 - 1)
+    rows = draw(st.lists(st.tuples(identity, identity, index, index), max_size=8))
+    return universe, MorphPairProtocol(np.array(rows, dtype=np.int64).reshape(-1, 4))
+
+
+class TestProtocolRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=drawn_protocols())
+    def test_any_protocol_matches_json_dump(self, tmp_path_factory, drawn):
+        universe, protocol = drawn
+        records = [
+            {
+                "identity_a": p.identity_a,
+                "identity_b": p.identity_b,
+                "sample_a": p.sample_a,
+                "sample_b": p.sample_b,
+                "subset_a": int(universe.subsets[p.identity_a]),
+                "subset_b": int(universe.subsets[p.identity_b]),
+            }
+            for p in protocol.pairs
+        ]
+        path = tmp_path_factory.mktemp("protocol")
+        with open(path / "o.json", "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
+        save_protocol(protocol, universe, path / "p.json")
+        assert (path / "p.json").read_bytes() == (path / "o.json").read_bytes()
 
 
 class TestReportRows:
