@@ -6,20 +6,11 @@ protocol splits identities into two subsets and only ever blends across
 them: the subset-1 parent always feeds head 1, the subset-2 parent head 2.
 """
 
-import itertools
-
 import numpy as np
 
-from morphguard import (
-    build_training_set,
-    group_by_identity,
-    make_morph,
-    make_selfmorph,
-    pair_protocol,
-    synth_identities,
-)
+from morphguard import MorphPairProtocol, build_training_set, pair_protocol, synth_identities
+from morphguard.datagen import KINDS, MORPH, SELF_MORPH
 from morphguard.errors import ProtocolError
-from morphguard.losses import SampleKind
 
 universe, bona_fides = synth_identities(
     num_classes=4, samples_per_class=2, input_dim=16, spread=0.1, seed=7
@@ -30,35 +21,40 @@ side2 = [i for i in range(4) if universe.subsets[i] == 2]
 print("subset 1:", [names[i] for i in side1], " subset 2:", [names[i] for i in side2])
 
 # with 4 identities and 2 samples each there are exactly 4 x (2*2) = 16
-# distinct cross-subset sample pairs; request them all
+# distinct cross-subset sample pairs; request them all. The protocol is one
+# (T, 4) array of (identity_a, identity_b, sample_a, sample_b) rows.
 protocol = pair_protocol(universe, bona_fides, num_morphs=16, seed=7)
-families = sorted({names[p.identity_a] + names[p.identity_b] for p in protocol.pairs})
+families = sorted({names[a] + names[b] for a, b in protocol.columns[:, :2].tolist()})
 print("pair families seen:", families)
 print("within-subset families like",
       names[side1[0]] + names[side1[1]], "or", names[side2[0]] + names[side2[1]], "never occur")
 
-# blending across subsets works, within a subset is refused
-grouped = group_by_identity(bona_fides)
-morph = make_morph(universe, grouped[side1[0]][0], grouped[side2[0]][0])
-print("\nmorph labels (head1, head2):",
+# build_training_set blends every protocol row in one block; with 8 bona fides,
+# ratios 8:1:0 ask for exactly one morph, from the protocol's first row
+first_row = MorphPairProtocol(protocol.columns[:1])
+mixed = build_training_set(universe, bona_fides, first_row, ratios=(8, 1, 0), seed=7)
+morph = mixed[int(np.flatnonzero(mixed.kinds == MORPH)[0])]
+print("\nprotocol row", protocol.columns[0].tolist(), "-> morph labels (head1, head2):",
       (names[morph.labels.first_label], names[morph.labels.second_label]))
+
+# a hand-made row that pairs within a subset is refused
+within = MorphPairProtocol(np.array([[side1[0], side1[1], 0, 0]]))
 try:
-    make_morph(universe, grouped[side1[0]][0], grouped[side1[1]][0])
+    build_training_set(universe, bona_fides, within, ratios=(8, 1, 0), seed=7)
 except ProtocolError as err:
     print("same-subset blend rejected:", err)
 
 # selfmorphs blend two samples of one identity and stay bona fide
-selfmorph = make_selfmorph(grouped[side1[0]][0], grouped[side1[0]][1])
-print("selfmorph labels equal:", selfmorph.labels.first_label == selfmorph.labels.second_label,
-      "| kind:", selfmorph.labels.kind.value)
+mixed = build_training_set(universe, bona_fides, protocol, ratios=(8, 0, 1), seed=7)
+selfmorphs = mixed[mixed.kinds == SELF_MORPH]
+print("selfmorph labels equal:", bool((selfmorphs.first == selfmorphs.second).all()),
+      "| kind:", KINDS[SELF_MORPH].value)
 
 # a full training set interleaves all three kinds at the 2:1:1 default
 universe, bona_fides = synth_identities(10, 20, 32, spread=0.15, seed=7)
 protocol = pair_protocol(universe, bona_fides, num_morphs=100, seed=7)
 dataset = build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), seed=7)
-counts = {kind.value: 0 for kind in SampleKind}
-for sample in dataset:
-    counts[sample.labels.kind.value] += 1
+counts = {kind.value: int((dataset.kinds == code).sum()) for code, kind in enumerate(KINDS)}
 print("\ntraining-set composition:", counts)
-norms = [float(np.linalg.norm(s.input)) for s in dataset]
-print("all inputs unit-norm:", max(abs(n - 1.0) for n in norms) < 1e-9)
+norms = np.linalg.norm(dataset.inputs, axis=1)
+print("all inputs unit-norm:", float(np.abs(norms - 1.0).max()) < 1e-9)

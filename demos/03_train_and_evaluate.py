@@ -15,6 +15,7 @@ from morphguard.experiment import (
     evaluate_model,
     fresh_model,
     generate_bundle,
+    holdout_split,
     train_config,
 )
 
@@ -30,10 +31,14 @@ config = ExperimentConfig.from_dict(
 )
 
 bundle = generate_bundle(config)
+# The split is two arrays of pool rows, re-derived from the pool and the config.
+train_rows, held_rows = holdout_split(
+    bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction
+)
 print(
     f"dataset: {len(bundle.train_set)} training samples "
-    f"({len(bundle.train_bona)} bona fide, {len(bundle.protocol.pairs)} morphs), "
-    f"{len(bundle.holdout)} held out for evaluation"
+    f"({len(train_rows)} bona fide, {len(bundle.protocol.columns)} morphs), "
+    f"{len(held_rows)} of {len(bundle.bona_fides)} pool samples held out for evaluation"
 )
 
 model = fresh_model(config)

@@ -36,11 +36,8 @@ from .datagen import (
     Sample,
     SampleSet,
     build_training_set,
-    group_by_identity,
     load_dataset,
     load_protocol,
-    make_morph,
-    make_selfmorph,
     pair_protocol,
     protocol_parents,
     save_dataset,

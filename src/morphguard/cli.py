@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,8 +27,9 @@ from . import __version__, datagen, featviz, metrics
 from .encoder import load_checkpoint, save_checkpoint, train
 from .errors import ConfigError, DataError, MorphGuardError, NumericError
 from .experiment import (
+    DataBundle,
     ExperimentConfig,
-    evaluate_from_files,
+    evaluate_model,
     feature_analysis,
     fresh_model,
     generate_bundle,
@@ -56,6 +58,17 @@ def load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
+
+
+def _check_out(out) -> None:
+    """Before any work, and creating nothing: an existing --out must be a
+    directory, and otherwise its nearest existing ancestor a writable one."""
+    path = Path(out).absolute()
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"--out {out}: {ancestor} exists and is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {out}: directory {ancestor} is not writable")
 
 
 def _out_dir(args) -> Path:
@@ -163,7 +176,7 @@ def cmd_sweep_margins(args) -> int:
 
 def cmd_adapt(args) -> int:
     config = load_config(args)
-    pretrained = _load_checkpoint_for(args.checkpoint, config) if args.checkpoint else None
+    pretrained = _load_checkpoint_for(args.checkpoint, config, heads=True) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
     out_dir = _out_dir(args)
     model1, history1, report1 = stage1
@@ -184,16 +197,21 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(path, config):
-    """Load a checkpoint, rejecting one whose widths differ from the config's."""
+def _load_checkpoint_for(path, config, heads=False):
+    """Load a checkpoint, rejecting one whose widths differ from the config's and,
+    if its heads will train, one whose class count does."""
     model = load_checkpoint(path)
     widths, expected = (model.input_dim, model.embedding_dim), (config.data.input_dim, config.model.embedding_dim)
     if widths != expected:
         raise DataError(f"checkpoint {path} has (input, embedding) widths {widths}; the config sets {expected}")
+    if heads and model.num_classes != config.data.num_classes:
+        raise DataError(f"checkpoint {path} has {model.num_classes} classes; the config sets "
+                        f"num_classes {config.data.num_classes}")
     return model
 
 
 def _load_eval_inputs(args, config):
+    """The checkpoint, and a bundle of the loaded pool and protocol (evaluation reads only the encoder)."""
     model = _load_checkpoint_for(args.checkpoint, config)
     bona_fides = datagen.load_dataset(args.data)
     protocol = datagen.load_protocol(args.protocol)
@@ -204,13 +222,13 @@ def _load_eval_inputs(args, config):
         raise DataError(
             f"protocol holds {len(protocol.columns)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}"
         )
-    return model, bona_fides, protocol
+    return model, DataBundle(None, bona_fides, protocol, None)
 
 
 def cmd_eval(args) -> int:
     config = load_config(args)
-    model, bona_fides, protocol = _load_eval_inputs(args, config)
-    report = evaluate_from_files(model, bona_fides, protocol, config)
+    model, bundle = _load_eval_inputs(args, config)
+    report = evaluate_model(model, bundle, config)
     out_dir = _out_dir(args)
     write_report_files(out_dir, report)
     write_manifest(out_dir, "eval", config, input_digests(args, "checkpoint", "data", "protocol"))
@@ -223,8 +241,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze_features(args) -> int:
     config = load_config(args)
-    model, bona_fides, protocol = _load_eval_inputs(args, config)
-    aligned, ellipse = feature_analysis(model, bona_fides, protocol, config)
+    model, bundle = _load_eval_inputs(args, config)
+    aligned, ellipse = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
     out_dir = _out_dir(args)
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
     featviz.save_ellipse_csv(ellipse, out_dir / "ellipse.csv")
@@ -293,6 +311,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,6 +5,9 @@ A SampleSet holds N samples as columns: (N, D) float64 inputs, int64
 first (head-1) and second (head-2) labels, and int8 kind codes into
 KINDS. Every step works on whole columns and gives the bytes that
 building one sample at a time gave; Sample is the view of one row.
+Morphs and selfmorphs are built only in whole blocks, by
+build_training_set from a protocol's (T, 4) columns; there is no
+per-sample builder.
 
 Identities are unit prototype vectors; bona fide samples are
 renormalized noisy copies. To keep morph labeling unambiguous the
@@ -232,12 +235,6 @@ def _pool_index(pool: SampleSet):
     return np.argsort(pool.first, kind="stable"), identities, counts, np.cumsum(counts) - counts
 
 
-def group_by_identity(samples: SampleSet) -> dict[int, SampleSet]:
-    """Single-identity samples grouped by identity, preserving order."""
-    order, identities, counts, offsets = _pool_index(samples)
-    return {i: samples[order[o : o + n]] for i, n, o in zip(identities.tolist(), counts.tolist(), offsets.tolist())}
-
-
 def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: int, seed: int) -> MorphPairProtocol:
     """Uniformly sample distinct cross-subset sample pairs, in random order.
 
@@ -267,12 +264,6 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
     return MorphPairProtocol(np.column_stack((ids1[a], ids2[b], ks1[a], ks2[b])))
 
 
-def _single_identity_of(sample: Sample) -> int:
-    if sample.labels.kind is SampleKind.MORPH:
-        raise ProtocolError("a morph cannot be a blending parent")
-    return sample.labels.first_label
-
-
 def _morphs(universe: IdentityUniverse, inputs_a, inputs_b, ids_a, ids_b, alpha: float) -> SampleSet:
     """Morphs of paired cross-subset parent rows; alpha weights the a rows."""
     check_alpha(alpha)
@@ -292,25 +283,6 @@ def _morphs(universe: IdentityUniverse, inputs_a, inputs_b, ids_a, ids_b, alpha:
 def _selfmorphs(inputs_a, inputs_b, identities) -> SampleSet:
     """Even blends of paired rows of one identity each, labeled as bona fide material."""
     return SampleSet(_blend(inputs_a, inputs_b, 0.5), identities, identities, np.full(len(identities), SELF_MORPH))
-
-
-def make_morph(universe: IdentityUniverse, sample_a: Sample, sample_b: Sample, alpha: float = 0.5) -> Sample:
-    """Blend two cross-subset samples into a morph.
-
-    The label pair is oriented by subset (subset-1 parent first), not
-    by argument order; alpha weights the first argument.
-    """
-    ids = [_single_identity_of(sample_a)], [_single_identity_of(sample_b)]
-    return _morphs(universe, sample_a.input[None], sample_b.input[None], *ids, alpha)[0]
-
-
-def make_selfmorph(sample_a: Sample, sample_b: Sample) -> Sample:
-    """Blend two samples of one identity; labeled as bona fide material."""
-    id_a = _single_identity_of(sample_a)
-    id_b = _single_identity_of(sample_b)
-    if id_a != id_b:
-        raise ProtocolError(f"selfmorph parents must share an identity, got {id_a} and {id_b}")
-    return _selfmorphs(sample_a.input[None], sample_b.input[None], [id_a])[0]
 
 
 def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:

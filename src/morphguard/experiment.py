@@ -7,10 +7,13 @@ evaluation, feature analysis). Every recipe is a pure function of
 produced by the library modules, never recomputed here.
 
 Evaluation protocol: the last ``holdout_fraction`` of each identity's
-bona fide samples (in generation order) are excluded from training.
-Genuine and impostor verification pairs are seeded draws from that
-held-out pool; each protocol morph is rebuilt from its training-pool
-parents and scored against one held-out sample of each parent identity.
+bona fide samples (in pool order) are excluded from training. The split
+is two arrays of pool rows (holdout_split), derived from the pool and
+the config wherever it is needed, so in-process and file-driven
+evaluation run one path over one pool. Genuine and impostor
+verification pairs are seeded draws from the held-out rows; each
+protocol morph is rebuilt from its training-part parents and scored
+against one held-out sample of each parent identity.
 """
 
 from __future__ import annotations
@@ -188,17 +191,17 @@ def _tupled(section: dict, *keys) -> dict:
 class DataBundle:
     """Everything one experiment run derives from (config, seed).
 
-    Every sample field is a columnar datagen.SampleSet. File-driven
-    evaluation reconstructs a bundle without the universe (the protocol
-    already carries the subset orientation) and with an empty train_set.
+    The bona fide pool is the one sample store evaluation reads; the
+    train/holdout split is re-derived from it and the config
+    (holdout_split). File-driven evaluation builds a bundle from the
+    loaded pool and protocol, without the universe (the protocol already
+    carries the subset orientation) and without a training set.
     """
 
     universe: datagen.IdentityUniverse | None
-    bona_fides: SampleSet  # full canonical pool, identity-major
-    train_bona: SampleSet  # per identity: the first (1 - holdout_fraction) samples
-    holdout: SampleSet  # per identity: the remaining samples
+    bona_fides: SampleSet  # the full pool
     protocol: datagen.MorphPairProtocol
-    train_set: SampleSet  # bona fides, morphs and selfmorphs in STREAM_MIX order
+    train_set: SampleSet | None  # bona fides, morphs and selfmorphs in STREAM_MIX order
 
 
 def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
@@ -213,9 +216,11 @@ def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
 
 
 def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float):
-    """Deterministic split of a pool of samples_per_class per identity: last samples are held out.
+    """(train_rows, held_rows): pool rows of a split of samples_per_class per identity.
 
-    Both parts run identity-major, each identity's samples in pool order.
+    Each identity's last samples in pool order are held out. Both arrays
+    run identity-major, ascending, each identity's rows in pool order,
+    so the pool's record order across identities does not matter.
     """
     num_train = samples_per_class - _held_out_per_identity(samples_per_class, fraction)
     order, identities, counts, _ = _pool_index(bona_fides)
@@ -224,7 +229,11 @@ def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float
         k = uneven[0]
         raise DataError(f"identity {identities[k]} has {counts[k]} samples, not {samples_per_class}")
     kept = np.arange(order.size) % samples_per_class < num_train
-    return bona_fides[order[kept]], bona_fides[order[~kept]]
+    return order[kept], order[~kept]
+
+
+def _split(bona_fides: SampleSet, config: ExperimentConfig):
+    return holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
 
 
 def generate_bundle(config: ExperimentConfig) -> DataBundle:
@@ -232,13 +241,13 @@ def generate_bundle(config: ExperimentConfig) -> DataBundle:
     universe, bona_fides = datagen.synth_identities(
         data.num_classes, data.samples_per_class, data.input_dim, data.spread, config.seed
     )
-    train_bona, holdout = holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)
+    train_bona = bona_fides[_split(bona_fides, config)[0]]
     num_morphs, _ = datagen.mix_counts(len(train_bona), data.ratios)
     protocol = datagen.pair_protocol(universe, train_bona, num_morphs, config.seed)
     train_set = datagen.build_training_set(
         universe, train_bona, protocol, ratios=data.ratios, seed=config.seed, alpha=data.alpha
     )
-    return DataBundle(universe, bona_fides, train_bona, holdout, protocol, train_set)
+    return DataBundle(universe, bona_fides, protocol, train_set)
 
 
 def fresh_model(config: ExperimentConfig) -> DualHeadModel:
@@ -280,16 +289,17 @@ def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConf
 # --- evaluation -------------------------------------------------------------
 
 
-def embed_holdout(model: DualHeadModel, holdout: SampleSet):
+def embed_holdout(model: DualHeadModel, pool: SampleSet, held_rows: np.ndarray):
     """Held-out embeddings stacked by identity, ascending, in one forward batch.
 
-    Returns (pool, counts, offsets, identities): rows offsets[k] to
-    offsets[k] + counts[k] of pool embed identities[k]'s held-out
-    samples, in holdout order.
+    held_rows are holdout_split's identity-major pool rows, forwarded in
+    that order. Returns (embeddings, counts, offsets, identities): rows
+    offsets[k] to offsets[k] + counts[k] of embeddings embed
+    identities[k]'s held-out samples, in pool order.
     """
-    order, identities, counts, offsets = _pool_index(holdout)
-    pool = _forward_batch(model, holdout.inputs[order])[0]
-    return pool, counts, offsets, identities
+    identities, counts = np.unique(pool.first[held_rows], return_counts=True)
+    embeddings = _forward_batch(model, pool.inputs[held_rows])[0]
+    return embeddings, counts, np.cumsum(counts) - counts, identities
 
 
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -329,9 +339,10 @@ def verification_scores(held, settings: EvalSettings, seed: int) -> Verification
 def trial_features(model: DualHeadModel, inputs: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
     """(3T, E) embeddings of every trial triplet, each distinct input row embedded once.
 
-    inputs are the pool's (N, D) rows and parents the (T, 2) rows of
-    each pair's parents (datagen.protocol_parents). Each distinct parent
-    row goes through one batch, the T morphs (blended as
+    inputs are (N, D) rows, in evaluation the training part's, and
+    parents the (T, 2) rows of each pair's parents among them
+    (datagen.protocol_parents). The distinct parent rows go through one
+    batch in ascending row order, the T morphs (blended as
     build_training_set blends them) through another. Rows run
     (parent_a, parent_b, morph) per pair, the layout
     featviz.aligned_spread reads; rows 2::3 are the morph embeddings.
@@ -384,12 +395,21 @@ class EvalReport:
         raise KeyError(f"no operating point {metric} @ {target}")
 
 
+def _trial_step(model: DualHeadModel, pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
+    """(held_rows, trial_features) of one pool: the split, the protocol's
+    parents in the training part, and their triplet embeddings."""
+    train_rows, held_rows = _split(pool, config)
+    train_bona = pool[train_rows]
+    parents = datagen.protocol_parents(train_bona, columns)
+    return held_rows, trial_features(model, train_bona.inputs, parents, config.data.alpha)
+
+
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
+    """Score a model on a bundle's pool and protocol; the split comes from the config."""
     columns = bundle.protocol.columns
-    held = embed_holdout(model, bundle.holdout)
+    held_rows, features = _trial_step(model, bundle.bona_fides, columns, config)
+    held = embed_holdout(model, bundle.bona_fides, held_rows)
     verification = verification_scores(held, config.eval, config.seed)
-    parents = datagen.protocol_parents(bundle.train_bona, columns)
-    features = trial_features(model, bundle.train_bona.inputs, parents, config.data.alpha)
     trials = morph_trials(features[2::3], held, columns, config.seed)
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
@@ -417,26 +437,9 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
 # --- recipes ----------------------------------------------------------------
 
 
-def evaluate_from_files(model: DualHeadModel, bona_fides, protocol, config: ExperimentConfig) -> EvalReport:
-    """Evaluate a checkpoint against a saved bona fide pool and protocol.
-
-    The train/holdout split is re-derived from the config exactly as in
-    generate_bundle, so file-driven evaluation matches in-process runs.
-    """
-    train_bona, holdout = holdout_split(
-        bona_fides, config.data.samples_per_class, config.data.holdout_fraction
-    )
-    bundle = DataBundle(None, bona_fides, train_bona, holdout, protocol, bona_fides[:0])
-    return evaluate_model(model, bundle, config)
-
-
 def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: ExperimentConfig):
     """Aligned per-role points plus the morph-cloud ellipse for reports."""
-    train_bona, _ = holdout_split(
-        bona_fides, config.data.samples_per_class, config.data.holdout_fraction
-    )
-    parents = datagen.protocol_parents(train_bona, protocol.columns)
-    return featviz.aligned_spread(trial_features(model, train_bona.inputs, parents, config.data.alpha))
+    return featviz.aligned_spread(_trial_step(model, bona_fides, protocol.columns, config)[1])
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):
@@ -470,8 +473,9 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
     stage1_config, stage2_config = adaptation_configs(config)
 
     if pretrained is None:
+        train_bona = bundle.bona_fides[_split(bundle.bona_fides, config)[0]]
         stage1_set = datagen.build_training_set(
-            bundle.universe, bundle.train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
+            bundle.universe, train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
         )
         stage1_model, stage1_history = train(fresh_model(config), stage1_set, stage1_config)
     else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import morphguard
-from morphguard import metrics
+from morphguard import cli, metrics
 from morphguard.cli import main
 from morphguard.datagen import load_dataset
 from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
@@ -18,6 +18,9 @@ from morphguard.experiment import ExperimentConfig
 from morphguard.losses import SampleKind
 
 import readers
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from cli_digests import interleave_records  # noqa: E402
 
 SMALL = {
     "seed": 9,
@@ -273,6 +276,38 @@ class TestAnalyzeFeatures:
         assert s == (w + h) / 2
         aligned = (out / "aligned_points.csv").read_text().strip().splitlines()
         assert len(aligned) == 1 + 3 * len(protocol)
+
+
+def eval_argv(command, config_path, out, checkpoint, pool, protocol):
+    return [command, "--config", config_path, "--out", str(out), "--checkpoint", str(checkpoint),
+            "--data", str(pool), "--protocol", str(protocol)]
+
+
+class TestRecordOrder:
+    """Each identity's record order in the pool file defines its split; the order across identities does not count."""
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    def test_interleaved_pool_gives_the_same_bytes(self, command, config_path, data_dir, train_dir, tmp_path):
+        source = data_dir / "bona_fides.jsonl"
+        shuffled = tmp_path / "bona_fides.jsonl"
+        interleave_records(source, shuffled, seed=1)
+        lines, shuffled_lines = source.read_text().splitlines(), shuffled.read_text().splitlines()
+        owner = [json.loads(line)["y_dot"] for line in shuffled_lines]
+        assert sorted(owner) != owner  # not identity-major
+        by_identity = {}
+        for line in shuffled_lines:
+            by_identity.setdefault(json.loads(line)["y_dot"], []).append(line)
+        assert [line for i in sorted(by_identity) for line in by_identity[i]] == lines
+
+        trees = []
+        for name, pool in (("file", source), ("interleaved", shuffled)):
+            out = tmp_path / name
+            argv = eval_argv(command, config_path, out, train_dir / "checkpoint.bin", pool, data_dir / "protocol.json")
+            assert main(argv) == 0
+            (out / "manifest.json").unlink()  # it records the pool file's digest
+            trees.append(tree_bytes(out))
+        assert len(trees[0]) == (6 if command == "eval" else 3)
+        assert trees[0] == trees[1]
 
 
 def manifest_of(out: Path) -> dict:
@@ -698,3 +733,74 @@ class TestExitCodes:
             argv += ["--data", str(data_dir / "bona_fides.jsonl"), "--protocol", str(data_dir / "protocol.json")]
         self._assert_one_line_data_error(argv, capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("num_classes", [3, 12], ids=["fewer", "more"])
+    def test_adapt_checkpoint_of_other_class_count(self, num_classes, config_path, tmp_path, capsys):
+        data = SMALL["data"]
+        path = tmp_path / "other.bin"
+        save_checkpoint(init_model(data["input_dim"], [16], 8, num_classes, seed=1), path)
+        argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"), "--checkpoint", str(path)]
+        err = self._assert_one_line_data_error(argv, capsys)
+        assert f"checkpoint {path} has {num_classes} classes; the config sets num_classes {data['num_classes']}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    def test_evaluation_reads_a_checkpoint_of_any_class_count(self, command, config_path, data_dir, tmp_path):
+        data = SMALL["data"]
+        path = tmp_path / "other.bin"
+        save_checkpoint(init_model(data["input_dim"], [16], 8, 2 * data["num_classes"], seed=1), path)
+        argv = eval_argv(command, config_path, tmp_path / "o", path, data_dir / "bona_fides.jsonl",
+                         data_dir / "protocol.json")
+        assert main(argv) == 0
+
+
+class TestEarlyOutCheck:
+    """Every command that writes --out checks it before any work and creates nothing when it fails."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started its work before checking --out")
+
+        for name in ("generate_bundle", "run_sweep", "run_adaptation", "evaluate_model", "feature_analysis"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def _assert_one_line_io_error(self, argv, capsys):
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("I/O error: --out ")
+        return err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep-margins", "adapt", "eval", "analyze-features"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_at_or_below_a_regular_file(
+        self, command, below, no_work, config_path, data_dir, train_dir, tmp_path, capsys
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "o" if below else blocker
+        argv = [command, "--config", config_path, "--out", str(out)]
+        if command in ("eval", "analyze-features"):
+            argv = eval_argv(command, config_path, out, train_dir / "checkpoint.bin", data_dir / "bona_fides.jsonl",
+                             data_dir / "protocol.json")
+        err = self._assert_one_line_io_error(argv, capsys)
+        assert f"{blocker} exists and is not a directory" in err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
+
+    def test_unwritable_ancestor(self, no_work, config_path, tmp_path, monkeypatch, capsys):
+        checked = []
+
+        def access(path, mode):
+            checked.append(Path(path))
+            return False
+
+        monkeypatch.setattr(cli.os, "access", access)
+        out = tmp_path / "a" / "b"
+        err = self._assert_one_line_io_error(["train", "--config", config_path, "--out", str(out)], capsys)
+        assert checked == [tmp_path] and f"directory {tmp_path} is not writable" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nested_out_is_created_once_the_work_succeeds(self, config_path, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["gen-data", "--config", config_path, "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()

@@ -65,6 +65,11 @@ def assert_same_samples(columns: SampleSet, samples: list):
     assert implied == [s.source_ids for s in samples]
 
 
+def split_samples(bona_fides, samples_per_class, fraction):
+    """holdout_split's two row arrays as the SampleSets they select from the pool."""
+    return tuple(bona_fides[rows] for rows in holdout_split(bona_fides, samples_per_class, fraction))
+
+
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def pipelines(request):
     """The columnar and the per-sample data path of one config, stage by stage."""
@@ -73,7 +78,7 @@ def pipelines(request):
     synth_args = (d.num_classes, d.samples_per_class, d.input_dim, d.spread, config.seed)
     stages = {}
     for name, synth, split, pairing in (
-        ("columns", synth_identities, holdout_split, pair_protocol),
+        ("columns", synth_identities, split_samples, pair_protocol),
         ("oracle", oracle_synth_identities, oracle_holdout_split, oracle_pair_protocol),
     ):
         universe, bona_fides = synth(*synth_args)
@@ -101,7 +106,7 @@ class TestAgainstPerSampleOracles:
         assert_same_samples(build_training_set(universe, train_bona, protocol, **kwargs), expected)
 
     def test_trial_triplets_and_trials(self, pipelines):
-        config, (_, _, train_bona, holdout, protocol), oracle = pipelines
+        config, (_, bona_fides, train_bona, _, protocol), oracle = pipelines
         expected = oracle_build_trial_triplets(oracle[2], oracle[4], config.data.alpha)
         columns = protocol.columns
         parents = protocol_parents(train_bona, columns)
@@ -115,7 +120,8 @@ class TestAgainstPerSampleOracles:
         assert features.shape == (3 * len(protocol.pairs), config.model.embedding_dim)
         assert features.tobytes() == _forward_batch(model, rows)[0].tobytes()
 
-        held = embed_holdout(model, holdout)
+        _, held_rows = holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
+        held = embed_holdout(model, bona_fides, held_rows)
         morphs = features[2::3]
         trials = morph_trials(morphs, held, columns, config.seed)
         expected = oracle_morph_trial_list(morphs, probes_by_identity(held), protocol, config.seed)

@@ -15,12 +15,11 @@ from morphguard.datagen import (
     MorphPair,
     MorphPairProtocol,
     Sample,
+    _morphs,
+    _selfmorphs,
     build_training_set,
-    group_by_identity,
     load_dataset,
     load_protocol,
-    make_morph,
-    make_selfmorph,
     mix_counts,
     pair_protocol,
     protocol_parents,
@@ -38,6 +37,12 @@ from morphguard.losses import LabelPair, SampleKind
 def bona_fide(identity, vec):
     arr = np.asarray(vec, dtype=np.float64)
     return Sample(input=arr / np.linalg.norm(arr), labels=LabelPair(identity, identity, SampleKind.BONA_FIDE))
+
+
+def morph_of(universe, sample_a, sample_b, alpha=0.5):
+    """The columnar morph builder on one pair of rows; alpha weights sample_a."""
+    ids = [sample_a.labels.first_label], [sample_b.labels.first_label]
+    return _morphs(universe, sample_a.input[None], sample_b.input[None], *ids, alpha)[0]
 
 
 class TestSynthIdentities:
@@ -58,7 +63,8 @@ class TestSynthIdentities:
     def test_within_class_similarity_exceeds_between(self):
         # Monte-Carlo estimate over ~10^4 sample draws
         universe, samples = synth_identities(10, 1000, 32, spread=0.1, seed=2)
-        grouped = group_by_identity(samples)
+        grouped = {i: samples[i * 1000 : (i + 1) * 1000] for i in range(10)}  # identity-major
+        assert all((grouped[i].first == i).all() for i in grouped)
         within = np.mean(
             [
                 float(a.input @ b.input)
@@ -212,7 +218,7 @@ class TestPairProtocol:
 class TestMakeMorph:
     def _tiny_universe(self):
         universe, samples = synth_identities(2, 2, 8, spread=0.1, seed=11)
-        grouped = group_by_identity(samples)
+        grouped = {i: samples[samples.first == i] for i in range(2)}
         first = [i for i in range(2) if universe.subsets[i] == 1][0]
         second = [i for i in range(2) if universe.subsets[i] == 2][0]
         return universe, grouped, first, second
@@ -221,14 +227,14 @@ class TestMakeMorph:
         universe, grouped, first, second = self._tiny_universe()
         shared = grouped[first][0].input
         fake_b = Sample(input=shared.copy(), labels=LabelPair(second, second, SampleKind.BONA_FIDE))
-        morph = make_morph(universe, grouped[first][0], fake_b, alpha=0.5)
+        morph = morph_of(universe, grouped[first][0], fake_b, alpha=0.5)
         np.testing.assert_allclose(morph.input, shared, atol=1e-12)
 
     def test_orientation_by_subset_not_argument_order(self):
         universe, grouped, first, second = self._tiny_universe()
         a, b = grouped[first][0], grouped[second][0]
-        m1 = make_morph(universe, a, b, alpha=0.5)
-        m2 = make_morph(universe, b, a, alpha=0.5)
+        m1 = morph_of(universe, a, b, alpha=0.5)
+        m2 = morph_of(universe, b, a, alpha=0.5)
         assert m1.labels == m2.labels
         assert m1.labels.first_label == first
         assert m1.labels.second_label == second
@@ -240,50 +246,43 @@ class TestMakeMorph:
         pb = universe.prototypes[second]
         sample_a = Sample(input=pa, labels=LabelPair(first, first, SampleKind.BONA_FIDE))
         sample_b = Sample(input=pb, labels=LabelPair(second, second, SampleKind.BONA_FIDE))
-        morph = make_morph(universe, sample_a, sample_b, alpha=0.5)
+        morph = morph_of(universe, sample_a, sample_b, alpha=0.5)
         expected = np.sqrt((1.0 + float(pa @ pb)) / 2.0)
         assert float(morph.input @ pa) == pytest.approx(expected, abs=1e-12)
         assert float(morph.input @ pb) == pytest.approx(expected, abs=1e-12)
 
     def test_same_subset_rejected(self):
+        # A protocol pair within subset 1, as a hand-edited protocol could hold it.
         universe, samples = synth_identities(4, 2, 8, spread=0.1, seed=12)
-        grouped = group_by_identity(samples)
         side1 = [i for i in range(4) if universe.subsets[i] == 1]
-        with pytest.raises(ProtocolError):
-            make_morph(universe, grouped[side1[0]][0], grouped[side1[1]][0])
+        within = MorphPairProtocol(np.array([[side1[0], side1[1], 0, 0]]))
+        with pytest.raises(ProtocolError, match=f"identities {side1[0]} and {side1[1]} share subset 1"):
+            build_training_set(universe, samples, within, ratios=(8, 1, 0), seed=12)
 
     def test_alpha_range(self):
         universe, grouped, first, second = self._tiny_universe()
         with pytest.raises(ConfigError):
-            make_morph(universe, grouped[first][0], grouped[second][0], alpha=0.0)
+            morph_of(universe, grouped[first][0], grouped[second][0], alpha=0.0)
 
 
 class TestMakeSelfmorph:
     def test_identical_inputs_are_fixed_point(self):
         s = bona_fide(3, [1.0, 2.0, 2.0])
-        morph = make_selfmorph(s, s)
+        morph = _selfmorphs(s.input[None], s.input[None], [3])[0]
         np.testing.assert_allclose(morph.input, s.input, atol=1e-15)
         assert morph.labels.first_label == morph.labels.second_label == 3
         assert morph.labels.kind is SampleKind.SELF_MORPH
-
-    def test_different_identities_rejected(self):
-        with pytest.raises(ProtocolError):
-            make_selfmorph(bona_fide(0, [1, 0]), bona_fide(1, [0, 1]))
 
     def test_noise_averaging_improves_prototype_cosine(self):
         # selfmorphs average out within-class noise: over ~10^4 pairs the
         # blend should sit closer to the prototype than its parents
         universe, samples = synth_identities(2, 10000, 16, spread=0.1, seed=13)
-        grouped = group_by_identity(samples)
         proto = universe.prototypes[0]
-        pool = grouped[0]
-        parent_cos = []
-        self_cos = []
-        for a, b in zip(pool[0::2], pool[1::2]):
-            parent_cos.append(float(a.input @ proto))
-            parent_cos.append(float(b.input @ proto))
-            self_cos.append(float(make_selfmorph(a, b).input @ proto))
-        assert np.mean(self_cos) > np.mean(parent_cos)
+        pool = samples[samples.first == 0]
+        a, b = pool[0::2], pool[1::2]
+        selfmorphs = _selfmorphs(a.inputs, b.inputs, a.first)
+        parent_cos = np.concatenate((a.inputs @ proto, b.inputs @ proto))
+        assert np.mean(selfmorphs.inputs @ proto) > np.mean(parent_cos)
 
 
 class TestBuildTrainingSet:
@@ -399,9 +398,10 @@ class TestSelfmorphDraw:
         assert len(selfmorphs) == len(pool)
         for sample in selfmorphs:
             identity = sample.labels.first_label
-            own = [s for s in pool if s.labels.first_label == identity]
+            own = pool.inputs[pool.first == identity]
             assert counts[identity] >= 2 and len(own) == counts[identity]
-            blends = {make_selfmorph(a, b).input.tobytes() for a, b in itertools.permutations(own, 2)}
+            a, b = np.array(list(itertools.permutations(range(len(own)), 2))).T
+            blends = {row.tobytes() for row in _selfmorphs(own[a], own[b], np.full(a.size, identity)).inputs}
             assert sample.input.tobytes() in blends
         again = selfmorph_set(counts, seed)[1]
         assert again.inputs.tobytes() == out.inputs.tobytes() and again.first.tobytes() == out.first.tobytes()

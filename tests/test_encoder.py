@@ -25,7 +25,9 @@ from morphguard.errors import (
     NumericError,
     ProtocolError,
 )
-from morphguard.experiment import ExperimentConfig, adaptation_configs, fresh_model, generate_bundle, run_adaptation
+from morphguard.experiment import (
+    ExperimentConfig, adaptation_configs, fresh_model, generate_bundle, holdout_split, run_adaptation
+)
 from morphguard.losses import MarginConfig
 
 from oracles import fd_gradient, max_rel_err, oracle_batch_gradients, oracle_train
@@ -505,8 +507,9 @@ class TestAdapt:
         bundle = generate_bundle(config)
         stage1_config, stage2_config = adaptation_configs(config)
         (m1, _, _), (m2, h2, _) = run_adaptation(config)
+        train_rows, _ = holdout_split(bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
         stage1_set = build_training_set(
-            bundle.universe, bundle.train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
+            bundle.universe, bundle.bona_fides[train_rows], bundle.protocol, ratios=(1, 0, 0), seed=config.seed
         )
         expected1, _ = train(fresh_model(config), stage1_set, stage1_config)
         assert models_equal(m1, expected1)

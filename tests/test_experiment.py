@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,11 +10,11 @@ from morphguard import datagen
 from morphguard.errors import ConfigError, DataError
 from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
 from morphguard.experiment import (
+    DataBundle,
     EvalSettings,
     ExperimentConfig,
     adaptation_configs,
     embed_holdout,
-    evaluate_from_files,
     evaluate_model,
     feature_analysis,
     fresh_model,
@@ -42,17 +43,60 @@ SMALL = {
 }
 
 
+def split_rows(pool, config):
+    """holdout_split's (train_rows, held_rows) of a pool under config."""
+    return holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
+
+
+def train_part(bundle, config):
+    """The training part of the bundle's pool, as a SampleSet."""
+    return bundle.bona_fides[split_rows(bundle.bona_fides, config)[0]]
+
+
+def held_embeddings(model, bundle, config):
+    """embed_holdout of the bundle's held-out rows."""
+    return embed_holdout(model, bundle.bona_fides, split_rows(bundle.bona_fides, config)[1])
+
+
 def protocol_features(model, bundle, config):
-    """trial_features of the bundle's protocol pairs, parents from its training pool."""
-    parents = datagen.protocol_parents(bundle.train_bona, bundle.protocol.columns)
-    return trial_features(model, bundle.train_bona.inputs, parents, config.data.alpha)
+    """trial_features of the bundle's protocol pairs, parents from its training part."""
+    train_bona = train_part(bundle, config)
+    parents = datagen.protocol_parents(train_bona, bundle.protocol.columns)
+    return trial_features(model, train_bona.inputs, parents, config.data.alpha)
 
 
 def protocol_triplet_inputs(bundle, config):
     """(T, 3, D) parent_a, parent_b and morph input rows of the bundle's protocol pairs."""
-    parents = datagen.protocol_parents(bundle.train_bona, bundle.protocol.columns)
-    a, b = bundle.train_bona.inputs[parents.T]
+    train_bona = train_part(bundle, config)
+    parents = datagen.protocol_parents(train_bona, bundle.protocol.columns)
+    a, b = train_bona.inputs[parents.T]
     return np.stack((a, b, datagen._blend(a, b, config.data.alpha)), axis=1)
+
+
+def interleaved(pool, seed):
+    """The pool's records in a seeded order across identities, each identity's records in pool order."""
+    owners = np.random.default_rng(seed).permutation(pool.first)
+    rows = np.empty(len(pool), dtype=np.int64)
+    rows[np.argsort(owners, kind="stable")] = np.argsort(pool.first, kind="stable")
+    return pool[rows]
+
+
+def assert_same_report(report, expected):
+    """Two EvalReports hold the same scores, curves, points and feature cloud, bit for bit."""
+    assert report.verification.genuine.tobytes() == expected.verification.genuine.tobytes()
+    assert report.verification.impostor.tobytes() == expected.verification.impostor.tobytes()
+    assert report.trials.scores.tobytes() == expected.trials.scores.tobytes()
+    for name in ("fnmr_curve", "fmr_curve", "mmpmr_curve"):
+        curve, expected_curve = getattr(report, name), getattr(expected, name)
+        assert curve.thresholds.tobytes() == expected_curve.thresholds.tobytes()
+        assert curve.values.tobytes() == expected_curve.values.tobytes()
+    assert report.operating_points == expected.operating_points
+    assert report.aligned_cloud.tobytes() == expected.aligned_cloud.tobytes()
+    assert ellipse_values(report.ellipse) == ellipse_values(expected.ellipse)
+
+
+def ellipse_values(ellipse):
+    return (ellipse.center.tobytes(), ellipse.width, ellipse.height, ellipse.orientation)
 
 
 def identity_model(dim: int, num_classes: int) -> DualHeadModel:
@@ -187,16 +231,23 @@ class TestHoldoutSplit:
     def test_per_identity_counts(self, small_bundle, small_config):
         spc = small_config.data.samples_per_class
         hold_per = max(1, round(spc * small_config.data.holdout_fraction))
-        grouped_train = datagen.group_by_identity(small_bundle.train_bona)
-        grouped_hold = datagen.group_by_identity(small_bundle.holdout)
-        for identity in grouped_train:
-            assert len(grouped_train[identity]) == spc - hold_per
-            assert len(grouped_hold[identity]) == hold_per
+        num_train, num_classes = spc - hold_per, small_config.data.num_classes
+        train_rows, held_rows = split_rows(small_bundle.bona_fides, small_config)
+        # Identity-major rows of the identity-major pool: each identity's first (or last) samples.
+        for rows, start, per in ((train_rows, 0, num_train), (held_rows, num_train, hold_per)):
+            assert rows.tolist() == [i * spc + start + k for i in range(num_classes) for k in range(per)]
 
-    def test_holdout_disjoint_from_training_set(self, small_bundle):
+    def test_holdout_disjoint_from_training_set(self, small_bundle, small_config):
         train_inputs = {s.input.tobytes() for s in small_bundle.train_set}
-        for sample in small_bundle.holdout:
-            assert sample.input.tobytes() not in train_inputs
+        for row in small_bundle.bona_fides.inputs[split_rows(small_bundle.bona_fides, small_config)[1]]:
+            assert row.tobytes() not in train_inputs
+
+    def test_split_of_an_interleaved_pool_is_the_same_samples(self, small_bundle, small_config):
+        pool = small_bundle.bona_fides
+        shuffled = interleaved(pool, seed=3)
+        assert not np.array_equal(shuffled.first, pool.first)
+        for rows, shuffled_rows in zip(split_rows(pool, small_config), split_rows(shuffled, small_config)):
+            assert shuffled.inputs[shuffled_rows].tobytes() == pool.inputs[rows].tobytes()
 
     def test_fraction_bounds(self, small_bundle):
         with pytest.raises(ConfigError):
@@ -227,7 +278,7 @@ class TestBundle:
         data = small_config.data
         assert len(small_bundle.bona_fides) == data.num_classes * data.samples_per_class
         kinds = [s.labels.kind for s in small_bundle.train_set]
-        n_train_bona = len(small_bundle.train_bona)
+        n_train_bona = len(split_rows(small_bundle.bona_fides, small_config)[0])
         assert kinds.count(SampleKind.BONA_FIDE) == n_train_bona
         num_morphs, num_selfmorphs = datagen.mix_counts(n_train_bona, data.ratios)
         assert kinds.count(SampleKind.MORPH) == num_morphs
@@ -239,6 +290,10 @@ class TestBundle:
         config = ExperimentConfig.from_dict({"data": {"num_classes": 26, "ratios": [3.2, 0.7, 1]}})
         bundle = generate_bundle(config)
         assert len(bundle.protocol.pairs) == int(bundle.train_set.is_morph.sum()) == 227
+
+    def test_fields_are_the_pool_protocol_and_training_set(self, small_bundle):
+        names = [f.name for f in dataclasses.fields(DataBundle)]
+        assert names == ["universe", "bona_fides", "protocol", "train_set"]
 
     def test_deterministic(self, small_config, small_bundle):
         again = generate_bundle(small_config)
@@ -287,8 +342,9 @@ def trained(small_config, small_bundle):
 
 class TestEvaluation:
     def test_verification_scores_shape_and_determinism(self, trained, small_bundle, small_config):
-        vs1 = verification_scores(embed_holdout(trained, small_bundle.holdout), small_config.eval, small_config.seed)
-        vs2 = verification_scores(embed_holdout(trained, small_bundle.holdout), small_config.eval, small_config.seed)
+        held1, held2 = (held_embeddings(trained, small_bundle, small_config) for _ in range(2))
+        vs1 = verification_scores(held1, small_config.eval, small_config.seed)
+        vs2 = verification_scores(held2, small_config.eval, small_config.seed)
         assert vs1.genuine.shape == (200,)
         assert vs1.impostor.shape == (200,)
         np.testing.assert_array_equal(vs1.genuine, vs2.genuine)
@@ -298,7 +354,7 @@ class TestEvaluation:
         features = protocol_features(trained, small_bundle, small_config)
         trials = morph_trials(
             features[2::3],
-            embed_holdout(trained, small_bundle.holdout),
+            held_embeddings(trained, small_bundle, small_config),
             small_bundle.protocol.columns,
             small_config.seed,
         )
@@ -306,7 +362,7 @@ class TestEvaluation:
         assert all(t.subject_scores.shape == (2,) for t in trials)
 
     def test_trials_need_probes_of_both_parents(self, trained, small_bundle, small_config):
-        probes = probes_by_identity(embed_holdout(trained, small_bundle.holdout))
+        probes = probes_by_identity(held_embeddings(trained, small_bundle, small_config))
         del probes[small_bundle.protocol.pairs[0].identity_b]
         morphs = np.zeros((len(small_bundle.protocol.pairs), trained.embedding_dim))
         columns = small_bundle.protocol.columns
@@ -343,12 +399,21 @@ class TestEvaluation:
         datagen.save_protocol(small_bundle.protocol, small_bundle.universe, tmp_path / "protocol.json")
         pool = datagen.load_dataset(tmp_path / "pool.jsonl")
         protocol = datagen.load_protocol(tmp_path / "protocol.json")
-        from_files = evaluate_from_files(trained, pool, protocol, small_config)
+        from_files = evaluate_model(trained, DataBundle(None, pool, protocol, None), small_config)
         in_process = evaluate_model(trained, small_bundle, small_config)
-        assert from_files.min_rmmr_value == in_process.min_rmmr_value
-        np.testing.assert_array_equal(from_files.verification.genuine, in_process.verification.genuine)
-        for a, b in zip(from_files.operating_points, in_process.operating_points):
-            assert a == b
+        assert_same_report(from_files, in_process)
+
+    def test_evaluation_ignores_cross_identity_record_order(self, trained, small_bundle, small_config):
+        pool = interleaved(small_bundle.bona_fides, seed=4)
+        shuffled = DataBundle(None, pool, small_bundle.protocol, None)
+        assert_same_report(evaluate_model(trained, shuffled, small_config),
+                           evaluate_model(trained, small_bundle, small_config))
+        aligned, ellipse = feature_analysis(trained, pool, small_bundle.protocol, small_config)
+        expected, expected_ellipse = feature_analysis(
+            trained, small_bundle.bona_fides, small_bundle.protocol, small_config
+        )
+        assert aligned.tobytes() == expected.tobytes()
+        assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
 
     def test_feature_analysis_shapes(self, trained, small_bundle, small_config):
         aligned, _ = feature_analysis(
@@ -385,7 +450,7 @@ class TestWholeArrayDraws:
         )
         bundle = generate_bundle(config)
         model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
-        held = embed_holdout(model, bundle.holdout)
+        held = held_embeddings(model, bundle, config)
         morphs = protocol_features(model, bundle, config)[2::3]
         trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
         expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
@@ -450,13 +515,15 @@ class TestOnePassEmbedding:
 
     @pytest.mark.parametrize("step", [1, -1], ids=["pool-order", "reversed"])
     def test_holdout_pool_equals_one_batch_in_identity_order(self, case, step):
-        _, bundle, model = case
-        holdout = bundle.holdout[::step]
-        order = np.argsort(holdout.first, kind="stable")
-        pool, counts, offsets, identities = embed_holdout(model, holdout)
-        expected = _forward_batch(model, holdout.inputs[order])[0]
-        assert pool.tobytes() == expected.tobytes()
-        assert np.repeat(identities, counts).tolist() == holdout.first[order].tolist()
+        config, bundle, model = case
+        pool = bundle.bona_fides[::step]
+        _, held_rows = split_rows(pool, config)
+        held = pool[held_rows]
+        assert np.all(np.diff(held.first) >= 0)  # identities ascending, whatever the pool's order
+        embedded, counts, offsets, identities = embed_holdout(model, pool, held_rows)
+        expected = _forward_batch(model, held.inputs)[0]
+        assert embedded.tobytes() == expected.tobytes()
+        assert np.repeat(identities, counts).tolist() == held.first.tolist()
         assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
 
 

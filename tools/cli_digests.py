@@ -3,13 +3,20 @@
 Runs `gen-data`, `train`, `eval`, `analyze-features`, `sweep-margins`
 and `adapt` at the default config with `--seed N` in a temporary
 directory, and once more `adapt --checkpoint` from the `train`
-checkpoint into `adapt-pretrained/`. It uses the `morphguard` package
-of the checkout this script lives in, and prints one
-`<relative path> <sha256>` line per output file, sorted by path.
-Diffing the output of two checkouts shows which output bytes a change
-moved:
+checkpoint into `adapt-pretrained/`. `eval` and `analyze-features` run
+twice more, into `eval-interleaved/` and `analyze-features-interleaved/`,
+on a copy of `gen-data`'s `bona_fides.jsonl` whose records are
+interleaved across identities (each identity's records keep their
+order). It prints one `<relative path> <sha256>` line per output file,
+sorted by path. Diffing the output of two checkouts shows which output
+bytes a change moved:
 
     python3 tools/cli_digests.py --seed 1 > before.txt
+    python3 tools/cli_digests.py --seed 1 ../base > base.txt
+
+The optional argument names the checkout whose `morphguard` package runs
+the commands; it defaults to the checkout this script lives in. So one
+script, with one command list, can digest two checkouts.
 
 The commands' own progress lines go to stderr. Exits with the first
 non-zero exit code of a command.
@@ -20,34 +27,50 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from morphguard.cli import main as cli_main  # noqa: E402
+HERE = Path(__file__).resolve().parents[1]
 
 
-def run_commands(root: Path, seed: int) -> int:
+def interleave_records(source: Path, target: Path, seed: int):
+    """Write source's JSONL records to target in a seeded order across
+    identities (`y_dot`), each identity's records in their source order."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    queues = {}
+    for line in lines:
+        queues.setdefault(json.loads(line)["y_dot"], []).append(line)
+    owners = [owner for owner, queue in queues.items() for _ in queue]
+    random.Random(seed).shuffle(owners)
+    pending = {owner: iter(queue) for owner, queue in queues.items()}
+    target.write_text("".join(next(pending[owner]) for owner in owners), encoding="utf-8")
+
+
+def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
     common = ["--seed", str(seed)]
-    inputs = [
-        "--checkpoint", str(root / "train" / "checkpoint.bin"),
-        "--data", str(root / "gen-data" / "bona_fides.jsonl"),
-        "--protocol", str(root / "gen-data" / "protocol.json"),
-    ]
-    pretrained = ["--checkpoint", str(root / "train" / "checkpoint.bin")]
+    checkpoint = ["--checkpoint", str(root / "train" / "checkpoint.bin")]
+    protocol = ["--protocol", str(root / "gen-data" / "protocol.json")]
+    pool = ["--data", str(root / "gen-data" / "bona_fides.jsonl")]
+    interleaved = inputs_dir / "bona_fides.jsonl"
+    shuffled_pool = ["--data", str(interleaved)]
     # (output directory, command and its own arguments)
     commands = [
         ("gen-data", ["gen-data"]),
         ("train", ["train"]),
-        ("eval", ["eval", *inputs]),
-        ("analyze-features", ["analyze-features", *inputs]),
+        ("eval", ["eval", *checkpoint, *pool, *protocol]),
+        ("analyze-features", ["analyze-features", *checkpoint, *pool, *protocol]),
+        ("eval-interleaved", ["eval", *checkpoint, *shuffled_pool, *protocol]),
+        ("analyze-features-interleaved", ["analyze-features", *checkpoint, *shuffled_pool, *protocol]),
         ("sweep-margins", ["sweep-margins"]),
         ("adapt", ["adapt"]),
-        ("adapt-pretrained", ["adapt", *pretrained]),
+        ("adapt-pretrained", ["adapt", *checkpoint]),
     ]
     for out, command in commands:
+        if out == "eval-interleaved":  # the first command that reads the interleaved pool
+            interleave_records(root / "gen-data" / "bona_fides.jsonl", interleaved, seed)
         argv = [command[0], *common, "--out", str(root / out), *command[1:]]
         with contextlib.redirect_stdout(sys.stderr):
             code = cli_main(argv)
@@ -60,10 +83,17 @@ def run_commands(root: Path, seed: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="seed passed to every command")
+    parser.add_argument("checkout", type=Path, nargs="?", default=HERE,
+                        help="checkout whose morphguard package runs the commands (default: this one)")
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    from morphguard.cli import main as cli_main
+
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        code = run_commands(root, args.seed)
+        root, inputs_dir = Path(tmp) / "out", Path(tmp) / "inputs"
+        root.mkdir()
+        inputs_dir.mkdir()
+        code = run_commands(cli_main, root, inputs_dir, args.seed)
         if code != 0:
             return code
         for path in sorted(p for p in root.rglob("*") if p.is_file()):

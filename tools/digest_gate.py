@@ -1,7 +1,10 @@
 """Fail when a change moves a CLI output byte without a version bump.
 
-Runs `tools/cli_digests.py --seed N` of a base checkout and of this one,
-each on its own `morphguard` package, for seeds 1 and 2. It prints a
+Runs this checkout's `tools/cli_digests.py --seed N` on the `morphguard`
+package of a base checkout and on this one's, for seeds 1 and 2. One
+script digests both packages, so a change that adds a command to the
+digest list compares that command's outputs too, rather than failing
+on lines the base's own script never printed. It prints a
 markdown report of every digest line that differs, also appending it to
 `--summary` if given (for example `$GITHUB_STEP_SUMMARY`), and exits 1
 when a line differs while both checkouts report the same
@@ -26,7 +29,7 @@ SEEDS = (1, 2)
 
 
 def digests(checkout: Path, seed: int) -> list[str]:
-    run = [sys.executable, str(checkout / "tools" / "cli_digests.py"), "--seed", str(seed)]
+    run = [sys.executable, str(HEAD / "tools" / "cli_digests.py"), "--seed", str(seed), str(checkout)]
     return subprocess.run(run, check=True, capture_output=True, text=True).stdout.splitlines(keepends=True)
 
 
