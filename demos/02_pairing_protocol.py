@@ -9,7 +9,7 @@ them: the subset-1 parent always feeds head 1, the subset-2 parent head 2.
 import numpy as np
 
 from morphguard import MorphPairProtocol, build_training_set, pair_protocol, synth_identities
-from morphguard.datagen import KINDS, MORPH, SELF_MORPH
+from morphguard.datagen import KINDS, SELF_MORPH
 from morphguard.errors import ProtocolError
 
 universe, bona_fides = synth_identities(
@@ -32,17 +32,20 @@ print("within-subset families like",
 # build_training_set blends every protocol row in one block; with 8 bona fides,
 # ratios 8:1:0 ask for exactly one morph, from the protocol's first row
 first_row = MorphPairProtocol(protocol.columns[:1])
+# (the set is its blocks in order: 8 bona fides, then the morph in row 8)
 mixed = build_training_set(universe, bona_fides, first_row, ratios=(8, 1, 0), seed=7)
-morph = mixed[int(np.flatnonzero(mixed.kinds == MORPH)[0])]
+morph = mixed[8]
 print("\nprotocol row", protocol.columns[0].tolist(), "-> morph labels (head1, head2):",
       (names[morph.labels.first_label], names[morph.labels.second_label]))
 
-# a hand-made row that pairs within a subset is refused
+# hand-made rows that pair within a subset, or run subset 2 -> 1, are refused
 within = MorphPairProtocol(np.array([[side1[0], side1[1], 0, 0]]))
-try:
-    build_training_set(universe, bona_fides, within, ratios=(8, 1, 0), seed=7)
-except ProtocolError as err:
-    print("same-subset blend rejected:", err)
+backwards = MorphPairProtocol(protocol.columns[:1, [1, 0, 3, 2]])
+for name, rows in (("same-subset", within), ("subset 2 -> 1", backwards)):
+    try:
+        build_training_set(universe, bona_fides, rows, ratios=(8, 1, 0), seed=7)
+    except ProtocolError as err:
+        print(f"{name} blend rejected:", err)
 
 # selfmorphs blend two samples of one identity and stay bona fide
 mixed = build_training_set(universe, bona_fides, protocol, ratios=(8, 0, 1), seed=7)
@@ -50,7 +53,8 @@ selfmorphs = mixed[mixed.kinds == SELF_MORPH]
 print("selfmorph labels equal:", bool((selfmorphs.first == selfmorphs.second).all()),
       "| kind:", KINDS[SELF_MORPH].value)
 
-# a full training set interleaves all three kinds at the 2:1:1 default
+# a full training set holds all three kinds at the 2:1:1 default, in blocks;
+# train shuffles it every epoch
 universe, bona_fides = synth_identities(10, 20, 32, spread=0.15, seed=7)
 protocol = pair_protocol(universe, bona_fides, num_morphs=100, seed=7)
 dataset = build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), seed=7)

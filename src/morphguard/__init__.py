@@ -75,4 +75,4 @@ from .featviz import (
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -176,7 +176,7 @@ def cmd_sweep_margins(args) -> int:
 
 def cmd_adapt(args) -> int:
     config = load_config(args)
-    pretrained = _load_checkpoint_for(args.checkpoint, config, heads=True) if args.checkpoint else None
+    pretrained = _load_checkpoint_for(args.checkpoint, config, trains=True) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
     out_dir = _out_dir(args)
     model1, history1, report1 = stage1
@@ -197,16 +197,21 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(path, config, heads=False):
+def _load_checkpoint_for(path, config, trains=False):
     """Load a checkpoint, rejecting one whose widths differ from the config's and,
-    if its heads will train, one whose class count does."""
+    if it will train (so the manifest's config describes it), one whose class
+    count or hidden layers do."""
     model = load_checkpoint(path)
     widths, expected = (model.input_dim, model.embedding_dim), (config.data.input_dim, config.model.embedding_dim)
     if widths != expected:
         raise DataError(f"checkpoint {path} has (input, embedding) widths {widths}; the config sets {expected}")
-    if heads and model.num_classes != config.data.num_classes:
+    if trains and model.num_classes != config.data.num_classes:
         raise DataError(f"checkpoint {path} has {model.num_classes} classes; the config sets "
                         f"num_classes {config.data.num_classes}")
+    hidden = [w.shape[0] for w, _ in model.layers[:-1]]
+    if trains and hidden != list(config.model.hidden_dims):
+        raise DataError(f"checkpoint {path} has hidden layers {hidden}; the config sets "
+                        f"hidden_dims {list(config.model.hidden_dims)}")
     return model
 
 

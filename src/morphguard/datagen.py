@@ -12,9 +12,9 @@ per-sample builder.
 Identities are unit prototype vectors; bona fide samples are
 renormalized noisy copies. To keep morph labeling unambiguous the
 identities are split into two disjoint subsets and morphs are blended
-only across subsets: the subset-1 parent always supplies the first
-(head-1) label and the subset-2 parent the second, regardless of
-argument order. Selfmorphs blend two samples of one identity and keep
+only across subsets: a protocol pair runs subset 1 -> 2, its subset-1
+parent weighted alpha and giving the first (head-1) label, and a pair
+the other way round is rejected, not relabelled. Selfmorphs blend two samples of one identity and keep
 bona fide labeling.
 
 Everything is a pure function of (config, seed); datasets serialize to
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .losses import LabelPair, SampleKind
 from .seeding import (
-    STREAM_MIX,
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
     STREAM_SAMPLES,
@@ -153,9 +152,12 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _blend(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Morph and selfmorph inputs of paired (M, D) rows: alpha weights the first."""
-    return _unit_rows(alpha * a + (1.0 - alpha) * b)
+def _blend(a: np.ndarray, b: np.ndarray, alpha: float, out=None) -> np.ndarray:
+    """Morph and selfmorph inputs of paired (M, D) rows, written into out if
+    given: alpha·a, then (1 − alpha)·b, their sum, then the row norm."""
+    out = np.multiply(alpha, a, out=out)
+    out += (1.0 - alpha) * b
+    return _unit_rows(out)
 
 
 def split_identities(num_classes: int, seed: int) -> np.ndarray:
@@ -264,27 +266,6 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
     return MorphPairProtocol(np.column_stack((ids1[a], ids2[b], ks1[a], ks2[b])))
 
 
-def _morphs(universe: IdentityUniverse, inputs_a, inputs_b, ids_a, ids_b, alpha: float) -> SampleSet:
-    """Morphs of paired cross-subset parent rows; alpha weights the a rows."""
-    check_alpha(alpha)
-    ids_a, ids_b = np.asarray(ids_a, dtype=np.int64), np.asarray(ids_b, dtype=np.int64)
-    sub_a = universe.subsets[ids_a]
-    clash = np.flatnonzero(sub_a == universe.subsets[ids_b])
-    if clash.size:
-        k = clash[0]
-        raise ProtocolError(
-            f"identities {ids_a[k]} and {ids_b[k]} share subset {sub_a[k]}; morphing within a subset "
-            "would make the labeling ambiguous"
-        )
-    first, second = np.where(sub_a == 1, ids_a, ids_b), np.where(sub_a == 1, ids_b, ids_a)
-    return SampleSet(_blend(inputs_a, inputs_b, alpha), first, second, np.full(first.size, MORPH))
-
-
-def _selfmorphs(inputs_a, inputs_b, identities) -> SampleSet:
-    """Even blends of paired rows of one identity each, labeled as bona fide material."""
-    return SampleSet(_blend(inputs_a, inputs_b, 0.5), identities, identities, np.full(len(identities), SELF_MORPH))
-
-
 def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:
     """(T, 2) pool rows of each pair's (subset-1, subset-2) parent.
 
@@ -311,35 +292,30 @@ def build_training_set(
     seed: int = 0,
     alpha: float = 0.5,
 ) -> SampleSet:
-    """Interleave bona fides, protocol morphs, and random selfmorphs.
+    """Three blocks: every bona fide in the order given, then protocol
+    morphs in protocol order, then random selfmorphs in draw order, at
+    the counts mix_counts gives for ratios; train shuffles every epoch.
 
-    Every bona fide is kept, with the morph and selfmorph counts that
-    mix_counts gives for ratios. Morphs consume protocol pairs in order
-    and run out with a CapacityError. Selfmorphs draw whole arrays from
-    one stream, as genuine verification pairs do: for each an identity
-    with two or more samples, then an ordered pair of distinct samples of it.
+    Morphs consume protocol pairs, each running subset 1 -> 2, and run
+    out with a CapacityError. Selfmorphs draw whole arrays from one
+    stream, as genuine verification pairs do: for each an identity with
+    two or more samples, then an ordered pair of distinct samples of it.
     """
+    check_alpha(alpha)
     num_morphs, num_selfmorphs = mix_counts(len(bona_fides), ratios)
     order, _, counts, offsets = _pool_index(bona_fides)
     if num_morphs > len(protocol.columns):
         raise CapacityError(f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.columns)}")
-    # The mixed order is drawn first, so each part is written straight to its
-    # output rows: no concatenated copy, and the output is allocated before the
-    # parts' temporaries (freed temporaries below it fragmented the heap).
-    num_bona_fides = len(bona_fides)
-    total = num_bona_fides + num_morphs + num_selfmorphs
-    slots = np.empty(total, dtype=np.int64)  # the output row of each row of bona fides + morphs + selfmorphs
-    slots[rng_for(seed, STREAM_MIX).permutation(total)] = np.arange(total)
-    inputs, labels = bona_fides.inputs, bona_fides.first
-    columns = [np.empty((total, inputs.shape[1]))] + [np.empty(total, dtype) for dtype in (np.int64, np.int64, np.int8)]
-
-    def place(start: int, part: SampleSet):
-        for column, name in zip(columns, _COLUMNS):
-            column[slots[start : start + len(part)]] = getattr(part, name)
-
-    place(0, bona_fides)
-    a, b = protocol_parents(bona_fides, protocol.columns[:num_morphs]).T
-    place(num_bona_fides, _morphs(universe, inputs[a], inputs[b], labels[a], labels[b], alpha))
+    pairs = protocol.columns[:num_morphs]
+    parents = protocol_parents(bona_fides, pairs)
+    subsets = universe.subsets[pairs[:, :2]]
+    wrong = np.flatnonzero((subsets != (1, 2)).any(axis=1))
+    if wrong.size:
+        pair, (sub_a, sub_b) = MorphPair(*pairs[wrong[0]].tolist()), subsets[wrong[0]]
+        if sub_a == sub_b:
+            raise ProtocolError(f"identities {pair.identity_a} and {pair.identity_b} share subset {sub_a}; "
+                                "morphing within a subset would make the labeling ambiguous")
+        raise ProtocolError(f"protocol pair {pair} runs subset {sub_a} -> {sub_b}, not 1 -> 2")
 
     rich = np.flatnonzero(counts >= 2)
     if num_selfmorphs > 0 and not rich.size:
@@ -349,9 +325,20 @@ def build_training_set(
     i = self_rng.integers(counts[group])
     j = self_rng.integers(counts[group] - 1)
     j += j >= i
-    a, b = order[offsets[group] + i], order[offsets[group] + j]
-    place(num_bona_fides + num_morphs, _selfmorphs(inputs[a], inputs[b], labels[a]))
-    return SampleSet(*columns)
+    selves = order[offsets[group, None] + np.column_stack((i, j))]  # (S, 2) pool rows of each selfmorph's parents
+
+    # Each block is written straight into its rows of the output, which is allocated before
+    # the blocks' temporaries (freed temporaries below it fragmented the heap).
+    inputs, labels = bona_fides.inputs, bona_fides.first
+    n, m = len(bona_fides), num_morphs
+    out = np.empty((n + m + num_selfmorphs, inputs.shape[1]))
+    out[:n] = inputs
+    _blend(inputs[parents[:, 0]], inputs[parents[:, 1]], alpha, out[n : n + m])
+    _blend(inputs[selves[:, 0]], inputs[selves[:, 1]], 0.5, out[n + m :])
+    first = np.concatenate((labels, pairs[:, 0], labels[selves[:, 0]]))
+    second = np.concatenate((bona_fides.second, pairs[:, 1], labels[selves[:, 0]]))
+    kinds = np.concatenate((bona_fides.kinds, np.full(m, MORPH), np.full(num_selfmorphs, SELF_MORPH)))
+    return SampleSet(out, first, second, kinds)
 
 
 # --- serialization ---------------------------------------------------------

@@ -27,6 +27,7 @@ of (model, dataset, config).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -173,12 +174,16 @@ def init_model(input_dim: int, hidden_dims, embedding_dim: int, num_classes: int
     return model
 
 
-def _unit_rows(rows: np.ndarray, error, what: str, squares=None, norms=None):
+def _unit_rows(rows: np.ndarray, error, what: str, squares=None, norms=None, finite=False):
     """Rows scaled to unit length in place, and their norms (np.linalg.norm's
-    arithmetic); ``squares`` and ``norms`` are optional work arrays."""
+    arithmetic); ``squares`` and ``norms`` are optional work arrays. A norm
+    below 1e-12 raises ``error``, and so, if ``finite``, does an inf or nan
+    one; a training step leaves that to train, which reports its loss."""
     squares = np.multiply(rows, rows, out=squares)
     norms = np.add.reduce(squares, axis=1, out=norms)
     np.sqrt(norms, out=norms)
+    if finite and norms.size and not np.maximum.reduce(norms) < math.inf:
+        raise error(f"cannot normalize {what} row {int(np.argmin(np.isfinite(norms)))}: it overflows float64")
     if norms.size and np.minimum.reduce(norms) < 1e-12:
         raise error(f"{what} norm below 1e-12 for row {int(np.argmin(norms))}")
     rows /= norms[:, None]
@@ -202,15 +207,18 @@ def _forward_batch(model: DualHeadModel, inputs: np.ndarray, buffers=None):
     _check_width(model, inputs)
     activations, h = [], inputs
     last = len(model.layers) - 1
-    for i, (w, b) in enumerate(model.layers):
-        if buffers is not None:
-            activations.append(h)
-        h = np.matmul(h, w.T, out=None if buffers is None else buffers.outputs[i])
-        h += b
-        if i != last:
-            np.maximum(h, 0.0, out=h)
-    work = () if buffers is None else (buffers.squares, buffers.norms)
-    embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", *work)
+    # _unit_rows reports a row that overflowed, so numpy's warnings say nothing more.
+    with np.errstate(over="ignore", invalid="ignore") if buffers is None else contextlib.nullcontext():
+        for i, (w, b) in enumerate(model.layers):
+            if buffers is not None:
+                activations.append(h)
+            h = np.matmul(h, w.T, out=None if buffers is None else buffers.outputs[i])
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
+        work = (None, None) if buffers is None else (buffers.squares, buffers.norms)
+        embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", *work,
+                                       finite=buffers is None)
     return embeddings, {"activations": activations, "norms": norms}
 
 

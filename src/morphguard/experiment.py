@@ -159,16 +159,19 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         try:
             return cls(
                 seed=raw.get("seed", 1),
-                data=DataSettings(**_tupled(raw.get("data", {}), "ratios")),
-                model=ModelSettings(**_tupled(raw.get("model", {}), "hidden_dims")),
-                train=TrainSettings(**raw.get("train", {})),
-                margin=dataclasses.replace(DEFAULT_MARGIN, **raw.get("margin", {})),
+                data=DataSettings(**_section(raw, "data", "ratios")),
+                model=ModelSettings(**_section(raw, "model", "hidden_dims")),
+                train=TrainSettings(**_section(raw, "train")),
+                margin=dataclasses.replace(DEFAULT_MARGIN, **_section(raw, "margin")),
                 sweep_grid=tuple(raw.get("sweep_grid", DEFAULT_MARGIN_GRID)),
-                eval=EvalSettings(**_tupled(raw.get("eval", {}), "fnmr_targets", "fmr_targets")),
-                adapt=AdaptSettings(**raw.get("adapt", {})),
+                eval=EvalSettings(**_section(raw, "eval", "fnmr_targets", "fmr_targets")),
+                adapt=AdaptSettings(**_section(raw, "adapt")),
             )
         except ConfigError:
             raise
@@ -176,12 +179,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown, missing or mistyped config field: {exc}") from exc
 
 
-def _tupled(section: dict, *keys) -> dict:
-    out = dict(section)
-    for key in keys:
-        if key in out:
-            out[key] = tuple(out[key])
-    return out
+def _section(raw: dict, name: str, *keys) -> dict:
+    """The fields of config section name, those named by keys as tuples."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(section).__name__}")
+    return {key: tuple(value) if key in keys else value for key, value in section.items()}
 
 
 # --- data bundle ------------------------------------------------------------
@@ -201,7 +204,7 @@ class DataBundle:
     universe: datagen.IdentityUniverse | None
     bona_fides: SampleSet  # the full pool
     protocol: datagen.MorphPairProtocol
-    train_set: SampleSet | None  # bona fides, morphs and selfmorphs in STREAM_MIX order
+    train_set: SampleSet | None  # training bona fides in split order, then protocol morphs, then selfmorphs
 
 
 def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
@@ -232,16 +235,12 @@ def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float
     return order[kept], order[~kept]
 
 
-def _split(bona_fides: SampleSet, config: ExperimentConfig):
-    return holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
-
-
 def generate_bundle(config: ExperimentConfig) -> DataBundle:
     data = config.data
     universe, bona_fides = datagen.synth_identities(
         data.num_classes, data.samples_per_class, data.input_dim, data.spread, config.seed
     )
-    train_bona = bona_fides[_split(bona_fides, config)[0]]
+    train_bona = bona_fides[holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)[0]]
     num_morphs, _ = datagen.mix_counts(len(train_bona), data.ratios)
     protocol = datagen.pair_protocol(universe, train_bona, num_morphs, config.seed)
     train_set = datagen.build_training_set(
@@ -398,7 +397,7 @@ class EvalReport:
 def _trial_step(model: DualHeadModel, pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
     """(held_rows, trial_features) of one pool: the split, the protocol's
     parents in the training part, and their triplet embeddings."""
-    train_rows, held_rows = _split(pool, config)
+    train_rows, held_rows = holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
     train_bona = pool[train_rows]
     parents = datagen.protocol_parents(train_bona, columns)
     return held_rows, trial_features(model, train_bona.inputs, parents, config.data.alpha)
@@ -473,10 +472,7 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
     stage1_config, stage2_config = adaptation_configs(config)
 
     if pretrained is None:
-        train_bona = bundle.bona_fides[_split(bundle.bona_fides, config)[0]]
-        stage1_set = datagen.build_training_set(
-            bundle.universe, train_bona, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
-        )
+        stage1_set = bundle.train_set[bundle.train_set.kinds == datagen.BONA_FIDE]  # the bona fide block
         stage1_model, stage1_history = train(fresh_model(config), stage1_set, stage1_config)
     else:
         stage1_model, stage1_history = pretrained, None

@@ -18,7 +18,7 @@ STREAM_PROTOTYPES = 2   # identity prototype directions
 STREAM_SAMPLES = 3      # within-class sample noise
 STREAM_PAIRS = 4        # morph pairing protocol
 STREAM_SELFMORPH = 5    # selfmorph partner selection
-STREAM_MIX = 6          # training-set interleaving
+# 6: training-set interleaving, retired in 0.5.0; no later stream reuses it.
 STREAM_INIT = 7         # model parameter init
 STREAM_SHUFFLE = 8      # per-epoch batch order (tag + epoch index)
 STREAM_GENUINE = 9      # genuine verification pairs

@@ -26,7 +26,6 @@ from morphguard.experiment import _held_out_per_identity
 from morphguard.losses import LabelPair, SampleKind
 from morphguard.metrics import MorphTrial
 from morphguard.seeding import (
-    STREAM_MIX,
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
     STREAM_SAMPLES,
@@ -409,12 +408,13 @@ def oracle_make_morph(universe, sample_a, sample_b, alpha=0.5):
             f"identities {id_a} and {id_b} share subset {sub_a}; morphing within a subset "
             "would make the labeling ambiguous"
         )
+    if sub_a != 1:
+        raise ProtocolError(f"identities {id_a} and {id_b} run subset {sub_a} -> {sub_b}, not 1 -> 2")
     blended = _oracle_blend(sample_a.input, sample_b.input, alpha)
-    first, second = (id_a, id_b) if sub_a == 1 else (id_b, id_a)
     return OracleSample(
         input=blended,
-        labels=LabelPair(first, second, SampleKind.MORPH),
-        source_ids=(first, second),
+        labels=LabelPair(id_a, id_b, SampleKind.MORPH),
+        source_ids=(id_a, id_b),
     )
 
 
@@ -482,9 +482,7 @@ def oracle_build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), 
         second += second >= first
         selfmorphs.append(oracle_make_selfmorph(grouped[identity][first], grouped[identity][second]))
 
-    combined = kept_bona_fides + morphs + selfmorphs
-    order = rng_for(seed, STREAM_MIX).permutation(len(combined))
-    return [combined[i] for i in order]
+    return kept_bona_fides + morphs + selfmorphs
 
 
 def oracle_build_trial_triplets(train_bona, protocol, alpha):

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morphguard
 from morphguard import cli, metrics
@@ -32,6 +38,14 @@ SMALL = {
     "eval": {"genuine_pairs": 200, "impostor_pairs": 200},
     "adapt": {"stage1_epochs": 2, "stage2_epochs": 2},
 }
+
+
+def cli_process(argv):
+    """Run the CLI in a subprocess: pytest captures warnings, so only the process's own stderr shows them."""
+    src = str(Path(morphguard.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "morphguard.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -527,6 +541,8 @@ class TestExitCodes:
             {"data": {**SMALL["data"], "ratios": [1e-320, 1, 1]}},
             {"data": {**SMALL["data"], "ratios": [1e-300, 1e300, 1]}},
             {"sweep_grid": [0.0001, 0.0004], "train": {**SMALL["train"], "epochs": 1}},
+            {"sweep_gird": [0.0]},
+            {"data": [["num_classes", 6]]},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -671,19 +687,31 @@ class TestExitCodes:
     )
     def test_numeric_failure_is_one_line(self, command, section, fields, message, tmp_path):
         """A diverging run or an overflowing row norm exits 4 with one stderr
-        line and no numpy warning. Run in a subprocess: pytest captures
-        warnings, so only the process's own stderr shows them."""
+        line and no numpy warning (checked in a subprocess)."""
         config = json.loads(json.dumps(SMALL))
         config[section].update(fields)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        src = str(Path(morphguard.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-m", "morphguard.cli", command, "--config", str(path), "--out", str(tmp_path / "o")]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        proc = cli_process([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert proc.returncode == 4
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: ") and message in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    def test_overflowing_embedding_norm_is_one_line(self, command, config_path, data_dir, train_dir, tmp_path):
+        """A final layer of 1e300 weights overflows the embeddings' squared norms:
+        exit 4 naming the row, with no numpy warning, rather than scores of 0.0."""
+        model = load_checkpoint(train_dir / "checkpoint.bin")
+        model.layers[-1][0][:] = 1e300
+        save_checkpoint(model, tmp_path / "big.bin")
+        proc = cli_process(eval_argv(command, config_path, tmp_path / "o", tmp_path / "big.bin",
+                                     data_dir / "bona_fides.jsonl", data_dir / "protocol.json"))
+        assert proc.returncode == 4
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("numeric error: cannot normalize pre-normalization embedding row ")
+        assert lines[0].endswith(": it overflows float64")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, section, fields, code",
@@ -743,6 +771,25 @@ class TestExitCodes:
         err = self._assert_one_line_data_error(argv, capsys)
         assert f"checkpoint {path} has {num_classes} classes; the config sets num_classes {data['num_classes']}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("hidden", [[40, 40], [], [17]], ids=["deeper", "none", "wider"])
+    def test_adapt_checkpoint_of_other_hidden_layers(self, hidden, config_path, tmp_path, capsys):
+        data = SMALL["data"]
+        path = tmp_path / "other.bin"
+        save_checkpoint(init_model(data["input_dim"], hidden, 8, data["num_classes"], seed=1), path)
+        argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"), "--checkpoint", str(path)]
+        err = self._assert_one_line_data_error(argv, capsys)
+        assert f"checkpoint {path} has hidden layers {hidden}; the config sets hidden_dims [16]" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    def test_evaluation_reads_a_checkpoint_of_any_hidden_layers(self, command, config_path, data_dir, tmp_path):
+        data = SMALL["data"]
+        path = tmp_path / "other.bin"
+        save_checkpoint(init_model(data["input_dim"], [40, 40], 8, data["num_classes"], seed=1), path)
+        argv = eval_argv(command, config_path, tmp_path / "o", path, data_dir / "bona_fides.jsonl",
+                         data_dir / "protocol.json")
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("command", ["eval", "analyze-features"])
     def test_evaluation_reads_a_checkpoint_of_any_class_count(self, command, config_path, data_dir, tmp_path):
@@ -804,3 +851,84 @@ class TestEarlyOutCheck:
         out = tmp_path / "a" / "b"
         assert main(["gen-data", "--config", config_path, "--out", str(out)]) == 0
         assert (out / "manifest.json").is_file()
+
+
+def run_quietly(argv):
+    """(exit code, stderr lines) of an in-process run; every warning counts as a stderr line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+# Replacement values of every JSON type; a field only gets one of another type, so none raises a size.
+OTHER_TYPES = [None, True, 1, 0.5, "x", [], [1], {}, {"x": 1}]
+
+
+def config_fields(config, prefix=()):
+    """The key path of every top-level field and every field of a section."""
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict) and not prefix:
+            yield from config_fields(value, (key,))
+
+
+class TestFuzzedInputs:
+    """Mutated inputs of a good small run: each exits 0, 2, 3, 4 or 5, a failure
+    with exactly one stderr line and a success with none."""
+
+    FILES = {"data": ("gen", "bona_fides.jsonl"), "protocol": ("gen", "protocol.json"),
+             "checkpoint": ("train", "checkpoint.bin")}
+
+    @staticmethod
+    def assert_clean_exit(code, lines):
+        assert code in (0, 2, 3, 4, 5)
+        assert len(lines) == (1 if code else 0), lines
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["eval", "analyze-features"]),
+        target=st.sampled_from(sorted(FILES)),
+        edit=st.sampled_from(["truncate", "delete", "duplicate", "flip"]),
+        data=st.data(),
+    )
+    def test_file_mutations(self, command, target, edit, data, config_path, data_dir, train_dir):
+        dirs = {"gen": data_dir, "train": train_dir}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for role, (run, name) in self.FILES.items():
+                paths[role] = Path(tmp) / name
+                shutil.copyfile(dirs[run] / name, paths[role])
+            blob = paths[target].read_bytes()
+            where = data.draw(st.integers(0, len(blob) - 1), label="position")
+            if edit == "truncate":
+                paths[target].write_bytes(blob[:where])
+            elif edit == "delete":
+                paths[target].unlink()
+            elif edit == "duplicate":
+                length = data.draw(st.integers(1, 64), label="length")
+                paths[target].write_bytes(blob[: where + length] + blob[where:])
+            else:
+                mask = data.draw(st.integers(1, 255), label="mask")
+                paths[target].write_bytes(blob[:where] + bytes([blob[where] ^ mask]) + blob[where + 1 :])
+            argv = eval_argv(command, config_path, Path(tmp) / "o", paths["checkpoint"], paths["data"],
+                             paths["protocol"])
+            self.assert_clean_exit(*run_quietly(argv))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(field=st.sampled_from(list(config_fields(SMALL))), data=st.data())
+    def test_config_mutations(self, field, data):
+        config = json.loads(json.dumps(SMALL))
+        *section, key = field
+        owner = config[section[0]] if section else config
+        if data.draw(st.booleans(), label="add an unknown key"):
+            owner[f"{key}_unknown"] = 1
+        else:
+            original = owner[key]
+            owner[key] = data.draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(original)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            self.assert_clean_exit(*run_quietly(["train", "--config", str(path), "--out", str(Path(tmp) / "o")]))

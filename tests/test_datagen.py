@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphguard.datagen import (
+    BONA_FIDE,
     MORPH,
     SELF_MORPH,
     MorphPair,
     MorphPairProtocol,
     Sample,
-    _morphs,
-    _selfmorphs,
+    SampleSet,
+    _blend,
     build_training_set,
     load_dataset,
     load_protocol,
@@ -40,9 +41,21 @@ def bona_fide(identity, vec):
 
 
 def morph_of(universe, sample_a, sample_b, alpha=0.5):
-    """The columnar morph builder on one pair of rows; alpha weights sample_a."""
-    ids = [sample_a.labels.first_label], [sample_b.labels.first_label]
-    return _morphs(universe, sample_a.input[None], sample_b.input[None], *ids, alpha)[0]
+    """The morph build_training_set blends from a one-row protocol pairing
+    sample_a (row 0 of its identity) with sample_b; alpha weights sample_a."""
+    ids = [sample_a.labels.first_label, sample_b.labels.first_label]
+    pool = SampleSet(np.stack((sample_a.input, sample_b.input)), ids, ids, [BONA_FIDE, BONA_FIDE])
+    out = build_training_set(universe, pool, MorphPairProtocol(np.array([[*ids, 0, 0]])), ratios=(2, 1, 0), alpha=alpha)
+    assert out.kinds.tolist() == [BONA_FIDE, BONA_FIDE, MORPH]
+    return out[2]
+
+
+def selfmorph_of(identity, input_a, input_b):
+    """The one selfmorph build_training_set draws from a pool of two samples of one identity."""
+    universe, _ = synth_identities(2 * (identity // 2 + 1), 2, len(input_a), spread=0.1, seed=0)
+    pool = SampleSet(np.stack((input_a, input_b)), [identity] * 2, [identity] * 2, [BONA_FIDE] * 2)
+    empty = MorphPairProtocol(np.empty((0, 4), dtype=np.int64))
+    return build_training_set(universe, pool, empty, ratios=(2, 0, 1))[2]
 
 
 class TestSynthIdentities:
@@ -230,15 +243,17 @@ class TestMakeMorph:
         morph = morph_of(universe, grouped[first][0], fake_b, alpha=0.5)
         np.testing.assert_allclose(morph.input, shared, atol=1e-12)
 
-    def test_orientation_by_subset_not_argument_order(self):
+    def test_pair_running_subset_2_to_1_rejected(self):
+        """alpha weights the subset-1 parent, which gives the first label; a
+        reversed row is refused rather than relabelled against its weights."""
         universe, grouped, first, second = self._tiny_universe()
         a, b = grouped[first][0], grouped[second][0]
-        m1 = morph_of(universe, a, b, alpha=0.5)
-        m2 = morph_of(universe, b, a, alpha=0.5)
-        assert m1.labels == m2.labels
-        assert m1.labels.first_label == first
-        assert m1.labels.second_label == second
-        np.testing.assert_allclose(m1.input, m2.input, atol=1e-15)
+        morph = morph_of(universe, a, b, alpha=0.3)
+        assert morph.labels == LabelPair(first, second, SampleKind.MORPH)
+        assert morph.input.tobytes() == _blend(a.input[None], b.input[None], 0.3)[0].tobytes()
+        reversed_pair = MorphPair(second, first, 0, 0)
+        with pytest.raises(ProtocolError, match=re.escape(f"protocol pair {reversed_pair} runs subset 2 -> 1, not 1 -> 2")):
+            morph_of(universe, b, a, alpha=0.3)
 
     def test_midpoint_cosine_closed_form(self):
         universe, grouped, first, second = self._tiny_universe()
@@ -268,7 +283,7 @@ class TestMakeMorph:
 class TestMakeSelfmorph:
     def test_identical_inputs_are_fixed_point(self):
         s = bona_fide(3, [1.0, 2.0, 2.0])
-        morph = _selfmorphs(s.input[None], s.input[None], [3])[0]
+        morph = selfmorph_of(3, s.input, s.input)
         np.testing.assert_allclose(morph.input, s.input, atol=1e-15)
         assert morph.labels.first_label == morph.labels.second_label == 3
         assert morph.labels.kind is SampleKind.SELF_MORPH
@@ -280,9 +295,9 @@ class TestMakeSelfmorph:
         proto = universe.prototypes[0]
         pool = samples[samples.first == 0]
         a, b = pool[0::2], pool[1::2]
-        selfmorphs = _selfmorphs(a.inputs, b.inputs, a.first)
+        selfmorphs = _blend(a.inputs, b.inputs, 0.5)
         parent_cos = np.concatenate((a.inputs @ proto, b.inputs @ proto))
-        assert np.mean(selfmorphs.inputs @ proto) > np.mean(parent_cos)
+        assert np.mean(selfmorphs @ proto) > np.mean(parent_cos)
 
 
 class TestBuildTrainingSet:
@@ -401,7 +416,7 @@ class TestSelfmorphDraw:
             own = pool.inputs[pool.first == identity]
             assert counts[identity] >= 2 and len(own) == counts[identity]
             a, b = np.array(list(itertools.permutations(range(len(own)), 2))).T
-            blends = {row.tobytes() for row in _selfmorphs(own[a], own[b], np.full(a.size, identity)).inputs}
+            blends = {row.tobytes() for row in _blend(own[a], own[b], 0.5)}
             assert sample.input.tobytes() in blends
         again = selfmorph_set(counts, seed)[1]
         assert again.inputs.tobytes() == out.inputs.tobytes() and again.first.tobytes() == out.first.tobytes()

@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"margin": {"no_such_knob": 1}})
 
+    @pytest.mark.parametrize("key", ["foo", "sweep_gird"])
+    def test_unknown_top_level_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_dict({**SMALL, key: 1})
+
+    @pytest.mark.parametrize("value", [[], [["num_classes", 6]], None, "x", 1])
+    def test_section_that_is_not_an_object_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"config section 'data' must be a JSON object, got {type(value).__name__}"):
+            ExperimentConfig.from_dict({"data": value})
+
     def test_ratio_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"data": {"ratios": [0, 1, 1]}})

@@ -13,7 +13,8 @@ when a line differs while both checkouts report the same
     git worktree add --detach ../base <base commit>
     python3 tools/digest_gate.py ../base
 
-A version bump lets bytes move; the report then names what moved.
+A version bump lets bytes move; the report then names what moved and
+lists the files that kept their bytes.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def main(argv=None) -> int:
         lines.append(f"Seed {seed}: {len(after)} files, {'bytes moved' if diff else 'no byte moved'}.")
         if diff:
             lines += ["", "```diff", *(line.rstrip("\n") for line in diff), "```"]
+            # So a version bump's claim of what kept its bytes can be read here.
+            kept = sorted(set(before) & set(after))
+            lines += ["", f"Seed {seed} kept the bytes of {len(kept)} of {len(after)} files:"]
+            lines += [f"- `{line.rsplit(' ', 1)[0]}`" for line in kept]
         lines.append("")
     failed = moved and versions[0] == versions[1]
     if failed:
