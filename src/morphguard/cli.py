@@ -33,6 +33,7 @@ from .experiment import (
     feature_analysis,
     fresh_model,
     generate_bundle,
+    holdout_split,
     run_adaptation,
     run_sweep,
     sweep_dir_name,
@@ -131,10 +132,11 @@ def cmd_gen_data(args) -> int:
     config = load_config(args)
     bundle = generate_bundle(config)
     out_dir = _out_dir(args)
-    # The training set's bona fides are pool rows: one text cache formats each once.
-    texts = {}
+    # The training set's first block is the pool's training rows in split order: each text is formatted once.
+    texts = datagen.input_texts(bundle.bona_fides.inputs)
+    train_rows, _ = holdout_split(bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
     datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
-    datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl", texts)
+    datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl", [texts[r] for r in train_rows.tolist()])
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
     write_manifest(out_dir, "gen-data", config)
     print(

@@ -230,9 +230,11 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
 
 def _pool_index(pool: SampleSet):
     """(row order, identities, counts, offsets): the stable identity-major
-    order of a single-identity pool and its ascending identity groups."""
-    if pool.is_morph.any():
-        raise ProtocolError("morphs cannot serve as pairing-pool samples")
+    order of a bona fide pool and its ascending identity groups."""
+    other = np.flatnonzero(pool.kinds != BONA_FIDE)
+    if other.size:
+        k = other[0]
+        raise ProtocolError(f"pool row {k} is a {KINDS[pool.kinds[k]].value}; a pool holds only bona fides")
     identities, counts = np.unique(pool.first, return_counts=True)
     return np.argsort(pool.first, kind="stable"), identities, counts, np.cumsum(counts) - counts
 
@@ -272,7 +274,11 @@ def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:
     columns are a protocol's (T, 4) columns; sample indices count an
     identity's samples in pool order.
     """
-    order, identities, counts, offsets = _pool_index(pool)
+    return _parent_rows(*_pool_index(pool), columns)
+
+
+def _parent_rows(order, identities, counts, offsets, columns: np.ndarray) -> np.ndarray:
+    """protocol_parents of the pool that _pool_index gave (order, identities, counts, offsets)."""
     ids, ks = columns[:, :2], columns[:, 2:]
     # A sentinel group without samples takes the identities absent from the pool.
     slot = np.searchsorted(identities, ids)
@@ -303,11 +309,12 @@ def build_training_set(
     """
     check_alpha(alpha)
     num_morphs, num_selfmorphs = mix_counts(len(bona_fides), ratios)
-    order, _, counts, offsets = _pool_index(bona_fides)
+    index = _pool_index(bona_fides)
+    order, _, counts, offsets = index
     if num_morphs > len(protocol.columns):
         raise CapacityError(f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.columns)}")
     pairs = protocol.columns[:num_morphs]
-    parents = protocol_parents(bona_fides, pairs)
+    parents = _parent_rows(*index, pairs)
     subsets = universe.subsets[pairs[:, :2]]
     wrong = np.flatnonzero((subsets != (1, 2)).any(axis=1))
     if wrong.size:
@@ -345,40 +352,25 @@ def build_training_set(
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
-_KEY_PIECE = 32  # doubles per piece of a row key
 
 
-def _row_key(row: np.ndarray) -> tuple:
-    """A hashable key equal for two rows exactly when their bytes are equal.
-
-    The bytes come in pieces of at most 256, so each piece stays within
-    CPython's 512-byte small-object allocator: one bytes object per
-    64-float row (545 bytes) would go to malloc, and a few thousand of
-    them left the heap fragmented after they were freed.
-    """
-    return tuple(row[i : i + _KEY_PIECE].tobytes() for i in range(0, row.size, _KEY_PIECE))
+def input_texts(inputs: np.ndarray) -> list:
+    """The JSON text of each input row, as save_dataset writes it."""
+    return [json.dumps(row.tolist()) for row in inputs]
 
 
-def save_dataset(samples: SampleSet, path, texts: dict | None = None):
+def save_dataset(samples: SampleSet, path, texts=()):
     """Write samples as line-delimited JSON records.
 
     Each line holds the bytes json.dumps gives the record {"kind",
     "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
-    streamed to the file. texts, if given, maps a bona fide row's bytes
-    (as _row_key pieces) to its input text: pass one dict to several
-    calls and a bona fide row they share is formatted once. Equal bytes
-    are equal doubles, so a cached text is the text json.dumps would give.
+    streamed to the file. texts, if given, are input_texts of the first
+    len(texts) rows, written for them in place of formatting them again.
     """
     columns = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist(), samples.inputs)
     with open(path, "w", encoding="utf-8") as fh:
-        for kind, first, second, row in columns:
-            if texts is None or kind != BONA_FIDE:
-                text = json.dumps(row.tolist())
-            else:
-                key = _row_key(row)
-                text = texts.get(key)
-                if text is None:
-                    text = texts[key] = json.dumps(row.tolist())
+        for i, (kind, first, second, row) in enumerate(columns):
+            text = texts[i] if i < len(texts) else json.dumps(row.tolist())
             ids = f"{first}, {second}" if kind == MORPH else f"{first}"
             fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
                      f'"source_ids": [{ids}], "input": {text}}}\n')

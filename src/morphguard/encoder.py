@@ -178,7 +178,7 @@ def _unit_rows(rows: np.ndarray, error, what: str, squares=None, norms=None, fin
     """Rows scaled to unit length in place, and their norms (np.linalg.norm's
     arithmetic); ``squares`` and ``norms`` are optional work arrays. A norm
     below 1e-12 raises ``error``, and so, if ``finite``, does an inf or nan
-    one; a training step leaves that to train, which reports its loss."""
+    one; a training step leaves that to train, which checks its norms after its loss."""
     squares = np.multiply(rows, rows, out=squares)
     norms = np.add.reduce(squares, axis=1, out=norms)
     np.sqrt(norms, out=norms)
@@ -265,8 +265,10 @@ class _StepBuffers:
         self.first, self.second = self.labels.T
         self.loss = _Rows(2 * n, c)
         self.outputs = [np.empty((n, w.shape[0])) for w, _ in model.layers]
-        self.squares, self.norms = np.empty((n, e)), np.empty(n)
-        self.unit, self.unit_squares, self.head_norms = np.empty((2 * c, e)), np.empty((2 * c, e)), np.empty(2 * c)
+        # The embedding and head norms share one array, which train checks with one reduction.
+        self.all_norms = np.empty(n + 2 * c)
+        self.squares, self.norms, self.head_norms = np.empty((n, e)), self.all_norms[:n], self.all_norms[n:]
+        self.unit, self.unit_squares = np.empty((2 * c, e)), np.empty((2 * c, e))
         self.cosines, self.column = np.empty((n, 2 * c)), np.empty(2 * c)
         self.grad_emb, self.spare, self.radial = np.empty((n, e)), np.empty((n, e)), np.empty(n)
         # The gradient into each hidden layer's output, and that output's ReLU mask.
@@ -365,7 +367,7 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
 
     history = TrainHistory(epoch_mean_loss=[], epoch_lr=[])
     step = 0
-    # A diverging run is stopped at its first non-finite loss below,
+    # A diverging run is stopped at its first non-finite loss or norm below,
     # so numpy's overflow and invalid-value warnings say nothing more.
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
@@ -374,11 +376,13 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
             for start in range(0, n, config.batch_size):
                 b = tables.gather(order[start : start + config.batch_size])
                 loss, grads = batch_gradients(model, b.inputs, b.first, b.second, b.is_morph, config.margin, b)
+                where = f"epoch {epoch + 1}, step {start // config.batch_size + 1} of {steps_per_epoch}"
                 if not math.isfinite(loss):
-                    raise NumericError(
-                        f"training diverged: the loss of epoch {epoch + 1}, step "
-                        f"{start // config.batch_size + 1} of {steps_per_epoch} is {loss}"
-                    )
+                    raise NumericError(f"training diverged: the loss of {where} is {loss}")
+                # A row whose norm overflows normalizes to zeros and would never move again.
+                if not np.maximum.reduce(b.all_norms) < math.inf:
+                    what = "a head row" if np.maximum.reduce(b.norms) < math.inf else "an embedding"
+                    raise NumericError(f"training diverged: {what}'s norm is not finite at {where}")
                 _sgd_update(model, grads, lrs[step])
                 loss_sum += loss * len(b.inputs)
                 step += 1

@@ -349,9 +349,9 @@ def oracle_synth_identities(num_classes, samples_per_class, input_dim, spread, s
 
 def oracle_group_by_identity(samples):
     grouped = {}
-    for sample in samples:
-        if sample.labels.kind is SampleKind.MORPH:
-            raise ProtocolError("morphs cannot serve as pairing-pool samples")
+    for row, sample in enumerate(samples):
+        if sample.labels.kind is not SampleKind.BONA_FIDE:
+            raise ProtocolError(f"pool row {row} is a {sample.labels.kind.value}; a pool holds only bona fides")
         grouped.setdefault(sample.labels.first_label, []).append(sample)
     return grouped
 

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import morphguard
 from morphguard import cli, metrics
 from morphguard.cli import main
-from morphguard.datagen import load_dataset
+from morphguard.datagen import load_dataset, save_dataset
 from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
-from morphguard.experiment import ExperimentConfig
+from morphguard.experiment import ExperimentConfig, generate_bundle
 from morphguard.losses import SampleKind
 
 import readers
@@ -110,6 +110,20 @@ class TestGenData:
         dataset = load_dataset(tmp_path / "o" / "dataset.jsonl")
         assert len(json.loads((tmp_path / "o" / "protocol.json").read_text())) == 413
         assert int(dataset.is_morph.sum()) == 413
+
+    @pytest.mark.parametrize("data", [{}, {"ratios": [2, 1, 0]}, {"holdout_fraction": 0.4}],
+                             ids=["defaults", "ratios_2_1_0", "holdout_0.4"])
+    def test_reused_texts_give_the_files_bytes(self, data, tmp_path):
+        """dataset.jsonl writes its bona fides from the pool's texts, picked by
+        pool row: the bytes of formatting every record of the training set."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": data}))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        bundle = generate_bundle(ExperimentConfig.from_dict({"data": data}))
+        save_dataset(bundle.bona_fides, tmp_path / "bona_fides.jsonl")
+        save_dataset(bundle.train_set, tmp_path / "dataset.jsonl")
+        for name in ("bona_fides.jsonl", "dataset.jsonl"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_rerun_byte_identical(self, data_dir, config_path, tmp_path):
         again = tmp_path / "again"
@@ -640,6 +654,21 @@ class TestExitCodes:
         self._assert_one_line_data_error(argv, capsys)
 
     @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    @pytest.mark.parametrize("rows", [slice(None), slice(45, None, 7)], ids=["every_row", "from_row_45"])
+    def test_pool_holds_only_bona_fides(self, command, rows, config_path, data_dir, train_dir, tmp_path, capsys):
+        """Selfmorph records in the pool exit 3 naming the first of them, before --out exists."""
+        def to_selfmorphs(records):
+            for record in records[rows]:
+                record["kind"] = "selfmorph"
+
+        pool = edit_pool(data_dir, tmp_path, to_selfmorphs)
+        argv = eval_argv(command, config_path, tmp_path / "o", train_dir / "checkpoint.bin", pool,
+                         data_dir / "protocol.json")
+        err = self._assert_one_line_data_error(argv, capsys)
+        assert f"pool row {rows.start or 0} is a selfmorph; a pool holds only bona fides" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
     @pytest.mark.parametrize(
         "edit_file, edit",
         [
@@ -696,6 +725,20 @@ class TestExitCodes:
         assert proc.returncode == 4
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: ") and message in lines[0], proc.stderr
+
+    def test_adapting_an_overflowing_head_is_one_line(self, config_path, train_dir, tmp_path):
+        """A head row whose norm overflows would never move in stage 2: exit 4
+        naming the step, with no numpy warning and no --out."""
+        model = load_checkpoint(train_dir / "checkpoint.bin")
+        model.head1[0] = 1e160
+        save_checkpoint(model, tmp_path / "big.bin")
+        proc = cli_process(["adapt", "--config", config_path, "--out", str(tmp_path / "o"),
+                            "--checkpoint", str(tmp_path / "big.bin")])
+        assert proc.returncode == 4
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0] == "numeric error: training diverged: a head row's norm is not finite at epoch 1, step 1 of 3"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["eval", "analyze-features"])
     def test_overflowing_embedding_norm_is_one_line(self, command, config_path, data_dir, train_dir, tmp_path):

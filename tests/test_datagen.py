@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from morphguard.datagen import (
     BONA_FIDE,
+    KINDS,
     MORPH,
     SELF_MORPH,
     MorphPair,
@@ -311,6 +312,21 @@ class TestBuildTrainingSet:
         out = build_training_set(universe, samples, protocol, ratios=(1, 0, 0), seed=14)
         assert len(out) == len(samples)
         assert all(s.labels.kind is SampleKind.BONA_FIDE for s in out)
+
+    @pytest.mark.parametrize("kind", [MORPH, SELF_MORPH], ids=["morph", "selfmorph"])
+    def test_pool_holds_only_bona_fides(self, kind):
+        """Each step that groups a pool names its first row that is not a bona fide."""
+        universe, samples, protocol = self._setup()
+        kinds, second = samples.kinds.copy(), samples.second.copy()
+        kinds[7:9], second[7:9] = kind, second[7:9] + (kind == MORPH)
+        pool = SampleSet(samples.inputs, samples.first, second, kinds)
+        message = re.escape(f"pool row 7 is a {KINDS[kind].value}; a pool holds only bona fides")
+        with pytest.raises(ProtocolError, match=message):
+            pair_protocol(universe, pool, 10, seed=1)
+        with pytest.raises(ProtocolError, match=message):
+            protocol_parents(pool, protocol.columns)
+        with pytest.raises(ProtocolError, match=message):
+            build_training_set(universe, pool, protocol, ratios=(2, 1, 1), seed=14)
 
     def test_default_ratios_counts(self):
         universe, samples, protocol = self._setup()

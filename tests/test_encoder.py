@@ -432,6 +432,23 @@ class TestTrainStep:
         with pytest.raises(NumericError, match=r"training diverged: the loss of epoch 1, step 2 of 4 is nan"):
             train(model, random_batch(np.random.default_rng(1), 31, 6, 4), config)
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [("head", "a head row's norm"), ("layer", "an embedding's norm")],
+        ids=["head", "layer"],
+    )
+    def test_overflowing_norm_stops_the_run(self, where, message):
+        """A row whose norm overflows normalizes to zeros and would never move,
+        under a finite loss: the run stops at the first such step."""
+        _, samples = synth_identities(4, 10, 8, spread=0.2, seed=4)
+        model = init_model(8, [8], 6, 4, seed=1)
+        if where == "head":
+            model.head1[0] = 1e160
+        else:
+            model.layers[-1][0][:] *= 1e160
+        with pytest.raises(NumericError, match=rf"^training diverged: {message} is not finite at epoch 1, step 1 of 3$"):
+            train(model, samples, TrainConfig(epochs=2, batch_size=16))
+
 
 class TestTraining:
     def _dataset(self, seed=0):

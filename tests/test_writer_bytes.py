@@ -14,7 +14,7 @@ from morphguard.datagen import (
     IdentityUniverse,
     MorphPairProtocol,
     SampleSet,
-    _row_key,
+    input_texts,
     save_dataset,
     save_protocol,
     synth_identities,
@@ -52,51 +52,47 @@ class TestDatasetRecords:
         expected = oracle_bytes(samples, tmp_path / "oracle.jsonl")
         assert b"NaN" in expected and b"-Infinity" in expected and b"5e-324" in expected
         save_dataset(samples, tmp_path / "plain.jsonl")
-        save_dataset(samples, tmp_path / "cached.jsonl", {})
-        assert (tmp_path / "plain.jsonl").read_bytes() == expected
-        assert (tmp_path / "cached.jsonl").read_bytes() == expected
+        save_dataset(samples, tmp_path / "texts.jsonl", input_texts(samples.inputs))
+        save_dataset(samples, tmp_path / "prefix.jsonl", input_texts(samples.inputs[:3]))
+        for name in ("plain", "texts", "prefix"):
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
 
     def test_shared_texts_give_separate_calls_bytes(self, tmp_path):
+        """The pool's texts, picked by pool row, write a set that starts with pool rows."""
         samples = edge_samples()
-        pool, mixed = samples[:4], samples[np.array([6, 4, 1, 0, 5, 2])]
-        texts = {}
+        pool, rows = samples[:4], [2, 1, 0, 3]
+        mixed = samples[np.array([*rows, 4, 5, 6])]
+        texts = input_texts(pool.inputs)
         save_dataset(pool, tmp_path / "pool_shared.jsonl", texts)
-        save_dataset(mixed, tmp_path / "mixed_shared.jsonl", texts)
+        save_dataset(mixed, tmp_path / "mixed_shared.jsonl", [texts[r] for r in rows])
         save_dataset(pool, tmp_path / "pool.jsonl")
         save_dataset(mixed, tmp_path / "mixed.jsonl")
         assert (tmp_path / "pool_shared.jsonl").read_bytes() == (tmp_path / "pool.jsonl").read_bytes()
         assert (tmp_path / "mixed_shared.jsonl").read_bytes() == (tmp_path / "mixed.jsonl").read_bytes()
         assert (tmp_path / "mixed.jsonl").read_bytes() == oracle_bytes(mixed, tmp_path / "mixed.oracle.jsonl")
-        # Only bona fide rows are cached, one text per distinct row bytes: 0.0 and -0.0 stay apart.
-        bona_rows = samples.inputs[samples.kinds == BONA_FIDE]
-        assert set(texts) == {_row_key(row) for row in bona_rows} and len(texts) == 4
-        assert all(text == json.dumps(np.frombuffer(b"".join(key)).tolist()) for key, text in texts.items())
+        # One text per row: rows 0 and 1 differ only in the sign of a zero and keep their own texts.
+        assert texts == [json.dumps(row.tolist()) for row in pool.inputs]
+        assert texts[0] != texts[1] and texts[0] == texts[2]
 
     def test_a_cached_text_is_reused(self, tmp_path):
-        samples = edge_samples()[:1]
-        texts = {_row_key(samples.inputs[0]): "[1.5]"}
-        save_dataset(samples, tmp_path / "d.jsonl", texts)
-        assert (tmp_path / "d.jsonl").read_text().endswith('"input": [1.5]}\n')
+        """A given text is written for its row as it is; the rows after it are formatted."""
+        samples = edge_samples()[:2]
+        save_dataset(samples, tmp_path / "d.jsonl", ["[1.5]"])
+        first, second = (tmp_path / "d.jsonl").read_text().splitlines()
+        assert first.endswith('"input": [1.5]}')
+        assert second.endswith(f'"input": {json.dumps(samples.inputs[1].tolist())}}}')
 
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6),
         kind=st.sampled_from([BONA_FIDE, SELF_MORPH]),
+        given_texts=st.integers(0, 6),
     )
-    def test_any_float_row_matches_json_dumps(self, tmp_path_factory, rows, kind):
+    def test_any_float_row_matches_json_dumps(self, tmp_path_factory, rows, kind, given_texts):
         path = tmp_path_factory.mktemp("rows")
         samples = SampleSet(np.array(rows), [0] * len(rows), [0] * len(rows), [kind] * len(rows))
-        save_dataset(samples, path / "d.jsonl", {})
+        save_dataset(samples, path / "d.jsonl", input_texts(samples.inputs[:given_texts]))
         assert (path / "d.jsonl").read_bytes() == oracle_bytes(samples, path / "o.jsonl")
-
-    @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 100])
-    def test_row_key_is_the_row_bytes(self, width):
-        row = np.arange(width, dtype=np.float64)
-        other = row.copy()
-        other[-1] = np.nextafter(other[-1], 1.0)
-        assert b"".join(_row_key(row)) == row.tobytes()
-        assert _row_key(row) == _row_key(row.copy()) and _row_key(row) != _row_key(other)
-        assert all(len(piece) <= 256 for piece in _row_key(row))
 
 
 @st.composite
