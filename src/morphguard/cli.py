@@ -33,7 +33,6 @@ from .experiment import (
     feature_analysis,
     fresh_model,
     generate_bundle,
-    holdout_split,
     run_adaptation,
     run_sweep,
     sweep_dir_name,
@@ -131,16 +130,17 @@ def write_point_table(path: Path, key: str, keyed_reports):
 def cmd_gen_data(args) -> int:
     config = load_config(args)
     bundle = generate_bundle(config)
+    # The joined set copies the blended rows, so the bundle lets go of its own.
+    train_set, bundle.blends = bundle.train_set, None
     out_dir = _out_dir(args)
     # The training set's first block is the pool's training rows in split order: each text is formatted once.
     texts = datagen.input_texts(bundle.bona_fides.inputs)
-    train_rows, _ = holdout_split(bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
     datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
-    datagen.save_dataset(bundle.train_set, out_dir / "dataset.jsonl", [texts[r] for r in train_rows.tolist()])
+    datagen.save_dataset(train_set, out_dir / "dataset.jsonl", [texts[r] for r in bundle.train_rows.tolist()])
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
     write_manifest(out_dir, "gen-data", config)
     print(
-        f"wrote {len(bundle.bona_fides)} bona fides, {len(bundle.train_set)} training samples, "
+        f"wrote {len(bundle.bona_fides)} bona fides, {len(train_set)} training samples, "
         f"{len(bundle.protocol.columns)} protocol pairs to {out_dir}"
     )
     return 0
@@ -229,7 +229,7 @@ def _load_eval_inputs(args, config):
         raise DataError(
             f"protocol holds {len(protocol.columns)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}"
         )
-    return model, DataBundle(None, bona_fides, protocol, None)
+    return model, DataBundle(None, bona_fides, protocol)
 
 
 def cmd_eval(args) -> int:

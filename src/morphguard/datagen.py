@@ -7,7 +7,9 @@ KINDS. Every step works on whole columns and gives the bytes that
 building one sample at a time gave; Sample is the view of one row.
 Morphs and selfmorphs are built only in whole blocks, by
 build_training_set from a protocol's (T, 4) columns; there is no
-per-sample builder.
+per-sample builder. A training set is held as pool rows plus that
+blended block, and training_samples joins them into one SampleSet only
+where the whole set is read.
 
 Identities are unit prototype vectors; bona fide samples are
 renormalized noisy copies. To keep morph labeling unambiguous the
@@ -139,12 +141,13 @@ class MorphPairProtocol:
         return isinstance(other, MorphPairProtocol) and np.array_equal(self.columns, other.columns)
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale rows to unit length in place; each norm is np.linalg.norm's sqrt(x @ x) of its row."""
+def _unit_rows(rows: np.ndarray, start: int = 0) -> np.ndarray:
+    """Scale rows to unit length in place; each norm is np.linalg.norm's sqrt(x @ x) of its row.
+    A message numbers rows from start."""
     with np.errstate(over="ignore"):
         norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     if np.any(np.isinf(norms)):
-        row = int(np.argmax(np.isinf(norms)))
+        row = start + int(np.argmax(np.isinf(norms)))
         raise NumericInputError(f"cannot normalize row {row}: its squared norm overflows float64")
     if np.any(norms < 1e-12):
         raise NumericInputError("cannot normalize a (near-)zero vector")
@@ -152,12 +155,19 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _blend(a: np.ndarray, b: np.ndarray, alpha: float, out=None) -> np.ndarray:
-    """Morph and selfmorph inputs of paired (M, D) rows, written into out if
-    given: alpha·a, then (1 − alpha)·b, their sum, then the row norm."""
-    out = np.multiply(alpha, a, out=out)
-    out += (1.0 - alpha) * b
-    return _unit_rows(out)
+_BLEND_ROWS = 256  # rows per blend chunk, so a blend's temporaries stay small whatever its size
+
+
+def _blend(inputs: np.ndarray, parents: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Morph and selfmorph inputs of the (M, 2) row pairs parents of inputs,
+    written into out _BLEND_ROWS rows at a time: alpha·a, then (1 − alpha)·b,
+    their sum, then the row norm. Each row's bytes do not depend on the chunks."""
+    for start in range(0, len(parents), _BLEND_ROWS):
+        a, b = parents[start : start + _BLEND_ROWS].T
+        chunk = np.multiply(alpha, inputs[a], out=out[start : start + _BLEND_ROWS])
+        chunk += (1.0 - alpha) * inputs[b]
+        _unit_rows(chunk, start)
+    return out
 
 
 def split_identities(num_classes: int, seed: int) -> np.ndarray:
@@ -228,15 +238,20 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
     return universe, SampleSet(_unit_rows(inputs), labels, labels, np.full(labels.size, BONA_FIDE))
 
 
-def _pool_index(pool: SampleSet):
-    """(row order, identities, counts, offsets): the stable identity-major
-    order of a bona fide pool and its ascending identity groups."""
+def _bona_fide_labels(pool: SampleSet) -> np.ndarray:
+    """pool.first, once every pool row is checked to be a bona fide."""
     other = np.flatnonzero(pool.kinds != BONA_FIDE)
     if other.size:
         k = other[0]
         raise ProtocolError(f"pool row {k} is a {KINDS[pool.kinds[k]].value}; a pool holds only bona fides")
-    identities, counts = np.unique(pool.first, return_counts=True)
-    return np.argsort(pool.first, kind="stable"), identities, counts, np.cumsum(counts) - counts
+    return pool.first
+
+
+def _pool_index(labels: np.ndarray):
+    """(row order, identities, counts, offsets): the stable identity-major
+    order of bona fide labels and its ascending identity groups."""
+    identities, counts = np.unique(labels, return_counts=True)
+    return np.argsort(labels, kind="stable"), identities, counts, np.cumsum(counts) - counts
 
 
 def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: int, seed: int) -> MorphPairProtocol:
@@ -251,7 +266,7 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
     """
     if num_morphs < 0:
         raise ConfigError(f"num_morphs must be >= 0, got {num_morphs}")
-    order, _, counts, offsets = _pool_index(samples)
+    order, _, counts, offsets = _pool_index(_bona_fide_labels(samples))
     # Each side lists (identity, per-identity sample index), identities ascending.
     ids, ks = samples.first[order], np.arange(len(order)) - np.repeat(offsets, counts)
     in_first = universe.subsets[ids] == 1
@@ -268,17 +283,18 @@ def pair_protocol(universe: IdentityUniverse, samples: SampleSet, num_morphs: in
     return MorphPairProtocol(np.column_stack((ids1[a], ids2[b], ks1[a], ks2[b])))
 
 
-def protocol_parents(pool: SampleSet, columns: np.ndarray) -> np.ndarray:
-    """(T, 2) pool rows of each pair's (subset-1, subset-2) parent.
+def protocol_parents(pool: SampleSet, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(T, 2) positions in rows of each pair's (subset-1, subset-2) parent.
 
-    columns are a protocol's (T, 4) columns; sample indices count an
-    identity's samples in pool order.
+    rows are the pool rows the protocol pairs, columns its (T, 4)
+    columns; sample indices count an identity's samples in the order of
+    rows.
     """
-    return _parent_rows(*_pool_index(pool), columns)
+    return _parent_rows(*_pool_index(_bona_fide_labels(pool)[rows]), columns)
 
 
 def _parent_rows(order, identities, counts, offsets, columns: np.ndarray) -> np.ndarray:
-    """protocol_parents of the pool that _pool_index gave (order, identities, counts, offsets)."""
+    """protocol_parents of the labels that _pool_index gave (order, identities, counts, offsets)."""
     ids, ks = columns[:, :2], columns[:, 2:]
     # A sentinel group without samples takes the identities absent from the pool.
     slot = np.searchsorted(identities, ids)
@@ -292,29 +308,34 @@ def _parent_rows(order, identities, counts, offsets, columns: np.ndarray) -> np.
 
 def build_training_set(
     universe: IdentityUniverse,
-    bona_fides: SampleSet,
+    pool: SampleSet,
+    rows: np.ndarray,
     protocol: MorphPairProtocol,
     ratios=(2, 1, 1),
     seed: int = 0,
     alpha: float = 0.5,
 ) -> SampleSet:
-    """Three blocks: every bona fide in the order given, then protocol
-    morphs in protocol order, then random selfmorphs in draw order, at
-    the counts mix_counts gives for ratios; train shuffles every epoch.
+    """The blended block of the training set that mixes pool rows rows:
+    protocol morphs in protocol order, then random selfmorphs in draw
+    order, at the counts mix_counts gives for ratios. The whole set is
+    the rows in the order given, then this block (training_samples);
+    train shuffles it every epoch.
 
+    Sample indices count an identity's samples in the order of rows.
     Morphs consume protocol pairs, each running subset 1 -> 2, and run
     out with a CapacityError. Selfmorphs draw whole arrays from one
     stream, as genuine verification pairs do: for each an identity with
     two or more samples, then an ordered pair of distinct samples of it.
     """
     check_alpha(alpha)
-    num_morphs, num_selfmorphs = mix_counts(len(bona_fides), ratios)
-    index = _pool_index(bona_fides)
+    num_morphs, num_selfmorphs = mix_counts(len(rows), ratios)
+    labels = _bona_fide_labels(pool)
+    index = _pool_index(labels[rows])
     order, _, counts, offsets = index
     if num_morphs > len(protocol.columns):
         raise CapacityError(f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.columns)}")
     pairs = protocol.columns[:num_morphs]
-    parents = _parent_rows(*index, pairs)
+    parents = rows[_parent_rows(*index, pairs)]  # (M, 2) pool rows of each morph's parents
     subsets = universe.subsets[pairs[:, :2]]
     wrong = np.flatnonzero((subsets != (1, 2)).any(axis=1))
     if wrong.size:
@@ -332,20 +353,27 @@ def build_training_set(
     i = self_rng.integers(counts[group])
     j = self_rng.integers(counts[group] - 1)
     j += j >= i
-    selves = order[offsets[group, None] + np.column_stack((i, j))]  # (S, 2) pool rows of each selfmorph's parents
+    selves = rows[order[offsets[group, None] + np.column_stack((i, j))]]  # (S, 2) pool rows of each selfmorph's parents
 
-    # Each block is written straight into its rows of the output, which is allocated before
-    # the blocks' temporaries (freed temporaries below it fragmented the heap).
-    inputs, labels = bona_fides.inputs, bona_fides.first
-    n, m = len(bona_fides), num_morphs
-    out = np.empty((n + m + num_selfmorphs, inputs.shape[1]))
-    out[:n] = inputs
-    _blend(inputs[parents[:, 0]], inputs[parents[:, 1]], alpha, out[n : n + m])
-    _blend(inputs[selves[:, 0]], inputs[selves[:, 1]], 0.5, out[n + m :])
-    first = np.concatenate((labels, pairs[:, 0], labels[selves[:, 0]]))
-    second = np.concatenate((bona_fides.second, pairs[:, 1], labels[selves[:, 0]]))
-    kinds = np.concatenate((bona_fides.kinds, np.full(m, MORPH), np.full(num_selfmorphs, SELF_MORPH)))
-    return SampleSet(out, first, second, kinds)
+    m = num_morphs
+    out = np.empty((m + num_selfmorphs, pool.inputs.shape[1]))
+    _blend(pool.inputs, parents, alpha, out[:m])
+    _blend(pool.inputs, selves, 0.5, out[m:])
+    own = labels[selves[:, 0]]
+    kinds = np.repeat(np.array([MORPH, SELF_MORPH]), (m, num_selfmorphs))
+    return SampleSet(out, np.concatenate((pairs[:, 0], own)), np.concatenate((pairs[:, 1], own)), kinds)
+
+
+def training_samples(pool: SampleSet, rows: np.ndarray, blends: SampleSet) -> SampleSet:
+    """The whole training set as one new SampleSet: pool rows rows in
+    order, then build_training_set's blends."""
+    labels = [np.concatenate((getattr(pool, name)[rows], getattr(blends, name))) for name in _COLUMNS[1:]]
+    n = len(rows)
+    inputs = np.empty((n + len(blends), pool.inputs.shape[1]))
+    # The labels' gather has checked rows; "wrap" then indexes as rows do, and writes out unbuffered.
+    pool.inputs.take(rows, axis=0, out=inputs[:n], mode="wrap")
+    inputs[n:] = blends.inputs
+    return SampleSet(inputs, *labels)
 
 
 # --- serialization ---------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, featviz, metrics
-from .datagen import SampleSet, _pool_index
+from .datagen import SampleSet, _bona_fide_labels, _pool_index
 from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
 from .errors import ConfigError, DataError, check_integer, check_real
 from .losses import MarginConfig
@@ -194,17 +194,29 @@ def _section(raw: dict, name: str, *keys) -> dict:
 class DataBundle:
     """Everything one experiment run derives from (config, seed).
 
-    The bona fide pool is the one sample store evaluation reads; the
-    train/holdout split is re-derived from it and the config
-    (holdout_split). File-driven evaluation builds a bundle from the
-    loaded pool and protocol, without the universe (the protocol already
-    carries the subset orientation) and without a training set.
+    The bona fide pool is the one store of bona fide inputs. The training
+    set is the pool's training rows followed by the blended morph and
+    selfmorph block, and train_set joins the two only when it is read.
+    Evaluation re-derives the train/holdout split from the pool and the
+    config (holdout_split). File-driven evaluation builds a bundle from
+    the loaded pool and protocol, without the universe (the protocol
+    already carries the subset orientation) and without a training set.
     """
 
     universe: datagen.IdentityUniverse | None
     bona_fides: SampleSet  # the full pool
     protocol: datagen.MorphPairProtocol
-    train_set: SampleSet | None  # training bona fides in split order, then protocol morphs, then selfmorphs
+    train_rows: np.ndarray | None = None  # holdout_split's training rows of the pool
+    blends: SampleSet | None = None  # protocol morphs, then selfmorphs
+
+    @property
+    def train_set(self) -> SampleSet | None:
+        """The whole training set, built anew on each read (None without
+        one): the training rows in split order, then the blends. Passed
+        straight to train, its (N, D) inputs live only as long as the call."""
+        if self.blends is None:
+            return None
+        return datagen.training_samples(self.bona_fides, self.train_rows, self.blends)
 
 
 def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
@@ -226,7 +238,7 @@ def holdout_split(bona_fides: SampleSet, samples_per_class: int, fraction: float
     so the pool's record order across identities does not matter.
     """
     num_train = samples_per_class - _held_out_per_identity(samples_per_class, fraction)
-    order, identities, counts, _ = _pool_index(bona_fides)
+    order, identities, counts, _ = _pool_index(_bona_fide_labels(bona_fides))
     uneven = np.flatnonzero(counts != samples_per_class)
     if uneven.size:
         k = uneven[0]
@@ -240,13 +252,13 @@ def generate_bundle(config: ExperimentConfig) -> DataBundle:
     universe, bona_fides = datagen.synth_identities(
         data.num_classes, data.samples_per_class, data.input_dim, data.spread, config.seed
     )
-    train_bona = bona_fides[holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)[0]]
-    num_morphs, _ = datagen.mix_counts(len(train_bona), data.ratios)
-    protocol = datagen.pair_protocol(universe, train_bona, num_morphs, config.seed)
-    train_set = datagen.build_training_set(
-        universe, train_bona, protocol, ratios=data.ratios, seed=config.seed, alpha=data.alpha
+    train_rows, _ = holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)
+    num_morphs, _ = datagen.mix_counts(len(train_rows), data.ratios)
+    protocol = datagen.pair_protocol(universe, bona_fides[train_rows], num_morphs, config.seed)
+    blends = datagen.build_training_set(
+        universe, bona_fides, train_rows, protocol, ratios=data.ratios, seed=config.seed, alpha=data.alpha
     )
-    return DataBundle(universe, bona_fides, protocol, train_set)
+    return DataBundle(universe, bona_fides, protocol, train_rows, blends)
 
 
 def fresh_model(config: ExperimentConfig) -> DualHeadModel:
@@ -335,22 +347,25 @@ def verification_scores(held, settings: EvalSettings, seed: int) -> Verification
     return VerificationSet(genuine, impostor)
 
 
-def trial_features(model: DualHeadModel, inputs: np.ndarray, parents: np.ndarray, alpha: float) -> np.ndarray:
+def trial_features(
+    model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float
+) -> np.ndarray:
     """(3T, E) embeddings of every trial triplet, each distinct input row embedded once.
 
-    inputs are (N, D) rows, in evaluation the training part's, and
-    parents the (T, 2) rows of each pair's parents among them
-    (datagen.protocol_parents). The distinct parent rows go through one
-    batch in ascending row order, the T morphs (blended as
-    build_training_set blends them) through another. Rows run
-    (parent_a, parent_b, morph) per pair, the layout
-    featviz.aligned_spread reads; rows 2::3 are the morph embeddings.
+    inputs are the pool's (N, D) rows, rows the pool rows the protocol
+    pairs (in evaluation the training part's) and parents the (T, 2)
+    positions in rows of each pair's parents (datagen.protocol_parents).
+    The distinct parents go through one batch in ascending position
+    order, the T morphs (blended as build_training_set blends them)
+    through another. Rows run (parent_a, parent_b, morph) per pair, the
+    layout featviz.aligned_spread reads; rows 2::3 are the morph
+    embeddings.
     """
     datagen.check_alpha(alpha)
-    rows, inverse = np.unique(parents, return_inverse=True)
+    distinct, inverse = np.unique(parents, return_inverse=True)
     features = np.empty((len(parents), 3, model.embedding_dim))
-    features[:, :2] = _forward_batch(model, inputs[rows])[0][inverse.reshape(parents.shape)]
-    morphs = datagen._blend(inputs[parents[:, 0]], inputs[parents[:, 1]], alpha)
+    features[:, :2] = _forward_batch(model, inputs[rows[distinct]])[0][inverse.reshape(parents.shape)]
+    morphs = datagen._blend(inputs, rows[parents], alpha, np.empty((len(parents), inputs.shape[1])))
     features[:, 2] = _forward_batch(model, morphs)[0]
     return features.reshape(-1, model.embedding_dim)
 
@@ -398,9 +413,8 @@ def _trial_step(model: DualHeadModel, pool: SampleSet, columns: np.ndarray, conf
     """(held_rows, trial_features) of one pool: the split, the protocol's
     parents in the training part, and their triplet embeddings."""
     train_rows, held_rows = holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
-    train_bona = pool[train_rows]
-    parents = datagen.protocol_parents(train_bona, columns)
-    return held_rows, trial_features(model, train_bona.inputs, parents, config.data.alpha)
+    parents = datagen.protocol_parents(pool, train_rows, columns)
+    return held_rows, trial_features(model, pool.inputs, train_rows, parents, config.data.alpha)
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
@@ -472,7 +486,7 @@ def run_adaptation(config: ExperimentConfig, pretrained: DualHeadModel | None = 
     stage1_config, stage2_config = adaptation_configs(config)
 
     if pretrained is None:
-        stage1_set = bundle.train_set[bundle.train_set.kinds == datagen.BONA_FIDE]  # the bona fide block
+        stage1_set = bundle.bona_fides[bundle.train_rows]
         stage1_model, stage1_history = train(fresh_model(config), stage1_set, stage1_config)
     else:
         stage1_model, stage1_history = pretrained, None

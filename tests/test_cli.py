@@ -960,6 +960,47 @@ class TestFuzzedInputs:
                              paths["protocol"])
             self.assert_clean_exit(*run_quietly(argv))
 
+    @pytest.mark.parametrize("base, code", [
+        ("file", 5),
+        ("non-empty directory", 0),
+        pytest.param("read-only directory", 5, marks=pytest.mark.skipif(
+            os.name != "posix" or os.geteuid() == 0, reason="root writes into a read-only directory")),
+    ])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["gen-data", "eval", "analyze-features"]),
+        below=st.lists(st.sampled_from(["o", "a b", "é"]), max_size=2),
+    )
+    def test_out_mutations(self, base, code, command, below, config_path, data_dir, train_dir):
+        """--out at or below a regular file, a non-empty directory or a read-only one: a
+        failure makes no --out and leaves the tree as it was."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / base
+            if base == "file":
+                root.write_text("x")
+            else:
+                root.mkdir()
+                (root / "kept.txt").write_text("x")
+            out = root.joinpath(*below)
+            argv = [command, "--config", config_path, "--out", str(out)]
+            if command != "gen-data":
+                argv = eval_argv(command, config_path, out, train_dir / "checkpoint.bin",
+                                 data_dir / "bona_fides.jsonl", data_dir / "protocol.json")
+            before = sorted(Path(tmp).rglob("*")), tree_bytes(Path(tmp))
+            if base == "read-only directory":
+                root.chmod(0o555)
+            try:
+                result = run_quietly(argv)
+            finally:
+                if root.is_dir():
+                    root.chmod(0o755)
+            self.assert_clean_exit(*result)
+            assert result[0] == code
+            if code:
+                assert (sorted(Path(tmp).rglob("*")), tree_bytes(Path(tmp))) == before
+            else:
+                assert (out / "manifest.json").is_file() and (root / "kept.txt").read_text() == "x"
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(field=st.sampled_from(list(config_fields(SMALL))), data=st.data())
     def test_config_mutations(self, field, data):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from morphguard.datagen import (
+    _BLEND_ROWS,
     KINDS,
     MORPH,
     SampleSet,
@@ -15,7 +16,9 @@ from morphguard.datagen import (
     protocol_parents,
     save_dataset,
     synth_identities,
+    training_samples,
 )
+from morphguard import experiment
 from morphguard.encoder import _forward_batch
 from morphguard.errors import DataError, ProtocolError
 from morphguard.experiment import (
@@ -65,6 +68,11 @@ def assert_same_samples(columns: SampleSet, samples: list):
     assert implied == [s.source_ids for s in samples]
 
 
+def train_rows_of(bona_fides, config):
+    """holdout_split's training rows of the pool under config."""
+    return holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)[0]
+
+
 def split_samples(bona_fides, samples_per_class, fraction):
     """holdout_split's two row arrays as the SampleSets they select from the pool."""
     return tuple(bona_fides[rows] for rows in holdout_split(bona_fides, samples_per_class, fraction))
@@ -100,22 +108,25 @@ class TestAgainstPerSampleOracles:
 
     @pytest.mark.parametrize("ratios", [None, (1, 0, 0), (2, 1, 0)], ids=["config", "1-0-0", "2-1-0"])
     def test_training_set(self, pipelines, ratios):
-        config, (universe, _, train_bona, _, protocol), oracle = pipelines
+        config, (universe, bona_fides, _, _, protocol), oracle = pipelines
         kwargs = {"ratios": ratios or config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
         expected = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
-        assert_same_samples(build_training_set(universe, train_bona, protocol, **kwargs), expected)
+        rows = train_rows_of(bona_fides, config)
+        blends = build_training_set(universe, bona_fides, rows, protocol, **kwargs)
+        assert_same_samples(training_samples(bona_fides, rows, blends), expected)
 
     def test_trial_triplets_and_trials(self, pipelines):
-        config, (_, bona_fides, train_bona, _, protocol), oracle = pipelines
+        config, (_, bona_fides, _, _, protocol), oracle = pipelines
         expected = oracle_build_trial_triplets(oracle[2], oracle[4], config.data.alpha)
         columns = protocol.columns
-        parents = protocol_parents(train_bona, columns)
+        rows = train_rows_of(bona_fides, config)
+        parents = protocol_parents(bona_fides, rows, columns)
         assert parents.shape == (len(protocol.pairs), 2)
-        assert train_bona.inputs[parents].tobytes() == np.array([t[:2] for t in expected]).tobytes()
+        assert bona_fides.inputs[rows[parents]].tobytes() == np.array([t[:2] for t in expected]).tobytes()
 
         # Each distinct parent and each morph embedded once: the bytes of one batch of the 3T triplet rows.
         model = fresh_model(config)
-        features = trial_features(model, train_bona.inputs, parents, config.data.alpha)
+        features = trial_features(model, bona_fides.inputs, rows, parents, config.data.alpha)
         rows = np.stack([v for t in expected for v in t])
         assert features.shape == (3 * len(protocol.pairs), config.model.embedding_dim)
         assert features.tobytes() == _forward_batch(model, rows)[0].tobytes()
@@ -129,15 +140,63 @@ class TestAgainstPerSampleOracles:
         assert trials.scores.tobytes() == np.array([t.subject_scores for t in expected]).tobytes()
 
     def test_dataset_bytes(self, pipelines, tmp_path):
-        config, (universe, bona_fides, train_bona, _, protocol), oracle = pipelines
+        config, (universe, bona_fides, _, _, protocol), oracle = pipelines
         kwargs = {"ratios": config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
-        train_set = build_training_set(universe, train_bona, protocol, **kwargs)
+        rows = train_rows_of(bona_fides, config)
+        train_set = training_samples(bona_fides, rows, build_training_set(universe, bona_fides, rows, protocol, **kwargs))
         o_train_set = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
         # The first 2000 records of a set: every kind occurs, and the wide case stays quick.
         for name, samples, o_samples in (("bona_fides", bona_fides, oracle[1]), ("dataset", train_set, o_train_set)):
             save_dataset(samples[:2000], tmp_path / f"{name}.jsonl")
             oracle_save_dataset(o_samples[:2000], tmp_path / f"{name}.oracle.jsonl")
             assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / f"{name}.oracle.jsonl").read_bytes()
+
+
+class TestPoolRows:
+    """Blends and trial triplets read the pool through row arrays in any order, chunk by chunk."""
+
+    @pytest.mark.parametrize("size", [_BLEND_ROWS - 1, _BLEND_ROWS, _BLEND_ROWS + 1, 2 * _BLEND_ROWS + 1])
+    def test_blocks_at_chunk_edges(self, size):
+        # Morph and selfmorph blocks of `size` rows each, from 600 pool rows in a seeded order.
+        universe, pool = synth_identities(20, 40, 8, spread=0.1, seed=6)
+        rows = np.random.default_rng(6).permutation(len(pool))[:600]
+        protocol = pair_protocol(universe, pool[rows], size, seed=6)
+        kwargs = {"ratios": (600, size, size), "seed": 6, "alpha": 0.3}
+        blends = build_training_set(universe, pool, rows, protocol, **kwargs)
+        assert len(blends) == 2 * size
+        o_universe, o_pool = oracle_synth_identities(20, 40, 8, 0.1, 6)
+        expected = oracle_build_training_set(o_universe, [o_pool[r] for r in rows], protocol, **kwargs)
+        assert_same_samples(training_samples(pool, rows, blends), expected)
+
+    def test_trial_features_of_an_interleaved_pool(self, monkeypatch):
+        # The pool's records in a seeded order across identities, so the training rows do not ascend.
+        config = CONFIGS["default-seed1"]
+        d = config.data
+        universe, ordered = synth_identities(d.num_classes, d.samples_per_class, d.input_dim, d.spread, config.seed)
+        owners = np.random.default_rng(4).permutation(ordered.first)
+        order = np.empty(len(ordered), dtype=np.int64)
+        order[np.argsort(owners, kind="stable")] = np.argsort(ordered.first, kind="stable")
+        pool = ordered[order]
+        rows = train_rows_of(pool, config)
+        assert np.any(np.diff(rows) < 0)
+        protocol = pair_protocol(universe, pool[rows], mix_counts(len(rows), d.ratios)[0], config.seed)
+        parents = protocol_parents(pool, rows, protocol.columns)
+        model, batches = fresh_model(config), []
+
+        def recording(model, inputs, buffers=None):
+            batches.append(inputs.copy())
+            return _forward_batch(model, inputs, buffers)
+
+        monkeypatch.setattr(experiment, "_forward_batch", recording)
+        features = trial_features(model, pool.inputs, rows, parents, d.alpha)
+        expected = oracle_build_trial_triplets(list(pool[rows]), protocol, d.alpha)
+        triplet_rows = np.stack([v for t in expected for v in t])
+        assert features.tobytes() == _forward_batch(model, triplet_rows)[0].tobytes()
+        # A row's bytes need not show its place in a batch, so the batches are checked too: the
+        # distinct parents by ascending position in the training part, then the morphs in pair order.
+        assert len(batches) == 2
+        assert batches[0].tobytes() == pool.inputs[rows][np.unique(parents)].tobytes()
+        assert batches[1].tobytes() == triplet_rows[2::3].tobytes()
 
 
 class TestSampleSet:

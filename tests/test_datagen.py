@@ -29,11 +29,18 @@ from morphguard.datagen import (
     save_protocol,
     split_identities,
     synth_identities,
+    training_samples,
 )
 from morphguard.encoder import init_model
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import trial_features
 from morphguard.losses import LabelPair, SampleKind
+
+
+def whole_set(universe, pool, protocol, **kwargs):
+    """The training set over every pool row: the pool, then build_training_set's blends."""
+    rows = np.arange(len(pool))
+    return training_samples(pool, rows, build_training_set(universe, pool, rows, protocol, **kwargs))
 
 
 def bona_fide(identity, vec):
@@ -46,7 +53,7 @@ def morph_of(universe, sample_a, sample_b, alpha=0.5):
     sample_a (row 0 of its identity) with sample_b; alpha weights sample_a."""
     ids = [sample_a.labels.first_label, sample_b.labels.first_label]
     pool = SampleSet(np.stack((sample_a.input, sample_b.input)), ids, ids, [BONA_FIDE, BONA_FIDE])
-    out = build_training_set(universe, pool, MorphPairProtocol(np.array([[*ids, 0, 0]])), ratios=(2, 1, 0), alpha=alpha)
+    out = whole_set(universe, pool, MorphPairProtocol(np.array([[*ids, 0, 0]])), ratios=(2, 1, 0), alpha=alpha)
     assert out.kinds.tolist() == [BONA_FIDE, BONA_FIDE, MORPH]
     return out[2]
 
@@ -56,7 +63,7 @@ def selfmorph_of(identity, input_a, input_b):
     universe, _ = synth_identities(2 * (identity // 2 + 1), 2, len(input_a), spread=0.1, seed=0)
     pool = SampleSet(np.stack((input_a, input_b)), [identity] * 2, [identity] * 2, [BONA_FIDE] * 2)
     empty = MorphPairProtocol(np.empty((0, 4), dtype=np.int64))
-    return build_training_set(universe, pool, empty, ratios=(2, 0, 1))[2]
+    return whole_set(universe, pool, empty, ratios=(2, 0, 1))[2]
 
 
 class TestSynthIdentities:
@@ -251,7 +258,8 @@ class TestMakeMorph:
         a, b = grouped[first][0], grouped[second][0]
         morph = morph_of(universe, a, b, alpha=0.3)
         assert morph.labels == LabelPair(first, second, SampleKind.MORPH)
-        assert morph.input.tobytes() == _blend(a.input[None], b.input[None], 0.3)[0].tobytes()
+        blended = _blend(np.stack((a.input, b.input)), np.array([[0, 1]]), 0.3, np.empty((1, len(a.input))))
+        assert morph.input.tobytes() == blended[0].tobytes()
         reversed_pair = MorphPair(second, first, 0, 0)
         with pytest.raises(ProtocolError, match=re.escape(f"protocol pair {reversed_pair} runs subset 2 -> 1, not 1 -> 2")):
             morph_of(universe, b, a, alpha=0.3)
@@ -273,7 +281,7 @@ class TestMakeMorph:
         side1 = [i for i in range(4) if universe.subsets[i] == 1]
         within = MorphPairProtocol(np.array([[side1[0], side1[1], 0, 0]]))
         with pytest.raises(ProtocolError, match=f"identities {side1[0]} and {side1[1]} share subset 1"):
-            build_training_set(universe, samples, within, ratios=(8, 1, 0), seed=12)
+            whole_set(universe, samples, within, ratios=(8, 1, 0), seed=12)
 
     def test_alpha_range(self):
         universe, grouped, first, second = self._tiny_universe()
@@ -296,7 +304,7 @@ class TestMakeSelfmorph:
         proto = universe.prototypes[0]
         pool = samples[samples.first == 0]
         a, b = pool[0::2], pool[1::2]
-        selfmorphs = _blend(a.inputs, b.inputs, 0.5)
+        selfmorphs = _blend(pool.inputs, np.arange(len(pool)).reshape(-1, 2), 0.5, np.empty_like(a.inputs))
         parent_cos = np.concatenate((a.inputs @ proto, b.inputs @ proto))
         assert np.mean(selfmorphs @ proto) > np.mean(parent_cos)
 
@@ -309,7 +317,7 @@ class TestBuildTrainingSet:
 
     def test_bona_fide_only(self):
         universe, samples, protocol = self._setup()
-        out = build_training_set(universe, samples, protocol, ratios=(1, 0, 0), seed=14)
+        out = whole_set(universe, samples, protocol, ratios=(1, 0, 0), seed=14)
         assert len(out) == len(samples)
         assert all(s.labels.kind is SampleKind.BONA_FIDE for s in out)
 
@@ -324,14 +332,14 @@ class TestBuildTrainingSet:
         with pytest.raises(ProtocolError, match=message):
             pair_protocol(universe, pool, 10, seed=1)
         with pytest.raises(ProtocolError, match=message):
-            protocol_parents(pool, protocol.columns)
+            protocol_parents(pool, np.arange(len(pool)), protocol.columns)
         with pytest.raises(ProtocolError, match=message):
-            build_training_set(universe, pool, protocol, ratios=(2, 1, 1), seed=14)
+            whole_set(universe, pool, protocol, ratios=(2, 1, 1), seed=14)
 
     def test_default_ratios_counts(self):
         universe, samples, protocol = self._setup()
         assert len(samples) == 400
-        out = build_training_set(universe, samples, protocol, ratios=(2, 1, 1), seed=14)
+        out = whole_set(universe, samples, protocol, ratios=(2, 1, 1), seed=14)
         kinds = [s.labels.kind for s in out]
         assert len(out) == 800
         assert kinds.count(SampleKind.BONA_FIDE) == 400
@@ -340,7 +348,7 @@ class TestBuildTrainingSet:
 
     def test_every_morph_is_cross_subset(self):
         universe, samples, protocol = self._setup()
-        out = build_training_set(universe, samples, protocol, seed=14)
+        out = whole_set(universe, samples, protocol, seed=14)
         for sample in out:
             if sample.labels.kind is SampleKind.MORPH:
                 assert universe.subsets[sample.labels.first_label] == 1
@@ -349,8 +357,8 @@ class TestBuildTrainingSet:
 
     def test_unit_norm_and_determinism(self):
         universe, samples, protocol = self._setup()
-        out1 = build_training_set(universe, samples, protocol, seed=15)
-        out2 = build_training_set(universe, samples, protocol, seed=15)
+        out1 = whole_set(universe, samples, protocol, seed=15)
+        out2 = whole_set(universe, samples, protocol, seed=15)
         assert len(out1) == len(out2)
         for a, b in zip(out1, out2):
             assert a.labels == b.labels
@@ -361,7 +369,7 @@ class TestBuildTrainingSet:
         universe, samples, _ = self._setup()
         tiny = pair_protocol(universe, samples, 10, seed=16)
         with pytest.raises(CapacityError):
-            build_training_set(universe, samples, tiny, ratios=(2, 1, 1), seed=16)
+            whole_set(universe, samples, tiny, ratios=(2, 1, 1), seed=16)
 
     @pytest.mark.parametrize(
         "field, value", [("identity_a", 99), ("sample_a", 100), ("sample_b", -1)]
@@ -369,16 +377,17 @@ class TestBuildTrainingSet:
     def test_pair_outside_pool_is_capacity_error(self, field, value):
         universe, samples, protocol = self._setup()
         pair = dataclasses.replace(protocol.pairs[0], **{field: value})
-        assert protocol_parents(samples, protocol.columns).shape == (len(protocol.pairs), 2)
+        rows = np.arange(len(samples))
+        assert protocol_parents(samples, rows, protocol.columns).shape == (len(protocol.pairs), 2)
         with pytest.raises(CapacityError, match=re.escape(f"protocol pair {pair} refers outside")):
-            protocol_parents(samples, np.array([dataclasses.astuple(pair)]))
+            protocol_parents(samples, rows, np.array([dataclasses.astuple(pair)]))
 
     def test_ratio_validation(self):
         universe, samples, protocol = self._setup()
         with pytest.raises(ConfigError):
-            build_training_set(universe, samples, protocol, ratios=(0, 0, 0), seed=0)
+            whole_set(universe, samples, protocol, ratios=(0, 0, 0), seed=0)
         with pytest.raises(ConfigError):
-            build_training_set(universe, samples, protocol, ratios=(1, -1, 0), seed=0)
+            whole_set(universe, samples, protocol, ratios=(1, -1, 0), seed=0)
 
     @pytest.mark.parametrize(
         "ratios",
@@ -396,9 +405,10 @@ class TestBuildTrainingSet:
     def test_trial_triplets_reject_alpha_outside_unit_interval(self):
         universe, samples, protocol = self._setup()
         model = init_model(samples.inputs.shape[1], [], 4, 2, seed=0)
-        parents = protocol_parents(samples, protocol.columns)
+        rows = np.arange(len(samples))
+        parents = protocol_parents(samples, rows, protocol.columns)
         with pytest.raises(ConfigError):
-            trial_features(model, samples.inputs, parents, alpha=1.5)
+            trial_features(model, samples.inputs, rows, parents, alpha=1.5)
 
 
 def uneven_pool(counts, seed=21):
@@ -412,7 +422,7 @@ def uneven_pool(counts, seed=21):
 def selfmorph_set(counts, seed):
     universe, pool = uneven_pool(counts)
     no_pairs = MorphPairProtocol(np.empty((0, 4), dtype=np.int64))
-    return pool, build_training_set(universe, pool, no_pairs, ratios=(1, 0, 1), seed=seed)
+    return pool, whole_set(universe, pool, no_pairs, ratios=(1, 0, 1), seed=seed)
 
 
 class TestSelfmorphDraw:
@@ -432,7 +442,7 @@ class TestSelfmorphDraw:
             own = pool.inputs[pool.first == identity]
             assert counts[identity] >= 2 and len(own) == counts[identity]
             a, b = np.array(list(itertools.permutations(range(len(own)), 2))).T
-            blends = {row.tobytes() for row in _blend(own[a], own[b], 0.5)}
+            blends = {row.tobytes() for row in _blend(own, np.column_stack((a, b)), 0.5, np.empty((len(a), 8)))}
             assert sample.input.tobytes() in blends
         again = selfmorph_set(counts, seed)[1]
         assert again.inputs.tobytes() == out.inputs.tobytes() and again.first.tobytes() == out.first.tobytes()
@@ -444,17 +454,17 @@ class TestSelfmorphDraw:
     def test_pool_without_rich_identity(self):
         universe, pool = uneven_pool([1] * 6)
         protocol = pair_protocol(universe, pool, 3, seed=2)
-        out = build_training_set(universe, pool, protocol, ratios=(2, 1, 0), seed=2)
+        out = whole_set(universe, pool, protocol, ratios=(2, 1, 0), seed=2)
         assert len(out) == 9 and not (out.kinds == SELF_MORPH).any()
         with pytest.raises(CapacityError):
-            build_training_set(universe, pool, protocol, ratios=(2, 1, 1), seed=2)
+            whole_set(universe, pool, protocol, ratios=(2, 1, 1), seed=2)
 
 
 class TestSerialization:
     def test_dataset_roundtrip(self, tmp_path):
         universe, samples = synth_identities(4, 5, 8, spread=0.2, seed=17)
         protocol = pair_protocol(universe, samples, 12, seed=17)
-        dataset = build_training_set(universe, samples, protocol, ratios=(2, 1, 1), seed=17)
+        dataset = whole_set(universe, samples, protocol, ratios=(2, 1, 1), seed=17)
         path = tmp_path / "dataset.jsonl"
         save_dataset(dataset, path)
         loaded = load_dataset(path)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphguard import datagen
+from morphguard import datagen, experiment
 from morphguard.errors import ConfigError, DataError
 from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
 from morphguard.experiment import (
@@ -31,6 +33,9 @@ from morphguard.experiment import (
 from morphguard.encoder import DualHeadModel, _forward_batch, train
 from morphguard.losses import MarginConfig, SampleKind
 from oracles import oracle_align_triplet, oracle_morph_trials, oracle_probe_pool, probes_by_identity
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from mem_peaks import peaks  # noqa: E402
 
 SMALL = {
     "seed": 5,
@@ -60,17 +65,18 @@ def held_embeddings(model, bundle, config):
 
 def protocol_features(model, bundle, config):
     """trial_features of the bundle's protocol pairs, parents from its training part."""
-    train_bona = train_part(bundle, config)
-    parents = datagen.protocol_parents(train_bona, bundle.protocol.columns)
-    return trial_features(model, train_bona.inputs, parents, config.data.alpha)
+    pool, rows = bundle.bona_fides, split_rows(bundle.bona_fides, config)[0]
+    parents = datagen.protocol_parents(pool, rows, bundle.protocol.columns)
+    return trial_features(model, pool.inputs, rows, parents, config.data.alpha)
 
 
 def protocol_triplet_inputs(bundle, config):
     """(T, 3, D) parent_a, parent_b and morph input rows of the bundle's protocol pairs."""
     train_bona = train_part(bundle, config)
-    parents = datagen.protocol_parents(train_bona, bundle.protocol.columns)
+    parents = datagen.protocol_parents(train_bona, np.arange(len(train_bona)), bundle.protocol.columns)
     a, b = train_bona.inputs[parents.T]
-    return np.stack((a, b, datagen._blend(a, b, config.data.alpha)), axis=1)
+    morphs = datagen._blend(train_bona.inputs, parents, config.data.alpha, np.empty_like(a))
+    return np.stack((a, b, morphs), axis=1)
 
 
 def interleaved(pool, seed):
@@ -301,9 +307,19 @@ class TestBundle:
         bundle = generate_bundle(config)
         assert len(bundle.protocol.pairs) == int(bundle.train_set.is_morph.sum()) == 227
 
-    def test_fields_are_the_pool_protocol_and_training_set(self, small_bundle):
+    def test_fields_are_the_pool_protocol_and_training_set(self, small_bundle, small_config):
         names = [f.name for f in dataclasses.fields(DataBundle)]
-        assert names == ["universe", "bona_fides", "protocol", "train_set"]
+        assert names == ["universe", "bona_fides", "protocol", "train_rows", "blends"]
+        # The training set is read from the pool's training rows and the blends, which hold no bona fide.
+        pool, blends = small_bundle.bona_fides, small_bundle.blends
+        rows = split_rows(pool, small_config)[0]
+        assert small_bundle.train_rows.tobytes() == rows.tobytes()
+        assert not (blends.kinds == datagen.BONA_FIDE).any()
+        train_set = small_bundle.train_set
+        assert train_set.inputs.tobytes() == np.concatenate((pool.inputs[rows], blends.inputs)).tobytes()
+        for name in ("first", "second", "kinds"):
+            expected = np.concatenate((getattr(pool, name)[rows], getattr(blends, name)))
+            assert getattr(train_set, name).tobytes() == expected.tobytes()
 
     def test_deterministic(self, small_config, small_bundle):
         again = generate_bundle(small_config)
@@ -535,6 +551,31 @@ class TestOnePassEmbedding:
         assert embedded.tobytes() == expected.tobytes()
         assert np.repeat(identities, counts).tolist() == held.first.tolist()
         assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
+
+
+class TestMemory:
+    """tracemalloc peaks of the wide tier at 200 identities (tools/mem_peaks.py), as multiples
+    of the pool's input bytes. tracemalloc counts array buffers, whatever the heap's layout."""
+
+    POOL = 200 * 50 * 128 * 8  # the pool's inputs.nbytes: 200 identities x 50 samples x 128 float64
+
+    @pytest.fixture(scope="class")
+    def figures(self):
+        return peaks(experiment, 200)
+
+    def test_bundle_holds_each_pool_row_once(self, figures):
+        # The pool, the blended block (0.8 pools) and the label columns make 1.87 pools;
+        # a copy of the training rows would add 0.8 more.
+        assert figures["bundle_holds"] < 2.0 * self.POOL
+
+    def test_generate_bundle_peak(self, figures):
+        # 1.91 pools. Full-size parent gathers and a copy of the training rows peak at 4.7.
+        assert figures["generate_bundle_peak"] < 2.5 * self.POOL
+
+    def test_evaluate_model_peak(self, figures):
+        # 3.26 pools over its start, most of it the parents' batch and its hidden activations.
+        # A copy of the training rows and full-size blend temporaries peak at 4.07.
+        assert figures["evaluate_model_peak"] < 3.6 * self.POOL
 
 
 class TestBatchedAlignment:
