@@ -2,10 +2,11 @@
 
 Subcommands mirror the experiment recipes: `gen-data`, `train`,
 `sweep-margins`, `adapt`, `eval`, `analyze-features`, and
-`print-default-config`. Every command resolves one ExperimentConfig
-(JSON file plus optional --seed override), writes a manifest recording
-it, and emits only deterministic bytes, so re-running a command with
-the same config and inputs reproduces its output files exactly.
+`print-default-config`. `main` resolves one ExperimentConfig (JSON file
+plus optional --seed override) and hands it to the command; once the
+command has written its files, `main` writes the manifest recording it.
+Every command emits only deterministic bytes, so re-running a command
+with the same config and inputs reproduces its output files exactly.
 
 Exit codes: 0 success, 2 config error, 3 data/protocol error,
 4 numeric error, 5 I/O error.
@@ -44,19 +45,29 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
+# The input-file options, each recorded in the manifest by its sha256 when given.
+INPUT_HELP = {
+    "checkpoint": "model checkpoint; adapt's is its stage 1, trained if omitted",
+    "data": "bona fide pool (JSONL from gen-data)",
+    "protocol": "pairing protocol JSON (from gen-data)",
+}
+
 
 def load_config(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    """The --config file's config (the default without one), its seed
+    overridden by --seed; a command without these options gets the default."""
+    path, seed = getattr(args, "config", None), getattr(args, "seed", None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         config = ExperimentConfig.from_dict(raw)
     else:
         config = ExperimentConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
     return config
 
 
@@ -78,24 +89,23 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def input_digests(args, *roles) -> dict:
-    """The sha256 of each input file named by args, keyed by its role (the
-    option name, not the path, so inputs at other paths give the same manifest)."""
-    return {role: hashlib.sha256(Path(getattr(args, role)).read_bytes()).hexdigest() for role in roles}
-
-
-def write_manifest(out_dir: Path, command: str, config: ExperimentConfig, inputs: dict | None = None):
+def write_manifest(args, config: ExperimentConfig):
+    """--out's manifest.json: the command, its resolved config, the versions
+    and the sha256 of each input file given, keyed by its option (not its
+    path, so inputs at other paths give the same manifest)."""
     # numpy promises its Generator streams only within one numpy version.
     payload = {
-        "command": command,
+        "command": args.command,
         "config": config.to_dict(),
         "seed": config.seed,
         "morphguard_version": __version__,
         "numpy_version": np.__version__,
     }
+    inputs = {role: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+              for role in INPUT_HELP if (path := getattr(args, role, None))}
     if inputs:
         payload["inputs"] = inputs
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(Path(args.out) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -127,8 +137,7 @@ def write_point_table(path: Path, key: str, keyed_reports):
                 fh.write(f"{label},{metrics.operating_point_row(point)}\n")
 
 
-def cmd_gen_data(args) -> int:
-    config = load_config(args)
+def cmd_gen_data(args, config):
     bundle = generate_bundle(config)
     # The joined set copies the blended rows, so the bundle lets go of its own.
     train_set, bundle.blends = bundle.train_set, None
@@ -138,29 +147,23 @@ def cmd_gen_data(args) -> int:
     datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
     datagen.save_dataset(train_set, out_dir / "dataset.jsonl", [texts[r] for r in bundle.train_rows.tolist()])
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
-    write_manifest(out_dir, "gen-data", config)
     print(
         f"wrote {len(bundle.bona_fides)} bona fides, {len(train_set)} training samples, "
         f"{len(bundle.protocol.columns)} protocol pairs to {out_dir}"
     )
-    return 0
 
 
-def cmd_train(args) -> int:
-    config = load_config(args)
+def cmd_train(args, config):
     bundle = generate_bundle(config)
     model = fresh_model(config)
     model, history = train(model, bundle.train_set, train_config(config))
     out_dir = _out_dir(args)
     save_checkpoint(model, out_dir / "checkpoint.bin")
     write_history_csv(out_dir / "history.csv", [("initial", history)])
-    write_manifest(out_dir, "train", config)
     print(f"trained {config.train.epochs} epochs, final mean loss {history.epoch_mean_loss[-1]:.4f}")
-    return 0
 
 
-def cmd_sweep_margins(args) -> int:
-    config = load_config(args)
+def cmd_sweep_margins(args, config):
     results = run_sweep(config)
     out_dir = _out_dir(args)
     write_point_table(
@@ -171,13 +174,10 @@ def cmd_sweep_margins(args) -> int:
         sub.mkdir(exist_ok=True)
         write_report_files(sub, report)
         write_history_csv(sub / "history.csv", [("sweep", history)])
-    write_manifest(out_dir, "sweep-margins", config)
     print(f"swept {len(results)} margin offsets; summary at {out_dir / 'summary.csv'}")
-    return 0
 
 
-def cmd_adapt(args) -> int:
-    config = load_config(args)
+def cmd_adapt(args, config):
     pretrained = _load_checkpoint_for(args.checkpoint, config, trains=True) if args.checkpoint else None
     stage1, stage2 = run_adaptation(config, pretrained)
     out_dir = _out_dir(args)
@@ -191,12 +191,10 @@ def cmd_adapt(args) -> int:
     write_point_table(out_dir / "stage_metrics.csv", "stage", [("stage1", report1), ("stage2", report2)])
     write_report_files(out_dir, report1, prefix="stage1_")
     write_report_files(out_dir, report2, prefix="stage2_")
-    write_manifest(out_dir, "adapt", config, input_digests(args, "checkpoint") if args.checkpoint else None)
     print(
         f"stage1 min-RMMR {report1.min_rmmr_value:.4f} -> stage2 {report2.min_rmmr_value:.4f}; "
         f"reports at {out_dir}"
     )
-    return 0
 
 
 def _load_checkpoint_for(path, config, trains=False):
@@ -232,36 +230,29 @@ def _load_eval_inputs(args, config):
     return model, DataBundle(None, bona_fides, protocol)
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args)
+def cmd_eval(args, config):
     model, bundle = _load_eval_inputs(args, config)
     report = evaluate_model(model, bundle, config)
     out_dir = _out_dir(args)
     write_report_files(out_dir, report)
-    write_manifest(out_dir, "eval", config, input_digests(args, "checkpoint", "data", "protocol"))
     print(
         f"evaluated {len(report.trials)} morph trials; min-RMMR {report.min_rmmr_value:.4f} "
         f"at threshold {report.min_rmmr_threshold:.4f}"
     )
-    return 0
 
 
-def cmd_analyze_features(args) -> int:
-    config = load_config(args)
+def cmd_analyze_features(args, config):
     model, bundle = _load_eval_inputs(args, config)
     aligned, ellipse = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
     out_dir = _out_dir(args)
     featviz.save_aligned_csv(aligned, out_dir / "aligned_points.csv")
     featviz.save_ellipse_csv(ellipse, out_dir / "ellipse.csv")
     featviz.render_svg(aligned, ellipse, out_dir / "features.svg")
-    write_manifest(out_dir, "analyze-features", config, input_digests(args, "checkpoint", "data", "protocol"))
     print(f"analyzed {len(aligned)} triplets; ellipse size {ellipse.size:.4f}")
-    return 0
 
 
-def cmd_print_default_config(args) -> int:
-    print(json.dumps(ExperimentConfig().to_dict(), indent=2, sort_keys=True))
-    return 0
+def cmd_print_default_config(args, config):
+    print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,56 +262,44 @@ def build_parser() -> argparse.ArgumentParser:
         "two-stage adaptation, robustness evaluation, and feature analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, out=True):
+    evaluation = dict.fromkeys(INPUT_HELP, True)
+    # (name, handler, help, {input-file option: required}, or None for a command without
+    # options). Built on each call, so a cmd_* rebound on this module is the one that runs.
+    commands = (
+        ("gen-data", cmd_gen_data, "emit dataset, protocol, and manifest files", {}),
+        ("train", cmd_train, "train one model from the config and save a checkpoint", {}),
+        ("sweep-margins", cmd_sweep_margins, "train and evaluate one model per margin offset", {}),
+        ("adapt", cmd_adapt, "two-stage run: bona fide pretraining, then morph adaptation", {"checkpoint": False}),
+        ("eval", cmd_eval, "evaluate a checkpoint on saved data and protocol files", evaluation),
+        ("analyze-features", cmd_analyze_features, "aligned feature clouds, ellipse report, and SVG", evaluation),
+        ("print-default-config", cmd_print_default_config, "write the default config JSON to stdout", None),
+    )
+    for name, func, text, inputs in commands:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if inputs is None:
+            continue
         p.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("gen-data", help="emit dataset, protocol, and manifest files")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one model from the config and save a checkpoint")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep-margins", help="train and evaluate one model per margin offset")
-    common(p)
-    p.set_defaults(func=cmd_sweep_margins)
-
-    p = sub.add_parser("adapt", help="two-stage run: bona fide pretraining, then morph adaptation")
-    common(p)
-    p.add_argument("--checkpoint", help="stage-1 checkpoint to adapt (stage 1 is trained if omitted)")
-    p.set_defaults(func=cmd_adapt)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on saved data and protocol files")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True, help="bona fide pool (JSONL from gen-data)")
-    p.add_argument("--protocol", required=True, help="pairing protocol JSON")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("analyze-features", help="aligned feature clouds, ellipse report, and SVG")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--protocol", required=True)
-    p.set_defaults(func=cmd_analyze_features)
-
-    p = sub.add_parser("print-default-config", help="write the default config JSON to stdout")
-    p.set_defaults(func=cmd_print_default_config)
+        p.add_argument("--out", required=True, help="output directory")
+        for role, required in inputs.items():
+            p.add_argument(f"--{role}", required=required, help=INPUT_HELP[role])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Check --out, resolve the config, run the command and, once it has
+    written its files, record them in --out's manifest.json."""
+    args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
-        return args.func(args)
+        if out is not None:
+            _check_out(out)
+        config = load_config(args)
+        args.func(args, config)
+        if out is not None:
+            write_manifest(args, config)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

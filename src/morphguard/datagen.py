@@ -422,7 +422,7 @@ def load_dataset(path) -> SampleSet:
                     record = json.loads(line)
                     kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
                     ids, row = record["source_ids"], np.array(record["input"])
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise DataError(f"{where} is not a JSON dataset record: {exc!r}") from exc
                 implied = [first, second] if kind == MORPH else [first]
                 if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
@@ -460,7 +460,7 @@ def load_protocol(path) -> MorphPairProtocol:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
     try:
         rows = [[r[key] for key in _PROTOCOL_KEYS] for r in records]

@@ -37,6 +37,12 @@ DEFAULT_MARGIN_GRID = (0.1, 0.05, 0.0, -0.05, -0.1, -0.2, -0.3)
 DEFAULT_MARGIN = MarginConfig(scale=16.0)
 
 
+def _check_array_size(name: str, rows: int, cols: int):
+    """Reject a config that sizes a (rows, cols) float64 array numpy cannot create."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{name} would be a {rows} x {cols} float64 array, larger than numpy can create")
+
+
 @dataclass(frozen=True)
 class DataSettings:
     num_classes: int = 40
@@ -63,6 +69,9 @@ class DataSettings:
             raise ConfigError(
                 f"ratios {self.ratios} need {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
             )
+        _check_array_size("the bona fide pool", self.num_classes * self.samples_per_class, self.input_dim)
+        num_rows = self.num_classes * num_train + num_morphs + num_selfmorphs
+        _check_array_size("the training set", num_rows, self.input_dim)
 
 
 @dataclass(frozen=True)
@@ -151,40 +160,41 @@ class ExperimentConfig:
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep offsets {self.sweep_grid} share output directories: {names}")
         adaptation_configs(self)
+        widths = [self.data.input_dim, *self.model.hidden_dims, self.model.embedding_dim]
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            _check_array_size("a layer's weights", fan_out, fan_in)
+        _check_array_size("each head", self.data.num_classes, self.model.embedding_dim)
+        for name in ("genuine_pairs", "impostor_pairs"):
+            _check_array_size(f"the {name} embeddings", getattr(self.eval, name), self.model.embedding_dim)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        """The default config with raw's values: each section on top of the
+        default's own, a list read as a tuple wherever the default holds one."""
         try:
-            return cls(
-                seed=raw.get("seed", 1),
-                data=DataSettings(**_section(raw, "data", "ratios")),
-                model=ModelSettings(**_section(raw, "model", "hidden_dims")),
-                train=TrainSettings(**_section(raw, "train")),
-                margin=dataclasses.replace(DEFAULT_MARGIN, **_section(raw, "margin")),
-                sweep_grid=tuple(raw.get("sweep_grid", DEFAULT_MARGIN_GRID)),
-                eval=EvalSettings(**_section(raw, "eval", "fnmr_targets", "fmr_targets")),
-                adapt=AdaptSettings(**_section(raw, "adapt")),
-            )
+            return _override(cls(), raw)
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"unknown, missing or mistyped config field: {exc}") from exc
 
 
-def _section(raw: dict, name: str, *keys) -> dict:
-    """The fields of config section name, those named by keys as tuples."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(section).__name__}")
-    return {key: tuple(value) if key in keys else value for key, value in section.items()}
+def _override(default, raw, name: str | None = None):
+    """default (a config dataclass or one of its fields) with raw's values."""
+    if not dataclasses.is_dataclass(default):
+        return tuple(raw) if isinstance(default, tuple) else raw
+    if not isinstance(raw, dict):
+        what = "config" if name is None else f"config section {name!r}"
+        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(default)})
+    if unknown:
+        key = unknown[0] if name is None else f"{name}.{unknown[0]}"
+        raise ConfigError(f"unknown config key {key!r}")
+    fields = {key: _override(getattr(default, key), value, key) for key, value in raw.items()}
+    return dataclasses.replace(default, **fields)
 
 
 # --- data bundle ------------------------------------------------------------

@@ -379,16 +379,10 @@ def morphguard_loss(batch, config: MarginConfig) -> MorphGuardResult:
     )
     if first.shape != second.shape:
         raise ConfigError(f"cosine shapes differ between heads: {first.shape} vs {second.shape}")
-    num_classes = first.shape[1]
     labels = [pair for _, _, pair in batch]
-    for pair in labels:
+    for pair in labels:  # morphguard_loss_arrays checks their range
         if not isinstance(pair, LabelPair):
             raise ProtocolError(f"expected a LabelPair, got {type(pair).__name__}")
-        if pair.first_label >= num_classes or pair.second_label >= num_classes:
-            raise ProtocolError(
-                f"label pair ({pair.first_label}, {pair.second_label}) out of range "
-                f"for {num_classes} classes"
-            )
     return morphguard_loss_arrays(
         np.concatenate((first, second), axis=1),
         np.array([(p.first_label, p.second_label) for p in labels]),

@@ -342,27 +342,35 @@ def manifest_of(out: Path) -> dict:
     return json.loads((out / "manifest.json").read_text())
 
 
-class TestManifestInputs:
-    def inputs(self, data_dir, train_dir):
-        return {
-            "checkpoint": train_dir / "checkpoint.bin",
-            "data": data_dir / "bona_fides.jsonl",
-            "protocol": data_dir / "protocol.json",
-        }
+def input_paths(data_dir, train_dir) -> dict:
+    """The evaluation input files, keyed by their options."""
+    return {
+        "checkpoint": train_dir / "checkpoint.bin",
+        "data": data_dir / "bona_fides.jsonl",
+        "protocol": data_dir / "protocol.json",
+    }
 
+
+def input_args(paths: dict) -> list:
+    """`--<option> <path>` for each input file."""
+    return [arg for role, path in paths.items() for arg in (f"--{role}", str(path))]
+
+
+class TestManifestInputs:
     def test_eval_records_input_digests(self, eval_dir, data_dir, train_dir):
-        expected = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in self.inputs(data_dir, train_dir).items()}
+        paths = input_paths(data_dir, train_dir)
+        expected = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in paths.items()}
         assert manifest_of(eval_dir)["inputs"] == expected
         assert "inputs" not in manifest_of(data_dir) and "inputs" not in manifest_of(train_dir)
 
     def test_analyze_features_digests_are_keyed_by_role(self, config_path, data_dir, train_dir, tmp_path):
-        originals = self.inputs(data_dir, train_dir)
+        originals = input_paths(data_dir, train_dir)
         copies = {role: tmp_path / f"copy_of_{path.name}" for role, path in originals.items()}
         for role, path in originals.items():
             shutil.copyfile(path, copies[role])
         for out, paths in (("a", originals), ("b", copies)):
             argv = ["analyze-features", "--config", config_path, "--out", str(tmp_path / out)]
-            assert main(argv + [arg for role, path in paths.items() for arg in (f"--{role}", str(path))]) == 0
+            assert main(argv + input_args(paths)) == 0
         expected = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in originals.items()}
         assert manifest_of(tmp_path / "a")["inputs"] == expected
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
@@ -372,6 +380,51 @@ class TestManifestInputs:
         argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"), "--checkpoint", str(checkpoint)]
         assert main(argv) == 0
         assert manifest_of(tmp_path / "o")["inputs"] == {"checkpoint": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
+
+
+class TestFrontDoor:
+    """main resolves the config, runs the command bound on the cli module, then writes the manifest."""
+
+    @pytest.mark.parametrize(
+        "command, given",
+        [
+            ("gen-data", ()),
+            ("train", ()),
+            ("sweep-margins", ()),
+            ("adapt", ()),
+            ("adapt", ("checkpoint",)),
+            ("eval", ("checkpoint", "data", "protocol")),
+            ("analyze-features", ("checkpoint", "data", "protocol")),
+        ],
+    )
+    def test_manifest_names_the_command_and_the_inputs_given(
+        self, command, given, config_path, data_dir, train_dir, tmp_path
+    ):
+        paths = {role: path for role, path in input_paths(data_dir, train_dir).items() if role in given}
+        argv = [command, "--config", config_path, "--out", str(tmp_path / "o")]
+        assert main(argv + input_args(paths)) == 0
+        manifest = manifest_of(tmp_path / "o")
+        assert manifest["command"] == command
+        digests = {role: hashlib.sha256(path.read_bytes()).hexdigest() for role, path in paths.items()}
+        assert manifest.get("inputs", {}) == digests
+        assert ("inputs" in manifest) == bool(given)
+
+    def test_main_runs_the_command_bound_when_it_is_called(
+        self, config_path, data_dir, train_dir, tmp_path, monkeypatch
+    ):
+        calls, original = [], cli.cmd_eval
+
+        def wrapper(args, config):
+            calls.append((args.command, config))
+            return original(args, config)
+
+        monkeypatch.setattr(cli, "cmd_eval", wrapper)
+        paths = input_paths(data_dir, train_dir)
+        argv = ["eval", "--config", config_path, "--out", str(tmp_path / "o")]
+        assert main(argv + input_args(paths)) == 0
+        assert calls == [("eval", ExperimentConfig.from_dict(SMALL))]
+        assert manifest_of(tmp_path / "o")["command"] == "eval"
+        assert (tmp_path / "o" / "trials.json").exists()
 
 
 def edit_pool(data_dir, tmp_path, edit):
@@ -557,6 +610,8 @@ class TestExitCodes:
             {"sweep_grid": [0.0001, 0.0004], "train": {**SMALL["train"], "epochs": 1}},
             {"sweep_gird": [0.0]},
             {"data": [["num_classes", 6]]},
+            {"eval": {**SMALL["eval"], "genuine_pairs": 2**62}},
+            {"model": {**SMALL["model"], "hidden_dims": [2**62]}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -593,6 +648,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("nested, code", [("config", 2), ("data", 3), ("protocol", 3)])
+    def test_deeply_nested_json_is_one_line_error(
+        self, nested, code, config_path, data_dir, train_dir, tmp_path, capsys
+    ):
+        """A document nested past the parser's recursion limit (as --data, one record) is malformed input."""
+        paths = {"config": config_path, "data": data_dir / "bona_fides.jsonl", "protocol": data_dir / "protocol.json"}
+        paths[nested] = tmp_path / "nested.json"
+        paths[nested].write_text("[" * 100_000 + "\n")
+        argv = ["eval", "--out", str(tmp_path / "o"), "--checkpoint", str(train_dir / "checkpoint.bin")]
+        assert main(argv + input_args(paths)) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_checkpoint_is_data_error(self, config_path, data_dir, tmp_path):
         ckpt = tmp_path / "junk.bin"

@@ -168,26 +168,38 @@ class TestPoolRows:
         expected = oracle_build_training_set(o_universe, [o_pool[r] for r in rows], protocol, **kwargs)
         assert_same_samples(training_samples(pool, rows, blends), expected)
 
-    def test_trial_features_of_an_interleaved_pool(self, monkeypatch):
-        # The pool's records in a seeded order across identities, so the training rows do not ascend.
-        config = CONFIGS["default-seed1"]
+    @staticmethod
+    def interleaved_pool(config):
+        """(universe, pool): the pool's records in a seeded order across identities, each identity's in order."""
         d = config.data
         universe, ordered = synth_identities(d.num_classes, d.samples_per_class, d.input_dim, d.spread, config.seed)
         owners = np.random.default_rng(4).permutation(ordered.first)
         order = np.empty(len(ordered), dtype=np.int64)
         order[np.argsort(owners, kind="stable")] = np.argsort(ordered.first, kind="stable")
-        pool = ordered[order]
-        rows = train_rows_of(pool, config)
-        assert np.any(np.diff(rows) < 0)
-        protocol = pair_protocol(universe, pool[rows], mix_counts(len(rows), d.ratios)[0], config.seed)
-        parents = protocol_parents(pool, rows, protocol.columns)
-        model, batches = fresh_model(config), []
+        return universe, ordered[order]
+
+    @staticmethod
+    def record_batches(monkeypatch) -> list:
+        """The inputs of every experiment._forward_batch call from now on, in call order."""
+        batches = []
 
         def recording(model, inputs, buffers=None):
             batches.append(inputs.copy())
             return _forward_batch(model, inputs, buffers)
 
         monkeypatch.setattr(experiment, "_forward_batch", recording)
+        return batches
+
+    def test_trial_features_of_an_interleaved_pool(self, monkeypatch):
+        # On an interleaved pool the training rows do not ascend.
+        config = CONFIGS["default-seed1"]
+        d = config.data
+        universe, pool = self.interleaved_pool(config)
+        rows = train_rows_of(pool, config)
+        assert np.any(np.diff(rows) < 0)
+        protocol = pair_protocol(universe, pool[rows], mix_counts(len(rows), d.ratios)[0], config.seed)
+        parents = protocol_parents(pool, rows, protocol.columns)
+        model, batches = fresh_model(config), self.record_batches(monkeypatch)
         features = trial_features(model, pool.inputs, rows, parents, d.alpha)
         expected = oracle_build_trial_triplets(list(pool[rows]), protocol, d.alpha)
         triplet_rows = np.stack([v for t in expected for v in t])
@@ -197,6 +209,24 @@ class TestPoolRows:
         assert len(batches) == 2
         assert batches[0].tobytes() == pool.inputs[rows][np.unique(parents)].tobytes()
         assert batches[1].tobytes() == triplet_rows[2::3].tobytes()
+
+    def test_held_out_batch_of_an_interleaved_pool(self, monkeypatch):
+        # embed_holdout forwards the held-out rows as one batch: identity-major, each identity's rows
+        # in pool order, which on an interleaved pool is not ascending pool order.
+        config = CONFIGS["default-seed1"]
+        d = config.data
+        _, pool = self.interleaved_pool(config)
+        _, held_rows = holdout_split(pool, d.samples_per_class, d.holdout_fraction)
+        model, batches = fresh_model(config), self.record_batches(monkeypatch)
+        embeddings, counts, _, identities = embed_holdout(model, pool, held_rows)
+        assert len(batches) == 1
+        assert batches[0].tobytes() == pool.inputs[held_rows].tobytes()
+        _, o_held = oracle_holdout_split(list(pool), d.samples_per_class, d.holdout_fraction)
+        assert batches[0].tobytes() == np.stack([s.input for s in o_held]).tobytes()
+        assert np.any(np.diff(held_rows) < 0)
+        assert identities.tolist() == list(range(d.num_classes))
+        assert counts.tolist() == [len(o_held) // d.num_classes] * d.num_classes
+        assert embeddings.tobytes() == _forward_batch(model, batches[0])[0].tobytes()
 
 
 class TestSampleSet:

@@ -130,9 +130,9 @@ class TestConfig:
         assert ExperimentConfig.from_dict(json.loads(json.dumps(small.to_dict()))) == small
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown config key 'data.no_such_knob'"):
             ExperimentConfig.from_dict({"data": {"no_such_knob": 1}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown config key 'margin.no_such_knob'"):
             ExperimentConfig.from_dict({"margin": {"no_such_knob": 1}})
 
     @pytest.mark.parametrize("key", ["foo", "sweep_gird"])
@@ -215,6 +215,16 @@ class TestConfig:
             {"data": {"ratios": [2, 1, -1]}},
             {"data": {"ratios": [1e-320, 1, 1]}},
             {"data": {"ratios": [1e-300, 1e300, 1]}},
+            # Arrays larger than numpy can create: the pool, the training set, each layer's
+            # weights, the heads and each verification gather.
+            {"data": {"input_dim": 2**62}},
+            {"data": {"num_classes": 2**40, "samples_per_class": 2**20}},
+            {"data": {"num_classes": 2**16, "input_dim": 2**20, "ratios": [1, 500000, 0]}},
+            {"model": {"hidden_dims": [2**62]}},
+            {"model": {"hidden_dims": [64, 2**60]}},
+            {"data": {"num_classes": 2**20}, "model": {"embedding_dim": 2**40}},
+            {"eval": {"genuine_pairs": 2**62}},
+            {"eval": {"impostor_pairs": 2**62}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file the six CLI commands write.
+"""Print the sha256 of every file the CLI commands write.
 
 Runs `gen-data`, `train`, `eval`, `analyze-features`, `sweep-margins`
 and `adapt` at the default config with `--seed N` in a temporary
@@ -7,9 +7,10 @@ checkpoint into `adapt-pretrained/`. `eval` and `analyze-features` run
 twice more, into `eval-interleaved/` and `analyze-features-interleaved/`,
 on a copy of `gen-data`'s `bona_fides.jsonl` whose records are
 interleaved across identities (each identity's records keep their
-order). It prints one `<relative path> <sha256>` line per output file,
-sorted by path. Diffing the output of two checkouts shows which output
-bytes a change moved:
+order). `print-default-config`'s stdout is digested as the file
+`print-default-config/stdout`. It prints one `<relative path> <sha256>`
+line per output file, sorted by path. Diffing the output of two
+checkouts shows which output bytes a change moved:
 
     python3 tools/cli_digests.py --seed 1 > before.txt
     python3 tools/cli_digests.py --seed 1 ../base > base.txt
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -77,7 +79,13 @@ def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
         if code != 0:
             print(f"`{out}` exited {code}", file=sys.stderr)
             return code
-    return 0
+    # The only stdout digested: the other commands' summary lines name temporary paths.
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(["print-default-config"])
+    (root / "print-default-config").mkdir()
+    (root / "print-default-config" / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    return code
 
 
 def main(argv=None) -> int:
