@@ -12,11 +12,7 @@ from .losses import (
     MarginConfig,
     MorphGuardResult,
     SampleKind,
-    margin_adjust,
-    margin_softmax_ce,
-    morphguard_loss,
     morphguard_loss_arrays,
-    softmax_ce,
 )
 from .encoder import (
     DualHeadModel,

@@ -93,8 +93,10 @@ class TrainSettings:
 
     The rates are scaled to the small MLP backbone: schedules around
     1e-3 (appropriate for large convolutional backbones) leave it far
-    from convergence, and scale 16 with this schedule stays clear of
-    the degenerate attractor that the angle clamp admits at scale 64.
+    from convergence. Scale 16 with this schedule does not always stay
+    clear of the degenerate attractor that the angle clamp admits: at
+    seeds 4 and 7 the default run ends with every pair of head-1 rows
+    above cosine 0.9 (README "Default configuration notes").
     """
 
     epochs: int = 15

@@ -11,7 +11,8 @@ first label and head 2 against its second label. Bona fide and
 selfmorph samples carry the bona fide margin on both terms; morph
 samples carry the morph margin (bona fide margin plus a signed offset)
 on both terms, with the two labels naming the two contributing
-identities.
+identities. ``morphguard_loss_arrays`` is the one entry point; the
+softmax and margin passes below are its row-wise parts.
 """
 
 from __future__ import annotations
@@ -127,19 +128,12 @@ class MorphGuardResult:
     second_grads = property(lambda self: self.cosine_grads[:, self.cosine_grads.shape[1] // 2 :])
 
 
-def _as_batch_f64(array, name: str) -> np.ndarray:
-    out = np.asarray(array, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise NumericInputError(f"{name} contains non-finite values")
-    return out
-
-
 class _Rows:
     """Targets, margins and work arrays of a margin-softmax pass over
     ``count`` rows of ``num_classes`` logits.
 
     A trainer allocates one per batch shape and refills ``targets`` and
-    ``margins`` each step; the per-call entry points make a fresh one.
+    ``margins`` each step; a call without one makes a fresh one.
     """
 
     def __init__(self, count: int, num_classes: int):
@@ -205,51 +199,6 @@ def _cross_entropy_rows(logits: np.ndarray, rows: _Rows):
     return losses, exps
 
 
-def softmax_ce(logits, target: int):
-    """Cross-entropy of a softmax over raw logits.
-
-    Returns (loss, gradient) where the gradient is softmax(logits)
-    minus the one-hot target and therefore sums to zero.
-    """
-    vec = _as_batch_f64(logits, "logits").reshape(1, -1)
-    if not (0 <= target < vec.shape[1]):
-        raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
-    rows = _Rows(1, vec.shape[1])
-    rows.set_targets(target)
-    rows.logits[:] = vec
-    losses, grads = _cross_entropy_rows(rows.logits, rows)
-    return float(losses[0]), grads[0]
-
-
-def _check_cosines(cosines: np.ndarray, name: str) -> np.ndarray:
-    if np.any(np.abs(cosines) > 1.0 + _COS_INPUT_TOL):
-        raise NumericInputError(f"{name} outside [-1, 1] beyond the {_COS_INPUT_TOL} tolerance band")
-    return np.clip(cosines, -1.0, 1.0)
-
-
-def _single_row(num_classes: int, target: int, margin: float) -> _Rows:
-    """A one-row pass against ``target`` with the given margin."""
-    if not math.isfinite(margin):
-        raise NumericInputError(f"margin must be finite, got {margin}")
-    rows = _Rows(1, num_classes)
-    rows.set_targets(target)
-    margins = np.asarray([float(margin)])
-    rows.margins[:] = margins, np.cos(margins), np.sin(margins)
-    return rows
-
-
-def margin_adjust(cos_theta: float, margin: float) -> float:
-    """cos of the margin-shifted angle, clamped to the [0, pi] arc.
-
-    Evaluated through the angle-sum identity
-    cos(theta)cos(m) - sin(theta)sin(m); when theta + m leaves [0, pi]
-    the result saturates at cos(pi) = -1 or cos(0) = 1.
-    """
-    value = _check_cosines(np.asarray([float(cos_theta)]), "cos_theta")
-    adjusted, _ = _adjust_rows(value, _single_row(1, 0, margin))
-    return float(adjusted[0])
-
-
 def _adjust_rows(cos_t: np.ndarray, rows: _Rows):
     """Vectorized margin shift plus its derivative wrt the raw cosine.
 
@@ -307,85 +256,55 @@ def _margin_ce_rows(cosines: np.ndarray, scale: float, rows: _Rows):
     return losses, grads
 
 
-def margin_softmax_ce(cosines, target: int, scale: float, margin: float):
-    """Scaled softmax cross-entropy with an additive angular margin.
-
-    The margin shifts only the target-class angle; the returned
-    gradient is with respect to each raw cosine and includes the
-    d cos(theta+m)/d cos(theta) chain factor on the target entry.
-    With margin 0 this reduces exactly to softmax_ce over the scaled
-    cosines.
-    """
-    vec = _check_cosines(_as_batch_f64(cosines, "cosines"), "cosines").reshape(1, -1)
-    if not (0 <= target < vec.shape[1]):
-        raise IndexError(f"target class {target} out of range for {vec.shape[1]} classes")
-    if not (0 < scale < math.inf):
-        raise ConfigError(f"scale must be positive and finite, got {scale}")
-    losses, grads = _margin_ce_rows(vec, float(scale), _single_row(vec.shape[1], target, margin))
-    return float(losses[0]), grads[0]
-
-
 def morphguard_loss_arrays(
     cosines: np.ndarray, labels: np.ndarray, is_morph: np.ndarray, config: MarginConfig, _rows: _Rows | None = None
 ) -> MorphGuardResult:
     """Batched dual-branch loss on the stacked cosines of both heads.
 
-    The trainer's fast path; ``morphguard_loss`` wraps it for per-sample
-    inputs. ``cosines`` (N, 2C) holds each sample's head-1 cosines, then
-    its head-2 ones; ``labels`` (N, 2) its first and second label. Read
-    as (2N, C) without a copy, row 2i is head 1 of sample i and row
-    2i + 1 its head 2, so one row-wise margin-softmax pass over the
-    interleaved targets scores both heads with the bytes of two passes.
-    Margins are the morph margin where ``is_morph`` holds, else the bona
-    fide margin.
+    The library's one loss entry. ``cosines`` (N, 2C) holds each
+    sample's head-1 cosines, then its head-2 ones; ``labels`` (N, 2) its
+    first and second label; ``is_morph`` (N,) its morph flag. Read as
+    (2N, C) without a copy, row 2i is head 1 of sample i and row 2i + 1
+    its head 2, so one row-wise margin-softmax pass over the interleaved
+    targets scores both heads with the bytes of two passes. Margins are
+    the morph margin where ``is_morph`` holds, else the bona fide margin.
+
+    Cosines must be finite float64 and may leave [-1, 1] by at most
+    ``_COS_INPUT_TOL`` (rounding), which is clipped away; each labels
+    entry must name one of the C classes. A failed check raises
+    NumericInputError (cosines), EmptyBatchError or ProtocolError
+    (labels, morph flags).
 
     ``train`` passes ``_rows``, the rows of its batch shape already
-    filled from ``labels`` and ``is_morph``; the result's arrays are
-    then views of it, valid until the next step refills it.
+    filled from checked ``labels`` and ``is_morph``; no input is checked
+    then, and the result's arrays are views of it, valid until the next
+    step refills it.
     """
+    if _rows is None:
+        cosines = np.asarray(cosines)
+        if cosines.dtype != np.float64 or cosines.ndim != 2 or cosines.shape[1] % 2:
+            raise NumericInputError(f"need float64 (N, 2C) cosines, got {cosines.dtype} of shape {cosines.shape}")
+        if not np.isfinite(cosines).all():
+            raise NumericInputError("cosines contain non-finite values")
+        if np.abs(cosines).max(initial=0.0) > 1.0 + _COS_INPUT_TOL:
+            raise NumericInputError(f"cosines outside [-1, 1] beyond the {_COS_INPUT_TOL} tolerance band")
+        cosines = np.clip(cosines, -1.0, 1.0)
+        n, num_classes = cosines.shape[0], cosines.shape[1] // 2
+        labels, is_morph = np.asarray(labels), np.asarray(is_morph)
+        if labels.shape != (n, 2) or not np.issubdtype(labels.dtype, np.integer):
+            raise ProtocolError(f"need ({n}, 2) integer labels, got {labels.dtype} of shape {labels.shape}")
+        if is_morph.shape != (n,):
+            raise ProtocolError(f"need ({n},) morph flags, got shape {is_morph.shape}")
+        _check_label_range(labels, num_classes)
+        _rows = _Rows(2 * n, num_classes)
+        _rows.set_targets(labels.reshape(-1))
+        _rows.margins[:] = _margin_table(is_morph, config).reshape(3, -1)
     n = cosines.shape[0]
     if n == 0:
         raise EmptyBatchError("loss requires a nonempty batch")
-    if _rows is None:
-        num_classes = cosines.shape[1] // 2
-        labels = np.asarray(labels)
-        if labels.shape != (n, 2):
-            raise ProtocolError(f"need ({n}, 2) labels, got shape {labels.shape}")
-        _check_label_range(labels, num_classes)
-        labels = labels.reshape(-1)
-        _rows = _Rows(2 * n, num_classes)
-        _rows.set_targets(labels)
-        _rows.margins[:] = _margin_table(is_morph, config).reshape(3, -1)
     losses, grads = _margin_ce_rows(cosines.reshape(2 * n, -1), config.scale, _rows)
     sample_losses = losses[0::2] + losses[1::2]
     grads /= n
     return MorphGuardResult(
         loss=float(sample_losses.sum() / n), cosine_grads=grads.reshape(n, -1), sample_losses=sample_losses
-    )
-
-
-def morphguard_loss(batch, config: MarginConfig) -> MorphGuardResult:
-    """Dual-branch margin loss of a batch of (cosines1, cosines2, LabelPair).
-
-    Each sample contributes two margin-softmax terms, head 1 against
-    its first label and head 2 against its second; the batch loss is
-    their mean. Morph samples receive the morph margin on both terms.
-    """
-    if len(batch) == 0:
-        raise EmptyBatchError("loss requires a nonempty batch")
-    first, second = (
-        _check_cosines(_as_batch_f64(np.stack([np.ravel(item[head]) for item in batch]), name), name)
-        for head, name in ((0, "first cosines"), (1, "second cosines"))
-    )
-    if first.shape != second.shape:
-        raise ConfigError(f"cosine shapes differ between heads: {first.shape} vs {second.shape}")
-    labels = [pair for _, _, pair in batch]
-    for pair in labels:  # morphguard_loss_arrays checks their range
-        if not isinstance(pair, LabelPair):
-            raise ProtocolError(f"expected a LabelPair, got {type(pair).__name__}")
-    return morphguard_loss_arrays(
-        np.concatenate((first, second), axis=1),
-        np.array([(p.first_label, p.second_label) for p in labels]),
-        np.array([p.kind is SampleKind.MORPH for p in labels]),
-        config,
     )

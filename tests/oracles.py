@@ -23,7 +23,7 @@ from morphguard.datagen import (
 )
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import _held_out_per_identity
-from morphguard.losses import LabelPair, SampleKind
+from morphguard.losses import LabelPair, SampleKind, morphguard_loss_arrays
 from morphguard.metrics import MorphTrial
 from morphguard.seeding import (
     STREAM_PAIRS,
@@ -200,6 +200,31 @@ def _oracle_margin_ce_rows(cosines, targets, scale, margins):
     cosine_grads = scale * logit_grads
     cosine_grads[rows, targets] *= chain
     return losses, cosine_grads
+
+
+# --- the per-sample loss API the acceptance criteria are written in ----------
+
+
+def softmax_ce(logits, target):
+    """(loss, gradient) of the softmax cross-entropy of one row of raw logits."""
+    losses, grads = _oracle_cross_entropy_rows(np.array([logits], dtype=np.float64), [target])
+    return float(losses[0]), grads[0]
+
+
+def margin_softmax_ce(cosines, target, scale, margin):
+    """(loss, cosine gradient) of one margin-softmax row scored against target."""
+    losses, grads = _oracle_margin_ce_rows(np.array([cosines], dtype=np.float64), [target], scale, np.array([margin]))
+    return float(losses[0]), grads[0]
+
+
+def morphguard_loss(batch, config):
+    """morphguard_loss_arrays on a list of (head-1 cosines, head-2 cosines, LabelPair)."""
+    return morphguard_loss_arrays(
+        np.array([np.concatenate((cos1, cos2)) for cos1, cos2, _ in batch]),
+        np.array([(pair.first_label, pair.second_label) for *_, pair in batch]),
+        np.array([pair.kind is SampleKind.MORPH for *_, pair in batch]),
+        config,
+    )
 
 
 def oracle_batch_gradients(model, inputs, first_labels, second_labels, is_morph, margin):

@@ -20,23 +20,19 @@ from morphguard.experiment import (
     run_margin_entry,
 )
 from morphguard.featviz import chi2_quantile_2dof, confidence_ellipse, fit_rigid
-from morphguard.losses import (
-    LabelPair,
-    MarginConfig,
-    SampleKind,
-    margin_softmax_ce,
-    morphguard_loss,
-    softmax_ce,
-)
+from morphguard.losses import LabelPair, MarginConfig, SampleKind
 
 from oracles import (
     fd_gradient,
+    margin_softmax_ce,
     max_rel_err,
+    morphguard_loss,
     oracle_curves,
     oracle_min_rmmr,
     oracle_mmpmr,
     oracle_mmpmr_at_fnmr,
     oracle_threshold_at,
+    softmax_ce,
 )
 
 

@@ -1033,6 +1033,8 @@ class TestFuzzedInputs:
         ("non-empty directory", 0),
         pytest.param("read-only directory", 5, marks=pytest.mark.skipif(
             os.name != "posix" or os.geteuid() == 0, reason="root writes into a read-only directory")),
+        # The same case for any user, root included: os.access denies writing.
+        ("write-denied directory", 5),
     ])
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -1040,8 +1042,8 @@ class TestFuzzedInputs:
         below=st.lists(st.sampled_from(["o", "a b", "é"]), max_size=2),
     )
     def test_out_mutations(self, base, code, command, below, config_path, data_dir, train_dir):
-        """--out at or below a regular file, a non-empty directory or a read-only one: a
-        failure makes no --out and leaves the tree as it was."""
+        """--out at or below a regular file, a non-empty directory or one that cannot be
+        written: a failure makes no --out and leaves the tree as it was."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / base
             if base == "file":
@@ -1058,7 +1060,10 @@ class TestFuzzedInputs:
             if base == "read-only directory":
                 root.chmod(0o555)
             try:
-                result = run_quietly(argv)
+                with pytest.MonkeyPatch.context() as patch:
+                    if base == "write-denied directory":
+                        patch.setattr(cli.os, "access", lambda path, mode: not mode & os.W_OK)
+                    result = run_quietly(argv)
             finally:
                 if root.is_dir():
                     root.chmod(0o755)

@@ -1,4 +1,5 @@
-"""Every name a demo imports from morphguard must exist.
+"""Every name a demo imports from morphguard must exist, and README's
+library quick start must run.
 
 The demos are narrative scripts that no other test runs; parsing them
 keeps a renamed or deleted public name from breaking one unnoticed.
@@ -6,11 +7,14 @@ keeps a renamed or deleted public name from breaking one unnoticed.
 
 import ast
 import importlib
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def morphguard_imports(path: Path):
@@ -28,3 +32,14 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+def test_readme_library_quick_start_runs():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start (library)\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1, "the library quick start should hold one python block"
+    namespace = {}
+    exec(compile(blocks[0], "README.md quick start", "exec"), namespace)
+    assert math.isfinite(namespace["result"].loss)
+

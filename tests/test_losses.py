@@ -6,24 +6,16 @@ import pytest
 from morphguard.errors import (
     ConfigError,
     EmptyBatchError,
+    MorphGuardError,
     NumericInputError,
     DegenerateWeightError,
     ProtocolError,
 )
 from morphguard import encoder
 from morphguard.encoder import DualHeadModel, batch_gradients
-from morphguard.losses import (
-    LabelPair,
-    MarginConfig,
-    SampleKind,
-    margin_adjust,
-    margin_softmax_ce,
-    morphguard_loss,
-    morphguard_loss_arrays,
-    softmax_ce,
-)
+from morphguard.losses import LabelPair, MarginConfig, SampleKind, _adjust_rows, _Rows, morphguard_loss_arrays
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, margin_softmax_ce, max_rel_err, morphguard_loss, softmax_ce
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms;
 # test_frozen_values_match_extended_precision rederives them.
@@ -61,20 +53,51 @@ def test_frozen_values_match_extended_precision():
     np.testing.assert_allclose(grad, MARGIN_CE_DERIVED_GRAD, atol=1e-14)
 
 
+def head_loss(cosines, target, scale, margin):
+    """(loss, cosine gradient) of one head's margin-softmax row, through
+    morphguard_loss_arrays: one morph sample carries the row and the label
+    on both heads, with morph margin ``margin``, so its loss is exactly
+    twice the head's."""
+    row = np.asarray(cosines, dtype=np.float64)
+    config = MarginConfig(scale=scale, bona_fide_margin=0.0, morph_offset=margin)
+    result = morphguard_loss_arrays(
+        np.concatenate((row, row))[None], np.array([[target, target]]), np.array([True]), config
+    )
+    return float(result.sample_losses[0] / 2), result.first_grads[0]
+
+
+def plain_ce(logits, target):
+    """(loss, logit gradient) of softmax cross-entropy over raw logits, through
+    the same path at margin 0: the logits are cosines times a power-of-two
+    scale, so neither conversion rounds."""
+    logits = np.asarray(logits, dtype=np.float64)
+    scale = 2.0 ** math.ceil(math.log2(max(np.abs(logits).max(), 1.0)))
+    loss, grad = head_loss(logits / scale, target, scale, 0.0)
+    return loss, grad / scale
+
+
+def margin_adjust(cos_theta, margin):
+    """cos(theta + m) by the loss's own margin shift, ``_adjust_rows``."""
+    rows = _Rows(1, 1)
+    rows.margins[:, 0] = margin, np.cos(margin), np.sin(margin)
+    adjusted, _ = _adjust_rows(np.array([cos_theta], dtype=np.float64), rows)
+    return float(adjusted[0])
+
+
 class TestSoftmaxCE:
     def test_uniform_logits(self):
-        loss, grad = softmax_ce([0.0, 0.0, 0.0], 0)
+        loss, grad = plain_ce([0.0, 0.0, 0.0], 0)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
         np.testing.assert_allclose(grad, [-2 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_saturated_no_overflow(self):
-        loss, _ = softmax_ce([30.0, -30.0], 0)
+        loss, _ = plain_ce([30.0, -30.0], 0)
         # ln(1 + e^-60), far below float64 epsilon but still exact
         assert loss == pytest.approx(8.756510762696520e-27, rel=1e-12)
         assert loss > 0.0
 
     def test_derived_values(self):
-        loss, grad = softmax_ce([2.1, -0.4, 0.7], 1)
+        loss, grad = plain_ce([2.1, -0.4, 0.7], 1)
         assert loss == pytest.approx(SOFTMAX_DERIVED_LOSS, abs=1e-12)
         np.testing.assert_allclose(grad, SOFTMAX_DERIVED_GRAD, atol=1e-12)
 
@@ -84,7 +107,7 @@ class TestSoftmaxCE:
             c = rng.integers(2, 9)
             logits = rng.normal(scale=5.0, size=c)
             target = int(rng.integers(c))
-            loss, grad = softmax_ce(logits, target)
+            loss, grad = plain_ce(logits, target)
             assert loss >= 0.0
             assert abs(grad.sum()) < 1e-12
             probs = grad.copy()
@@ -92,17 +115,17 @@ class TestSoftmaxCE:
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_errors(self):
-        with pytest.raises(IndexError):
-            softmax_ce([0.0, 1.0], 2)
-        with pytest.raises(IndexError):
-            softmax_ce([0.0, 1.0], -1)
+        # A target naming no class is a label outside [0, C); a NaN is a non-finite cosine.
+        for target in (2, -1):
+            with pytest.raises(ProtocolError):
+                head_loss([0.0, 1.0], target, 1.0, 0.0)
         with pytest.raises(NumericInputError):
-            softmax_ce([0.0, np.nan], 0)
+            head_loss([0.0, np.nan], 0, 1.0, 0.0)
 
     def test_input_left_unchanged(self):
-        logits = np.array([2.1, -0.4, 0.7])
-        softmax_ce(logits, 1)
-        assert logits.tolist() == [2.1, -0.4, 0.7]
+        cosines = np.array([[0.525, -0.1, 0.175, 0.525, -0.1, 0.175]])
+        morphguard_loss_arrays(cosines, np.array([[1, 1]]), np.array([False]), MarginConfig())
+        assert cosines.tolist() == [[0.525, -0.1, 0.175, 0.525, -0.1, 0.175]]
 
 
 def head1_cosines(monkeypatch, embedding, head):
@@ -161,9 +184,13 @@ class TestMarginAdjust:
         assert margin_adjust(0.0, -0.5) == pytest.approx(math.cos(math.pi / 2 - 0.5), abs=1e-12)
 
     def test_tolerance_band_and_rejection(self):
-        assert margin_adjust(1.0 + 1e-10, 0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
+        # A cosine within the band is clipped to 1 before the shift; one beyond it is rejected.
+        assert margin_adjust(1.0, 0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
+        inside, at_one = (head_loss([cos_t, 0.2, -0.2], 0, 16.0, 0.3) for cos_t in (1.0 + 1e-10, 1.0))
+        assert inside[0] == at_one[0]
+        np.testing.assert_array_equal(inside[1], at_one[1])
         with pytest.raises(NumericInputError):
-            margin_adjust(1.0 + 1e-6, 0.3)
+            head_loss([1.0 + 1e-6, 0.2, -0.2], 0, 16.0, 0.3)
 
 
 class TestMarginSoftmaxCE:
@@ -174,21 +201,21 @@ class TestMarginSoftmaxCE:
             cosines = rng.uniform(-0.95, 0.95, size=c)
             target = int(rng.integers(c))
             s = 10.0 ** rng.uniform(0, 2)
-            loss_m, grad_m = margin_softmax_ce(cosines, target, s, 0.0)
+            loss_m, grad_m = head_loss(cosines, target, s, 0.0)
             loss_p, grad_p = softmax_ce(s * cosines, target)
             assert loss_m == loss_p
             np.testing.assert_array_equal(grad_m, s * grad_p)
 
     def test_perfectly_separated(self):
-        loss, _ = margin_softmax_ce([1.0, -1.0], 0, 64.0, 0.0)
+        loss, _ = head_loss([1.0, -1.0], 0, 64.0, 0.0)
         assert 0.0 < loss < 1e-50
 
     def test_derived_values_and_fd(self):
         cosines = np.array([0.8, 0.1, -0.3])
-        loss, grad = margin_softmax_ce(cosines, 0, 10.0, 0.5)
+        loss, grad = head_loss(cosines, 0, 10.0, 0.5)
         assert loss == pytest.approx(MARGIN_CE_DERIVED_LOSS, abs=1e-12)
         np.testing.assert_allclose(grad, MARGIN_CE_DERIVED_GRAD, atol=1e-12)
-        numeric = fd_gradient(lambda c: margin_softmax_ce(c, 0, 10.0, 0.5)[0], cosines)
+        numeric = fd_gradient(lambda c: head_loss(c, 0, 10.0, 0.5)[0], cosines)
         assert max_rel_err(grad, numeric) < 1e-4
 
     def test_gradients_match_fd_over_random_inputs(self):
@@ -203,8 +230,8 @@ class TestMarginSoftmaxCE:
             theta = math.acos(cosines[target])
             if not (0.05 < theta + margin < math.pi - 0.05):
                 continue
-            _, grad = margin_softmax_ce(cosines, target, s, margin)
-            numeric = fd_gradient(lambda x: margin_softmax_ce(x, target, s, margin)[0], cosines)
+            _, grad = head_loss(cosines, target, s, margin)
+            numeric = fd_gradient(lambda x: head_loss(x, target, s, margin)[0], cosines)
             assert max_rel_err(grad, numeric) < 1e-4
             checked += 1
 
@@ -215,13 +242,13 @@ class TestMarginSoftmaxCE:
             target = int(rng.integers(4))
             theta = math.acos(cosines[target])
             margins = np.linspace(0.0, min(1.0, math.pi - theta - 1e-3), 6)
-            losses = [margin_softmax_ce(cosines, target, 16.0, m)[0] for m in margins]
+            losses = [head_loss(cosines, target, 16.0, m)[0] for m in margins]
             assert all(b > a for a, b in zip(losses, losses[1:]))
 
     def test_never_nan_at_cosine_extremes(self):
         for cos_t in (1.0, -1.0):
             cosines = np.array([cos_t, 0.2, -0.2])
-            loss, grad = margin_softmax_ce(cosines, 0, 32.0, 0.5)
+            loss, grad = head_loss(cosines, 0, 32.0, 0.5)
             assert math.isfinite(loss)
             assert np.all(np.isfinite(grad))
 
@@ -232,8 +259,6 @@ class TestMarginConfig:
             MarginConfig(scale=0.0)
         with pytest.raises(ConfigError):
             MarginConfig(scale=math.inf)
-        with pytest.raises(ConfigError):
-            margin_softmax_ce([0.5, 0.1], 0, math.inf, 0.1)
         with pytest.raises(ConfigError):
             MarginConfig(bona_fide_margin=math.pi / 2)
         with pytest.raises(ConfigError):
@@ -352,7 +377,7 @@ class TestMorphGuardLoss:
     def test_errors(self):
         cfg = MarginConfig()
         with pytest.raises(EmptyBatchError):
-            morphguard_loss([], cfg)
+            morphguard_loss_arrays(np.zeros((0, 6)), np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=bool), cfg)
         pair = LabelPair(0, 5, SampleKind.MORPH)  # valid pair, out of range for C=3
         with pytest.raises(ProtocolError):
             morphguard_loss([(np.zeros(3), np.zeros(3), pair)], cfg)
@@ -364,3 +389,54 @@ class TestMorphGuardLoss:
         # Three classes per head; a flat target index must not reach a neighbouring row.
         with pytest.raises(ProtocolError):
             morphguard_loss_arrays(np.zeros((2, 6)), np.array(labels), np.array([False, True]), MarginConfig())
+
+
+def with_entry(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+class TestPublicInputChecks:
+    """Called without the trainer's rows, the loss checks its inputs: each
+    failure is one line of a MorphGuardError subclass."""
+
+    COSINES = np.array([[0.5, -0.25, 0.0, 0.75, 0.125, -0.5], [0.25, 0.5, -0.75, 0.0, 0.5, 0.25]])
+    LABELS = np.array([[0, 1], [2, 2]])
+    IS_MORPH = np.array([True, False])
+
+    @pytest.mark.parametrize(
+        "cosines, labels, is_morph, error",
+        [
+            (with_entry(COSINES, (0, 1), np.nan), LABELS, IS_MORPH, NumericInputError),
+            (with_entry(COSINES, (1, 4), np.inf), LABELS, IS_MORPH, NumericInputError),
+            (with_entry(COSINES, (1, 0), -np.inf), LABELS, IS_MORPH, NumericInputError),
+            (with_entry(COSINES, (0, 0), 1.0 + 1e-6), LABELS, IS_MORPH, NumericInputError),
+            (with_entry(COSINES, (1, 5), -1.0 - 1e-6), LABELS, IS_MORPH, NumericInputError),
+            (with_entry(COSINES, (0, 2), 1.5), LABELS, IS_MORPH, NumericInputError),
+            (COSINES[0], LABELS[:1], IS_MORPH[:1], NumericInputError),
+            (COSINES[:, :5], LABELS, IS_MORPH, NumericInputError),
+            (COSINES.astype(np.float32), LABELS, IS_MORPH, NumericInputError),
+            (COSINES, LABELS, IS_MORPH[:1], ProtocolError),
+            (COSINES, LABELS, np.array([True, False, False]), ProtocolError),
+            (COSINES, LABELS.astype(np.float64), IS_MORPH, ProtocolError),
+        ],
+        ids=["nan", "inf", "-inf", "above_1", "below_-1", "1.5", "1d", "odd_width", "float32",
+             "short_is_morph", "long_is_morph", "float_labels"],
+    )
+    def test_rejects_with_one_line(self, cosines, labels, is_morph, error):
+        with pytest.raises(error) as caught:
+            morphguard_loss_arrays(cosines, labels, is_morph, MarginConfig())
+        assert isinstance(caught.value, MorphGuardError)
+        assert len(str(caught.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("index, edge", [((0, 0), 1.0), ((1, 2), -1.0)], ids=["above_1", "below_-1"])
+    def test_rounding_past_the_domain_is_clipped(self, index, edge):
+        past = with_entry(self.COSINES, index, edge * (1.0 + 1e-10))
+        inside = morphguard_loss_arrays(past, self.LABELS, self.IS_MORPH, MarginConfig())
+        at_edge = morphguard_loss_arrays(with_entry(self.COSINES, index, edge), self.LABELS, self.IS_MORPH,
+                                         MarginConfig())
+        assert inside.loss == at_edge.loss
+        np.testing.assert_array_equal(inside.cosine_grads, at_edge.cosine_grads)
+        assert past[index] == edge * (1.0 + 1e-10)  # the caller's array is left as it was
+
