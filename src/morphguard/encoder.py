@@ -43,6 +43,7 @@ from .errors import (
     DegenerateWeightError,
     NumericError,
     NumericInputError,
+    ProtocolError,
     check_integer,
     check_real,
 )
@@ -201,11 +202,15 @@ def _forward_batch(model: DualHeadModel, inputs: np.ndarray, buffers=None):
     The cache holds the norms before normalization and, for a training
     step, which passes its ``_StepBuffers`` to write into, each layer's
     input, which the backward pass reads. A call that only embeds keeps
-    no activations: each hidden one is freed as soon as the next layer
-    has read it, which bounds evaluation's peak memory.
+    no activations: it drops its reference to the input batch, and to
+    each hidden activation, as soon as the next layer has read it. A
+    caller that passes the batch as a temporary (a gather or a blend)
+    thus has it freed after layer 0, which bounds evaluation's peak
+    memory.
     """
     _check_width(model, inputs)
     activations, h = [], inputs
+    del inputs
     last = len(model.layers) - 1
     # _unit_rows reports a row that overflowed, so numpy's warnings say nothing more.
     with np.errstate(over="ignore", invalid="ignore") if buffers is None else contextlib.nullcontext():
@@ -232,6 +237,11 @@ class _StepTables:
         self.inputs = np.asarray(inputs, dtype=np.float64)
         _check_width(model, self.inputs)
         self.is_morph = np.asarray(is_morph, dtype=bool)
+        for name, column in (("first", first), ("second", second)):
+            dtype = np.asarray(column).dtype
+            # A float column would be truncated to other classes, a bool one read as classes 0 and 1.
+            if np.size(column) and not np.issubdtype(dtype, np.integer):
+                raise ProtocolError(f"need integer {name} labels, got {dtype}")
         self.labels = np.column_stack((first, second)).astype(np.int64, copy=False)
         if self.labels.shape[0] != len(self.inputs) or self.is_morph.shape != (len(self.inputs),):
             raise DataError(f"{len(self.inputs)} input rows need as many label pairs and morph flags")

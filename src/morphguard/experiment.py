@@ -359,27 +359,31 @@ def verification_scores(held, settings: EvalSettings, seed: int) -> Verification
     return VerificationSet(genuine, impostor)
 
 
-def trial_features(
-    model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float
-) -> np.ndarray:
-    """(3T, E) embeddings of every trial triplet, each distinct input row embedded once.
+def trial_features(model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float):
+    """(morphs, triplets): the (T, E) morph embeddings and the (3T, 2)
+    featviz.project_2d points of every trial triplet.
 
     inputs are the pool's (N, D) rows, rows the pool rows the protocol
     pairs (in evaluation the training part's) and parents the (T, 2)
     positions in rows of each pair's parents (datagen.protocol_parents).
     The distinct parents go through one batch in ascending position
-    order, the T morphs (blended as build_training_set blends them)
-    through another. Rows run (parent_a, parent_b, morph) per pair, the
-    layout featviz.aligned_spread reads; rows 2::3 are the morph
-    embeddings.
+    order and only their 2-D points are kept, gathered per pair; the T
+    morphs (blended as build_training_set blends them) go through
+    another. Triplet rows run (parent_a, parent_b, morph) per pair, the
+    layout featviz.aligned_spread reads, which projects a 2-vector to
+    itself bit for bit.
     """
     datagen.check_alpha(alpha)
     distinct, inverse = np.unique(parents, return_inverse=True)
-    features = np.empty((len(parents), 3, model.embedding_dim))
-    features[:, :2] = _forward_batch(model, inputs[rows[distinct]])[0][inverse.reshape(parents.shape)]
-    morphs = datagen._blend(inputs, rows[parents], alpha, np.empty((len(parents), inputs.shape[1])))
-    features[:, 2] = _forward_batch(model, morphs)[0]
-    return features.reshape(-1, model.embedding_dim)
+    triplets = np.empty((len(parents), 3, 2))
+    parent_points = featviz.project_2d(_forward_batch(model, inputs[rows[distinct]])[0])
+    triplets[:, :2] = parent_points[inverse.reshape(parents.shape)]
+    # Each batch is passed as a temporary, so the forward pass frees it once layer 0 has read it.
+    morphs = _forward_batch(
+        model, datagen._blend(inputs, rows[parents], alpha, np.empty((len(parents), inputs.shape[1])))
+    )[0]
+    triplets[:, 2] = featviz.project_2d(morphs)
+    return morphs, triplets.reshape(-1, 2)
 
 
 def morph_trials(morph_embeddings: np.ndarray, held, columns: np.ndarray, seed: int) -> MorphTrials:
@@ -388,15 +392,19 @@ def morph_trials(morph_embeddings: np.ndarray, held, columns: np.ndarray, seed: 
     held is embed_holdout's result and columns the protocol's (T, 4)
     columns. The (T, 2) probe indices are one array-bound integers
     draw, which consumes the stream pair by pair, parent a before
-    parent b.
+    parent b; each parent's probes are then gathered and scored as one
+    (T, E) array, parent a's before parent b's.
     """
     pool, counts, offsets, identities = held
     named = columns[:, :2]
     parents = np.searchsorted(identities, named)
     if not np.array_equal(np.append(identities, -1)[parents], named):
         raise DataError("a protocol pair names an identity without held-out probes")
-    picks = rng_for(seed, STREAM_TRIALS).integers(counts[parents])
-    return MorphTrials(_cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks]))
+    probes = offsets[parents] + rng_for(seed, STREAM_TRIALS).integers(counts[parents])
+    scores = np.empty(probes.shape)
+    for side in range(2):
+        scores[:, side] = _cosines(morph_embeddings, pool[probes[:, side]])
+    return MorphTrials(scores)
 
 
 @dataclass
@@ -422,20 +430,25 @@ class EvalReport:
 
 
 def _trial_step(model: DualHeadModel, pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
-    """(held_rows, trial_features) of one pool: the split, the protocol's
-    parents in the training part, and their triplet embeddings."""
+    """(held_rows, morphs, triplets) of one pool: the split, the protocol's
+    parents in the training part, and trial_features of their triplets."""
     train_rows, held_rows = holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
     parents = datagen.protocol_parents(pool, train_rows, columns)
-    return held_rows, trial_features(model, pool.inputs, train_rows, parents, config.data.alpha)
+    return held_rows, *trial_features(model, pool.inputs, train_rows, parents, config.data.alpha)
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
-    """Score a model on a bundle's pool and protocol; the split comes from the config."""
+    """Score a model on a bundle's pool and protocol; the split comes from the config.
+
+    Of the trial triplets it keeps the 2-D points and the (T, E) morph
+    embeddings alone (trial_features), so its working set peaks in the
+    forward pass of the distinct trial parents.
+    """
     columns = bundle.protocol.columns
-    held_rows, features = _trial_step(model, bundle.bona_fides, columns, config)
+    held_rows, morphs, triplets = _trial_step(model, bundle.bona_fides, columns, config)
     held = embed_holdout(model, bundle.bona_fides, held_rows)
     verification = verification_scores(held, config.eval, config.seed)
-    trials = morph_trials(features[2::3], held, columns, config.seed)
+    trials = morph_trials(morphs, held, columns, config.seed)
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
     tau, value = metrics.min_rmmr(trials, verification)
@@ -443,7 +456,7 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     points += metrics.fnmr_at_fmr(verification, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 
-    aligned, ellipse = featviz.aligned_spread(features)
+    aligned, ellipse = featviz.aligned_spread(triplets)
     points.append(OperatingPoint("morph_spread", None, None, None, ellipse.size))
     return EvalReport(
         verification=verification,
@@ -464,7 +477,7 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
 
 def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: ExperimentConfig):
     """Aligned per-role points plus the morph-cloud ellipse for reports."""
-    return featviz.aligned_spread(_trial_step(model, bona_fides, protocol.columns, config)[1])
+    return featviz.aligned_spread(_trial_step(model, bona_fides, protocol.columns, config)[2])
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):

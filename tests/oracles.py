@@ -21,6 +21,7 @@ from morphguard.datagen import (
     check_synth_settings,
     split_identities,
 )
+from morphguard.encoder import _forward_batch
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import _held_out_per_identity
 from morphguard.losses import LabelPair, SampleKind, morphguard_loss_arrays
@@ -513,6 +514,14 @@ def oracle_build_training_set(universe, bona_fides, protocol, ratios=(2, 1, 1), 
 def oracle_build_trial_triplets(train_bona, protocol, alpha):
     parents = oracle_protocol_parents(oracle_group_by_identity(train_bona), protocol.pairs)
     return [(a.input, b.input, _oracle_blend(a.input, b.input, alpha)) for a, b in parents]
+
+
+def oracle_trial_features(model, train_bona, protocol, alpha):
+    """(T, 3, E) embeddings of every (parent_a, parent_b, morph) triplet: the
+    3T rows of oracle_build_trial_triplets, each parent once per pair it
+    enters, through one forward batch."""
+    rows = np.stack([v for t in oracle_build_trial_triplets(train_bona, protocol, alpha) for v in t])
+    return _forward_batch(model, rows)[0].reshape(len(protocol.pairs), 3, -1)
 
 
 def oracle_probe_pool(probes):

@@ -21,6 +21,7 @@ from morphguard.datagen import (
 from morphguard import experiment
 from morphguard.encoder import _forward_batch
 from morphguard.errors import DataError, ProtocolError
+from morphguard.featviz import project_2d
 from morphguard.experiment import (
     DataSettings,
     ExperimentConfig,
@@ -124,16 +125,18 @@ class TestAgainstPerSampleOracles:
         assert parents.shape == (len(protocol.pairs), 2)
         assert bona_fides.inputs[rows[parents]].tobytes() == np.array([t[:2] for t in expected]).tobytes()
 
-        # Each distinct parent and each morph embedded once: the bytes of one batch of the 3T triplet rows.
+        # Each distinct parent and each morph embedded once: the bytes of one batch of the 3T triplet
+        # rows, the morphs' embeddings kept and every row's 2-D projection.
         model = fresh_model(config)
-        features = trial_features(model, bona_fides.inputs, rows, parents, config.data.alpha)
-        rows = np.stack([v for t in expected for v in t])
-        assert features.shape == (3 * len(protocol.pairs), config.model.embedding_dim)
-        assert features.tobytes() == _forward_batch(model, rows)[0].tobytes()
+        morphs, triplets = trial_features(model, bona_fides.inputs, rows, parents, config.data.alpha)
+        features = _forward_batch(model, np.stack([v for t in expected for v in t]))[0]
+        assert morphs.shape == (len(protocol.pairs), config.model.embedding_dim)
+        assert triplets.shape == (3 * len(protocol.pairs), 2)
+        assert morphs.tobytes() == features[2::3].tobytes()
+        assert triplets.tobytes() == project_2d(features).tobytes()
 
         _, held_rows = holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
         held = embed_holdout(model, bona_fides, held_rows)
-        morphs = features[2::3]
         trials = morph_trials(morphs, held, columns, config.seed)
         expected = oracle_morph_trial_list(morphs, probes_by_identity(held), protocol, config.seed)
         assert [t.morph_id for t in trials] == [t.morph_id for t in expected]
@@ -200,10 +203,12 @@ class TestPoolRows:
         protocol = pair_protocol(universe, pool[rows], mix_counts(len(rows), d.ratios)[0], config.seed)
         parents = protocol_parents(pool, rows, protocol.columns)
         model, batches = fresh_model(config), self.record_batches(monkeypatch)
-        features = trial_features(model, pool.inputs, rows, parents, d.alpha)
+        morphs, triplets = trial_features(model, pool.inputs, rows, parents, d.alpha)
         expected = oracle_build_trial_triplets(list(pool[rows]), protocol, d.alpha)
         triplet_rows = np.stack([v for t in expected for v in t])
-        assert features.tobytes() == _forward_batch(model, triplet_rows)[0].tobytes()
+        features = _forward_batch(model, triplet_rows)[0]
+        assert morphs.tobytes() == features[2::3].tobytes()
+        assert triplets.tobytes() == project_2d(features).tobytes()
         # A row's bytes need not show its place in a batch, so the batches are checked too: the
         # distinct parents by ascending position in the training part, then the morphs in pair order.
         assert len(batches) == 2

@@ -426,6 +426,15 @@ class TestTrainStep:
         with pytest.raises(ProtocolError, match=r"outside \[0, 4\)"):
             batch_gradients(model, np.ones((2, 6)), first, [0, 0], [False, False], MarginConfig())
 
+    # Cast to int64, [1.7, 0.2] and [True, False] would both train as labels [1, 0].
+    @pytest.mark.parametrize("labels", [[1.7, 0.2], [True, False]], ids=["float", "bool"])
+    @pytest.mark.parametrize("column", ["first", "second"])
+    def test_batch_labels_must_be_integers(self, labels, column):
+        model = init_model(4, [4], 4, 3, seed=1)
+        first, second = (labels, [1, 0]) if column == "first" else ([1, 0], labels)
+        with pytest.raises(ProtocolError, match=rf"need integer {column} labels, got"):
+            batch_gradients(model, np.ones((2, 4)), first, second, [False, False], MarginConfig())
+
     def test_first_non_finite_loss_stops_the_run(self):
         model = init_model(6, [5], 4, 4, seed=1)
         config = TrainConfig(epochs=2, lr_start=1e300, lr_end=1e300, batch_size=8)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from morphguard import datagen, experiment
 from morphguard.errors import ConfigError, DataError
-from morphguard.featviz import align_feature_triplets, fit_rigid, project_2d
+from morphguard.featviz import align_feature_triplets, aligned_spread, fit_rigid, project_2d
 from morphguard.experiment import (
     DataBundle,
     EvalSettings,
@@ -32,7 +32,13 @@ from morphguard.experiment import (
 )
 from morphguard.encoder import DualHeadModel, _forward_batch, train
 from morphguard.losses import MarginConfig, SampleKind
-from oracles import oracle_align_triplet, oracle_morph_trials, oracle_probe_pool, probes_by_identity
+from oracles import (
+    oracle_align_triplet,
+    oracle_morph_trials,
+    oracle_probe_pool,
+    oracle_trial_features,
+    probes_by_identity,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from mem_peaks import peaks  # noqa: E402
@@ -64,7 +70,8 @@ def held_embeddings(model, bundle, config):
 
 
 def protocol_features(model, bundle, config):
-    """trial_features of the bundle's protocol pairs, parents from its training part."""
+    """trial_features of the bundle's protocol pairs, parents from its training part:
+    (morphs, triplets), the (T, E) morph embeddings and the (3T, 2) projected triplet rows."""
     pool, rows = bundle.bona_fides, split_rows(bundle.bona_fides, config)[0]
     parents = datagen.protocol_parents(pool, rows, bundle.protocol.columns)
     return trial_features(model, pool.inputs, rows, parents, config.data.alpha)
@@ -387,9 +394,9 @@ class TestEvaluation:
         np.testing.assert_array_equal(vs1.impostor, vs2.impostor)
 
     def test_trials_match_protocol(self, trained, small_bundle, small_config):
-        features = protocol_features(trained, small_bundle, small_config)
+        morphs, _ = protocol_features(trained, small_bundle, small_config)
         trials = morph_trials(
-            features[2::3],
+            morphs,
             held_embeddings(trained, small_bundle, small_config),
             small_bundle.protocol.columns,
             small_config.seed,
@@ -413,7 +420,7 @@ class TestEvaluation:
         # both sides, so trial_features must give the training morphs' embeddings.
         model = identity_model(small_config.data.input_dim, small_config.data.num_classes)
         embedded = {row.tobytes() for row in _forward_batch(model, train_morphs)[0]}
-        assert {row.tobytes() for row in protocol_features(model, small_bundle, small_config)[2::3]} == embedded
+        assert {row.tobytes() for row in protocol_features(model, small_bundle, small_config)[0]} == embedded
 
     def test_report_contents(self, trained, small_bundle, small_config):
         report = evaluate_model(trained, small_bundle, small_config)
@@ -487,7 +494,7 @@ class TestWholeArrayDraws:
         bundle = generate_bundle(config)
         model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
         held = held_embeddings(model, bundle, config)
-        morphs = protocol_features(model, bundle, config)[2::3]
+        morphs, _ = protocol_features(model, bundle, config)
         trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
         expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
         assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
@@ -547,7 +554,27 @@ class TestOnePassEmbedding:
         rows = protocol_triplet_inputs(bundle, config)
         expected = _forward_batch(model, rows.reshape(-1, rows.shape[2]))[0]
         assert len(np.unique(rows[:, :2].reshape(-1, rows.shape[2]), axis=0)) < 2 * len(rows)  # shared parents
-        assert protocol_features(model, bundle, config).tobytes() == expected.tobytes()
+        morphs, triplets = protocol_features(model, bundle, config)
+        assert morphs.tobytes() == expected[2::3].tobytes()
+        assert triplets.tobytes() == project_2d(expected).tobytes()
+
+    def test_trial_path_equals_full_triplet_features(self, case):
+        # The (T, 3, E) features with every parent embedded once per pair, against the 2-D points
+        # and morph embeddings trial_features keeps: the points, the aligned cloud with its
+        # ellipse and the trial scores keep their bytes.
+        config, bundle, model = case
+        features = oracle_trial_features(model, list(train_part(bundle, config)), bundle.protocol, config.data.alpha)
+        morphs, triplets = protocol_features(model, bundle, config)
+        assert triplets.shape == (3 * len(features), 2)
+        assert triplets.tobytes() == project_2d(features).tobytes()
+        aligned, ellipse = aligned_spread(triplets)
+        expected_aligned, expected_ellipse = aligned_spread(features.reshape(-1, features.shape[2]))
+        assert aligned.tobytes() == expected_aligned.tobytes()
+        assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
+        held = held_embeddings(model, bundle, config)
+        trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
+        expected = oracle_morph_trials(features[:, 2], probes_by_identity(held), bundle.protocol, config.seed)
+        assert trials.scores.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("step", [1, -1], ids=["pool-order", "reversed"])
     def test_holdout_pool_equals_one_batch_in_identity_order(self, case, step):
@@ -583,25 +610,29 @@ class TestMemory:
         assert figures["generate_bundle_peak"] < 2.5 * self.POOL
 
     def test_evaluate_model_peak(self, figures):
-        # 3.26 pools over its start, most of it the parents' batch and its hidden activations.
-        # A copy of the training rows and full-size blend temporaries peak at 4.07.
-        assert figures["evaluate_model_peak"] < 3.6 * self.POOL
+        # 1.57 pools over its start: the trial parents' hidden activations and embeddings, their
+        # gathered batch freed once layer 0 has read it (held through the pass, 2.08). Keeping
+        # every triplet's (T, 3, E) embeddings as well peaks at 3.26.
+        assert figures["evaluate_model_peak"] < 2.0 * self.POOL
 
 
 class TestBatchedAlignment:
     """The one batched alignment pass against per-triplet computations, bit for bit."""
 
     def test_matches_per_triplet_oracle(self, trained, small_bundle, small_config):
-        rows = protocol_features(trained, small_bundle, small_config)
-        triplets = rows.reshape(-1, 3, rows.shape[1])
-        aligned = align_feature_triplets(triplets)
-        expected = np.array([oracle_align_triplet(*t) for t in triplets])
+        features = oracle_trial_features(
+            trained, list(train_part(small_bundle, small_config)), small_bundle.protocol, small_config.data.alpha
+        )
+        expected = np.array([oracle_align_triplet(*t) for t in features])
+        assert align_feature_triplets(features).tobytes() == expected.tobytes()
+        _, triplets = protocol_features(trained, small_bundle, small_config)
+        aligned = align_feature_triplets(triplets.reshape(-1, 3, 2))
         assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
         assert aligned.tobytes() == expected.tobytes()
 
     def test_batched_rigid_fit_equals_single_fits(self, trained, small_bundle, small_config):
-        rows = protocol_features(trained, small_bundle, small_config)
-        points = project_2d(rows.reshape(-1, 3, rows.shape[1]))
+        _, triplets = protocol_features(trained, small_bundle, small_config)
+        points = project_2d(triplets.reshape(-1, 3, 2))
         batched = fit_rigid(points[:, 0], points[:, 1])
         image = batched.apply(points)
         for t, triple in enumerate(points):
