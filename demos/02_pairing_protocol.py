@@ -8,7 +8,7 @@ them: the subset-1 parent always feeds head 1, the subset-2 parent head 2.
 
 import numpy as np
 
-from morphguard import MorphPairProtocol, build_training_set, pair_protocol, synth_identities, training_samples
+from morphguard import MorphPairProtocol, build_training_set, pair_protocol, synth_identities
 from morphguard.datagen import KINDS, SELF_MORPH
 from morphguard.errors import ProtocolError
 
@@ -29,12 +29,12 @@ print("pair families seen:", families)
 print("within-subset families like",
       names[side1[0]] + names[side1[1]], "or", names[side2[0]] + names[side2[1]], "never occur")
 
-# build_training_set blends every protocol row into one block over the pool
-# rows it is given; with 8 bona fides, ratios 8:1:0 ask for exactly one
-# morph, from the protocol's first row
+# build_training_set returns the pool rows it is given, then a morph blended
+# from each protocol row it needs; with 8 bona fides, ratios 8:1:0 ask for
+# exactly one morph, from the protocol's first row, right after the 8 rows
 rows = np.arange(len(bona_fides))
 first_row = MorphPairProtocol(protocol.columns[:1])
-morph = build_training_set(universe, bona_fides, rows, first_row, ratios=(8, 1, 0), seed=7)[0]
+morph = build_training_set(universe, bona_fides, rows, first_row, ratios=(8, 1, 0), seed=7)[len(rows)]
 print("\nprotocol row", protocol.columns[0].tolist(), "-> morph labels (head1, head2):",
       (names[morph.labels.first_label], names[morph.labels.second_label]))
 
@@ -48,17 +48,18 @@ for name, bad in (("same-subset", within), ("subset 2 -> 1", backwards)):
         print(f"{name} blend rejected:", err)
 
 # selfmorphs blend two samples of one identity and stay bona fide
-selfmorphs = build_training_set(universe, bona_fides, rows, protocol, ratios=(8, 0, 1), seed=7)
+with_selfmorph = build_training_set(universe, bona_fides, rows, protocol, ratios=(8, 0, 1), seed=7)
+selfmorphs = with_selfmorph[with_selfmorph.kinds == SELF_MORPH]
 print("selfmorph labels equal:", bool((selfmorphs.first == selfmorphs.second).all()),
       "| kind:", KINDS[SELF_MORPH].value)
 
-# a full training set holds all three kinds at the 2:1:1 default, in blocks:
-# the bona fides, then the blended block; train shuffles it every epoch
+# a full training set holds all three kinds at the 2:1:1 default in one
+# array, in blocks: the bona fides, the morphs, then the selfmorphs; train
+# shuffles it every epoch
 universe, bona_fides = synth_identities(10, 20, 32, spread=0.15, seed=7)
 protocol = pair_protocol(universe, bona_fides, num_morphs=100, seed=7)
 rows = np.arange(len(bona_fides))
-blends = build_training_set(universe, bona_fides, rows, protocol, ratios=(2, 1, 1), seed=7)
-dataset = training_samples(bona_fides, rows, blends)
+dataset = build_training_set(universe, bona_fides, rows, protocol, ratios=(2, 1, 1), seed=7)
 counts = {kind.value: int((dataset.kinds == code).sum()) for code, kind in enumerate(KINDS)}
 print("\ntraining-set composition:", counts)
 norms = np.linalg.norm(dataset.inputs, axis=1)

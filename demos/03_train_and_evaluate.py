@@ -1,7 +1,7 @@
 """Train a dual-head encoder and benchmark its morph robustness.
 
 Uses a reduced copy of the default setup so it runs in a few seconds:
-train on the interleaved bona fide / morph / selfmorph set, then score
+train on the bona fide / morph / selfmorph set, then score
 held-out verification pairs and morph trials, and read off the
 operating points (match rate at fixed FNMR, verification FNMR at fixed
 FMR, and the minimum of the combined RMMR curve).
@@ -31,18 +31,20 @@ config = ExperimentConfig.from_dict(
 )
 
 bundle = generate_bundle(config)
+# The training set is built on each read of bundle.train_set, so it is read once.
+train_set = bundle.train_set
 # The split is two arrays of pool rows, re-derived from the pool and the config.
 train_rows, held_rows = holdout_split(
     bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction
 )
 print(
-    f"dataset: {len(bundle.train_set)} training samples "
+    f"dataset: {len(train_set)} training samples "
     f"({len(train_rows)} bona fide, {len(bundle.protocol.columns)} morphs), "
     f"{len(held_rows)} of {len(bundle.bona_fides)} pool samples held out for evaluation"
 )
 
 model = fresh_model(config)
-model, history = train(model, bundle.train_set, train_config(config))
+model, history = train(model, train_set, train_config(config))
 losses = history.epoch_mean_loss
 print(f"trained {len(losses)} epochs, mean loss {losses[0]:.2f} -> {losses[-1]:.2f}")
 

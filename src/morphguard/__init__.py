@@ -40,7 +40,6 @@ from .datagen import (
     save_protocol,
     split_identities,
     synth_identities,
-    training_samples,
 )
 from .metrics import (
     FROM_ABOVE,

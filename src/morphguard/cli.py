@@ -139,8 +139,7 @@ def write_point_table(path: Path, key: str, keyed_reports):
 
 def cmd_gen_data(args, config):
     bundle = generate_bundle(config)
-    # The joined set copies the blended rows, so the bundle lets go of its own.
-    train_set, bundle.blends = bundle.train_set, None
+    train_set = bundle.train_set
     out_dir = _out_dir(args)
     # The training set's first block is the pool's training rows in split order: each text is formatted once.
     texts = datagen.input_texts(bundle.bona_fides.inputs)

@@ -7,9 +7,9 @@ KINDS. Every step works on whole columns and gives the bytes that
 building one sample at a time gave; Sample is the view of one row.
 Morphs and selfmorphs are built only in whole blocks, by
 build_training_set from a protocol's (T, 4) columns; there is no
-per-sample builder. A training set is held as pool rows plus that
-blended block, and training_samples joins them into one SampleSet only
-where the whole set is read.
+per-sample builder. It writes the whole training set, the pool's
+training rows and then the blended rows, into one array, and is called
+only where the set is read.
 
 Identities are unit prototype vectors; bona fide samples are
 renormalized noisy copies. To keep morph labeling unambiguous the
@@ -315,11 +315,14 @@ def build_training_set(
     seed: int = 0,
     alpha: float = 0.5,
 ) -> SampleSet:
-    """The blended block of the training set that mixes pool rows rows:
-    protocol morphs in protocol order, then random selfmorphs in draw
-    order, at the counts mix_counts gives for ratios. The whole set is
-    the rows in the order given, then this block (training_samples);
-    train shuffles it every epoch.
+    """The training set that mixes pool rows rows, as one new SampleSet:
+    the rows in the order given, then protocol morphs in protocol order,
+    then random selfmorphs in draw order, at the counts mix_counts gives
+    for ratios. train shuffles it every epoch.
+
+    The set is one preallocated (N+M+S, D) array: the rows are taken
+    into its first block and each blend is written into its own slice,
+    so no blended block is held apart from it.
 
     Sample indices count an identity's samples in the order of rows.
     Morphs consume protocol pairs, each running subset 1 -> 2, and run
@@ -330,7 +333,8 @@ def build_training_set(
     check_alpha(alpha)
     num_morphs, num_selfmorphs = mix_counts(len(rows), ratios)
     labels = _bona_fide_labels(pool)
-    index = _pool_index(labels[rows])
+    kept = labels[rows]
+    index = _pool_index(kept)
     order, _, counts, offsets = index
     if num_morphs > len(protocol.columns):
         raise CapacityError(f"training set needs {num_morphs} morphs but the protocol holds {len(protocol.columns)}")
@@ -355,25 +359,15 @@ def build_training_set(
     j += j >= i
     selves = rows[order[offsets[group, None] + np.column_stack((i, j))]]  # (S, 2) pool rows of each selfmorph's parents
 
-    m = num_morphs
-    out = np.empty((m + num_selfmorphs, pool.inputs.shape[1]))
-    _blend(pool.inputs, parents, alpha, out[:m])
-    _blend(pool.inputs, selves, 0.5, out[m:])
-    own = labels[selves[:, 0]]
-    kinds = np.repeat(np.array([MORPH, SELF_MORPH]), (m, num_selfmorphs))
-    return SampleSet(out, np.concatenate((pairs[:, 0], own)), np.concatenate((pairs[:, 1], own)), kinds)
-
-
-def training_samples(pool: SampleSet, rows: np.ndarray, blends: SampleSet) -> SampleSet:
-    """The whole training set as one new SampleSet: pool rows rows in
-    order, then build_training_set's blends."""
-    labels = [np.concatenate((getattr(pool, name)[rows], getattr(blends, name))) for name in _COLUMNS[1:]]
-    n = len(rows)
-    inputs = np.empty((n + len(blends), pool.inputs.shape[1]))
-    # The labels' gather has checked rows; "wrap" then indexes as rows do, and writes out unbuffered.
+    n, m = len(rows), num_morphs
+    inputs = np.empty((n + m + num_selfmorphs, pool.inputs.shape[1]))
+    # labels[rows] has checked rows; "wrap" then indexes as rows do, and writes out unbuffered.
     pool.inputs.take(rows, axis=0, out=inputs[:n], mode="wrap")
-    inputs[n:] = blends.inputs
-    return SampleSet(inputs, *labels)
+    _blend(pool.inputs, parents, alpha, inputs[n : n + m])
+    _blend(pool.inputs, selves, 0.5, inputs[n + m :])
+    own = labels[selves[:, 0]]
+    kinds = np.repeat(np.array([BONA_FIDE, MORPH, SELF_MORPH]), (n, m, num_selfmorphs))
+    return SampleSet(inputs, np.concatenate((kept, pairs[:, 0], own)), np.concatenate((kept, pairs[:, 1], own)), kinds)
 
 
 # --- serialization ---------------------------------------------------------

@@ -206,29 +206,36 @@ def _override(default, raw, name: str | None = None):
 class DataBundle:
     """Everything one experiment run derives from (config, seed).
 
-    The bona fide pool is the one store of bona fide inputs. The training
-    set is the pool's training rows followed by the blended morph and
-    selfmorph block, and train_set joins the two only when it is read.
+    A bundle holds what evaluation reads: the bona fide pool, the one
+    store of bona fide inputs, the protocol and the training rows. The
+    training set is not held: train_set builds it from the pool, the
+    protocol and the config the bundle was generated from, on each read.
     Evaluation re-derives the train/holdout split from the pool and the
     config (holdout_split). File-driven evaluation builds a bundle from
     the loaded pool and protocol, without the universe (the protocol
-    already carries the subset orientation) and without a training set.
+    already carries the subset orientation), the config or a training set.
     """
 
     universe: datagen.IdentityUniverse | None
     bona_fides: SampleSet  # the full pool
     protocol: datagen.MorphPairProtocol
     train_rows: np.ndarray | None = None  # holdout_split's training rows of the pool
-    blends: SampleSet | None = None  # protocol morphs, then selfmorphs
+    config: ExperimentConfig | None = None  # the config the bundle was generated from
 
     @property
     def train_set(self) -> SampleSet | None:
-        """The whole training set, built anew on each read (None without
-        one): the training rows in split order, then the blends. Passed
-        straight to train, its (N, D) inputs live only as long as the call."""
-        if self.blends is None:
+        """The whole training set, built anew on each read as one array
+        (None without a config): the training rows in split order, then
+        the protocol morphs, then the selfmorphs. Every read blends the
+        same rows from the same seeded draws, so gives the same bytes.
+        Passed straight to train, it lives only as long as the call."""
+        if self.config is None:
             return None
-        return datagen.training_samples(self.bona_fides, self.train_rows, self.blends)
+        data = self.config.data
+        return datagen.build_training_set(
+            self.universe, self.bona_fides, self.train_rows, self.protocol,
+            ratios=data.ratios, seed=self.config.seed, alpha=data.alpha,
+        )
 
 
 def _held_out_per_identity(samples_per_class: int, fraction: float) -> int:
@@ -266,11 +273,10 @@ def generate_bundle(config: ExperimentConfig) -> DataBundle:
     )
     train_rows, _ = holdout_split(bona_fides, data.samples_per_class, data.holdout_fraction)
     num_morphs, _ = datagen.mix_counts(len(train_rows), data.ratios)
-    protocol = datagen.pair_protocol(universe, bona_fides[train_rows], num_morphs, config.seed)
-    blends = datagen.build_training_set(
-        universe, bona_fides, train_rows, protocol, ratios=data.ratios, seed=config.seed, alpha=data.alpha
-    )
-    return DataBundle(universe, bona_fides, protocol, train_rows, blends)
+    # pair_protocol reads only labels, so the training rows go in with zero-width inputs.
+    labels_only = dataclasses.replace(bona_fides, inputs=bona_fides.inputs[:, :0])
+    protocol = datagen.pair_protocol(universe, labels_only[train_rows], num_morphs, config.seed)
+    return DataBundle(universe, bona_fides, protocol, train_rows, config)
 
 
 def fresh_model(config: ExperimentConfig) -> DualHeadModel:

@@ -16,7 +16,6 @@ from morphguard.datagen import (
     protocol_parents,
     save_dataset,
     synth_identities,
-    training_samples,
 )
 from morphguard import experiment
 from morphguard.encoder import _forward_batch
@@ -113,8 +112,7 @@ class TestAgainstPerSampleOracles:
         kwargs = {"ratios": ratios or config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
         expected = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
         rows = train_rows_of(bona_fides, config)
-        blends = build_training_set(universe, bona_fides, rows, protocol, **kwargs)
-        assert_same_samples(training_samples(bona_fides, rows, blends), expected)
+        assert_same_samples(build_training_set(universe, bona_fides, rows, protocol, **kwargs), expected)
 
     def test_trial_triplets_and_trials(self, pipelines):
         config, (_, bona_fides, _, _, protocol), oracle = pipelines
@@ -146,7 +144,7 @@ class TestAgainstPerSampleOracles:
         config, (universe, bona_fides, _, _, protocol), oracle = pipelines
         kwargs = {"ratios": config.data.ratios, "seed": config.seed, "alpha": config.data.alpha}
         rows = train_rows_of(bona_fides, config)
-        train_set = training_samples(bona_fides, rows, build_training_set(universe, bona_fides, rows, protocol, **kwargs))
+        train_set = build_training_set(universe, bona_fides, rows, protocol, **kwargs)
         o_train_set = oracle_build_training_set(oracle[0], oracle[2], oracle[4], **kwargs)
         # The first 2000 records of a set: every kind occurs, and the wide case stays quick.
         for name, samples, o_samples in (("bona_fides", bona_fides, oracle[1]), ("dataset", train_set, o_train_set)):
@@ -165,11 +163,11 @@ class TestPoolRows:
         rows = np.random.default_rng(6).permutation(len(pool))[:600]
         protocol = pair_protocol(universe, pool[rows], size, seed=6)
         kwargs = {"ratios": (600, size, size), "seed": 6, "alpha": 0.3}
-        blends = build_training_set(universe, pool, rows, protocol, **kwargs)
-        assert len(blends) == 2 * size
+        train_set = build_training_set(universe, pool, rows, protocol, **kwargs)
+        assert len(train_set) == len(rows) + 2 * size
         o_universe, o_pool = oracle_synth_identities(20, 40, 8, 0.1, 6)
         expected = oracle_build_training_set(o_universe, [o_pool[r] for r in rows], protocol, **kwargs)
-        assert_same_samples(training_samples(pool, rows, blends), expected)
+        assert_same_samples(train_set, expected)
 
     @staticmethod
     def interleaved_pool(config):

@@ -29,7 +29,6 @@ from morphguard.datagen import (
     save_protocol,
     split_identities,
     synth_identities,
-    training_samples,
 )
 from morphguard.encoder import init_model
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
@@ -38,9 +37,8 @@ from morphguard.losses import LabelPair, SampleKind
 
 
 def whole_set(universe, pool, protocol, **kwargs):
-    """The training set over every pool row: the pool, then build_training_set's blends."""
-    rows = np.arange(len(pool))
-    return training_samples(pool, rows, build_training_set(universe, pool, rows, protocol, **kwargs))
+    """The training set over every pool row: the pool, then its morphs and selfmorphs."""
+    return build_training_set(universe, pool, np.arange(len(pool)), protocol, **kwargs)
 
 
 def bona_fide(identity, vec):
@@ -320,6 +318,14 @@ class TestBuildTrainingSet:
         out = whole_set(universe, samples, protocol, ratios=(1, 0, 0), seed=14)
         assert len(out) == len(samples)
         assert all(s.labels.kind is SampleKind.BONA_FIDE for s in out)
+
+    def test_bona_fide_only_is_the_rows_in_order(self):
+        # Without blends the set is the pool's rows, gathered in the order given, byte for byte.
+        universe, samples, protocol = self._setup()
+        rows = np.random.default_rng(3).permutation(len(samples))[:250]
+        out = build_training_set(universe, samples, rows, protocol, ratios=(1, 0, 0), seed=14)
+        for name in ("inputs", "first", "second", "kinds"):
+            assert getattr(out, name).tobytes() == getattr(samples[rows], name).tobytes()
 
     @pytest.mark.parametrize("kind", [MORPH, SELF_MORPH], ids=["morph", "selfmorph"])
     def test_pool_holds_only_bona_fides(self, kind):

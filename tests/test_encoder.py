@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morphguard import encoder, losses
-from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, build_training_set, synth_identities, training_samples
+from morphguard.datagen import BONA_FIDE, MORPH, SampleSet, build_training_set, synth_identities
 from morphguard.encoder import (
     DualHeadModel,
     TrainConfig,
@@ -534,10 +534,12 @@ class TestAdapt:
         stage1_config, stage2_config = adaptation_configs(config)
         (m1, _, _), (m2, h2, _) = run_adaptation(config)
         train_rows, _ = holdout_split(bundle.bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
-        bona_fides_only = build_training_set(
+        stage1_set = build_training_set(
             bundle.universe, bundle.bona_fides, train_rows, bundle.protocol, ratios=(1, 0, 0), seed=config.seed
         )
-        stage1_set = training_samples(bundle.bona_fides, train_rows, bona_fides_only)
+        # Without blends the set is the training rows run_adaptation's stage 1 trains on, byte for byte.
+        for name in ("inputs", "first", "second", "kinds"):
+            assert getattr(stage1_set, name).tobytes() == getattr(bundle.bona_fides[train_rows], name).tobytes()
         expected1, _ = train(fresh_model(config), stage1_set, stage1_config)
         assert models_equal(m1, expected1)
         expected2, expected_h2 = train(m1.copy(), bundle.train_set, stage2_config)

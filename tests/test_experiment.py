@@ -326,17 +326,43 @@ class TestBundle:
 
     def test_fields_are_the_pool_protocol_and_training_set(self, small_bundle, small_config):
         names = [f.name for f in dataclasses.fields(DataBundle)]
-        assert names == ["universe", "bona_fides", "protocol", "train_rows", "blends"]
-        # The training set is read from the pool's training rows and the blends, which hold no bona fide.
-        pool, blends = small_bundle.bona_fides, small_bundle.blends
+        assert names == ["universe", "bona_fides", "protocol", "train_rows", "config"]
+        # The bundle keeps the config the training set is drawn with, not the set's blended rows.
+        assert small_bundle.config is small_config
+        pool, protocol = small_bundle.bona_fides, small_bundle.protocol
         rows = split_rows(pool, small_config)[0]
         assert small_bundle.train_rows.tobytes() == rows.tobytes()
-        assert not (blends.kinds == datagen.BONA_FIDE).any()
+        # The set: the pool's training rows in split order, the morphs in protocol order, then the selfmorphs.
         train_set = small_bundle.train_set
-        assert train_set.inputs.tobytes() == np.concatenate((pool.inputs[rows], blends.inputs)).tobytes()
-        for name in ("first", "second", "kinds"):
-            expected = np.concatenate((getattr(pool, name)[rows], getattr(blends, name)))
-            assert getattr(train_set, name).tobytes() == expected.tobytes()
+        n, m = len(rows), len(protocol.columns)
+        for name in ("inputs", "first", "second", "kinds"):
+            assert getattr(train_set, name)[:n].tobytes() == getattr(pool, name)[rows].tobytes()
+        assert train_set.first[n : n + m].tobytes() == protocol.columns[:, 0].tobytes()
+        assert train_set.second[n : n + m].tobytes() == protocol.columns[:, 1].tobytes()
+        morphs = protocol_triplet_inputs(small_bundle, small_config)[:, 2]
+        assert train_set.inputs[n : n + m].tobytes() == morphs.tobytes()
+        kinds = np.repeat([datagen.MORPH, datagen.SELF_MORPH], (m, len(train_set) - n - m))
+        assert train_set.kinds[n:].tobytes() == kinds.astype(np.int8).tobytes()
+        assert np.array_equal(train_set.first[n + m :], train_set.second[n + m :])
+
+    def test_every_read_of_the_training_set_gives_the_same_bytes(self, small_bundle):
+        first, second = small_bundle.train_set, small_bundle.train_set
+        assert first.inputs is not second.inputs
+        for name in ("inputs", "first", "second", "kinds"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+    def test_file_driven_bundle_has_no_training_set(self, small_bundle):
+        assert DataBundle(None, small_bundle.bona_fides, small_bundle.protocol).train_set is None
+
+    def test_training_set_of_an_interleaved_pool(self, small_bundle, small_config):
+        # Over the same samples in another record order the set holds the same rows in the same order.
+        pool = interleaved(small_bundle.bona_fides, seed=3)
+        rows = split_rows(pool, small_config)[0]
+        assert not np.array_equal(rows, small_bundle.train_rows)
+        shuffled = DataBundle(small_bundle.universe, pool, small_bundle.protocol, rows, small_config)
+        train_set, expected = shuffled.train_set, small_bundle.train_set
+        for name in ("inputs", "first", "second", "kinds"):
+            assert getattr(train_set, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_deterministic(self, small_config, small_bundle):
         again = generate_bundle(small_config)
@@ -370,7 +396,8 @@ class TestMixRule:
         except ConfigError:
             return
         bundle = generate_bundle(config)
-        morphs = bundle.train_set.inputs[bundle.train_set.is_morph]
+        train_set = bundle.train_set
+        morphs = train_set.inputs[train_set.is_morph]
         assert len(bundle.protocol.pairs) == len(morphs)
         rebuilt = protocol_triplet_inputs(bundle, config)[:, 2]
         assert sorted(row.tobytes() for row in rebuilt) == sorted(row.tobytes() for row in morphs)
@@ -413,7 +440,8 @@ class TestEvaluation:
             morph_trials(morphs, oracle_probe_pool(probes), columns, small_config.seed)
 
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
-        train_morphs = small_bundle.train_set.inputs[small_bundle.train_set.is_morph]
+        train_set = small_bundle.train_set
+        train_morphs = train_set.inputs[train_set.is_morph]
         rebuilt = protocol_triplet_inputs(small_bundle, small_config)[:, 2]
         assert {row.tobytes() for row in train_morphs} == {row.tobytes() for row in rebuilt}
         # Through an identity layer, embedding is the same per-row scaling to unit length on
@@ -601,13 +629,19 @@ class TestMemory:
         return peaks(experiment, 200)
 
     def test_bundle_holds_each_pool_row_once(self, figures):
-        # The pool, the blended block (0.8 pools) and the label columns make 1.87 pools;
-        # a copy of the training rows would add 0.8 more.
-        assert figures["bundle_holds"] < 2.0 * self.POOL
+        # The pool and the label columns make 1.05 pools; a bundle that also held the blended
+        # block (0.8 pools) would hold 1.87.
+        assert figures["bundle_holds"] < 1.2 * self.POOL
 
     def test_generate_bundle_peak(self, figures):
-        # 1.91 pools. Full-size parent gathers and a copy of the training rows peak at 4.7.
-        assert figures["generate_bundle_peak"] < 2.5 * self.POOL
+        # 1.12 pools. Pairing over a copy of the training rows' inputs peaks at 1.91, full-size
+        # parent gathers and a copy of the training rows at 4.7.
+        assert figures["generate_bundle_peak"] < 1.3 * self.POOL
+
+    def test_train_set_peak(self, figures):
+        # 2.75 pools from before the bundle: the bundle and the one (N+M+S, D) training array
+        # (1.6 pools). A bundle that also holds the blended block peaks at 3.51.
+        assert figures["train_set_peak"] < 3.0 * self.POOL
 
     def test_evaluate_model_peak(self, figures):
         # 1.57 pools over its start: the trial parents' hidden activations and embeddings, their

@@ -1,14 +1,17 @@
-"""Print the tracemalloc peaks of building and evaluating one wide-tier bundle.
+"""Print the tracemalloc peaks of building one wide-tier bundle, reading its training set and evaluating it.
 
 At seed 1 and dims 128/256/128 (the benchmark's wide tier) with N
-identities of 50 samples each, it runs `experiment.generate_bundle` and
-then `experiment.evaluate_model` with an untrained model, and prints
-three `<name> <MB>` lines:
+identities of 50 samples each, it runs `experiment.generate_bundle`,
+reads the bundle's `train_set` once and drops it, then runs
+`experiment.evaluate_model` with an untrained model, and prints four
+`<name> <MB>` lines:
 
 - `generate_bundle_peak`: the peak while the bundle is built;
 - `bundle_holds`: what the returned bundle still holds;
 - `evaluate_model_peak`: the peak of the evaluation over what was
-  allocated when it started.
+  allocated when it started;
+- `train_set_peak`: the peak while the training set is read, counting
+  the bundle (both figures from before the bundle was built).
 
 tracemalloc counts numpy's array buffers exactly, whatever the heap's
 layout, so two checkouts' lines can be diffed:
@@ -31,7 +34,7 @@ HERE = Path(__file__).resolve().parents[1]
 
 
 def peaks(experiment, identities: int) -> dict:
-    """The three figures, in bytes, of one bundle at `identities` identities."""
+    """The four figures, in bytes, of one bundle at `identities` identities."""
     config = experiment.ExperimentConfig.from_dict({
         "seed": 1,
         "data": {"num_classes": identities, "input_dim": 128},
@@ -44,6 +47,10 @@ def peaks(experiment, identities: int) -> dict:
         bundle = experiment.generate_bundle(config)
         held, generate_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        bundle.train_set  # read once and dropped, as a recipe passes it to train
+        train_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        evaluate_start = tracemalloc.get_traced_memory()[0]
         experiment.evaluate_model(model, bundle, config)
         evaluate_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -51,7 +58,8 @@ def peaks(experiment, identities: int) -> dict:
     return {
         "generate_bundle_peak": generate_peak - start,
         "bundle_holds": held - start,
-        "evaluate_model_peak": evaluate_peak - held,
+        "evaluate_model_peak": evaluate_peak - evaluate_start,
+        "train_set_peak": train_peak - start,
     }
 
 
