@@ -236,17 +236,17 @@ class _StepTables:
         self.model = model
         self.inputs = np.asarray(inputs, dtype=np.float64)
         _check_width(model, self.inputs)
-        self.is_morph = np.asarray(is_morph, dtype=bool)
+        is_morph = np.asarray(is_morph, dtype=bool)
         for name, column in (("first", first), ("second", second)):
             dtype = np.asarray(column).dtype
             # A float column would be truncated to other classes, a bool one read as classes 0 and 1.
             if np.size(column) and not np.issubdtype(dtype, np.integer):
                 raise ProtocolError(f"need integer {name} labels, got {dtype}")
         self.labels = np.column_stack((first, second)).astype(np.int64, copy=False)
-        if self.labels.shape[0] != len(self.inputs) or self.is_morph.shape != (len(self.inputs),):
+        if self.labels.shape[0] != len(self.inputs) or is_morph.shape != (len(self.inputs),):
             raise DataError(f"{len(self.inputs)} input rows need as many label pairs and morph flags")
         _check_label_range(self.labels, model.num_classes)
-        self.margins = _margin_table(self.is_morph, margin)
+        self.margins = _margin_table(is_morph, margin)
         self._buffers = {}
 
     def gather(self, idx: np.ndarray) -> "_StepBuffers":
@@ -256,7 +256,6 @@ class _StepTables:
         if buffers is None:
             buffers = self._buffers[n] = _StepBuffers(self.model, n)
         self.inputs.take(idx, axis=0, out=buffers.inputs, mode="clip")
-        self.is_morph.take(idx, out=buffers.is_morph, mode="clip")
         self.labels.take(idx, axis=0, out=buffers.labels, mode="clip")
         self.margins.take(idx, axis=1, out=buffers.loss.margins.reshape(3, n, 2), mode="clip")
         buffers.loss.set_targets(buffers.labels.reshape(-1))
@@ -270,7 +269,6 @@ class _StepBuffers:
     def __init__(self, model: DualHeadModel, n: int):
         c, e = model.num_classes, model.embedding_dim
         self.inputs = np.empty((n, model.input_dim))
-        self.is_morph = np.empty(n, dtype=bool)
         self.labels = np.empty((n, 2), dtype=np.int64)
         self.first, self.second = self.labels.T
         self.loss = _Rows(2 * n, c)
@@ -300,8 +298,10 @@ def batch_gradients(
     Exposed separately from train so gradient checks can compare
     against finite differences without performing an update. Returns
     (loss, grads) with grads keyed like model.parameters(). ``train``
-    passes ``_buffers``, its batch already gathered into them; the
-    gradients are then arrays of it that the next step overwrites.
+    passes ``_buffers``, its batch already gathered into them, each
+    row's morph flag as the margin it selects; the array arguments are
+    then not read, and the gradients are arrays of the buffers that the
+    next step overwrites.
     """
     if _buffers is None:
         tables = _StepTables(model, inputs, first_labels, second_labels, is_morph, margin)
@@ -318,7 +318,7 @@ def batch_gradients(
         np.matmul(embeddings, unit[half].T, out=cosines[:, half])
     np.minimum(cosines, 1.0, out=cosines)
     np.maximum(cosines, -1.0, out=cosines)
-    result = morphguard_loss_arrays(cosines, b.labels, b.is_morph, margin, b.loss)
+    result = morphguard_loss_arrays(cosines, b.labels, is_morph, margin, b.loss)
     cos_grads = result.cosine_grads
 
     # Head gradients: rows enter only through their normalized form.
@@ -385,7 +385,7 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
             loss_sum = 0.0
             for start in range(0, n, config.batch_size):
                 b = tables.gather(order[start : start + config.batch_size])
-                loss, grads = batch_gradients(model, b.inputs, b.first, b.second, b.is_morph, config.margin, b)
+                loss, grads = batch_gradients(model, b.inputs, b.first, b.second, None, config.margin, b)
                 where = f"epoch {epoch + 1}, step {start // config.batch_size + 1} of {steps_per_epoch}"
                 if not math.isfinite(loss):
                     raise NumericError(f"training diverged: the loss of {where} is {loss}")

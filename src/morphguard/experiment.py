@@ -318,16 +318,36 @@ def adaptation_configs(config: ExperimentConfig) -> tuple[TrainConfig, TrainConf
 # --- evaluation -------------------------------------------------------------
 
 
+# Rows per evaluation forward block (see _blocks); every desk-scale batch is one block.
+_BLOCK_ROWS = 1024
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices tiling [0, n) in order: max(1, n // _BLOCK_ROWS) blocks of
+    nearly equal size, so none is smaller than _BLOCK_ROWS rows unless n is.
+
+    OpenBLAS picks its kernel by a GEMM's shape, so a block of a few rows
+    (a GEMV at one row) could move an embedding's last bit; blocks this
+    large give each row the bytes one batch of all n rows gives it.
+    """
+    count = max(1, n // _BLOCK_ROWS)
+    bounds = [n * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def embed_holdout(model: DualHeadModel, pool: SampleSet, held_rows: np.ndarray):
-    """Held-out embeddings stacked by identity, ascending, in one forward batch.
+    """Held-out embeddings stacked by identity, ascending.
 
     held_rows are holdout_split's identity-major pool rows, forwarded in
-    that order. Returns (embeddings, counts, offsets, identities): rows
-    offsets[k] to offsets[k] + counts[k] of embeddings embed
-    identities[k]'s held-out samples, in pool order.
+    that order one block (_blocks) at a time, each block gathered from
+    the pool as it is embedded. Returns (embeddings, counts, offsets,
+    identities): rows offsets[k] to offsets[k] + counts[k] of embeddings
+    embed identities[k]'s held-out samples, in pool order.
     """
     identities, counts = np.unique(pool.first[held_rows], return_counts=True)
-    embeddings = _forward_batch(model, pool.inputs[held_rows])[0]
+    embeddings = np.empty((len(held_rows), model.embedding_dim))
+    for block in _blocks(len(held_rows)):
+        embeddings[block] = _forward_batch(model, pool.inputs[held_rows[block]])[0]
     return embeddings, counts, np.cumsum(counts) - counts, identities
 
 
@@ -365,52 +385,79 @@ def verification_scores(held, settings: EvalSettings, seed: int) -> Verification
     return VerificationSet(genuine, impostor)
 
 
-def trial_features(model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float):
-    """(morphs, triplets): the (T, E) morph embeddings and the (3T, 2)
-    featviz.project_2d points of every trial triplet.
+def trial_features(
+    model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float, probes=None
+):
+    """The trial pass: (triplets, scores), the (3T, 2) featviz.project_2d
+    points of every trial triplet and, given probes, the (T, 2) scores of
+    each morph against its two probes (None without).
 
     inputs are the pool's (N, D) rows, rows the pool rows the protocol
     pairs (in evaluation the training part's) and parents the (T, 2)
     positions in rows of each pair's parents (datagen.protocol_parents).
-    The distinct parents go through one batch in ascending position
-    order and only their 2-D points are kept, gathered per pair; the T
-    morphs (blended as build_training_set blends them) go through
-    another. Triplet rows run (parent_a, parent_b, morph) per pair, the
-    layout featviz.aligned_spread reads, which projects a 2-vector to
-    itself bit for bit.
+    probes is (embeddings, probe_rows): embed_holdout's embeddings and
+    the (T, 2) rows of them that morph_trials drew. The distinct parents
+    are embedded in ascending position order, keeping only their 2-D
+    points, gathered per pair. The T morphs go in pair order, one block
+    (_blocks) at a time: blended into one reused buffer as
+    build_training_set blends them, embedded, projected and scored
+    against both probe rows at once. So no (T, E) array and no
+    full-size gather or hidden activation exists. Triplet rows run
+    (parent_a, parent_b, morph) per pair, the layout
+    featviz.aligned_spread reads, which projects a 2-vector to itself
+    bit for bit.
     """
     datagen.check_alpha(alpha)
     distinct, inverse = np.unique(parents, return_inverse=True)
+    points = np.empty((len(distinct), 2))
+    for block in _blocks(len(distinct)):
+        # Each gathered block is a temporary, which the forward pass frees once layer 0 has read it.
+        points[block] = featviz.project_2d(_forward_batch(model, inputs[rows[distinct[block]]])[0])
     triplets = np.empty((len(parents), 3, 2))
-    parent_points = featviz.project_2d(_forward_batch(model, inputs[rows[distinct]])[0])
-    triplets[:, :2] = parent_points[inverse.reshape(parents.shape)]
-    # Each batch is passed as a temporary, so the forward pass frees it once layer 0 has read it.
-    morphs = _forward_batch(
-        model, datagen._blend(inputs, rows[parents], alpha, np.empty((len(parents), inputs.shape[1])))
-    )[0]
-    triplets[:, 2] = featviz.project_2d(morphs)
-    return morphs, triplets.reshape(-1, 2)
+    triplets[:, :2] = points[inverse.reshape(parents.shape)]
+    scores = None
+    if probes is not None:
+        embeddings, probe_rows = probes
+        scores = np.empty(parents.shape)
+    blocks = _blocks(len(parents))
+    buffer = np.empty((max(block.stop - block.start for block in blocks), inputs.shape[1]))
+    for block in blocks:
+        pairs = rows[parents[block]]
+        morphs = _forward_batch(model, datagen._blend(inputs, pairs, alpha, buffer[: len(pairs)]))[0]
+        triplets[block, 2] = featviz.project_2d(morphs)
+        if probes is not None:
+            scores[block] = _cosines(morphs[:, None, :], embeddings[probe_rows[block]])
+        del morphs  # so the next block's forward pass does not run beside this block's embeddings
+    return triplets.reshape(-1, 2), scores
 
 
-def morph_trials(morph_embeddings: np.ndarray, held, columns: np.ndarray, seed: int) -> MorphTrials:
-    """Score each protocol morph against one held-out sample per parent.
+def morph_trials(
+    model: DualHeadModel,
+    inputs: np.ndarray,
+    rows: np.ndarray,
+    parents: np.ndarray,
+    alpha: float,
+    held,
+    columns: np.ndarray,
+    seed: int,
+):
+    """(trials, triplets): each protocol morph scored against one held-out
+    sample per parent, and the trial pass's (3T, 2) triplet points.
 
     held is embed_holdout's result and columns the protocol's (T, 4)
-    columns. The (T, 2) probe indices are one array-bound integers
-    draw, which consumes the stream pair by pair, parent a before
-    parent b; each parent's probes are then gathered and scored as one
-    (T, E) array, parent a's before parent b's.
+    columns; model, inputs, rows, parents and alpha are trial_features'.
+    The (T, 2) probe indices are one array-bound integers draw, which
+    consumes the stream pair by pair, parent a before parent b; the one
+    trial pass then scores each block of morphs against its probes.
     """
-    pool, counts, offsets, identities = held
+    embeddings, counts, offsets, identities = held
     named = columns[:, :2]
-    parents = np.searchsorted(identities, named)
-    if not np.array_equal(np.append(identities, -1)[parents], named):
+    slots = np.searchsorted(identities, named)
+    if not np.array_equal(np.append(identities, -1)[slots], named):
         raise DataError("a protocol pair names an identity without held-out probes")
-    probes = offsets[parents] + rng_for(seed, STREAM_TRIALS).integers(counts[parents])
-    scores = np.empty(probes.shape)
-    for side in range(2):
-        scores[:, side] = _cosines(morph_embeddings, pool[probes[:, side]])
-    return MorphTrials(scores)
+    probes = offsets[slots] + rng_for(seed, STREAM_TRIALS).integers(counts[slots])
+    triplets, scores = trial_features(model, inputs, rows, parents, alpha, (embeddings, probes))
+    return MorphTrials(scores), triplets
 
 
 @dataclass
@@ -435,26 +482,29 @@ class EvalReport:
         raise KeyError(f"no operating point {metric} @ {target}")
 
 
-def _trial_step(model: DualHeadModel, pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
-    """(held_rows, morphs, triplets) of one pool: the split, the protocol's
-    parents in the training part, and trial_features of their triplets."""
+def _trial_rows(pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
+    """(train_rows, held_rows, parents): the pool's split and the positions
+    in train_rows of each protocol pair's parents (datagen.protocol_parents)."""
     train_rows, held_rows = holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
-    parents = datagen.protocol_parents(pool, train_rows, columns)
-    return held_rows, *trial_features(model, pool.inputs, train_rows, parents, config.data.alpha)
+    return train_rows, held_rows, datagen.protocol_parents(pool, train_rows, columns)
 
 
 def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentConfig) -> EvalReport:
     """Score a model on a bundle's pool and protocol; the split comes from the config.
 
-    Of the trial triplets it keeps the 2-D points and the (T, E) morph
-    embeddings alone (trial_features), so its working set peaks in the
-    forward pass of the distinct trial parents.
+    It runs the split, the held-out embeddings, the verification
+    scores, then morph_trials: the probe draw and one trial pass. Every
+    forward pass runs in blocks (_blocks), so beside the (H, E)
+    held-out embeddings its working set is a few blocks, whatever the
+    pool's size.
     """
-    columns = bundle.protocol.columns
-    held_rows, morphs, triplets = _trial_step(model, bundle.bona_fides, columns, config)
-    held = embed_holdout(model, bundle.bona_fides, held_rows)
+    pool, columns = bundle.bona_fides, bundle.protocol.columns
+    train_rows, held_rows, parents = _trial_rows(pool, columns, config)
+    held = embed_holdout(model, pool, held_rows)
     verification = verification_scores(held, config.eval, config.seed)
-    trials = morph_trials(morphs, held, columns, config.seed)
+    trials, triplets = morph_trials(
+        model, pool.inputs, train_rows, parents, config.data.alpha, held, columns, config.seed
+    )
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
     tau, value = metrics.min_rmmr(trials, verification)
@@ -482,8 +532,11 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
 
 
 def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: ExperimentConfig):
-    """Aligned per-role points plus the morph-cloud ellipse for reports."""
-    return featviz.aligned_spread(_trial_step(model, bona_fides, protocol.columns, config)[2])
+    """Aligned per-role points plus the morph-cloud ellipse for reports:
+    evaluate_model's trial pass, without probes."""
+    train_rows, _, parents = _trial_rows(bona_fides, protocol.columns, config)
+    triplets, _ = trial_features(model, bona_fides.inputs, train_rows, parents, config.data.alpha)
+    return featviz.aligned_spread(triplets)
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):

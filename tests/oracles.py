@@ -8,12 +8,15 @@ object at a time. Rates divide the same integer count by the same pool
 size as the library, so agreement is expected bit-for-bit.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
+import pytest
 
+from morphguard import experiment
 from morphguard.datagen import (
     IdentityUniverse,
     MorphPair,
@@ -522,6 +525,25 @@ def oracle_trial_features(model, train_bona, protocol, alpha):
     enters, through one forward batch."""
     rows = np.stack([v for t in oracle_build_trial_triplets(train_bona, protocol, alpha) for v in t])
     return _forward_batch(model, rows)[0].reshape(len(protocol.pairs), 3, -1)
+
+
+@contextlib.contextmanager
+def recorded_forward_calls():
+    """A context in which every experiment._forward_batch call is recorded,
+    in call order, as (inputs, embeddings): a copy of the batch it was
+    given and the embeddings it returned. A row's bytes need not show its
+    place in a batch, so tests read the batches themselves from here."""
+    calls = []
+
+    def recording(model, inputs, buffers=None):
+        batch = inputs.copy()
+        embeddings, cache = _forward_batch(model, inputs, buffers)
+        calls.append((batch, embeddings))
+        return embeddings, cache
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_forward_batch", recording)
+        yield calls
 
 
 def oracle_probe_pool(probes):

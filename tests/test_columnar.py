@@ -43,6 +43,7 @@ from oracles import (
     oracle_save_dataset,
     oracle_synth_identities,
     probes_by_identity,
+    recorded_forward_calls,
 )
 
 CONFIGS = {
@@ -124,9 +125,12 @@ class TestAgainstPerSampleOracles:
         assert bona_fides.inputs[rows[parents]].tobytes() == np.array([t[:2] for t in expected]).tobytes()
 
         # Each distinct parent and each morph embedded once: the bytes of one batch of the 3T triplet
-        # rows, the morphs' embeddings kept and every row's 2-D projection.
+        # rows, the morphs' embeddings (the pass's last forward blocks) and every row's 2-D projection.
         model = fresh_model(config)
-        morphs, triplets = trial_features(model, bona_fides.inputs, rows, parents, config.data.alpha)
+        with recorded_forward_calls() as calls:
+            triplets, scores = trial_features(model, bona_fides.inputs, rows, parents, config.data.alpha)
+        assert scores is None
+        morphs = np.concatenate([embeddings for _, embeddings in calls[-len(experiment._blocks(len(parents))):]])
         features = _forward_batch(model, np.stack([v for t in expected for v in t]))[0]
         assert morphs.shape == (len(protocol.pairs), config.model.embedding_dim)
         assert triplets.shape == (3 * len(protocol.pairs), 2)
@@ -135,7 +139,10 @@ class TestAgainstPerSampleOracles:
 
         _, held_rows = holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
         held = embed_holdout(model, bona_fides, held_rows)
-        trials = morph_trials(morphs, held, columns, config.seed)
+        trials, trial_triplets = morph_trials(
+            model, bona_fides.inputs, rows, parents, config.data.alpha, held, columns, config.seed
+        )
+        assert trial_triplets.tobytes() == triplets.tobytes()
         expected = oracle_morph_trial_list(morphs, probes_by_identity(held), protocol, config.seed)
         assert [t.morph_id for t in trials] == [t.morph_id for t in expected]
         assert trials.scores.tobytes() == np.array([t.subject_scores for t in expected]).tobytes()
@@ -179,19 +186,7 @@ class TestPoolRows:
         order[np.argsort(owners, kind="stable")] = np.argsort(ordered.first, kind="stable")
         return universe, ordered[order]
 
-    @staticmethod
-    def record_batches(monkeypatch) -> list:
-        """The inputs of every experiment._forward_batch call from now on, in call order."""
-        batches = []
-
-        def recording(model, inputs, buffers=None):
-            batches.append(inputs.copy())
-            return _forward_batch(model, inputs, buffers)
-
-        monkeypatch.setattr(experiment, "_forward_batch", recording)
-        return batches
-
-    def test_trial_features_of_an_interleaved_pool(self, monkeypatch):
+    def test_trial_features_of_an_interleaved_pool(self):
         # On an interleaved pool the training rows do not ascend.
         config = CONFIGS["default-seed1"]
         d = config.data
@@ -200,8 +195,10 @@ class TestPoolRows:
         assert np.any(np.diff(rows) < 0)
         protocol = pair_protocol(universe, pool[rows], mix_counts(len(rows), d.ratios)[0], config.seed)
         parents = protocol_parents(pool, rows, protocol.columns)
-        model, batches = fresh_model(config), self.record_batches(monkeypatch)
-        morphs, triplets = trial_features(model, pool.inputs, rows, parents, d.alpha)
+        model = fresh_model(config)
+        with recorded_forward_calls() as calls:
+            triplets, _ = trial_features(model, pool.inputs, rows, parents, d.alpha)
+        (parent_batch, _), (morph_batch, morphs) = calls
         expected = oracle_build_trial_triplets(list(pool[rows]), protocol, d.alpha)
         triplet_rows = np.stack([v for t in expected for v in t])
         features = _forward_batch(model, triplet_rows)[0]
@@ -209,19 +206,20 @@ class TestPoolRows:
         assert triplets.tobytes() == project_2d(features).tobytes()
         # A row's bytes need not show its place in a batch, so the batches are checked too: the
         # distinct parents by ascending position in the training part, then the morphs in pair order.
-        assert len(batches) == 2
-        assert batches[0].tobytes() == pool.inputs[rows][np.unique(parents)].tobytes()
-        assert batches[1].tobytes() == triplet_rows[2::3].tobytes()
+        assert parent_batch.tobytes() == pool.inputs[rows][np.unique(parents)].tobytes()
+        assert morph_batch.tobytes() == triplet_rows[2::3].tobytes()
 
-    def test_held_out_batch_of_an_interleaved_pool(self, monkeypatch):
+    def test_held_out_batch_of_an_interleaved_pool(self):
         # embed_holdout forwards the held-out rows as one batch: identity-major, each identity's rows
         # in pool order, which on an interleaved pool is not ascending pool order.
         config = CONFIGS["default-seed1"]
         d = config.data
         _, pool = self.interleaved_pool(config)
         _, held_rows = holdout_split(pool, d.samples_per_class, d.holdout_fraction)
-        model, batches = fresh_model(config), self.record_batches(monkeypatch)
-        embeddings, counts, _, identities = embed_holdout(model, pool, held_rows)
+        model = fresh_model(config)
+        with recorded_forward_calls() as calls:
+            embeddings, counts, _, identities = embed_holdout(model, pool, held_rows)
+        batches = [batch for batch, _ in calls]
         assert len(batches) == 1
         assert batches[0].tobytes() == pool.inputs[held_rows].tobytes()
         _, o_held = oracle_holdout_split(list(pool), d.samples_per_class, d.holdout_fraction)

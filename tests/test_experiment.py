@@ -30,7 +30,7 @@ from morphguard.experiment import (
     trial_features,
     verification_scores,
 )
-from morphguard.encoder import DualHeadModel, _forward_batch, train
+from morphguard.encoder import DualHeadModel, _forward_batch, init_model, train
 from morphguard.losses import MarginConfig, SampleKind
 from oracles import (
     oracle_align_triplet,
@@ -38,6 +38,7 @@ from oracles import (
     oracle_probe_pool,
     oracle_trial_features,
     probes_by_identity,
+    recorded_forward_calls,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -52,6 +53,9 @@ SMALL = {
     "sweep_grid": [0.0, -0.1],
     "eval": {"genuine_pairs": 200, "impostor_pairs": 200},
 }
+
+# The wide tier: 200 identities, dims 128/256/128, so every trial batch runs in several blocks.
+WIDE = {"data": {"num_classes": 200, "input_dim": 128}, "model": {"hidden_dims": [256], "embedding_dim": 128}}
 
 
 def split_rows(pool, config):
@@ -69,12 +73,27 @@ def held_embeddings(model, bundle, config):
     return embed_holdout(model, bundle.bona_fides, split_rows(bundle.bona_fides, config)[1])
 
 
-def protocol_features(model, bundle, config):
-    """trial_features of the bundle's protocol pairs, parents from its training part:
-    (morphs, triplets), the (T, E) morph embeddings and the (3T, 2) projected triplet rows."""
+def trial_args(model, bundle, config):
+    """trial_features' (model, inputs, rows, parents, alpha) of the bundle's protocol pairs,
+    parents from its training part."""
     pool, rows = bundle.bona_fides, split_rows(bundle.bona_fides, config)[0]
-    parents = datagen.protocol_parents(pool, rows, bundle.protocol.columns)
-    return trial_features(model, pool.inputs, rows, parents, config.data.alpha)
+    return model, pool.inputs, rows, datagen.protocol_parents(pool, rows, bundle.protocol.columns), config.data.alpha
+
+
+def protocol_features(model, bundle, config):
+    """trial_features of the bundle's protocol pairs without probes: (morphs, triplets), the
+    (T, E) morph embeddings its last forward blocks returned and the (3T, 2) projected triplet rows."""
+    args = trial_args(model, bundle, config)
+    with recorded_forward_calls() as calls:
+        triplets, scores = trial_features(*args)
+    assert scores is None
+    morph_blocks = len(experiment._blocks(len(args[3])))
+    return np.concatenate([embeddings for _, embeddings in calls[-morph_blocks:]]), triplets
+
+
+def protocol_trials(model, bundle, config, held):
+    """morph_trials of the bundle's protocol pairs against held: (trials, triplets)."""
+    return morph_trials(*trial_args(model, bundle, config), held, bundle.protocol.columns, config.seed)
 
 
 def protocol_triplet_inputs(bundle, config):
@@ -421,23 +440,17 @@ class TestEvaluation:
         np.testing.assert_array_equal(vs1.impostor, vs2.impostor)
 
     def test_trials_match_protocol(self, trained, small_bundle, small_config):
-        morphs, _ = protocol_features(trained, small_bundle, small_config)
-        trials = morph_trials(
-            morphs,
-            held_embeddings(trained, small_bundle, small_config),
-            small_bundle.protocol.columns,
-            small_config.seed,
-        )
+        held = held_embeddings(trained, small_bundle, small_config)
+        trials, triplets = protocol_trials(trained, small_bundle, small_config, held)
+        assert triplets.tobytes() == protocol_features(trained, small_bundle, small_config)[1].tobytes()
         assert len(trials) == len(small_bundle.protocol.pairs)
         assert all(t.subject_scores.shape == (2,) for t in trials)
 
     def test_trials_need_probes_of_both_parents(self, trained, small_bundle, small_config):
         probes = probes_by_identity(held_embeddings(trained, small_bundle, small_config))
         del probes[small_bundle.protocol.pairs[0].identity_b]
-        morphs = np.zeros((len(small_bundle.protocol.pairs), trained.embedding_dim))
-        columns = small_bundle.protocol.columns
         with pytest.raises(DataError, match="without held-out probes"):
-            morph_trials(morphs, oracle_probe_pool(probes), columns, small_config.seed)
+            protocol_trials(trained, small_bundle, small_config, oracle_probe_pool(probes))
 
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
         train_set = small_bundle.train_set
@@ -509,21 +522,31 @@ class TestEvaluation:
 class TestWholeArrayDraws:
     """Evaluation draws made as whole arrays, against per-draw computations."""
 
-    @pytest.mark.parametrize("hidden, width", [(64, 32), (256, 128)], ids=["desk", "wide"])
-    def test_morph_trials_match_per_pair_oracle(self, hidden, width):
-        # Half of each identity's 10 samples held out, so each probe draw has 5 choices.
-        config = ExperimentConfig.from_dict(
-            {
-                **SMALL,
-                "data": {**SMALL["data"], "holdout_fraction": 0.5},
-                "model": {"hidden_dims": [hidden], "embedding_dim": width},
-            }
-        )
+    @pytest.mark.parametrize(
+        "raw, trained",
+        [
+            # Half of each identity's 10 samples held out, so each probe draw has 5 choices.
+            ({**SMALL, "data": {**SMALL["data"], "holdout_fraction": 0.5},
+              "model": {"hidden_dims": [64], "embedding_dim": 32}}, True),
+            ({**SMALL, "data": {**SMALL["data"], "holdout_fraction": 0.5},
+              "model": {"hidden_dims": [256], "embedding_dim": 128}}, True),
+            # 4000 morphs: the trial pass scores them in several blocks.
+            ({"seed": 1, **WIDE}, False),
+        ],
+        ids=["desk", "wide", "wide-seed1"],
+    )
+    def test_morph_trials_match_per_pair_oracle(self, raw, trained):
+        config = ExperimentConfig.from_dict(raw)
         bundle = generate_bundle(config)
-        model, _ = train(fresh_model(config), bundle.train_set, train_config(config))
+        model = fresh_model(config)
+        if trained:
+            model, _ = train(model, bundle.train_set, train_config(config))
         held = held_embeddings(model, bundle, config)
-        morphs, _ = protocol_features(model, bundle, config)
-        trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
+        # The per-pair oracle scores the morphs of one forward batch, and the pass scores the
+        # embeddings of its blocks, which must be those bytes.
+        morphs = _forward_batch(model, protocol_triplet_inputs(bundle, config)[:, 2])[0]
+        assert protocol_features(model, bundle, config)[0].tobytes() == morphs.tobytes()
+        trials, _ = protocol_trials(model, bundle, config, held)
         expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
         assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
         assert np.array([t.subject_scores for t in trials]).tobytes() == expected.tobytes()
@@ -562,9 +585,6 @@ class TestWholeArrayDraws:
         assert scores.impostor.tobytes() != other.impostor.tobytes()
 
 
-WIDE = {"data": {"num_classes": 200, "input_dim": 128}, "model": {"hidden_dims": [256], "embedding_dim": 128}}
-
-
 class TestOnePassEmbedding:
     """Evaluation embeds each row once, in the bytes of one batch over every row it reads."""
 
@@ -586,6 +606,21 @@ class TestOnePassEmbedding:
         assert morphs.tobytes() == expected[2::3].tobytes()
         assert triplets.tobytes() == project_2d(expected).tobytes()
 
+    def test_trial_pass_runs_in_blocks(self, case):
+        # The distinct parents in ascending position order, then the morphs in pair order, each
+        # split by _blocks; the wide tier's batches run in several blocks each.
+        config, bundle, model = case
+        _, inputs, rows, parents, alpha = trial_args(model, bundle, config)
+        distinct = np.unique(parents)
+        morph_inputs = protocol_triplet_inputs(bundle, config)[:, 2]
+        with recorded_forward_calls() as calls:
+            trial_features(model, inputs, rows, parents, alpha)
+        expected = [inputs[rows[distinct[block]]] for block in experiment._blocks(len(distinct))]
+        expected += [morph_inputs[block] for block in experiment._blocks(len(parents))]
+        assert [batch.tobytes() for batch, _ in calls] == [batch.tobytes() for batch in expected]
+        if config.data.num_classes == 200:
+            assert min(len(distinct), len(parents)) >= 2 * experiment._BLOCK_ROWS
+
     def test_trial_path_equals_full_triplet_features(self, case):
         # The (T, 3, E) features with every parent embedded once per pair, against the 2-D points
         # and morph embeddings trial_features keeps: the points, the aligned cloud with its
@@ -593,6 +628,7 @@ class TestOnePassEmbedding:
         config, bundle, model = case
         features = oracle_trial_features(model, list(train_part(bundle, config)), bundle.protocol, config.data.alpha)
         morphs, triplets = protocol_features(model, bundle, config)
+        assert morphs.tobytes() == features[:, 2].tobytes()
         assert triplets.shape == (3 * len(features), 2)
         assert triplets.tobytes() == project_2d(features).tobytes()
         aligned, ellipse = aligned_spread(triplets)
@@ -600,7 +636,8 @@ class TestOnePassEmbedding:
         assert aligned.tobytes() == expected_aligned.tobytes()
         assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
         held = held_embeddings(model, bundle, config)
-        trials = morph_trials(morphs, held, bundle.protocol.columns, config.seed)
+        trials, trial_triplets = protocol_trials(model, bundle, config, held)
+        assert trial_triplets.tobytes() == triplets.tobytes()
         expected = oracle_morph_trials(features[:, 2], probes_by_identity(held), bundle.protocol, config.seed)
         assert trials.scores.tobytes() == expected.tobytes()
 
@@ -616,6 +653,36 @@ class TestOnePassEmbedding:
         assert embedded.tobytes() == expected.tobytes()
         assert np.repeat(identities, counts).tolist() == held.first.tolist()
         assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
+
+
+class TestBlocks:
+    """Evaluation's forward passes run in _blocks, in the bytes of one batch over all their rows."""
+
+    B = experiment._BLOCK_ROWS
+
+    @pytest.mark.parametrize("factor, extra", [(0, 1), (1, -1), (1, 0), (2, -1), (2, 0), (2, 1), (5, 3)])
+    def test_blocks_tile_the_batch_in_order(self, factor, extra):
+        n = factor * self.B + extra
+        blocks = experiment._blocks(n)
+        assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]]
+        assert blocks[-1].stop == n and all(block.step is None for block in blocks)
+        sizes = [block.stop - block.start for block in blocks]
+        assert len(blocks) == max(1, n // self.B)
+        assert max(sizes) - min(sizes) <= 1
+        if n >= self.B:
+            assert min(sizes) >= self.B
+
+    @pytest.mark.parametrize("hidden, width, dim", [(64, 32, 64), (256, 128, 128)], ids=["desk", "wide"])
+    @pytest.mark.parametrize("n", [2 * B, 2 * B + 1, 3 * B + 7, 5 * B + 3])
+    def test_blocked_embeddings_equal_one_batch(self, hidden, width, dim, n):
+        rng = np.random.default_rng(n)
+        labels = np.sort(rng.integers(0, 50, size=n))
+        pool = datagen.SampleSet(rng.standard_normal((n, dim)), labels, labels, np.zeros(n, dtype=np.int8))
+        model = init_model(dim, [hidden], width, 50, seed=n)
+        with recorded_forward_calls() as calls:
+            embeddings = embed_holdout(model, pool, np.arange(n))[0]
+        assert len(calls) == n // self.B > 1
+        assert embeddings.tobytes() == _forward_batch(model, pool.inputs)[0].tobytes()
 
 
 class TestMemory:
@@ -644,10 +711,11 @@ class TestMemory:
         assert figures["train_set_peak"] < 3.0 * self.POOL
 
     def test_evaluate_model_peak(self, figures):
-        # 1.57 pools over its start: the trial parents' hidden activations and embeddings, their
-        # gathered batch freed once layer 0 has read it (held through the pass, 2.08). Keeping
-        # every triplet's (T, 3, E) embeddings as well peaks at 3.26.
-        assert figures["evaluate_model_peak"] < 2.0 * self.POOL
+        # 0.81 pools over its start: the (H, E) held-out embeddings and one block's forward pass,
+        # its hidden activations and embeddings beside the block's reused morph buffer. Embedding
+        # the distinct trial parents and the morphs as whole batches, with the (T, E) morph
+        # embeddings kept, peaks at 1.57, and keeping every triplet's (T, 3, E) embeddings at 3.26.
+        assert figures["evaluate_model_peak"] < 1.0 * self.POOL
 
 
 class TestBatchedAlignment:

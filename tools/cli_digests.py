@@ -7,9 +7,12 @@ checkpoint into `adapt-pretrained/`. `eval` and `analyze-features` run
 twice more, into `eval-interleaved/` and `analyze-features-interleaved/`,
 on a copy of `gen-data`'s `bona_fides.jsonl` whose records are
 interleaved across identities (each identity's records keep their
-order). `print-default-config`'s stdout is digested as the file
-`print-default-config/stdout`. It prints one `<relative path> <sha256>`
-line per output file, sorted by path. Diffing the output of two
+order). `gen-data`, `train`, `eval` and `analyze-features` run once more
+under `wide/`, with a config file the script writes: 200 identities,
+dims 128/256/128 and one training epoch, so evaluation embeds the trial
+parents and morphs in several forward blocks. `print-default-config`'s
+stdout is digested as the file `print-default-config/stdout`. It prints
+one `<relative path> <sha256>` line per output file, sorted by path. Diffing the output of two
 checkouts shows which output bytes a change moved:
 
     python3 tools/cli_digests.py --seed 1 > before.txt
@@ -37,6 +40,13 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 
+# The wide tier's config: its trial parents and morphs span several forward blocks each.
+WIDE_CONFIG = {
+    "data": {"num_classes": 200, "input_dim": 128},
+    "model": {"hidden_dims": [256], "embedding_dim": 128},
+    "train": {"epochs": 1},
+}
+
 
 def interleave_records(source: Path, target: Path, seed: int):
     """Write source's JSONL records to target in a seeded order across
@@ -58,6 +68,14 @@ def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
     pool = ["--data", str(root / "gen-data" / "bona_fides.jsonl")]
     interleaved = inputs_dir / "bona_fides.jsonl"
     shuffled_pool = ["--data", str(interleaved)]
+    wide_config = inputs_dir / "wide.json"
+    wide_config.write_text(json.dumps(WIDE_CONFIG), encoding="utf-8")
+    wide = ["--config", str(wide_config)]
+    wide_inputs = [
+        "--checkpoint", str(root / "wide" / "train" / "checkpoint.bin"),
+        "--data", str(root / "wide" / "gen-data" / "bona_fides.jsonl"),
+        "--protocol", str(root / "wide" / "gen-data" / "protocol.json"),
+    ]
     # (output directory, command and its own arguments)
     commands = [
         ("gen-data", ["gen-data"]),
@@ -69,6 +87,10 @@ def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
         ("sweep-margins", ["sweep-margins"]),
         ("adapt", ["adapt"]),
         ("adapt-pretrained", ["adapt", *checkpoint]),
+        ("wide/gen-data", ["gen-data", *wide]),
+        ("wide/train", ["train", *wide]),
+        ("wide/eval", ["eval", *wide, *wide_inputs]),
+        ("wide/analyze-features", ["analyze-features", *wide, *wide_inputs]),
     ]
     for out, command in commands:
         if out == "eval-interleaved":  # the first command that reads the interleaved pool
