@@ -231,7 +231,8 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
     universe = IdentityUniverse(num_classes, prototypes, split_identities(num_classes, seed))
 
     inputs = rng_for(seed, STREAM_SAMPLES).standard_normal((num_classes * samples_per_class, input_dim))
-    inputs *= spread
+    with np.errstate(over="ignore"):  # an overflowing row is reported by _unit_rows
+        inputs *= spread
     by_identity = inputs.reshape(num_classes, samples_per_class, input_dim)
     by_identity += prototypes[:, None, :]
     labels = np.repeat(np.arange(num_classes), samples_per_class)

@@ -57,21 +57,24 @@ class DataSettings:
         check_real("holdout_fraction", self.holdout_fraction, 0.0, 1.0)
         datagen.check_alpha(self.alpha)
         datagen.check_synth_settings(self.num_classes, self.samples_per_class, self.input_dim, self.spread)
-        num_train = self.samples_per_class - _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
-        num_morphs, num_selfmorphs = datagen.mix_counts(self.num_classes * num_train, self.ratios)
-        if num_selfmorphs and num_train < 2:
+        num_bona_fides, num_morphs, num_selfmorphs = self.training_rows()
+        if num_selfmorphs and num_bona_fides < 2 * self.num_classes:
             raise ConfigError(f"ratios {self.ratios} need selfmorphs but each identity keeps 1 training sample")
         if num_morphs < featviz.MIN_ELLIPSE_POINTS:
             raise ConfigError(f"ratios {self.ratios} give {num_morphs} morph trials, fewer than {featviz.MIN_ELLIPSE_POINTS}")
-        # split_identities halves the (even) identity count into the two subsets.
-        capacity = (self.num_classes // 2 * num_train) ** 2
+        # split_identities halves the (even) identity count, so the training rows, into the two subsets.
+        capacity = (num_bona_fides // 2) ** 2
         if num_morphs > capacity:
             raise ConfigError(
                 f"ratios {self.ratios} need {num_morphs} morphs but only {capacity} distinct cross-subset pairs exist"
             )
         _check_array_size("the bona fide pool", self.num_classes * self.samples_per_class, self.input_dim)
-        num_rows = self.num_classes * num_train + num_morphs + num_selfmorphs
-        _check_array_size("the training set", num_rows, self.input_dim)
+        _check_array_size("the training set", num_bona_fides + num_morphs + num_selfmorphs, self.input_dim)
+
+    def training_rows(self) -> tuple[int, int, int]:
+        """The training set's rows of each kind: (bona fides, morphs, selfmorphs)."""
+        num_train = self.samples_per_class - _held_out_per_identity(self.samples_per_class, self.holdout_fraction)
+        return (self.num_classes * num_train, *datagen.mix_counts(self.num_classes * num_train, self.ratios))
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,10 @@ class ExperimentConfig:
         names = [sweep_dir_name(offset) for offset in self.sweep_grid]
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep offsets {self.sweep_grid} share output directories: {names}")
-        adaptation_configs(self)
+        rows = self.data.training_rows()
+        # The learning-rate schedules, a float per step, of train (so of each sweep entry) and adapt's two stages.
+        for regime, num_rows in zip((train_config(self), *adaptation_configs(self)), (sum(rows), rows[0], sum(rows))):
+            _check_array_size("a learning-rate schedule", regime.epochs, -(-num_rows // regime.batch_size))
         widths = [self.data.input_dim, *self.model.hidden_dims, self.model.embedding_dim]
         for fan_in, fan_out in zip(widths, widths[1:]):
             _check_array_size("a layer's weights", fan_out, fan_in)
@@ -388,7 +394,7 @@ def verification_scores(held, settings: EvalSettings, seed: int) -> Verification
 def trial_features(
     model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float, probes=None
 ):
-    """The trial pass: (triplets, scores), the (3T, 2) featviz.project_2d
+    """The trial pass: (triplets, scores), the (T, 3, 2) featviz.project_2d
     points of every trial triplet and, given probes, the (T, 2) scores of
     each morph against its two probes (None without).
 
@@ -402,10 +408,9 @@ def trial_features(
     (_blocks) at a time: blended into one reused buffer as
     build_training_set blends them, embedded, projected and scored
     against both probe rows at once. So no (T, E) array and no
-    full-size gather or hidden activation exists. Triplet rows run
-    (parent_a, parent_b, morph) per pair, the layout
-    featviz.aligned_spread reads, which projects a 2-vector to itself
-    bit for bit.
+    full-size gather or hidden activation exists. Each triplet runs
+    (parent_a, parent_b, morph), the layout featviz.aligned_spread reads,
+    which projects a 2-vector to itself bit for bit.
     """
     datagen.check_alpha(alpha)
     distinct, inverse = np.unique(parents, return_inverse=True)
@@ -428,7 +433,7 @@ def trial_features(
         if probes is not None:
             scores[block] = _cosines(morphs[:, None, :], embeddings[probe_rows[block]])
         del morphs  # so the next block's forward pass does not run beside this block's embeddings
-    return triplets.reshape(-1, 2), scores
+    return triplets, scores
 
 
 def morph_trials(
@@ -442,7 +447,7 @@ def morph_trials(
     seed: int,
 ):
     """(trials, triplets): each protocol morph scored against one held-out
-    sample per parent, and the trial pass's (3T, 2) triplet points.
+    sample per parent, and the trial pass's (T, 3, 2) triplet points.
 
     held is embed_holdout's result and columns the protocol's (T, 4)
     columns; model, inputs, rows, parents and alpha are trial_features'.
@@ -462,7 +467,7 @@ def morph_trials(
 
 @dataclass
 class EvalReport:
-    """All metric artifacts of one model on one bundle."""
+    """All metric artifacts of one model on one bundle; feature_analysis gives the aligned points."""
 
     verification: VerificationSet
     trials: MorphTrials
@@ -472,7 +477,6 @@ class EvalReport:
     operating_points: list
     min_rmmr_threshold: float
     min_rmmr_value: float
-    aligned_cloud: np.ndarray
     ellipse: featviz.Ellipse
 
     def point(self, metric: str, target: float | None = None) -> OperatingPoint:
@@ -512,7 +516,7 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     points += metrics.fnmr_at_fmr(verification, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 
-    aligned, ellipse = featviz.aligned_spread(triplets)
+    _, ellipse = featviz.aligned_spread(triplets)
     points.append(OperatingPoint("morph_spread", None, None, None, ellipse.size))
     return EvalReport(
         verification=verification,
@@ -523,7 +527,6 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
         operating_points=points,
         min_rmmr_threshold=tau,
         min_rmmr_value=value,
-        aligned_cloud=aligned[:, 2, :],
         ellipse=ellipse,
     )
 

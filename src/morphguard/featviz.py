@@ -158,17 +158,17 @@ def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
     )
 
 
-def aligned_spread(rows):
+def aligned_spread(triplets):
     """Align embedded triplets and fit the ellipse of their morph cloud.
 
-    rows is a (3T, D) array of features ordered (bona_a, bona_b, morph)
-    per triplet; returns the (T, 3, 2) aligned points and the 0.9-level
-    Ellipse of their morph points.
+    triplets is a (T, 3, D) array, each triplet (bona_a, bona_b, morph);
+    returns the (T, 3, 2) aligned points and the 0.9-level Ellipse of
+    their morph points.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or len(rows) % 3 != 0 or len(rows) < 3 * MIN_ELLIPSE_POINTS:
-        raise ConfigError(f"need (3T, D) rows of at least {MIN_ELLIPSE_POINTS} triplets, got shape {rows.shape}")
-    aligned = align_feature_triplets(rows.reshape(len(rows) // 3, 3, rows.shape[1]))
+    triplets = np.asarray(triplets, dtype=np.float64)
+    if triplets.ndim != 3 or triplets.shape[1] != 3 or len(triplets) < MIN_ELLIPSE_POINTS:
+        raise ConfigError(f"need (T, 3, D) triplets with T >= {MIN_ELLIPSE_POINTS}, got shape {triplets.shape}")
+    aligned = align_feature_triplets(triplets)
     return aligned, confidence_ellipse(aligned[:, 2, :])
 
 

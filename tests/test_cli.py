@@ -612,6 +612,9 @@ class TestExitCodes:
             {"data": [["num_classes", 6]]},
             {"eval": {**SMALL["eval"], "genuine_pairs": 2**62}},
             {"model": {**SMALL["model"], "hidden_dims": [2**62]}},
+            # Learning-rate schedules of 2**62 epochs: train's, and adapt's stage 1 of bona fides alone.
+            {"train": {**SMALL["train"], "epochs": 2**62}},
+            {"adapt": {**SMALL["adapt"], "stage1_epochs": 2**62}},
         ],
     )
     def test_untrainable_regime_rejected_by_every_command(self, command, bad, tmp_path, capsys):
@@ -779,8 +782,9 @@ class TestExitCodes:
             ("train", "train", {"epochs": 1, "lr_start": 1e300, "lr_end": 1e300}, "epoch 1, step 2 of 3 is nan"),
             ("train", "margin", {"scale": 1e308}, "training diverged: the loss of epoch 1, step 1 of 3 is inf"),
             ("gen-data", "data", {"spread": 1e300}, "its squared norm overflows float64"),
+            ("train", "data", {"spread": 1e308}, "its squared norm overflows float64"),
         ],
-        ids=["train-lr_1e300", "train-scale_1e308", "gen-data-spread_1e300"],
+        ids=["train-lr_1e300", "train-scale_1e308", "gen-data-spread_1e300", "train-spread_1e308"],
     )
     def test_numeric_failure_is_one_line(self, command, section, fields, message, tmp_path):
         """A diverging run or an overflowing row norm exits 4 with one stderr
@@ -793,6 +797,7 @@ class TestExitCodes:
         assert proc.returncode == 4
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: ") and message in lines[0], proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_adapting_an_overflowing_head_is_one_line(self, config_path, train_dir, tmp_path):
         """A head row whose norm overflows would never move in stage 2: exit 4
@@ -974,8 +979,11 @@ def run_quietly(argv):
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
-# Replacement values of every JSON type; a field only gets one of another type, so none raises a size.
+# Replacement values of every JSON type; a field only gets those of another type.
 OTHER_TYPES = [None, True, 1, 0.5, "x", [], [1], {}, {"x": 1}]
+# Extreme values of a field's own type. Each size they give is one numpy cannot create, never one it
+# can but the machine cannot hold (README: such a config fails when it allocates).
+EXTREMES = {int: [2**62, 2**63, -1, 0], float: [1e308, -1e308, 5e-324]}
 
 
 def config_fields(config, prefix=()):
@@ -1074,7 +1082,7 @@ class TestFuzzedInputs:
             else:
                 assert (out / "manifest.json").is_file() and (root / "kept.txt").read_text() == "x"
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(field=st.sampled_from(list(config_fields(SMALL))), data=st.data())
     def test_config_mutations(self, field, data):
         config = json.loads(json.dumps(SMALL))
@@ -1084,7 +1092,8 @@ class TestFuzzedInputs:
             owner[f"{key}_unknown"] = 1
         else:
             original = owner[key]
-            owner[key] = data.draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(original)]))
+            values = [v for v in OTHER_TYPES if type(v) is not type(original)] + EXTREMES.get(type(original), [])
+            owner[key] = data.draw(st.sampled_from(values))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))

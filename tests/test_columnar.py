@@ -133,9 +133,9 @@ class TestAgainstPerSampleOracles:
         morphs = np.concatenate([embeddings for _, embeddings in calls[-len(experiment._blocks(len(parents))):]])
         features = _forward_batch(model, np.stack([v for t in expected for v in t]))[0]
         assert morphs.shape == (len(protocol.pairs), config.model.embedding_dim)
-        assert triplets.shape == (3 * len(protocol.pairs), 2)
+        assert triplets.shape == (len(protocol.pairs), 3, 2)
         assert morphs.tobytes() == features[2::3].tobytes()
-        assert triplets.tobytes() == project_2d(features).tobytes()
+        assert triplets.tobytes() == project_2d(features.reshape(triplets.shape[0], 3, -1)).tobytes()
 
         _, held_rows = holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
         held = embed_holdout(model, bona_fides, held_rows)
@@ -203,7 +203,7 @@ class TestPoolRows:
         triplet_rows = np.stack([v for t in expected for v in t])
         features = _forward_batch(model, triplet_rows)[0]
         assert morphs.tobytes() == features[2::3].tobytes()
-        assert triplets.tobytes() == project_2d(features).tobytes()
+        assert triplets.tobytes() == project_2d(features.reshape(triplets.shape[0], 3, -1)).tobytes()
         # A row's bytes need not show its place in a batch, so the batches are checked too: the
         # distinct parents by ascending position in the training part, then the morphs in pair order.
         assert parent_batch.tobytes() == pool.inputs[rows][np.unique(parents)].tobytes()

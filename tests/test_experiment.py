@@ -82,7 +82,7 @@ def trial_args(model, bundle, config):
 
 def protocol_features(model, bundle, config):
     """trial_features of the bundle's protocol pairs without probes: (morphs, triplets), the
-    (T, E) morph embeddings its last forward blocks returned and the (3T, 2) projected triplet rows."""
+    (T, E) morph embeddings its last forward blocks returned and the (T, 3, 2) projected triplets."""
     args = trial_args(model, bundle, config)
     with recorded_forward_calls() as calls:
         triplets, scores = trial_features(*args)
@@ -113,8 +113,21 @@ def interleaved(pool, seed):
     return pool[rows]
 
 
-def assert_same_report(report, expected):
-    """Two EvalReports hold the same scores, curves, points and feature cloud, bit for bit."""
+def evaluation(model, bundle, config):
+    """(report, aligned): evaluate_model's report and aligned_spread of its trial pass's triplets,
+    which must be feature_analysis' aligned points and ellipse, and that ellipse the report's."""
+    report = evaluate_model(model, bundle, config)
+    _, triplets = protocol_trials(model, bundle, config, held_embeddings(model, bundle, config))
+    aligned, ellipse = aligned_spread(triplets)
+    expected, expected_ellipse = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
+    assert aligned.tobytes() == expected.tobytes()
+    assert ellipse_values(ellipse) == ellipse_values(expected_ellipse) == ellipse_values(report.ellipse)
+    return report, aligned
+
+
+def assert_same_report(evaluated, expected_evaluated):
+    """Two evaluations hold the same scores, curves, points and feature cloud, bit for bit."""
+    (report, aligned), (expected, expected_aligned) = evaluated, expected_evaluated
     assert report.verification.genuine.tobytes() == expected.verification.genuine.tobytes()
     assert report.verification.impostor.tobytes() == expected.verification.impostor.tobytes()
     assert report.trials.scores.tobytes() == expected.trials.scores.tobytes()
@@ -123,7 +136,7 @@ def assert_same_report(report, expected):
         assert curve.thresholds.tobytes() == expected_curve.thresholds.tobytes()
         assert curve.values.tobytes() == expected_curve.values.tobytes()
     assert report.operating_points == expected.operating_points
-    assert report.aligned_cloud.tobytes() == expected.aligned_cloud.tobytes()
+    assert aligned.tobytes() == expected_aligned.tobytes()
     assert ellipse_values(report.ellipse) == ellipse_values(expected.ellipse)
 
 
@@ -483,21 +496,15 @@ class TestEvaluation:
         datagen.save_protocol(small_bundle.protocol, small_bundle.universe, tmp_path / "protocol.json")
         pool = datagen.load_dataset(tmp_path / "pool.jsonl")
         protocol = datagen.load_protocol(tmp_path / "protocol.json")
-        from_files = evaluate_model(trained, DataBundle(None, pool, protocol, None), small_config)
-        in_process = evaluate_model(trained, small_bundle, small_config)
+        from_files = evaluation(trained, DataBundle(None, pool, protocol, None), small_config)
+        in_process = evaluation(trained, small_bundle, small_config)
         assert_same_report(from_files, in_process)
 
     def test_evaluation_ignores_cross_identity_record_order(self, trained, small_bundle, small_config):
         pool = interleaved(small_bundle.bona_fides, seed=4)
         shuffled = DataBundle(None, pool, small_bundle.protocol, None)
-        assert_same_report(evaluate_model(trained, shuffled, small_config),
-                           evaluate_model(trained, small_bundle, small_config))
-        aligned, ellipse = feature_analysis(trained, pool, small_bundle.protocol, small_config)
-        expected, expected_ellipse = feature_analysis(
-            trained, small_bundle.bona_fides, small_bundle.protocol, small_config
-        )
-        assert aligned.tobytes() == expected.tobytes()
-        assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
+        # Each evaluation also checks feature_analysis' points and ellipse against its trial pass.
+        assert_same_report(evaluation(trained, shuffled, small_config), evaluation(trained, small_bundle, small_config))
 
     def test_feature_analysis_shapes(self, trained, small_bundle, small_config):
         aligned, _ = feature_analysis(
@@ -509,8 +516,8 @@ class TestEvaluation:
         aligned, ellipse = feature_analysis(
             trained, small_bundle.bona_fides, small_bundle.protocol, small_config
         )
-        report = evaluate_model(trained, small_bundle, small_config)
-        np.testing.assert_array_equal(aligned[:, 2, :], report.aligned_cloud)
+        report, expected = evaluation(trained, small_bundle, small_config)
+        assert aligned.tobytes() == expected.tobytes()
         assert ellipse.size == report.ellipse.size
         assert (ellipse.width, ellipse.height, ellipse.orientation) == (
             report.ellipse.width,
@@ -604,7 +611,7 @@ class TestOnePassEmbedding:
         assert len(np.unique(rows[:, :2].reshape(-1, rows.shape[2]), axis=0)) < 2 * len(rows)  # shared parents
         morphs, triplets = protocol_features(model, bundle, config)
         assert morphs.tobytes() == expected[2::3].tobytes()
-        assert triplets.tobytes() == project_2d(expected).tobytes()
+        assert triplets.tobytes() == project_2d(expected.reshape(rows.shape[0], 3, -1)).tobytes()
 
     def test_trial_pass_runs_in_blocks(self, case):
         # The distinct parents in ascending position order, then the morphs in pair order, each
@@ -629,10 +636,10 @@ class TestOnePassEmbedding:
         features = oracle_trial_features(model, list(train_part(bundle, config)), bundle.protocol, config.data.alpha)
         morphs, triplets = protocol_features(model, bundle, config)
         assert morphs.tobytes() == features[:, 2].tobytes()
-        assert triplets.shape == (3 * len(features), 2)
+        assert triplets.shape == (len(features), 3, 2)
         assert triplets.tobytes() == project_2d(features).tobytes()
         aligned, ellipse = aligned_spread(triplets)
-        expected_aligned, expected_ellipse = aligned_spread(features.reshape(-1, features.shape[2]))
+        expected_aligned, expected_ellipse = aligned_spread(features)
         assert aligned.tobytes() == expected_aligned.tobytes()
         assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
         held = held_embeddings(model, bundle, config)
@@ -728,13 +735,13 @@ class TestBatchedAlignment:
         expected = np.array([oracle_align_triplet(*t) for t in features])
         assert align_feature_triplets(features).tobytes() == expected.tobytes()
         _, triplets = protocol_features(trained, small_bundle, small_config)
-        aligned = align_feature_triplets(triplets.reshape(-1, 3, 2))
+        aligned = align_feature_triplets(triplets)
         assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
         assert aligned.tobytes() == expected.tobytes()
 
     def test_batched_rigid_fit_equals_single_fits(self, trained, small_bundle, small_config):
         _, triplets = protocol_features(trained, small_bundle, small_config)
-        points = project_2d(triplets.reshape(-1, 3, 2))
+        points = project_2d(triplets)
         batched = fit_rigid(points[:, 0], points[:, 1])
         image = batched.apply(points)
         for t, triple in enumerate(points):

@@ -188,17 +188,17 @@ class TestConfidenceEllipse:
 
 
 class TestAlignedSpread:
-    """Rows run (bona_a, bona_b, morph) per triplet, as embedded for evaluation."""
+    """Triplets are (T, 3, D), each (bona_a, bona_b, morph), as evaluation embeds them."""
 
     def test_returns_consistent_size(self):
         rng = np.random.default_rng(11)
         d = 8
-        rows = []
+        triplets = []
         for _ in range(40):
             a, b = rng.normal(size=d), rng.normal(size=d)
             m = a + b + 0.3 * rng.normal(size=d)
-            rows += [a, b, m]
-        aligned, ellipse = aligned_spread(np.array(rows))
+            triplets.append([a, b, m])
+        aligned, ellipse = aligned_spread(np.array(triplets))
         assert aligned.shape == (40, 3, 2)
         assert ellipse.size == (ellipse.width + ellipse.height) / 2
         assert ellipse.width >= ellipse.height > 0
@@ -207,15 +207,23 @@ class TestAlignedSpread:
         rng = np.random.default_rng(12)
         d = 6
         a, b, m = rng.normal(size=d), rng.normal(size=d), rng.normal(size=d)
-        rows = [a, b, m] * 5  # identical triplets: zero-variance cloud
+        triplets = [[a, b, m]] * 5  # identical triplets: zero-variance cloud
         with pytest.raises(DegenerateCovarianceError):
-            aligned_spread(np.array(rows))
+            aligned_spread(np.array(triplets))
 
     def test_too_few_triplets(self):
         rng = np.random.default_rng(13)
         d = 4
         with pytest.raises(ConfigError):
             aligned_spread(np.array([rng.normal(size=d)] * 6))
+
+    @pytest.mark.parametrize("shape", [(9, 4), (120, 8), (2, 3, 4), (0, 3, 4), (3, 2, 4), (3, 3, 4, 1)],
+                             ids=["3T-rows", "40T-rows", "2-triplets", "no-triplets", "pairs", "4-D"])
+    def test_rejects_other_shapes_in_one_line(self, shape):
+        triplets = np.random.default_rng(15).normal(size=shape)
+        with pytest.raises(ConfigError) as err:
+            aligned_spread(triplets)
+        assert str(err.value) == f"need (T, 3, D) triplets with T >= 3, got shape {shape}"
 
 
 class TestSerialization:

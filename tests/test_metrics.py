@@ -284,6 +284,25 @@ class TestOperatingPoints:
                 assert point.threshold == tau
                 assert point.value == value
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        genuine=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+        impostor=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+        trial_scores=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=10),
+        targets=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
+    )
+    def test_every_fnmr_target_is_reached(self, genuine, impostor, trial_scores, targets):
+        # FNMR is 1 at the +1 sentinel of every curve fnmr_fmr_curves builds and a target lies in
+        # (0, 1), so no valid verification set leaves an FNMR target unattainable.
+        vset = VerificationSet(genuine, impostor)
+        trials = MorphTrials(np.array(trial_scores))
+        points = mmpmr_at_fnmr(trials, vset, targets)
+        assert [point.target for point in points] == targets
+        for point in points:
+            assert point.achieved >= point.target
+            assert point.achieved == oracle_fnmr(genuine, point.threshold)
+            assert point.value == oracle_mmpmr(trial_scores, point.threshold)
+
     def test_fnmr_at_fmr(self):
         vset = VerificationSet([0.5, 0.7, 0.9, 0.95], [0.1, 0.3, 0.6, 0.8])
         points = fnmr_at_fmr(vset, [0.25])

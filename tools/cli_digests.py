@@ -10,7 +10,12 @@ interleaved across identities (each identity's records keep their
 order). `gen-data`, `train`, `eval` and `analyze-features` run once more
 under `wide/`, with a config file the script writes: 200 identities,
 dims 128/256/128 and one training epoch, so evaluation embeds the trial
-parents and morphs in several forward blocks. `print-default-config`'s
+parents and morphs in several forward blocks. There, too, `eval` and
+`analyze-features` run twice more, into `wide/eval-interleaved/` and
+`wide/analyze-features-interleaved/`, on an interleaved copy of
+`wide/gen-data/bona_fides.jsonl`, so the pool-order rule is checked
+where the held-out rows, trial parents and morphs each span several
+blocks. `print-default-config`'s
 stdout is digested as the file `print-default-config/stdout`. It prints
 one `<relative path> <sha256>` line per output file, sorted by path. Diffing the output of two
 checkouts shows which output bytes a change moved:
@@ -68,14 +73,19 @@ def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
     pool = ["--data", str(root / "gen-data" / "bona_fides.jsonl")]
     interleaved = inputs_dir / "bona_fides.jsonl"
     shuffled_pool = ["--data", str(interleaved)]
+    wide_interleaved = inputs_dir / "wide_bona_fides.jsonl"
     wide_config = inputs_dir / "wide.json"
     wide_config.write_text(json.dumps(WIDE_CONFIG), encoding="utf-8")
     wide = ["--config", str(wide_config)]
-    wide_inputs = [
-        "--checkpoint", str(root / "wide" / "train" / "checkpoint.bin"),
-        "--data", str(root / "wide" / "gen-data" / "bona_fides.jsonl"),
-        "--protocol", str(root / "wide" / "gen-data" / "protocol.json"),
-    ]
+    wide_model = ["--checkpoint", str(root / "wide" / "train" / "checkpoint.bin")]
+    wide_protocol = ["--protocol", str(root / "wide" / "gen-data" / "protocol.json")]
+    wide_inputs = [*wide_model, "--data", str(root / "wide" / "gen-data" / "bona_fides.jsonl"), *wide_protocol]
+    wide_shuffled_inputs = [*wide_model, "--data", str(wide_interleaved), *wide_protocol]
+    # Each interleaved pool, written just before the first command that reads it.
+    interleavings = {
+        "eval-interleaved": (root / "gen-data" / "bona_fides.jsonl", interleaved),
+        "wide/eval-interleaved": (root / "wide" / "gen-data" / "bona_fides.jsonl", wide_interleaved),
+    }
     # (output directory, command and its own arguments)
     commands = [
         ("gen-data", ["gen-data"]),
@@ -91,10 +101,12 @@ def run_commands(cli_main, root: Path, inputs_dir: Path, seed: int) -> int:
         ("wide/train", ["train", *wide]),
         ("wide/eval", ["eval", *wide, *wide_inputs]),
         ("wide/analyze-features", ["analyze-features", *wide, *wide_inputs]),
+        ("wide/eval-interleaved", ["eval", *wide, *wide_shuffled_inputs]),
+        ("wide/analyze-features-interleaved", ["analyze-features", *wide, *wide_shuffled_inputs]),
     ]
     for out, command in commands:
-        if out == "eval-interleaved":  # the first command that reads the interleaved pool
-            interleave_records(root / "gen-data" / "bona_fides.jsonl", interleaved, seed)
+        if out in interleavings:
+            interleave_records(*interleavings[out], seed)
         argv = [command[0], *common, "--out", str(root / out), *command[1:]]
         with contextlib.redirect_stdout(sys.stderr):
             code = cli_main(argv)
