@@ -1,19 +1,13 @@
 """Dual-branch margin-softmax training lab.
 
-Library surface: loss functions and gradients (losses), the MLP
-encoder/trainer and checkpoint format (encoder), synthetic identities
-and the morph pairing protocol (datagen), verification and morph
-robustness metrics (metrics), feature-distribution analysis (featviz),
-and the experiment driver behind the CLI (experiment, cli).
+Library surface: the margin loss and its gradients (losses), the MLP
+encoder/trainer and checkpoint format (encoder), the sample model,
+synthetic identities and the morph pairing protocol (datagen), verification
+and morph robustness metrics (metrics), feature-distribution analysis
+(featviz), and the experiment recipes behind the CLI (experiment, cli).
 """
 
-from .losses import (
-    LabelPair,
-    MarginConfig,
-    MorphGuardResult,
-    SampleKind,
-    morphguard_loss_arrays,
-)
+from .losses import MarginConfig, MorphGuardResult, morphguard_loss_arrays
 from .encoder import (
     DualHeadModel,
     TrainConfig,
@@ -21,15 +15,16 @@ from .encoder import (
     batch_gradients,
     init_model,
     load_checkpoint,
-    lr_schedule,
     save_checkpoint,
     train,
 )
 from .datagen import (
     IdentityUniverse,
+    LabelPair,
     MorphPair,
     MorphPairProtocol,
     Sample,
+    SampleKind,
     SampleSet,
     build_training_set,
     load_dataset,

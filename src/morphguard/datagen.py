@@ -1,10 +1,11 @@
-"""Synthetic identities, the cross-subset morph pairing protocol, and
-morph/selfmorph construction, on columnar sample sets.
+"""The sample model, synthetic identities, the cross-subset morph pairing
+protocol, and morph/selfmorph construction, on columnar sample sets.
 
 A SampleSet holds N samples as columns: (N, D) float64 inputs, int64
 first (head-1) and second (head-2) labels, and int8 kind codes into
-KINDS. Every step works on whole columns and gives the bytes that
-building one sample at a time gave; Sample is the view of one row.
+KINDS, and is the one place the label rules are checked. Every step works
+on whole columns and gives the bytes that building one sample at a time
+gave; Sample, with its LabelPair, is the plain-record view of one row.
 Morphs and selfmorphs are built only in whole blocks, by
 build_training_set from a protocol's (T, 4) columns; there is no
 per-sample builder. It writes the whole training set, the pool's
@@ -30,13 +31,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .errors import (
     INT64, CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
 )
-from .losses import LabelPair, SampleKind
 from .seeding import (
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
@@ -46,9 +47,29 @@ from .seeding import (
     rng_for,
 )
 
+
+class SampleKind(str, Enum):
+    """What a training sample is, which decides its margin and labels."""
+
+    BONA_FIDE = "bona_fide"
+    MORPH = "morph"
+    SELF_MORPH = "selfmorph"
+
+
 KINDS = (SampleKind.BONA_FIDE, SampleKind.MORPH, SampleKind.SELF_MORPH)
 BONA_FIDE, MORPH, SELF_MORPH = range(3)  # the kind codes: indices into KINDS
 _COLUMNS = ("inputs", "first", "second", "kinds")  # SampleSet's fields, in order
+
+
+@dataclass(frozen=True)
+class LabelPair:
+    """The per-head labels of a SampleSet row: a bona fide or selfmorph repeats
+    its identity; a morph names its subset-1 parent first (head 1) and its
+    subset-2 parent second (head 2)."""
+
+    first_label: int
+    second_label: int
+    kind: SampleKind
 
 
 @dataclass(frozen=True)
@@ -75,7 +96,7 @@ class SampleSet:
         if inputs.ndim != 2 or any(c.shape != (len(inputs),) for c in (first, second, kinds)):
             raise DataError(f"sample columns need (N, D) inputs and (N,) labels and kinds, got shapes "
                             f"{inputs.shape}, {first.shape}, {second.shape}, {kinds.shape}")
-        # LabelPair's rules: nonnegative labels, distinct for a morph and repeated otherwise.
+        # The label rules: nonnegative labels, distinct for a morph and repeated otherwise, and a known kind code.
         bad = (kinds < 0) | (kinds >= len(KINDS)) | (np.minimum(first, second) < 0)
         bad |= (kinds == MORPH) == (first == second)
         if bad.any():

@@ -297,15 +297,23 @@ def batch_gradients(
 
     Exposed separately from train so gradient checks can compare
     against finite differences without performing an update. Returns
-    (loss, grads) with grads keyed like model.parameters(). ``train``
-    passes ``_buffers``, its batch already gathered into them, each
-    row's morph flag as the margin it selects; the array arguments are
-    then not read, and the gradients are arrays of the buffers that the
-    next step overwrites.
+    (loss, grads) with grads keyed like model.parameters(); a loss, or a
+    norm the step divides by, that is not finite raises NumericError.
+    ``train`` passes ``_buffers``, its batch already gathered into them,
+    each row's morph flag as the margin it selects; the array arguments
+    are then not read, nothing is checked (train checks each step), and
+    the gradients are arrays of the buffers that the next step overwrites.
     """
     if _buffers is None:
         tables = _StepTables(model, inputs, first_labels, second_labels, is_morph, margin)
-        _buffers = tables.gather(np.arange(len(tables.inputs)))
+        b = tables.gather(np.arange(len(tables.inputs)))
+        # A non-finite result is reported here, so numpy's warnings say nothing more.
+        with np.errstate(all="ignore"):
+            loss, grads = batch_gradients(model, None, None, None, None, margin, b)
+        # A row whose norm overflows normalizes to zeros and gives a finite but wrong loss.
+        if not (math.isfinite(loss) and np.maximum.reduce(b.all_norms) < math.inf):
+            raise NumericError(f"the batch's loss is {loss} and its largest row norm {np.maximum.reduce(b.all_norms)}")
+        return loss, grads
     b = _buffers
     embeddings, cache = _forward_batch(model, b.inputs, buffers=b)
     unit = np.concatenate((model.head1, model.head2), out=b.unit)
@@ -356,9 +364,18 @@ def _sgd_update(model: DualHeadModel, grads, lr):
         param -= grad
 
 
-def lr_schedule(config: TrainConfig, total_steps: int) -> np.ndarray:
-    """Per-step learning rates, linear from lr_start to lr_end."""
-    return np.linspace(config.lr_start, config.lr_end, total_steps)
+# The most steps a training regime may take (ExperimentConfig checks it): up
+# to it every step index is an exact float64, as _step_rate's arithmetic needs.
+_MAX_STEPS = 2**53
+
+
+def _step_rate(start: float, end: float, i: int, n: int) -> float:
+    """np.linspace(start, end, n)[i], the learning rate of step i of n, by linspace's arithmetic."""
+    if i == n - 1:
+        return start if n == 1 else end
+    step = (end - start) / (n - 1)
+    # linspace divides first where the step underflows to zero.
+    return (i / (n - 1) * (end - start) if step == 0 else i * step) + start
 
 
 def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
@@ -372,7 +389,7 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
     if n == 0:
         raise ConfigError("training requires a nonempty dataset")
     steps_per_epoch = -(-n // config.batch_size)
-    lrs = lr_schedule(config, config.epochs * steps_per_epoch)
+    total_steps, lr_start, lr_end = config.epochs * steps_per_epoch, float(config.lr_start), float(config.lr_end)
     tables = _StepTables(model, dataset.inputs, dataset.first, dataset.second, dataset.is_morph, config.margin)
 
     history = TrainHistory(epoch_mean_loss=[], epoch_lr=[])
@@ -393,11 +410,11 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
                 if not np.maximum.reduce(b.all_norms) < math.inf:
                     what = "a head row" if np.maximum.reduce(b.norms) < math.inf else "an embedding"
                     raise NumericError(f"training diverged: {what}'s norm is not finite at {where}")
-                _sgd_update(model, grads, lrs[step])
+                _sgd_update(model, grads, _step_rate(lr_start, lr_end, step, total_steps))
                 loss_sum += loss * len(b.inputs)
                 step += 1
             history.epoch_mean_loss.append(loss_sum / n)
-            history.epoch_lr.append(float(lrs[step - 1]))
+            history.epoch_lr.append(_step_rate(lr_start, lr_end, step - 1, total_steps))
     return model, history
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import datagen, featviz, metrics
 from .datagen import SampleSet, _bona_fide_labels, _pool_index
-from .encoder import DualHeadModel, TrainConfig, _forward_batch, init_model, train
+from .encoder import _MAX_STEPS, DualHeadModel, TrainConfig, _forward_batch, init_model, train
 from .errors import ConfigError, DataError, check_integer, check_real
 from .losses import MarginConfig
 from .metrics import MorphTrials, OperatingPoint, VerificationSet
@@ -165,9 +165,10 @@ class ExperimentConfig:
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep offsets {self.sweep_grid} share output directories: {names}")
         rows = self.data.training_rows()
-        # The learning-rate schedules, a float per step, of train (so of each sweep entry) and adapt's two stages.
+        # The step counts of train (so of each sweep entry) and adapt's two stages.
         for regime, num_rows in zip((train_config(self), *adaptation_configs(self)), (sum(rows), rows[0], sum(rows))):
-            _check_array_size("a learning-rate schedule", regime.epochs, -(-num_rows // regime.batch_size))
+            if (steps := regime.epochs * -(-num_rows // regime.batch_size)) > _MAX_STEPS:
+                raise ConfigError(f"a training regime of {steps} steps exceeds {_MAX_STEPS}, the most one run may take")
         widths = [self.data.input_dim, *self.model.hidden_dims, self.model.embedding_dim]
         for fan_in, fan_out in zip(widths, widths[1:]):
             _check_array_size("a layer's weights", fan_out, fan_in)

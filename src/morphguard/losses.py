@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,14 +36,6 @@ _COS_DERIV_BAND = 1e-12
 # Inputs may exceed the mathematical domain [-1, 1] by at most this
 # much (accumulated rounding); beyond it they are rejected.
 _COS_INPUT_TOL = 1e-9
-
-
-class SampleKind(str, Enum):
-    """What a training sample is, which decides its margin and labels."""
-
-    BONA_FIDE = "bona_fide"
-    MORPH = "morph"
-    SELF_MORPH = "selfmorph"
 
 
 @dataclass(frozen=True)
@@ -79,36 +70,6 @@ class MarginConfig:
     def morph_margin(self) -> float:
         """Effective margin applied to morph samples."""
         return self.bona_fide_margin + self.morph_offset
-
-
-@dataclass(frozen=True)
-class LabelPair:
-    """Per-head target labels of one sample.
-
-    Bona fide and selfmorph samples repeat one identity on both heads;
-    morph samples carry the two contributing identities (head 1 gets
-    the first, head 2 the second).
-    """
-
-    first_label: int
-    second_label: int
-    kind: SampleKind
-
-    def __post_init__(self):
-        if self.first_label < 0 or self.second_label < 0:
-            raise ProtocolError(
-                f"labels must be nonnegative, got ({self.first_label}, {self.second_label})"
-            )
-        if self.kind is SampleKind.MORPH:
-            if self.first_label == self.second_label:
-                raise ProtocolError(
-                    f"morph sample must carry two distinct labels, got {self.first_label} twice"
-                )
-        elif self.first_label != self.second_label:
-            raise ProtocolError(
-                f"{self.kind.value} sample must repeat one label, got "
-                f"({self.first_label}, {self.second_label})"
-            )
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,17 @@ import pytest
 from morphguard import experiment
 from morphguard.datagen import (
     IdentityUniverse,
+    LabelPair,
     MorphPair,
     MorphPairProtocol,
+    SampleKind,
     check_synth_settings,
     split_identities,
 )
 from morphguard.encoder import _forward_batch
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import _held_out_per_identity
-from morphguard.losses import LabelPair, SampleKind, morphguard_loss_arrays
+from morphguard.losses import morphguard_loss_arrays
 from morphguard.metrics import MorphTrial
 from morphguard.seeding import (
     STREAM_PAIRS,

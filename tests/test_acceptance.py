@@ -20,7 +20,8 @@ from morphguard.experiment import (
     run_margin_entry,
 )
 from morphguard.featviz import chi2_quantile_2dof, confidence_ellipse, fit_rigid
-from morphguard.losses import LabelPair, MarginConfig, SampleKind
+from morphguard.datagen import LabelPair, SampleKind
+from morphguard.losses import MarginConfig
 
 from oracles import (
     fd_gradient,

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 import morphguard
 from morphguard import cli, metrics
 from morphguard.cli import main
-from morphguard.datagen import load_dataset, save_dataset
+from morphguard.datagen import SampleKind, load_dataset, save_dataset
 from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
 from morphguard.experiment import ExperimentConfig, generate_bundle
-from morphguard.losses import SampleKind
 
 import readers
 

@@ -9,6 +9,9 @@ from morphguard.datagen import (
     _BLEND_ROWS,
     KINDS,
     MORPH,
+    SELF_MORPH,
+    LabelPair,
+    SampleKind,
     SampleSet,
     build_training_set,
     mix_counts,
@@ -31,7 +34,6 @@ from morphguard.experiment import (
     morph_trials,
     trial_features,
 )
-from morphguard.losses import LabelPair, SampleKind
 from morphguard.metrics import MorphTrial, MorphTrials, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
 
 from oracles import (
@@ -244,8 +246,14 @@ class TestSampleSet:
 
     @pytest.mark.parametrize(
         "first, second, kinds",
-        [([0, 1], [0, 1], [0, MORPH]), ([0, 1], [0, 2], [0, 0]), ([-1, 1], [-1, 1], [0, 0]), ([0, 1], [0, 1], [0, 3])],
-        ids=["morph-repeats-label", "bona-fide-two-labels", "negative-label", "unknown-kind"],
+        [
+            ([0, 1], [0, 1], [0, MORPH]),
+            ([0, 1], [0, 2], [0, 0]),
+            ([-1, 1], [-1, 1], [0, 0]),
+            ([0, -1], [0, -1], [0, SELF_MORPH]),
+            ([0, 1], [0, 1], [0, 3]),
+        ],
+        ids=["morph-repeats-label", "bona-fide-two-labels", "negative-label", "negative-selfmorph", "unknown-kind"],
     )
     def test_label_rules(self, first, second, kinds):
         with pytest.raises(ProtocolError, match=r"sample [01] has kind code"):

@@ -14,9 +14,11 @@ from morphguard.datagen import (
     KINDS,
     MORPH,
     SELF_MORPH,
+    LabelPair,
     MorphPair,
     MorphPairProtocol,
     Sample,
+    SampleKind,
     SampleSet,
     _blend,
     build_training_set,
@@ -33,7 +35,6 @@ from morphguard.datagen import (
 from morphguard.encoder import init_model
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import trial_features
-from morphguard.losses import LabelPair, SampleKind
 
 
 def whole_set(universe, pool, protocol, **kwargs):

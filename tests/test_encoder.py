@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from morphguard.encoder import (
     batch_gradients,
     init_model,
     load_checkpoint,
-    lr_schedule,
     save_checkpoint,
     train,
 )
@@ -458,6 +459,17 @@ class TestTrainStep:
         with pytest.raises(NumericError, match=rf"^training diverged: {message} is not finite at epoch 1, step 1 of 3$"):
             train(model, samples, TrainConfig(epochs=2, batch_size=16))
 
+    @pytest.mark.parametrize("inputs", [[[np.nan, 1, 1, 1], [1, 0, 1, 0]], [[1e300] * 4] * 2], ids=["nan", "overflow"])
+    def test_direct_call_rejects_a_non_finite_step(self, inputs):
+        """A NaN input gives a NaN loss; 1e300 inputs overflow their embedding
+        norms, which normalize the rows to zeros under a finite loss. A direct
+        call raises one NumericError line for either, with no numpy warning."""
+        model = init_model(4, [4], 4, 3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^the batch's loss is .* and its largest row norm (nan|inf)$"):
+                batch_gradients(model, np.array(inputs), [0, 1], [0, 1], [False, False], MarginConfig())
+
 
 class TestTraining:
     def _dataset(self, seed=0):
@@ -483,11 +495,40 @@ class TestTraining:
         assert history.epoch_lr == [0.01]
 
     def test_lr_schedule_endpoints(self):
-        config = TrainConfig(epochs=3, lr_start=1e-3, lr_end=1e-5, batch_size=4, seed=0)
-        lrs = lr_schedule(config, 50)
-        assert lrs[0] == pytest.approx(1e-3, abs=0)
-        assert abs(lrs[-1] - 1e-5) < 1e-12
-        assert len(lr_schedule(config, 1)) == 1
+        """Each step's rate is the bytes of np.linspace's entry for it: one
+        step, two, equal rates, a step that underflows to zero, and random
+        schedules."""
+        rng = np.random.default_rng(0)
+        cases = [(1e-3, 1e-5, 50), (1e-3, 1e-5, 1), (1e-3, 1e-5, 2), (0.01, 0.01, 7), (1.5e-323, 5e-324, 5)]
+        for _ in range(200):
+            start, end = sorted(10.0 ** rng.uniform(-8, 1, size=2), reverse=True)
+            cases.append((float(start), float(end), int(rng.integers(1, 300))))
+        for start, end, n in cases:
+            rates = np.array([encoder._step_rate(start, end, i, n) for i in range(n)])
+            assert rates.tobytes() == np.linspace(start, end, n).tobytes(), (start, end, n)
+
+    def test_train_builds_no_schedule(self, monkeypatch):
+        """train takes each step's rate as it goes: 10**6 one-step epochs,
+        stopped at the first step, peak under 1 MB, where an array of their
+        rates alone would be 8 MB."""
+
+        class FirstStep(Exception):
+            pass
+
+        def first_step(*args):
+            raise FirstStep
+
+        monkeypatch.setattr(encoder, "batch_gradients", first_step)
+        _, samples = synth_identities(4, 3, 8, spread=0.2, seed=1)
+        model = init_model(8, [8], 4, 4, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstStep):
+                train(model, samples, TrainConfig(epochs=10**6, batch_size=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_loss_decreases_on_separable_set(self):
         decreasing = 0

@@ -31,7 +31,8 @@ from morphguard.experiment import (
     verification_scores,
 )
 from morphguard.encoder import DualHeadModel, _forward_batch, init_model, train
-from morphguard.losses import MarginConfig, SampleKind
+from morphguard.datagen import SampleKind
+from morphguard.losses import MarginConfig
 from oracles import (
     oracle_align_triplet,
     oracle_morph_trials,
@@ -264,6 +265,8 @@ class TestConfig:
             {"data": {"num_classes": 2**20}, "model": {"embedding_dim": 2**40}},
             {"eval": {"genuine_pairs": 2**62}},
             {"eval": {"impostor_pairs": 2**62}},
+            # One step more than a regime may take: a step index past 2**53 is not an exact float64.
+            {"train": {"epochs": 2**53 + 1, "batch_size": 2**30}},
         ],
     )
     def test_untrainable_or_mistyped_config_rejected(self, raw):

@@ -13,7 +13,8 @@ from morphguard.errors import (
 )
 from morphguard import encoder
 from morphguard.encoder import DualHeadModel, batch_gradients
-from morphguard.losses import LabelPair, MarginConfig, SampleKind, _adjust_rows, _Rows, morphguard_loss_arrays
+from morphguard.datagen import LabelPair, SampleKind
+from morphguard.losses import MarginConfig, _adjust_rows, _Rows, morphguard_loss_arrays
 
 from oracles import fd_gradient, margin_softmax_ce, max_rel_err, morphguard_loss, softmax_ce
 
@@ -267,18 +268,6 @@ class TestMarginConfig:
     def test_morph_margin(self):
         cfg = MarginConfig(scale=64.0, bona_fide_margin=0.5, morph_offset=-0.1)
         assert cfg.morph_margin == pytest.approx(0.4)
-
-
-class TestLabelPair:
-    def test_invariants(self):
-        LabelPair(3, 3, SampleKind.BONA_FIDE)
-        LabelPair(1, 2, SampleKind.MORPH)
-        with pytest.raises(ProtocolError):
-            LabelPair(1, 2, SampleKind.BONA_FIDE)
-        with pytest.raises(ProtocolError):
-            LabelPair(2, 2, SampleKind.MORPH)
-        with pytest.raises(ProtocolError):
-            LabelPair(-1, -1, SampleKind.SELF_MORPH)
 
 
 class TestMorphGuardLoss:
