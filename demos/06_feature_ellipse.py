@@ -56,6 +56,7 @@ print(f"\n{len(aligned)} aligned triplets; morph-cloud ellipse "
       f"W={ellipse.width:.4f} H={ellipse.height:.4f} S={ellipse.size:.4f} "
       f"orientation={ellipse.orientation:+.3f} rad")
 
-out = Path(__file__).resolve().parent / "feature_distribution.svg"
+root = Path(__file__).resolve().parents[1]
+out = root / "demos" / "feature_distribution.svg"
 render_svg(aligned, ellipse, out)
-print("scatter with ellipse written to", out)
+print("scatter with ellipse written to", out.relative_to(root))

@@ -80,6 +80,16 @@ class Sample:
     labels: LabelPair
 
 
+def _check_label_rules(first: np.ndarray, second: np.ndarray, kinds: np.ndarray, where):
+    """Raise ProtocolError, naming where(k), at the first row k that breaks the label
+    rules: nonnegative labels, distinct for a morph and repeated otherwise, and a known kind code."""
+    bad = (kinds < 0) | (kinds >= len(KINDS)) | (np.minimum(first, second) < 0)
+    bad |= (kinds == MORPH) == (first == second)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ProtocolError(f"{where(k)} has kind code {kinds[k]} and labels ({first[k]}, {second[k]})")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """N samples as columns. Indexing with an integer (so iterating)
@@ -96,12 +106,7 @@ class SampleSet:
         if inputs.ndim != 2 or any(c.shape != (len(inputs),) for c in (first, second, kinds)):
             raise DataError(f"sample columns need (N, D) inputs and (N,) labels and kinds, got shapes "
                             f"{inputs.shape}, {first.shape}, {second.shape}, {kinds.shape}")
-        # The label rules: nonnegative labels, distinct for a morph and repeated otherwise, and a known kind code.
-        bad = (kinds < 0) | (kinds >= len(KINDS)) | (np.minimum(first, second) < 0)
-        bad |= (kinds == MORPH) == (first == second)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ProtocolError(f"sample {k} has kind code {kinds[k]} and labels ({first[k]}, {second[k]})")
+        _check_label_rules(first, second, kinds, "sample {}".format)
         for name, column in zip(_COLUMNS, (inputs, first, second, kinds)):
             object.__setattr__(self, name, column)
 
@@ -424,8 +429,9 @@ def load_dataset(path) -> SampleSet:
     """Read save_dataset's records.
 
     Labels and source ids must be JSON integers (not bools) that fit in
-    64 bits, the source ids those the labels and kind imply, and each
-    input a finite list of JSON numbers as long as the first record's.
+    64 bits, the source ids those the labels and kind imply, the labels
+    keep SampleSet's label rules, and each input a finite list of JSON
+    numbers (not bools) as long as the first record's.
     """
     labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -445,7 +451,9 @@ def load_dataset(path) -> SampleSet:
                     raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
                 if first not in INT64 or second not in INT64:
                     raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
-                if row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size):
+                # np.array reads a JSON boolean among numbers as 0 or 1, so booleans need their own look.
+                if (row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size)
+                        or bool in map(type, record["input"])):
                     raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
                 labels.append((number, kind, first, second))
                 rows.append(row)
@@ -456,6 +464,7 @@ def load_dataset(path) -> SampleSet:
     finite = np.isfinite(inputs).all(axis=1)
     if not finite.all():
         raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
+    _check_label_rules(firsts, seconds, kinds, lambda k: f"{path} line {line_numbers[k]}: the record")
     return SampleSet(inputs, firsts, seconds, kinds)
 
 

@@ -27,7 +27,6 @@ of (model, dataset, config).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -196,35 +195,29 @@ def _check_width(model: DualHeadModel, inputs: np.ndarray):
         raise DataError(f"model takes rows of {model.input_dim} inputs, got an array of shape {inputs.shape}")
 
 
-def _forward_batch(model: DualHeadModel, inputs: np.ndarray, buffers=None):
-    """Run the MLP on (N, input_dim) rows; returns embeddings and cache.
+def _forward_batch(model: DualHeadModel, inputs: np.ndarray):
+    """Run the MLP on (N, input_dim) rows; returns the unit embeddings and
+    their norms before normalization.
 
-    The cache holds the norms before normalization and, for a training
-    step, which passes its ``_StepBuffers`` to write into, each layer's
-    input, which the backward pass reads. A call that only embeds keeps
-    no activations: it drops its reference to the input batch, and to
-    each hidden activation, as soon as the next layer has read it. A
-    caller that passes the batch as a temporary (a gather or a blend)
-    thus has it freed after layer 0, which bounds evaluation's peak
-    memory.
+    This is evaluation's forward; a training step runs its own in its
+    ``_StepBuffers``. It keeps no activations: it drops its reference to
+    the input batch, and to each hidden activation, as soon as the next
+    layer has read it. A caller that passes the batch as a temporary (a
+    gather or a blend) thus has it freed after layer 0, which bounds
+    evaluation's peak memory.
     """
     _check_width(model, inputs)
-    activations, h = [], inputs
+    h = inputs
     del inputs
     last = len(model.layers) - 1
     # _unit_rows reports a row that overflowed, so numpy's warnings say nothing more.
-    with np.errstate(over="ignore", invalid="ignore") if buffers is None else contextlib.nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, (w, b) in enumerate(model.layers):
-            if buffers is not None:
-                activations.append(h)
-            h = np.matmul(h, w.T, out=None if buffers is None else buffers.outputs[i])
+            h = np.matmul(h, w.T)
             h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
-        work = (None, None) if buffers is None else (buffers.squares, buffers.norms)
-        embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", *work,
-                                       finite=buffers is None)
-    return embeddings, {"activations": activations, "norms": norms}
+        return _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", finite=True)
 
 
 class _StepTables:
@@ -273,6 +266,8 @@ class _StepBuffers:
         self.first, self.second = self.labels.T
         self.loss = _Rows(2 * n, c)
         self.outputs = [np.empty((n, w.shape[0])) for w, _ in model.layers]
+        # Each layer's input, which the backward pass reads: the batch, then the hidden outputs.
+        self.layer_inputs = [self.inputs, *self.outputs[:-1]]
         # The embedding and head norms share one array, which train checks with one reduction.
         self.all_norms = np.empty(n + 2 * c)
         self.squares, self.norms, self.head_norms = np.empty((n, e)), self.all_norms[:n], self.all_norms[n:]
@@ -315,7 +310,14 @@ def batch_gradients(
             raise NumericError(f"the batch's loss is {loss} and its largest row norm {np.maximum.reduce(b.all_norms)}")
         return loss, grads
     b = _buffers
-    embeddings, cache = _forward_batch(model, b.inputs, buffers=b)
+    # The step's forward writes each layer's output into its buffer, which the next layer and the backward pass read.
+    last = len(model.layers) - 1
+    for i, (w, bias) in enumerate(model.layers):
+        h = np.matmul(b.layer_inputs[i], w.T, out=b.outputs[i])
+        h += bias
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+    embeddings, norms = _unit_rows(h, DegenerateEmbeddingError, "pre-normalization embedding", b.squares, b.norms)
     unit = np.concatenate((model.head1, model.head2), out=b.unit)
     unit, head_norms = _unit_rows(unit, DegenerateWeightError, "head", b.unit_squares, b.head_norms)
     # Every GEMM keeps its one-head shape (see the module docstring).
@@ -342,16 +344,15 @@ def batch_gradients(
     radial = np.add.reduce(np.multiply(grad_emb, embeddings, out=b.spare), axis=1, out=b.radial)
     upstream = grad_emb
     upstream -= np.multiply(radial[:, None], embeddings, out=b.spare)
-    upstream /= cache["norms"][:, None]
+    upstream /= norms[:, None]
 
-    activations = cache["activations"]
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         weight_grad, bias_grad = b.layer_grads[i]
-        np.matmul(upstream.T, activations[i], out=weight_grad)
+        np.matmul(upstream.T, b.layer_inputs[i], out=weight_grad)
         np.add.reduce(upstream, axis=0, out=bias_grad)
         if i:
             below = np.matmul(upstream, model.layers[i][0], out=b.upstream[i - 1])
-            upstream = np.multiply(below, np.greater(activations[i], 0.0, out=b.masks[i - 1]), out=below)
+            upstream = np.multiply(below, np.greater(b.layer_inputs[i], 0.0, out=b.masks[i - 1]), out=below)
     return result.loss, b.grads
 
 
@@ -403,11 +404,11 @@ def train(model: DualHeadModel, dataset: SampleSet, config: TrainConfig):
             for start in range(0, n, config.batch_size):
                 b = tables.gather(order[start : start + config.batch_size])
                 loss, grads = batch_gradients(model, b.inputs, b.first, b.second, None, config.margin, b)
-                where = f"epoch {epoch + 1}, step {start // config.batch_size + 1} of {steps_per_epoch}"
-                if not math.isfinite(loss):
-                    raise NumericError(f"training diverged: the loss of {where} is {loss}")
-                # A row whose norm overflows normalizes to zeros and would never move again.
-                if not np.maximum.reduce(b.all_norms) < math.inf:
+                if not (math.isfinite(loss) and np.maximum.reduce(b.all_norms) < math.inf):
+                    where = f"epoch {epoch + 1}, step {start // config.batch_size + 1} of {steps_per_epoch}"
+                    if not math.isfinite(loss):
+                        raise NumericError(f"training diverged: the loss of {where} is {loss}")
+                    # A row whose norm overflows normalizes to zeros and would never move again.
                     what = "a head row" if np.maximum.reduce(b.norms) < math.inf else "an embedding"
                     raise NumericError(f"training diverged: {what}'s norm is not finite at {where}")
                 _sgd_update(model, grads, _step_rate(lr_start, lr_end, step, total_steps))

@@ -501,7 +501,8 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     scores, then morph_trials: the probe draw and one trial pass. Every
     forward pass runs in blocks (_blocks), so beside the (H, E)
     held-out embeddings its working set is a few blocks, whatever the
-    pool's size.
+    pool's size. Every operating point is read off the one pair of
+    FNMR/FMR curves it builds.
     """
     pool, columns = bundle.bona_fides, bundle.protocol.columns
     train_rows, held_rows, parents = _trial_rows(pool, columns, config)
@@ -513,8 +514,8 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
     tau, value = metrics.min_rmmr(trials, verification)
-    points = metrics.mmpmr_at_fnmr(trials, verification, config.eval.fnmr_targets)
-    points += metrics.fnmr_at_fmr(verification, config.eval.fmr_targets)
+    points = metrics.mmpmr_at_fnmr(trials, fnmr_curve, config.eval.fnmr_targets)
+    points += metrics.fnmr_at_fmr(fnmr_curve, fmr_curve, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 
     _, ellipse = featviz.aligned_spread(triplets)

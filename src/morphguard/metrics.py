@@ -230,42 +230,29 @@ def check_target(kind: str, target: float):
     check_real(f"{kind} target", target, 0.0, 1.0)
 
 
-def mmpmr_at_fnmr(trials, verification: VerificationSet, fnmr_targets) -> list[OperatingPoint]:
-    """Morph match rate at thresholds pinned by FNMR targets, each reached by the +1 sentinel at the latest."""
-    fnmr, _ = fnmr_fmr_curves(verification)
+def mmpmr_at_fnmr(trials, fnmr: ThresholdCurve, fnmr_targets) -> list[OperatingPoint]:
+    """Morph match rate at thresholds pinned by FNMR targets on an FNMR curve; on one
+    fnmr_fmr_curves builds, each target is reached by the +1 sentinel at the latest."""
+    mins = _trial_minima(trials)[0]
     points = []
     for target in fnmr_targets:
         check_target("FNMR", target)
         tau, achieved = threshold_at(fnmr, target, FROM_BELOW)
-        points.append(
-            OperatingPoint(
-                metric="mmpmr_at_fnmr",
-                target=float(target),
-                achieved=achieved,
-                threshold=tau,
-                value=mmpmr(trials, tau),
-            )
-        )
+        value = float(_match_rate(mins, tau))
+        points.append(OperatingPoint("mmpmr_at_fnmr", float(target), achieved, tau, value))
     return points
 
 
-def fnmr_at_fmr(verification: VerificationSet, fmr_targets) -> list[OperatingPoint]:
-    """Verification FNMR at thresholds pinned by FMR targets."""
-    fnmr, fmr = fnmr_fmr_curves(verification)
+def fnmr_at_fmr(fnmr: ThresholdCurve, fmr: ThresholdCurve, fmr_targets) -> list[OperatingPoint]:
+    """Verification FNMR at thresholds pinned by FMR targets, read off curves on one threshold grid."""
+    if not np.array_equal(fnmr.thresholds, fmr.thresholds):
+        raise ConfigError("FNMR and FMR curves must share one threshold grid")
     points = []
     for target in fmr_targets:
         check_target("FMR", target)
         tau, achieved = threshold_at(fmr, target, FROM_ABOVE)
-        idx = int(np.searchsorted(fmr.thresholds, tau))
-        points.append(
-            OperatingPoint(
-                metric="fnmr_at_fmr",
-                target=float(target),
-                achieved=achieved,
-                threshold=tau,
-                value=float(fnmr.values[idx]),
-            )
-        )
+        value = float(fnmr.values[np.searchsorted(fmr.thresholds, tau)])
+        points.append(OperatingPoint("fnmr_at_fmr", float(target), achieved, tau, value))
     return points
 
 

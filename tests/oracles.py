@@ -537,11 +537,11 @@ def recorded_forward_calls():
     place in a batch, so tests read the batches themselves from here."""
     calls = []
 
-    def recording(model, inputs, buffers=None):
+    def recording(model, inputs):
         batch = inputs.copy()
-        embeddings, cache = _forward_batch(model, inputs, buffers)
+        embeddings, norms = _forward_batch(model, inputs)
         calls.append((batch, embeddings))
-        return embeddings, cache
+        return embeddings, norms
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "_forward_batch", recording)

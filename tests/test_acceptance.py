@@ -174,7 +174,7 @@ def test_criterion_3_metric_oracles():
         )
 
         targets = [0.05, 0.5]
-        points = metrics.mmpmr_at_fnmr(trials, vset, targets)
+        points = metrics.mmpmr_at_fnmr(trials, fnmr, targets)
         expected = oracle_mmpmr_at_fnmr(scores, genuine.tolist(), impostor.tolist(), targets)
         for point, (tgt, achieved, thr, value) in zip(points, expected):
             assert (point.target, point.achieved, point.threshold, point.value) == (

@@ -528,6 +528,13 @@ class TestSerialization:
             ("y_ddot", True, "line 4: labels must be JSON integers"),
             ("source_ids", [True], "line 4: labels must be JSON integers"),
             ("source_ids", [2], "line 4: labels must be JSON integers and source ids"),
+            ("input", [0.5] * 7 + [True], "line 4: input is not a list of JSON numbers"),
+            ("input", [1] * 7 + [False], "line 4: input is not a list of JSON numbers"),
+            # A record that breaks a label rule with consistent source ids; field None edits several fields.
+            (None, {"y_dot": -1, "y_ddot": -1, "source_ids": [-1]}, r"line 4: the record has kind code 0 and"),
+            (None, {"kind": "morph", "y_dot": 0, "y_ddot": 0, "source_ids": [0, 0]}, r"line 4: .* labels \(0, 0\)"),
+            (None, {"kind": "morph", "y_dot": 0, "y_ddot": -1, "source_ids": [0, -1]}, "line 4: the record has"),
+            (None, {"y_dot": 0, "y_ddot": 1, "source_ids": [0]}, r"line 4: .* labels \(0, 1\)"),
         ],
     )
     def test_mistyped_dataset_record_rejected(self, tmp_path, field, value, message):
@@ -536,7 +543,7 @@ class TestSerialization:
         save_dataset(samples, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[3])
-        record[field] = value
+        record.update(value if field is None else {field: value})
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=message):

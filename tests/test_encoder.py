@@ -173,13 +173,14 @@ class TestForward:
     def test_embedding_only_call_keeps_no_activations(self):
         model = init_model(6, [5, 4], 3, 2, seed=5)
         x = np.random.default_rng(5).normal(size=(7, 6))
-        embeddings, cache = _forward_batch(model, x)
-        assert cache["activations"] == []
-        buffers = encoder._StepBuffers(model, len(x))
-        buffers.inputs[...] = x
-        stepped, cache = _forward_batch(model, buffers.inputs, buffers=buffers)
-        assert [a.shape for a in cache["activations"]] == [(7, 6), (7, 5), (7, 4)]
-        assert stepped.tobytes() == embeddings.tobytes()
+        embeddings, norms = _forward_batch(model, x)
+        assert embeddings.shape == (7, 3) and norms.shape == (7,)
+        # A training step runs its own forward in its buffers, keeping each layer's input for the backward pass.
+        buffers = encoder._StepTables(model, x, [0] * 7, [0] * 7, [False] * 7, MarginConfig()).gather(np.arange(7))
+        batch_gradients(model, None, None, None, None, MarginConfig(), buffers)
+        assert [a.shape for a in buffers.layer_inputs] == [(7, 6), (7, 5), (7, 4)]
+        assert buffers.outputs[-1].tobytes() == embeddings.tobytes()
+        assert buffers.norms.tobytes() == norms.tobytes()
 
     def test_degenerate_embedding(self):
         model = DualHeadModel(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphguard import datagen, experiment
+from morphguard import datagen, experiment, metrics
 from morphguard.errors import ConfigError, DataError
 from morphguard.featviz import align_feature_triplets, aligned_spread, fit_rigid, project_2d
 from morphguard.experiment import (
@@ -493,6 +493,17 @@ class TestEvaluation:
         assert report.point("min_rmmr").value == report.min_rmmr_value
         assert report.point("morph_spread").value == report.ellipse.size
         assert report.ellipse.size == (report.ellipse.width + report.ellipse.height) / 2
+
+    def test_report_builds_its_curves_once(self, trained, small_bundle, small_config, monkeypatch):
+        curves, built = metrics.fnmr_fmr_curves, []
+
+        def spy(verification):
+            built.append(verification)
+            return curves(verification)
+
+        monkeypatch.setattr(metrics, "fnmr_fmr_curves", spy)
+        report = evaluate_model(trained, small_bundle, small_config)
+        assert built == [report.verification]
 
     def test_file_driven_eval_matches_in_process(self, trained, small_bundle, small_config, tmp_path):
         datagen.save_dataset(small_bundle.bona_fides, tmp_path / "pool.jsonl")

@@ -264,7 +264,7 @@ class TestOperatingPoints:
         genuine = rng.uniform(0.8, 1.0, 200)
         impostor = rng.uniform(-0.5, 0.2, 200)
         trials = [MorphTrial(m, rng.uniform(-0.2, 0.5, 2)) for m in range(50)]
-        points = mmpmr_at_fnmr(trials, VerificationSet(genuine, impostor), [0.01])
+        points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(VerificationSet(genuine, impostor))[0], [0.01])
         assert points[0].value == 0.0
         assert points[0].achieved >= 0.01
 
@@ -273,7 +273,7 @@ class TestOperatingPoints:
         for _ in range(30):
             vset, trials = random_instance(rng)
             targets = [0.05, 0.25, 0.5]
-            points = mmpmr_at_fnmr(trials, vset, targets)
+            points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], targets)
             scores = [t.subject_scores for t in trials]
             expected = oracle_mmpmr_at_fnmr(
                 scores, vset.genuine.tolist(), vset.impostor.tolist(), targets
@@ -296,7 +296,7 @@ class TestOperatingPoints:
         # (0, 1), so no valid verification set leaves an FNMR target unattainable.
         vset = VerificationSet(genuine, impostor)
         trials = MorphTrials(np.array(trial_scores))
-        points = mmpmr_at_fnmr(trials, vset, targets)
+        points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], targets)
         assert [point.target for point in points] == targets
         for point in points:
             assert point.achieved >= point.target
@@ -305,7 +305,7 @@ class TestOperatingPoints:
 
     def test_fnmr_at_fmr(self):
         vset = VerificationSet([0.5, 0.7, 0.9, 0.95], [0.1, 0.3, 0.6, 0.8])
-        points = fnmr_at_fmr(vset, [0.25])
+        points = fnmr_at_fmr(*fnmr_fmr_curves(vset), [0.25])
         point = points[0]
         assert point.achieved <= 0.25
         # at that threshold, check FNMR directly against enumeration
@@ -315,7 +315,13 @@ class TestOperatingPoints:
         vset = VerificationSet([0.5], [0.1])
         trials = [MorphTrial(0, [0.2, 0.3])]
         with pytest.raises(ConfigError):
-            mmpmr_at_fnmr(trials, vset, [1.0])
+            mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], [1.0])
+
+    def test_fnmr_at_fmr_needs_one_grid(self):
+        fnmr, _ = fnmr_fmr_curves(VerificationSet([0.5, 0.7], [0.1, 0.3]))
+        _, fmr = fnmr_fmr_curves(VerificationSet([0.5, 0.7], [0.1, 0.4]))
+        with pytest.raises(ConfigError, match="must share one threshold grid"):
+            fnmr_at_fmr(fnmr, fmr, [0.25])
 
 
 class TestPermutationInvariance:
