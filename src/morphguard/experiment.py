@@ -501,8 +501,8 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     scores, then morph_trials: the probe draw and one trial pass. Every
     forward pass runs in blocks (_blocks), so beside the (H, E)
     held-out embeddings its working set is a few blocks, whatever the
-    pool's size. Every operating point is read off the one pair of
-    FNMR/FMR curves it builds.
+    pool's size. Every operating point, min-RMMR included, is read off
+    the FNMR, FMR and MMPMR curves it builds once each.
     """
     pool, columns = bundle.bona_fides, bundle.protocol.columns
     train_rows, held_rows, parents = _trial_rows(pool, columns, config)
@@ -513,8 +513,8 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     )
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
-    tau, value = metrics.min_rmmr(trials, verification)
-    points = metrics.mmpmr_at_fnmr(trials, fnmr_curve, config.eval.fnmr_targets)
+    tau, value = metrics.min_rmmr(trials, fnmr_curve)
+    points = metrics.mmpmr_at_fnmr(match_curve, fnmr_curve, config.eval.fnmr_targets)
     points += metrics.fnmr_at_fmr(fnmr_curve, fmr_curve, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 

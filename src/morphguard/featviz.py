@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateAnchorError,
-    DegenerateCovarianceError,
-)
+from .errors import ConfigError, DegenerateAnchorError, DegenerateCovarianceError, NumericInputError
 
 # Points the unbiased covariance of a confidence ellipse needs; an
 # evaluation therefore needs at least this many morph triplets.
@@ -135,6 +131,8 @@ def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
     larger eigenvalue.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not np.all(np.isfinite(pts)):
+        raise NumericInputError("ellipse points must be finite")
     if pts.shape[0] < MIN_ELLIPSE_POINTS or pts.shape[1] != 2:
         raise ConfigError(f"need at least {MIN_ELLIPSE_POINTS} points of dimension 2, got shape {pts.shape}")
     q = chi2_quantile_2dof(level)
@@ -168,6 +166,8 @@ def aligned_spread(triplets):
     triplets = np.asarray(triplets, dtype=np.float64)
     if triplets.ndim != 3 or triplets.shape[1] != 3 or len(triplets) < MIN_ELLIPSE_POINTS:
         raise ConfigError(f"need (T, 3, D) triplets with T >= {MIN_ELLIPSE_POINTS}, got shape {triplets.shape}")
+    if not np.all(np.isfinite(triplets)):
+        raise NumericInputError("triplet features must be finite")
     aligned = align_feature_triplets(triplets)
     return aligned, confidence_ellipse(aligned[:, 2, :])
 

@@ -10,8 +10,12 @@ All curves are piecewise constant between observed scores, so the
 candidate threshold grid (distinct scores plus the sentinels -1 and +1)
 captures every attainable value; operating points are taken on that
 grid without interpolation, ties broken toward the smallest threshold.
-Every rate is computed as an integer count divided by the pool size,
-which makes outputs reproducible bit-for-bit by direct enumeration.
+Every operating point is read off curves that fnmr_fmr_curves and
+mmpmr_curve built: FNMR steps only at genuine scores and MMPMR only at
+trial minima, so min-RMMR needs no grid beyond the FNMR curve's plus
+the trial minima. Every rate is computed as an integer count divided by
+the pool size, which makes outputs reproducible bit-for-bit by direct
+enumeration.
 """
 
 from __future__ import annotations
@@ -86,10 +90,9 @@ class MorphTrials:
         return MorphTrial(range(len(self))[index], self.scores[index])
 
 
-def _trial_minima(trials):
-    """Sorted per-trial minimum scores and all subject scores of nonempty
-    trials; a ragged MorphTrial list is padded with +inf, which no
-    minimum takes."""
+def _trial_minima(trials) -> np.ndarray:
+    """Sorted per-trial minimum scores; a ragged MorphTrial list is padded
+    with +inf, which no minimum takes."""
     if len(trials) == 0:
         raise ConfigError("need at least one morph trial")
     if isinstance(trials, MorphTrials):
@@ -98,7 +101,7 @@ def _trial_minima(trials):
         scores = np.full((len(trials), max(t.subject_scores.size for t in trials)), np.inf)
         for row, trial in zip(scores, trials):
             row[: trial.subject_scores.size] = trial.subject_scores
-    return np.sort(scores.min(axis=1)), scores[np.isfinite(scores)]
+    return np.sort(scores.min(axis=1))
 
 
 def _match_rate(sorted_scores: np.ndarray, thresholds):
@@ -119,34 +122,22 @@ class ThresholdCurve:
         val = np.asarray(self.values, dtype=np.float64)
         if thr.shape != val.shape or thr.ndim != 1 or thr.size == 0:
             raise ConfigError("curve needs matching nonempty threshold/value vectors")
-        if np.any(np.diff(thr) <= 0):
-            raise ConfigError("curve thresholds must be strictly increasing")
-        if np.any((val < 0) | (val > 1)):
+        if not np.all(np.isfinite(thr)) or np.any(np.diff(thr) <= 0):
+            raise ConfigError("curve thresholds must be finite and strictly increasing")
+        if not np.all((val >= 0) & (val <= 1)):
             raise ConfigError("curve values must lie in [0, 1]")
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "values", val)
 
 
-def _candidate_grid(*score_groups) -> np.ndarray:
-    parts = [np.asarray(g, dtype=np.float64).ravel() for g in score_groups]
-    return np.unique(np.concatenate(parts + [np.array([-1.0, 1.0])]))
-
-
-def _fnmr_at(genuine_sorted: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    counts = np.searchsorted(genuine_sorted, thresholds, side="right")
-    return counts / genuine_sorted.size
-
-
 def fnmr_fmr_curves(verification: VerificationSet):
     """FNMR and FMR over the union of all scores plus sentinels."""
-    if verification.genuine.size == 0 or verification.impostor.size == 0:
+    genuine, impostor = verification.genuine, verification.impostor
+    if genuine.size == 0 or impostor.size == 0:
         raise ConfigError("curves need nonempty genuine and impostor score lists")
-    grid = _candidate_grid(verification.genuine, verification.impostor)
-    genuine_sorted = np.sort(verification.genuine)
-    impostor_sorted = np.sort(verification.impostor)
-    fnmr = ThresholdCurve(grid, _fnmr_at(genuine_sorted, grid))
-    fmr = ThresholdCurve(grid, _match_rate(impostor_sorted, grid))
-    return fnmr, fmr
+    grid = np.unique(np.concatenate([genuine, impostor, [-1.0, 1.0]]))
+    fnmr = ThresholdCurve(grid, np.searchsorted(np.sort(genuine), grid, side="right") / genuine.size)
+    return fnmr, ThresholdCurve(grid, _match_rate(np.sort(impostor), grid))
 
 
 def threshold_at(curve: ThresholdCurve, target: float, direction: str):
@@ -179,13 +170,13 @@ def threshold_at(curve: ThresholdCurve, target: float, direction: str):
 
 def mmpmr(trials, tau: float) -> float:
     """Fraction of morphs whose weakest subject score still exceeds tau."""
-    return float(_match_rate(_trial_minima(trials)[0], tau))
+    return float(_match_rate(_trial_minima(trials), tau))
 
 
 def mmpmr_curve(trials, thresholds) -> ThresholdCurve:
     """Pointwise match rate over a sorted threshold grid."""
     grid = np.asarray(thresholds, dtype=np.float64)
-    return ThresholdCurve(grid, _match_rate(_trial_minima(trials)[0], grid))
+    return ThresholdCurve(grid, _match_rate(_trial_minima(trials), grid))
 
 
 def rmmr(mmpmr_value: float, fnmr_value: float) -> float:
@@ -199,18 +190,22 @@ def rmmr(mmpmr_value: float, fnmr_value: float) -> float:
     return mmpmr_value + fnmr_value
 
 
-def min_rmmr(trials, verification: VerificationSet):
-    """Minimize mmpmr(tau) + fnmr(tau) over the candidate grid.
+def min_rmmr(trials, fnmr: ThresholdCurve):
+    """Minimize mmpmr(tau) + fnmr(tau) over the FNMR curve's grid plus the trial minima.
 
-    Both terms are piecewise constant between observed scores, so the
-    grid of all distinct scores plus sentinels contains a global
-    minimizer; ties resolve to the smallest threshold.
+    FNMR steps only at genuine scores and MMPMR only at trial minima, so
+    the sum is constant from each such score, or from -1, up to the next.
+    Hence the smallest minimizer over all distinct scores plus the
+    sentinels is one of these points, which this smaller grid holds, and
+    its value is the same counts over the same pool sizes. FNMR is read
+    off the curve at the largest threshold <= tau, so the curve must
+    start at the -1 sentinel; ties resolve to the smallest threshold.
     """
-    mins, subject_scores = _trial_minima(trials)
-    if verification.genuine.size == 0:
-        raise ConfigError("need nonempty genuine scores")
-    grid = _candidate_grid(verification.genuine, verification.impostor, subject_scores)
-    values = _match_rate(mins, grid) + _fnmr_at(np.sort(verification.genuine), grid)
+    if fnmr.thresholds[0] != -1.0:
+        raise ConfigError("min-RMMR needs an FNMR curve whose first threshold is -1")
+    mins = _trial_minima(trials)
+    grid = np.union1d(fnmr.thresholds, mins)
+    values = _match_rate(mins, grid) + fnmr.values[np.searchsorted(fnmr.thresholds, grid, side="right") - 1]
     idx = int(np.argmin(values))
     return float(grid[idx]), float(values[idx])
 
@@ -230,15 +225,16 @@ def check_target(kind: str, target: float):
     check_real(f"{kind} target", target, 0.0, 1.0)
 
 
-def mmpmr_at_fnmr(trials, fnmr: ThresholdCurve, fnmr_targets) -> list[OperatingPoint]:
-    """Morph match rate at thresholds pinned by FNMR targets on an FNMR curve; on one
-    fnmr_fmr_curves builds, each target is reached by the +1 sentinel at the latest."""
-    mins = _trial_minima(trials)[0]
+def mmpmr_at_fnmr(match: ThresholdCurve, fnmr: ThresholdCurve, fnmr_targets) -> list[OperatingPoint]:
+    """Morph match rate at thresholds pinned by FNMR targets, read off an MMPMR and an FNMR curve on
+    one threshold grid; on the grid fnmr_fmr_curves builds, the +1 sentinel reaches every target."""
+    if not np.array_equal(match.thresholds, fnmr.thresholds):
+        raise ConfigError("MMPMR and FNMR curves must share one threshold grid")
     points = []
     for target in fnmr_targets:
         check_target("FNMR", target)
         tau, achieved = threshold_at(fnmr, target, FROM_BELOW)
-        value = float(_match_rate(mins, tau))
+        value = float(match.values[np.searchsorted(fnmr.thresholds, tau)])
         points.append(OperatingPoint("mmpmr_at_fnmr", float(target), achieved, tau, value))
     return points
 

@@ -169,12 +169,12 @@ def test_criterion_3_metric_oracles():
         m_val, f_val = rng.uniform(0, 1, 2)
         identity_gap = max(identity_gap, abs(metrics.rmmr(m_val, f_val) - (1.0 + (m_val - (1.0 - f_val)))))
 
-        assert metrics.min_rmmr(trials, vset) == oracle_min_rmmr(
+        assert metrics.min_rmmr(trials, fnmr) == oracle_min_rmmr(
             scores, genuine.tolist(), impostor.tolist()
         )
 
         targets = [0.05, 0.5]
-        points = metrics.mmpmr_at_fnmr(trials, fnmr, targets)
+        points = metrics.mmpmr_at_fnmr(metrics.mmpmr_curve(trials, fnmr.thresholds), fnmr, targets)
         expected = oracle_mmpmr_at_fnmr(scores, genuine.tolist(), impostor.tolist(), targets)
         for point, (tgt, achieved, thr, value) in zip(points, expected):
             assert (point.target, point.achieved, point.threshold, point.value) == (

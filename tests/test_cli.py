@@ -193,9 +193,9 @@ class TestEval:
         np.testing.assert_array_equal(disk_fnmr.thresholds, fnmr.thresholds)
         np.testing.assert_array_equal(disk_fnmr.values, fnmr.values)
         disk_points = readers.load_operating_points_csv(eval_dir / "operating_points.csv")
-        fresh = metrics.mmpmr_at_fnmr(trials, fnmr, [0.01, 0.001])
+        fresh = metrics.mmpmr_at_fnmr(metrics.mmpmr_curve(trials, fnmr.thresholds), fnmr, [0.01, 0.001])
         fresh += metrics.fnmr_at_fmr(fnmr, fmr, [0.001, 0.0001])
-        tau, value = metrics.min_rmmr(trials, scores)
+        tau, value = metrics.min_rmmr(trials, fnmr)
         assert disk_points[: len(fresh)] == fresh
         min_row = disk_points[len(fresh)]
         assert (min_row.threshold, min_row.value) == (tau, value)

@@ -34,7 +34,7 @@ from morphguard.experiment import (
     morph_trials,
     trial_features,
 )
-from morphguard.metrics import MorphTrial, MorphTrials, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
+from morphguard.metrics import MorphTrial, MorphTrials, fnmr_fmr_curves, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
 
 from oracles import (
     oracle_build_training_set,
@@ -288,4 +288,5 @@ class TestMorphTrials:
         grid = np.linspace(-1, 1, 41)
         assert mmpmr(columns, 0.1) == mmpmr(objects, 0.1)
         assert mmpmr_curve(columns, grid).values.tobytes() == mmpmr_curve(objects, grid).values.tobytes()
-        assert min_rmmr(columns, verification) == min_rmmr(objects, verification)
+        fnmr = fnmr_fmr_curves(verification)[0]
+        assert min_rmmr(columns, fnmr) == min_rmmr(objects, fnmr)

@@ -8,6 +8,7 @@ from morphguard.errors import (
     ConfigError,
     DegenerateAnchorError,
     DegenerateCovarianceError,
+    NumericInputError,
 )
 from morphguard.featviz import (
     align_feature_triplets,
@@ -179,6 +180,14 @@ class TestConfidenceEllipse:
         with pytest.raises(DegenerateCovarianceError):
             confidence_ellipse(line, level=0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_rejected_in_one_line(self, bad):
+        pts = np.random.default_rng(0).normal(size=(10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(NumericInputError) as err:
+            confidence_ellipse(pts, level=0.9)
+        assert str(err.value) == "ellipse points must be finite"
+
     def test_level_validation(self):
         with pytest.raises(ConfigError):
             chi2_quantile_2dof(1.0)
@@ -216,6 +225,15 @@ class TestAlignedSpread:
         d = 4
         with pytest.raises(ConfigError):
             aligned_spread(np.array([rng.normal(size=d)] * 6))
+
+    @pytest.mark.parametrize("role", [0, 2], ids=["anchor", "morph"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_feature_rejected_in_one_line(self, bad, role):
+        triplets = np.random.default_rng(14).normal(size=(6, 3, 4))
+        triplets[2, role, 1] = bad
+        with pytest.raises(NumericInputError) as err:
+            aligned_spread(triplets)
+        assert str(err.value) == "triplet features must be finite"
 
     @pytest.mark.parametrize("shape", [(9, 4), (120, 8), (2, 3, 4), (0, 3, 4), (3, 2, 4), (3, 3, 4, 1)],
                              ids=["3T-rows", "40T-rows", "2-triplets", "no-triplets", "pairs", "4-D"])

@@ -55,6 +55,12 @@ def random_instance(rng, max_scores=100):
     return VerificationSet(genuine, impostor), trials
 
 
+def points_at_fnmr(trials, vset, targets):
+    """mmpmr_at_fnmr on the curves a report builds from these trials and scores."""
+    fnmr = fnmr_fmr_curves(vset)[0]
+    return mmpmr_at_fnmr(mmpmr_curve(trials, fnmr.thresholds), fnmr, targets)
+
+
 class TestCosineSimilarity:
     """The verification and trial scores: experiment._cosines of embedding rows."""
 
@@ -113,6 +119,21 @@ class TestCurves:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             fnmr_fmr_curves(VerificationSet([], [0.1]))
+
+    @pytest.mark.parametrize(
+        "thresholds, values, message",
+        [
+            ([0.0, np.nan], [0.0, 0.5], "curve thresholds must be finite and strictly increasing"),
+            ([np.nan], [0.5], "curve thresholds must be finite and strictly increasing"),
+            ([0.0, 1.0], [0.0, np.nan], "curve values must lie in [0, 1]"),
+            ([-1.0, np.inf], [0.0, 1.0], "curve thresholds must be finite and strictly increasing"),
+        ],
+        ids=["nan-threshold", "nan-only-threshold", "nan-value", "inf-threshold"],
+    )
+    def test_curve_rejects_non_finite_input_in_one_line(self, thresholds, values, message):
+        with pytest.raises(ConfigError) as err:
+            ThresholdCurve(thresholds, values)
+        assert str(err.value) == message
 
 
 class TestThresholdAt:
@@ -220,7 +241,7 @@ class TestMinRmmr:
     def test_separable_case(self):
         vset = VerificationSet([0.8, 0.85, 0.9], [0.1, 0.2])
         trials = [MorphTrial(0, [0.3, 0.5]), MorphTrial(1, [0.2, 0.4])]
-        tau, value = min_rmmr(trials, vset)
+        tau, value = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
         assert value == 0.0
         # strict > makes the largest trial-min score itself a zero point
         assert tau == 0.3
@@ -234,7 +255,7 @@ class TestMinRmmr:
         ]
         scores = [t.subject_scores for t in trials]
         expected = oracle_min_rmmr(scores, vset.genuine.tolist(), vset.impostor.tolist())
-        assert min_rmmr(trials, vset) == expected
+        assert min_rmmr(trials, fnmr_fmr_curves(vset)[0]) == expected
 
     def test_matches_enumeration_bitwise(self):
         rng = np.random.default_rng(5)
@@ -242,12 +263,12 @@ class TestMinRmmr:
             vset, trials = random_instance(rng)
             scores = [t.subject_scores for t in trials]
             expected = oracle_min_rmmr(scores, vset.genuine.tolist(), vset.impostor.tolist())
-            assert min_rmmr(trials, vset) == expected
+            assert min_rmmr(trials, fnmr_fmr_curves(vset)[0]) == expected
 
     def test_refinement_does_not_change_minimum(self):
         rng = np.random.default_rng(6)
         vset, trials = random_instance(rng)
-        tau, value = min_rmmr(trials, vset)
+        tau, value = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
         scores = [t.subject_scores for t in trials]
         coarse = oracle_grid(vset.genuine, vset.impostor, [s for sc in scores for s in sc])
         fine = []
@@ -257,6 +278,29 @@ class TestMinRmmr:
         fine_min = min(oracle_mmpmr(scores, t) + oracle_fnmr(vset.genuine.tolist(), t) for t in fine)
         assert value == fine_min
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_enumeration_with_ties_and_endpoints(self, data):
+        # Scores come from a small pool that often holds -1 or +1, so ties between genuine,
+        # impostor and subject scores and scores on the sentinels are common.
+        pool = data.draw(st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0), min_size=1, max_size=6))
+        score = st.sampled_from(pool)
+        genuine = data.draw(st.lists(score, min_size=1, max_size=20))
+        impostor = data.draw(st.lists(score, min_size=1, max_size=20))
+        fnmr = fnmr_fmr_curves(VerificationSet(genuine, impostor))[0]
+        ragged = data.draw(st.lists(st.lists(score, min_size=2, max_size=3), min_size=1, max_size=10))
+        trials = [MorphTrial(m, scores) for m, scores in enumerate(ragged)]
+        assert min_rmmr(trials, fnmr) == oracle_min_rmmr(ragged, genuine, impostor)
+        width = data.draw(st.integers(2, 3))
+        rows = data.draw(st.lists(st.lists(score, min_size=width, max_size=width), min_size=1, max_size=10))
+        assert min_rmmr(MorphTrials(np.array(rows)), fnmr) == oracle_min_rmmr(rows, genuine, impostor)
+
+    def test_fnmr_curve_must_start_at_minus_one(self):
+        fnmr = ThresholdCurve([-0.5, 0.5, 1.0], [0.0, 0.5, 1.0])
+        with pytest.raises(ConfigError) as err:
+            min_rmmr([MorphTrial(0, [-0.75, 0.25])], fnmr)
+        assert str(err.value) == "min-RMMR needs an FNMR curve whose first threshold is -1"
+
 
 class TestOperatingPoints:
     def test_separable_toy(self):
@@ -264,7 +308,7 @@ class TestOperatingPoints:
         genuine = rng.uniform(0.8, 1.0, 200)
         impostor = rng.uniform(-0.5, 0.2, 200)
         trials = [MorphTrial(m, rng.uniform(-0.2, 0.5, 2)) for m in range(50)]
-        points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(VerificationSet(genuine, impostor))[0], [0.01])
+        points = points_at_fnmr(trials, VerificationSet(genuine, impostor), [0.01])
         assert points[0].value == 0.0
         assert points[0].achieved >= 0.01
 
@@ -273,7 +317,7 @@ class TestOperatingPoints:
         for _ in range(30):
             vset, trials = random_instance(rng)
             targets = [0.05, 0.25, 0.5]
-            points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], targets)
+            points = points_at_fnmr(trials, vset, targets)
             scores = [t.subject_scores for t in trials]
             expected = oracle_mmpmr_at_fnmr(
                 scores, vset.genuine.tolist(), vset.impostor.tolist(), targets
@@ -296,7 +340,7 @@ class TestOperatingPoints:
         # (0, 1), so no valid verification set leaves an FNMR target unattainable.
         vset = VerificationSet(genuine, impostor)
         trials = MorphTrials(np.array(trial_scores))
-        points = mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], targets)
+        points = points_at_fnmr(trials, vset, targets)
         assert [point.target for point in points] == targets
         for point in points:
             assert point.achieved >= point.target
@@ -315,7 +359,14 @@ class TestOperatingPoints:
         vset = VerificationSet([0.5], [0.1])
         trials = [MorphTrial(0, [0.2, 0.3])]
         with pytest.raises(ConfigError):
-            mmpmr_at_fnmr(trials, fnmr_fmr_curves(vset)[0], [1.0])
+            points_at_fnmr(trials, vset, [1.0])
+
+    def test_mmpmr_at_fnmr_needs_one_grid(self):
+        fnmr, _ = fnmr_fmr_curves(VerificationSet([0.5, 0.7], [0.1, 0.3]))
+        match = mmpmr_curve([MorphTrial(0, [0.2, 0.6])], [-1.0, 0.1, 0.5, 0.7, 1.0])
+        with pytest.raises(ConfigError) as err:
+            mmpmr_at_fnmr(match, fnmr, [0.25])
+        assert str(err.value) == "MMPMR and FNMR curves must share one threshold grid"
 
     def test_fnmr_at_fmr_needs_one_grid(self):
         fnmr, _ = fnmr_fmr_curves(VerificationSet([0.5, 0.7], [0.1, 0.3]))
@@ -330,14 +381,14 @@ class TestPermutationInvariance:
     def test_shuffling_changes_nothing(self, pyrandom):
         rng = np.random.default_rng(pyrandom.randrange(2**32))
         vset, trials = random_instance(rng, max_scores=30)
-        baseline = min_rmmr(trials, vset)
+        baseline = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
         g = vset.genuine.tolist()
         i = vset.impostor.tolist()
         pyrandom.shuffle(g)
         pyrandom.shuffle(i)
         shuffled_trials = list(trials)
         pyrandom.shuffle(shuffled_trials)
-        assert min_rmmr(shuffled_trials, VerificationSet(g, i)) == baseline
+        assert min_rmmr(shuffled_trials, fnmr_fmr_curves(VerificationSet(g, i))[0]) == baseline
 
 
 class TestSerialization:
