@@ -52,7 +52,7 @@ report = evaluate_model(model, bundle, config)
 genuine, impostor = report.verification.genuine, report.verification.impostor
 print(f"\ngenuine scores:  mean {genuine.mean():+.3f}, 5% quantile {np.quantile(genuine, 0.05):+.3f}")
 print(f"impostor scores: mean {impostor.mean():+.3f}, 95% quantile {np.quantile(impostor, 0.95):+.3f}")
-mins = np.array([t.subject_scores.min() for t in report.trials])
+mins = report.trials.scores.min(axis=1)
 print(f"morph min-scores over both parents: mean {mins.mean():+.3f}")
 
 print("\noperating points:")

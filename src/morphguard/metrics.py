@@ -10,18 +10,20 @@ All curves are piecewise constant between observed scores, so the
 candidate threshold grid (distinct scores plus the sentinels -1 and +1)
 captures every attainable value; operating points are taken on that
 grid without interpolation, ties broken toward the smallest threshold.
+A zero on a grid is +0.0, whichever zeros the scores hold.
 Every operating point is read off curves that fnmr_fmr_curves and
 mmpmr_curve built: FNMR steps only at genuine scores and MMPMR only at
 trial minima, so min-RMMR needs no grid beyond the FNMR curve's plus
-the trial minima. Every rate is computed as an integer count divided by
-the pool size, which makes outputs reproducible bit-for-bit by direct
-enumeration.
+the trial minima. The morph metrics mmpmr, mmpmr_curve and min_rmmr
+take MorphTrials only and read its sorted minima. Every rate is
+computed as an integer count divided by the pool size, which makes
+outputs reproducible bit-for-bit by direct enumeration.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,56 +54,38 @@ class VerificationSet:
 
 @dataclass(frozen=True)
 class MorphTrial:
-    """One morph's similarity scores against its contributing subjects."""
+    """Row morph_id of a MorphTrials: one morph's scores against its subjects."""
 
     morph_id: int
     subject_scores: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "subject_scores", _scores_array(self.subject_scores, "subject scores")
-        )
-        if self.subject_scores.size < 2:
-            raise ConfigError(
-                f"morph trial {self.morph_id} needs scores for at least 2 subjects"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class MorphTrials:
-    """Morph trials as one (T, K) score array, K >= 2, checked once.
+    """Morph trials as one (T, K) score array, T >= 1 and K >= 2, checked once.
 
-    Item t (so iteration) is the MorphTrial view of row t. The metrics
-    below take these or ragged MorphTrial lists.
+    minima holds the per-trial minimum scores in ascending order, a zero
+    as +0.0; mmpmr, mmpmr_curve and min_rmmr read only it. Item t (so
+    iteration) is the MorphTrial view of row t.
     """
 
     scores: np.ndarray
+    minima: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         scores = _scores_array(self.scores, "subject scores").reshape(np.shape(self.scores))
         if scores.ndim != 2 or scores.shape[1] < 2:
             raise ConfigError(f"morph trials need a (T, K >= 2) score array, got shape {scores.shape}")
+        if len(scores) == 0:
+            raise ConfigError("need at least one morph trial")
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "minima", np.sort(scores.min(axis=1)) + 0.0)
 
     def __len__(self) -> int:
         return len(self.scores)
 
     def __getitem__(self, index: int) -> MorphTrial:
         return MorphTrial(range(len(self))[index], self.scores[index])
-
-
-def _trial_minima(trials) -> np.ndarray:
-    """Sorted per-trial minimum scores; a ragged MorphTrial list is padded
-    with +inf, which no minimum takes."""
-    if len(trials) == 0:
-        raise ConfigError("need at least one morph trial")
-    if isinstance(trials, MorphTrials):
-        scores = trials.scores
-    else:
-        scores = np.full((len(trials), max(t.subject_scores.size for t in trials)), np.inf)
-        for row, trial in zip(scores, trials):
-            row[: trial.subject_scores.size] = trial.subject_scores
-    return np.sort(scores.min(axis=1))
 
 
 def _match_rate(sorted_scores: np.ndarray, thresholds):
@@ -135,7 +119,8 @@ def fnmr_fmr_curves(verification: VerificationSet):
     genuine, impostor = verification.genuine, verification.impostor
     if genuine.size == 0 or impostor.size == 0:
         raise ConfigError("curves need nonempty genuine and impostor score lists")
-    grid = np.unique(np.concatenate([genuine, impostor, [-1.0, 1.0]]))
+    # + 0.0 keeps every float and makes a zero +0.0, whichever zero np.unique kept.
+    grid = np.unique(np.concatenate([genuine, impostor, [-1.0, 1.0]])) + 0.0
     fnmr = ThresholdCurve(grid, np.searchsorted(np.sort(genuine), grid, side="right") / genuine.size)
     return fnmr, ThresholdCurve(grid, _match_rate(np.sort(impostor), grid))
 
@@ -168,15 +153,15 @@ def threshold_at(curve: ThresholdCurve, target: float, direction: str):
     return float(curve.thresholds[idx]), float(curve.values[idx])
 
 
-def mmpmr(trials, tau: float) -> float:
+def mmpmr(trials: MorphTrials, tau: float) -> float:
     """Fraction of morphs whose weakest subject score still exceeds tau."""
-    return float(_match_rate(_trial_minima(trials), tau))
+    return float(_match_rate(trials.minima, tau))
 
 
-def mmpmr_curve(trials, thresholds) -> ThresholdCurve:
+def mmpmr_curve(trials: MorphTrials, thresholds) -> ThresholdCurve:
     """Pointwise match rate over a sorted threshold grid."""
     grid = np.asarray(thresholds, dtype=np.float64)
-    return ThresholdCurve(grid, _match_rate(_trial_minima(trials), grid))
+    return ThresholdCurve(grid, _match_rate(trials.minima, grid))
 
 
 def rmmr(mmpmr_value: float, fnmr_value: float) -> float:
@@ -190,7 +175,7 @@ def rmmr(mmpmr_value: float, fnmr_value: float) -> float:
     return mmpmr_value + fnmr_value
 
 
-def min_rmmr(trials, fnmr: ThresholdCurve):
+def min_rmmr(trials: MorphTrials, fnmr: ThresholdCurve):
     """Minimize mmpmr(tau) + fnmr(tau) over the FNMR curve's grid plus the trial minima.
 
     FNMR steps only at genuine scores and MMPMR only at trial minima, so
@@ -203,9 +188,8 @@ def min_rmmr(trials, fnmr: ThresholdCurve):
     """
     if fnmr.thresholds[0] != -1.0:
         raise ConfigError("min-RMMR needs an FNMR curve whose first threshold is -1")
-    mins = _trial_minima(trials)
-    grid = np.union1d(fnmr.thresholds, mins)
-    values = _match_rate(mins, grid) + fnmr.values[np.searchsorted(fnmr.thresholds, grid, side="right") - 1]
+    grid = np.union1d(fnmr.thresholds, trials.minima)
+    values = _match_rate(trials.minima, grid) + fnmr.values[np.searchsorted(fnmr.thresholds, grid, side="right") - 1]
     idx = int(np.argmin(values))
     return float(grid[idx]), float(values[idx])
 

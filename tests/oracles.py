@@ -30,7 +30,7 @@ from morphguard.encoder import _forward_batch
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import _held_out_per_identity
 from morphguard.losses import morphguard_loss_arrays
-from morphguard.metrics import MorphTrial
+from morphguard.metrics import MorphTrial, MorphTrials
 from morphguard.seeding import (
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
@@ -106,6 +106,12 @@ def oracle_threshold_at(thresholds, values, target, direction):
 def oracle_mmpmr(trial_scores, tau):
     hits = sum(1 for scores in trial_scores if min(scores) > tau)
     return hits / len(trial_scores)
+
+
+def padded_trials(ragged):
+    """MorphTrials of ragged 2- or 3-score rows: a 2-score row is padded
+    with its first score, which keeps its minimum and the set of scores."""
+    return MorphTrials([list(row) + list(row[: 3 - len(row)]) for row in ragged])
 
 
 def oracle_min_rmmr(trial_scores, genuine, impostor):

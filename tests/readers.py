@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from morphguard.errors import DataError
-from morphguard.metrics import MorphTrial, OperatingPoint, ThresholdCurve, VerificationSet
+from morphguard.metrics import MorphTrials, OperatingPoint, ThresholdCurve, VerificationSet
 
 
 def load_curve_csv(path) -> ThresholdCurve:
@@ -51,13 +51,13 @@ def load_scores_csv(path) -> VerificationSet:
     return VerificationSet(np.array(genuine), np.array(impostor))
 
 
-def load_trials_json(path) -> list[MorphTrial]:
+def load_trials_json(path) -> MorphTrials:
+    """The MorphTrials save_trials_json wrote; morph ids must count the rows."""
     with open(path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     try:
-        return [
-            MorphTrial(morph_id=int(r["morph_id"]), subject_scores=np.asarray(r["subject_scores"]))
-            for r in records
-        ]
+        if [int(r["morph_id"]) for r in records] != list(range(len(records))):
+            raise DataError(f"trials file {path} does not number its morphs 0, 1, ...")
+        return MorphTrials(np.array([r["subject_scores"] for r in records], dtype=np.float64))
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed trials file {path}") from exc

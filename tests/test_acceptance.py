@@ -33,6 +33,7 @@ from oracles import (
     oracle_mmpmr,
     oracle_mmpmr_at_fnmr,
     oracle_threshold_at,
+    padded_trials,
     softmax_ce,
 )
 
@@ -142,12 +143,11 @@ def test_criterion_3_metric_oracles():
     for instance in range(1000):
         genuine = np.round(rng.uniform(-1, 1, int(rng.integers(2, 101))), 3)
         impostor = np.round(rng.uniform(-1, 1, int(rng.integers(2, 101))), 3)
-        trials = [
-            metrics.MorphTrial(m, np.round(rng.uniform(-1, 1, int(rng.integers(2, 4))), 3))
-            for m in range(int(rng.integers(1, 41)))
+        scores = [
+            np.round(rng.uniform(-1, 1, int(rng.integers(2, 4))), 3) for _ in range(int(rng.integers(1, 41)))
         ]
+        trials = padded_trials(scores)
         vset = metrics.VerificationSet(genuine, impostor)
-        scores = [t.subject_scores for t in trials]
 
         fnmr, fmr = metrics.fnmr_fmr_curves(vset)
         grid, o_fnmr, o_fmr = oracle_curves(genuine.tolist(), impostor.tolist())

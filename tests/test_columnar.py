@@ -34,7 +34,7 @@ from morphguard.experiment import (
     morph_trials,
     trial_features,
 )
-from morphguard.metrics import MorphTrial, MorphTrials, fnmr_fmr_curves, min_rmmr, mmpmr, mmpmr_curve, VerificationSet
+from morphguard.metrics import MorphTrials
 
 from oracles import (
     oracle_build_training_set,
@@ -279,14 +279,3 @@ class TestMorphTrials:
         for bad in (np.array([[0.5, np.nan]]), np.array([[0.5, 1.5]]), np.array([[0.5]]), np.array([0.5, 0.5])):
             with pytest.raises(ValueError):
                 MorphTrials(bad)
-
-    def test_metrics_equal_on_columns_and_objects(self):
-        rng = np.random.default_rng(5)
-        scores = np.round(rng.uniform(-1, 1, (50, 2)), 2)
-        columns, objects = MorphTrials(scores), [MorphTrial(t, row) for t, row in enumerate(scores)]
-        verification = VerificationSet(np.round(rng.uniform(-1, 1, 30), 2), np.round(rng.uniform(-1, 1, 30), 2))
-        grid = np.linspace(-1, 1, 41)
-        assert mmpmr(columns, 0.1) == mmpmr(objects, 0.1)
-        assert mmpmr_curve(columns, grid).values.tobytes() == mmpmr_curve(objects, grid).values.tobytes()
-        fnmr = fnmr_fmr_curves(verification)[0]
-        assert min_rmmr(columns, fnmr) == min_rmmr(objects, fnmr)

@@ -10,7 +10,6 @@ from morphguard.experiment import _cosines
 from morphguard.metrics import (
     FROM_ABOVE,
     FROM_BELOW,
-    MorphTrial,
     MorphTrials,
     OperatingPoint,
     ThresholdCurve,
@@ -39,20 +38,19 @@ from oracles import (
     oracle_mmpmr,
     oracle_mmpmr_at_fnmr,
     oracle_threshold_at,
+    padded_trials,
 )
 
 
 def random_instance(rng, max_scores=100):
+    """(verification, trials, ragged): trials are the ragged 2- or 3-score rows, padded."""
     n_genuine = int(rng.integers(2, max_scores))
     n_impostor = int(rng.integers(2, max_scores))
     n_trials = int(rng.integers(1, max_scores // 2))
     genuine = np.round(rng.uniform(-1, 1, n_genuine), 3)
     impostor = np.round(rng.uniform(-1, 1, n_impostor), 3)
-    trials = [
-        MorphTrial(m, np.round(rng.uniform(-1, 1, int(rng.integers(2, 4))), 3))
-        for m in range(n_trials)
-    ]
-    return VerificationSet(genuine, impostor), trials
+    ragged = [np.round(rng.uniform(-1, 1, int(rng.integers(2, 4))), 3) for _ in range(n_trials)]
+    return VerificationSet(genuine, impostor), padded_trials(ragged), ragged
 
 
 def points_at_fnmr(trials, vset, targets):
@@ -102,7 +100,7 @@ class TestCurves:
     def test_matches_enumeration_bitwise(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            vset, _ = random_instance(rng)
+            vset, *_ = random_instance(rng)
             fnmr, fmr = fnmr_fmr_curves(vset)
             grid, o_fnmr, o_fmr = oracle_curves(vset.genuine, vset.impostor)
             np.testing.assert_array_equal(fnmr.thresholds, np.array(grid))
@@ -111,7 +109,7 @@ class TestCurves:
 
     def test_monotonicity(self):
         rng = np.random.default_rng(2)
-        vset, _ = random_instance(rng)
+        vset, *_ = random_instance(rng)
         fnmr, fmr = fnmr_fmr_curves(vset)
         assert np.all(np.diff(fnmr.values) >= 0)
         assert np.all(np.diff(fmr.values) <= 0)
@@ -119,6 +117,16 @@ class TestCurves:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             fnmr_fmr_curves(VerificationSet([], [0.1]))
+
+    @pytest.mark.parametrize(
+        "genuine, impostor",
+        [([0.0, 0.3], [-0.0, -0.2]), ([-0.0, 0.3], [0.5, -0.2])],
+        ids=["both-zeros", "negative-zero-only"],
+    )
+    def test_zero_threshold_is_positive_zero(self, genuine, impostor):
+        grid = fnmr_fmr_curves(VerificationSet(genuine, impostor))[0].thresholds
+        zeros = grid[grid == 0.0]
+        assert zeros.size == 1 and not np.signbit(zeros[0])
 
     @pytest.mark.parametrize(
         "thresholds, values, message",
@@ -170,7 +178,7 @@ class TestThresholdAt:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            vset, _ = random_instance(rng)
+            vset, *_ = random_instance(rng)
             fnmr, fmr = fnmr_fmr_curves(vset)
             target = float(np.round(rng.uniform(0.01, 0.99), 3))
             expected = oracle_threshold_at(fnmr.thresholds, fnmr.values, target, "from_below")
@@ -181,41 +189,63 @@ class TestThresholdAt:
 
 class TestMmpmr:
     def test_extreme_thresholds(self):
-        trials = [MorphTrial(0, [0.5, 0.7]), MorphTrial(1, [0.2, 0.9])]
+        trials = MorphTrials([[0.5, 0.7], [0.2, 0.9]])
         assert mmpmr(trials, 0.9) == 0.0
         assert mmpmr(trials, -1.0) == 1.0
 
     def test_hand_example(self):
-        trials = [
-            MorphTrial(0, [0.6, 0.8]),
-            MorphTrial(1, [0.5, 0.9]),
-            MorphTrial(2, [0.4, 0.7]),
-        ]
+        trials = MorphTrials([[0.6, 0.8], [0.5, 0.9], [0.4, 0.7]])
         assert mmpmr(trials, 0.55) == pytest.approx(1 / 3, abs=0)
 
     def test_exact_threshold_is_non_match(self):
-        trials = [MorphTrial(0, [0.5, 0.7])]
+        trials = MorphTrials([[0.5, 0.7]])
         assert mmpmr(trials, 0.5) == 0.0  # strict >
 
     def test_curve_and_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            vset, trials = random_instance(rng)
+            vset, trials, ragged = random_instance(rng)
             grid = np.array(oracle_grid(vset.genuine, vset.impostor))
             curve = mmpmr_curve(trials, grid)
-            scores = [t.subject_scores for t in trials]
-            expected = np.array([oracle_mmpmr(scores, t) for t in grid])
+            expected = np.array([oracle_mmpmr(ragged, t) for t in grid])
             np.testing.assert_array_equal(curve.values, expected)
             assert np.all(np.diff(curve.values) <= 0)
 
     def test_single_trial_step(self):
-        trials = [MorphTrial(0, [0.3, 0.6])]
+        trials = MorphTrials([[0.3, 0.6]])
         curve = mmpmr_curve(trials, np.array([-1.0, 0.0, 0.3, 0.5, 1.0]))
         np.testing.assert_array_equal(curve.values, [1.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_empty_trials(self):
-        with pytest.raises(ConfigError):
-            mmpmr([], 0.5)
+        with pytest.raises(ConfigError) as err:
+            MorphTrials(np.empty((0, 2)))
+        assert str(err.value) == "need at least one morph trial"
+
+
+class TestTrialMinima:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_minima_and_metrics_match_oracles(self, data):
+        # Scores come from a small pool that often holds -1, +1, -0.0 or +0.0, so minima tie, sit
+        # on the sentinels and come as either zero.
+        pool = data.draw(
+            st.lists(st.sampled_from([-1.0, 1.0, -0.0, 0.0]) | st.floats(-1.0, 1.0), min_size=1, max_size=6)
+        )
+        score = st.sampled_from(pool)
+        width = data.draw(st.integers(2, 3))
+        rows = data.draw(st.lists(st.lists(score, min_size=width, max_size=width), min_size=1, max_size=12))
+        genuine = data.draw(st.lists(score, min_size=1, max_size=12))
+        impostor = data.draw(st.lists(score, min_size=1, max_size=12))
+        trials = MorphTrials(np.array(rows))
+        assert np.array_equal(trials.minima, np.sort(np.array(rows).min(axis=1)))
+        assert not np.any(np.signbit(trials.minima) & (trials.minima == 0.0))
+        tau = data.draw(score)
+        assert mmpmr(trials, tau) == oracle_mmpmr(rows, tau)
+        grid = np.array(oracle_grid(genuine, impostor, pool))
+        np.testing.assert_array_equal(mmpmr_curve(trials, grid).values, [oracle_mmpmr(rows, t) for t in grid])
+        tau, value = min_rmmr(trials, fnmr_fmr_curves(VerificationSet(genuine, impostor))[0])
+        assert (tau, value) == oracle_min_rmmr(rows, genuine, impostor)
+        assert not (tau == 0.0 and np.signbit(tau))
 
 
 class TestRmmr:
@@ -240,7 +270,7 @@ class TestRmmr:
 class TestMinRmmr:
     def test_separable_case(self):
         vset = VerificationSet([0.8, 0.85, 0.9], [0.1, 0.2])
-        trials = [MorphTrial(0, [0.3, 0.5]), MorphTrial(1, [0.2, 0.4])]
+        trials = MorphTrials([[0.3, 0.5], [0.2, 0.4]])
         tau, value = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
         assert value == 0.0
         # strict > makes the largest trial-min score itself a zero point
@@ -248,34 +278,28 @@ class TestMinRmmr:
 
     def test_hand_instance_matches_sweep(self):
         vset = VerificationSet([0.6, 0.7, 0.75, 0.9], [0.2, 0.5])
-        trials = [
-            MorphTrial(0, [0.55, 0.8]),
-            MorphTrial(1, [0.65, 0.7]),
-            MorphTrial(2, [0.3, 0.95]),
-        ]
-        scores = [t.subject_scores for t in trials]
+        scores = [[0.55, 0.8], [0.65, 0.7], [0.3, 0.95]]
+        trials = MorphTrials(scores)
         expected = oracle_min_rmmr(scores, vset.genuine.tolist(), vset.impostor.tolist())
         assert min_rmmr(trials, fnmr_fmr_curves(vset)[0]) == expected
 
     def test_matches_enumeration_bitwise(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            vset, trials = random_instance(rng)
-            scores = [t.subject_scores for t in trials]
-            expected = oracle_min_rmmr(scores, vset.genuine.tolist(), vset.impostor.tolist())
+            vset, trials, ragged = random_instance(rng)
+            expected = oracle_min_rmmr(ragged, vset.genuine.tolist(), vset.impostor.tolist())
             assert min_rmmr(trials, fnmr_fmr_curves(vset)[0]) == expected
 
     def test_refinement_does_not_change_minimum(self):
         rng = np.random.default_rng(6)
-        vset, trials = random_instance(rng)
+        vset, trials, ragged = random_instance(rng)
         tau, value = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
-        scores = [t.subject_scores for t in trials]
-        coarse = oracle_grid(vset.genuine, vset.impostor, [s for sc in scores for s in sc])
+        coarse = oracle_grid(vset.genuine, vset.impostor, [s for sc in ragged for s in sc])
         fine = []
         for a, b in zip(coarse[:-1], coarse[1:]):
             fine.extend(np.linspace(a, b, 11)[:-1])
         fine.append(coarse[-1])
-        fine_min = min(oracle_mmpmr(scores, t) + oracle_fnmr(vset.genuine.tolist(), t) for t in fine)
+        fine_min = min(oracle_mmpmr(ragged, t) + oracle_fnmr(vset.genuine.tolist(), t) for t in fine)
         assert value == fine_min
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -289,16 +313,21 @@ class TestMinRmmr:
         impostor = data.draw(st.lists(score, min_size=1, max_size=20))
         fnmr = fnmr_fmr_curves(VerificationSet(genuine, impostor))[0]
         ragged = data.draw(st.lists(st.lists(score, min_size=2, max_size=3), min_size=1, max_size=10))
-        trials = [MorphTrial(m, scores) for m, scores in enumerate(ragged)]
-        assert min_rmmr(trials, fnmr) == oracle_min_rmmr(ragged, genuine, impostor)
+        assert min_rmmr(padded_trials(ragged), fnmr) == oracle_min_rmmr(ragged, genuine, impostor)
         width = data.draw(st.integers(2, 3))
         rows = data.draw(st.lists(st.lists(score, min_size=width, max_size=width), min_size=1, max_size=10))
         assert min_rmmr(MorphTrials(np.array(rows)), fnmr) == oracle_min_rmmr(rows, genuine, impostor)
 
+    def test_zero_trial_minimum_gives_positive_zero_threshold(self):
+        # The trial minimum -0.0 is the minimizer: every trial fails there, and no genuine score does.
+        fnmr = fnmr_fmr_curves(VerificationSet([0.5], [0.1]))[0]
+        tau, value = min_rmmr(MorphTrials([[-0.0, 0.5]]), fnmr)
+        assert (tau, value) == (0.0, 0.0) and not np.signbit(tau)
+
     def test_fnmr_curve_must_start_at_minus_one(self):
         fnmr = ThresholdCurve([-0.5, 0.5, 1.0], [0.0, 0.5, 1.0])
         with pytest.raises(ConfigError) as err:
-            min_rmmr([MorphTrial(0, [-0.75, 0.25])], fnmr)
+            min_rmmr(MorphTrials([[-0.75, 0.25]]), fnmr)
         assert str(err.value) == "min-RMMR needs an FNMR curve whose first threshold is -1"
 
 
@@ -307,7 +336,7 @@ class TestOperatingPoints:
         rng = np.random.default_rng(7)
         genuine = rng.uniform(0.8, 1.0, 200)
         impostor = rng.uniform(-0.5, 0.2, 200)
-        trials = [MorphTrial(m, rng.uniform(-0.2, 0.5, 2)) for m in range(50)]
+        trials = MorphTrials([rng.uniform(-0.2, 0.5, 2) for _ in range(50)])
         points = points_at_fnmr(trials, VerificationSet(genuine, impostor), [0.01])
         assert points[0].value == 0.0
         assert points[0].achieved >= 0.01
@@ -315,12 +344,11 @@ class TestOperatingPoints:
     def test_matches_composed_enumeration(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            vset, trials = random_instance(rng)
+            vset, trials, ragged = random_instance(rng)
             targets = [0.05, 0.25, 0.5]
             points = points_at_fnmr(trials, vset, targets)
-            scores = [t.subject_scores for t in trials]
             expected = oracle_mmpmr_at_fnmr(
-                scores, vset.genuine.tolist(), vset.impostor.tolist(), targets
+                ragged, vset.genuine.tolist(), vset.impostor.tolist(), targets
             )
             for point, (target, achieved, tau, value) in zip(points, expected):
                 assert point.target == target
@@ -357,13 +385,13 @@ class TestOperatingPoints:
 
     def test_target_validation(self):
         vset = VerificationSet([0.5], [0.1])
-        trials = [MorphTrial(0, [0.2, 0.3])]
+        trials = MorphTrials([[0.2, 0.3]])
         with pytest.raises(ConfigError):
             points_at_fnmr(trials, vset, [1.0])
 
     def test_mmpmr_at_fnmr_needs_one_grid(self):
         fnmr, _ = fnmr_fmr_curves(VerificationSet([0.5, 0.7], [0.1, 0.3]))
-        match = mmpmr_curve([MorphTrial(0, [0.2, 0.6])], [-1.0, 0.1, 0.5, 0.7, 1.0])
+        match = mmpmr_curve(MorphTrials([[0.2, 0.6]]), [-1.0, 0.1, 0.5, 0.7, 1.0])
         with pytest.raises(ConfigError) as err:
             mmpmr_at_fnmr(match, fnmr, [0.25])
         assert str(err.value) == "MMPMR and FNMR curves must share one threshold grid"
@@ -380,21 +408,21 @@ class TestPermutationInvariance:
     @settings(max_examples=25, deadline=None)
     def test_shuffling_changes_nothing(self, pyrandom):
         rng = np.random.default_rng(pyrandom.randrange(2**32))
-        vset, trials = random_instance(rng, max_scores=30)
+        vset, trials, _ = random_instance(rng, max_scores=30)
         baseline = min_rmmr(trials, fnmr_fmr_curves(vset)[0])
         g = vset.genuine.tolist()
         i = vset.impostor.tolist()
         pyrandom.shuffle(g)
         pyrandom.shuffle(i)
-        shuffled_trials = list(trials)
-        pyrandom.shuffle(shuffled_trials)
-        assert min_rmmr(shuffled_trials, fnmr_fmr_curves(VerificationSet(g, i))[0]) == baseline
+        rows = list(range(len(trials)))
+        pyrandom.shuffle(rows)
+        assert min_rmmr(MorphTrials(trials.scores[rows]), fnmr_fmr_curves(VerificationSet(g, i))[0]) == baseline
 
 
 class TestSerialization:
     def test_curve_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
-        vset, _ = random_instance(rng)
+        vset, *_ = random_instance(rng)
         fnmr, _ = fnmr_fmr_curves(vset)
         path = tmp_path / "curve.csv"
         save_curve_csv(fnmr, path)
@@ -404,7 +432,7 @@ class TestSerialization:
 
     def test_scores_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
-        vset, _ = random_instance(rng)
+        vset, *_ = random_instance(rng)
         path = tmp_path / "scores.csv"
         save_scores_csv(vset, path)
         loaded = load_scores_csv(path)
