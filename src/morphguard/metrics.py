@@ -70,7 +70,7 @@ class MorphTrials:
     """
 
     scores: np.ndarray
-    minima: np.ndarray = field(init=False, repr=False)
+    minima: np.ndarray = field(init=False)
 
     def __post_init__(self):
         scores = _scores_array(self.scores, "subject scores").reshape(np.shape(self.scores))
