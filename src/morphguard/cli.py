@@ -141,10 +141,8 @@ def cmd_gen_data(args, config):
     bundle = generate_bundle(config)
     train_set = bundle.train_set
     out_dir = _out_dir(args)
-    # The training set's first block is the pool's training rows in split order: each text is formatted once.
-    texts = datagen.input_texts(bundle.bona_fides.inputs)
-    datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl", texts)
-    datagen.save_dataset(train_set, out_dir / "dataset.jsonl", [texts[r] for r in bundle.train_rows.tolist()])
+    datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl")
+    datagen.save_dataset(train_set, out_dir / "dataset.jsonl")
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
     print(
         f"wrote {len(bundle.bona_fides)} bona fides, {len(train_set)} training samples, "
@@ -219,9 +217,10 @@ def _load_eval_inputs(args, config):
     model = _load_checkpoint_for(args.checkpoint, config)
     bona_fides = datagen.load_dataset(args.data)
     protocol = datagen.load_protocol(args.protocol)
-    expected = config.data.num_classes * config.data.samples_per_class
-    if len(bona_fides) != expected:
-        raise DataError(f"bona fide pool holds {len(bona_fides)} samples but the config implies {expected}")
+    (rows, width), data = bona_fides.inputs.shape, config.data
+    if (rows, width) != (data.num_classes * data.samples_per_class, data.input_dim):
+        raise DataError(f"--data {args.data} holds {rows} samples of {width} inputs; the config implies "
+                        f"{data.num_classes * data.samples_per_class} samples of {data.input_dim} inputs")
     if len(protocol.columns) < featviz.MIN_ELLIPSE_POINTS:
         raise DataError(
             f"protocol holds {len(protocol.columns)} pairs; evaluation needs >= {featviz.MIN_ELLIPSE_POINTS}"

@@ -401,28 +401,32 @@ def build_training_set(
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
+_WRITE_ROWS = 1024  # save_dataset's rows per range test, so its temporaries stay small whatever the set's size
 
 
-def input_texts(inputs: np.ndarray) -> list:
-    """The JSON text of each input row, as save_dataset writes it."""
-    return [json.dumps(row.tolist()) for row in inputs]
-
-
-def save_dataset(samples: SampleSet, path, texts=()):
+def save_dataset(samples: SampleSet, path):
     """Write samples as line-delimited JSON records.
 
     Each line holds the bytes json.dumps gives the record {"kind",
     "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
-    streamed to the file. texts, if given, are input_texts of the first
-    len(texts) rows, written for them in place of formatting them again.
+    streamed to the file. An input row whose values are all ±0 or of
+    magnitude in [1e-4, 1e16) is formatted by orjson, whose text there
+    is json.dumps's once ", " separates the items; json.dumps does the rest.
     """
-    columns = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist(), samples.inputs)
+    import orjson  # here, so that commands writing no dataset never load it
+
+    labels = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (kind, first, second, row) in enumerate(columns):
-            text = texts[i] if i < len(texts) else json.dumps(row.tolist())
-            ids = f"{first}, {second}" if kind == MORPH else f"{first}"
-            fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
-                     f'"source_ids": [{ids}], "input": {text}}}\n')
+        for start in range(0, len(samples), _WRITE_ROWS):
+            block = np.ascontiguousarray(samples.inputs[start : start + _WRITE_ROWS])  # orjson reads C order only
+            size = np.abs(block)
+            in_range = ((size == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1).tolist()
+            for row, fast, (kind, first, second) in zip(block, in_range, labels):  # labels last: zip stops on block
+                text = (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(",", ", ") if fast
+                        else json.dumps(row.tolist()))
+                ids = f"{first}, {second}" if kind == MORPH else f"{first}"
+                fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
+                         f'"source_ids": [{ids}], "input": {text}}}\n')
 
 
 def load_dataset(path) -> SampleSet:
@@ -480,8 +484,8 @@ def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path)
 
 
 def load_protocol(path) -> MorphPairProtocol:
-    """Read save_protocol's file: JSON integer fields that fit in 64
-    bits, each pair running subset 1 -> 2, each identity in one subset."""
+    """Read save_protocol's file: JSON integer fields that fit in 64 bits,
+    each pair running subset 1 -> 2 and listed once, each identity in one subset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             records = json.load(fh)
@@ -506,4 +510,8 @@ def load_protocol(path) -> MorphPairProtocol:
     both = np.intersect1d(columns[:, 0], columns[:, 1])
     if both.size:
         raise ProtocolError(f"{path}: identity {both[0]} is listed in both subsets")
+    _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+    if len(first) < len(columns):
+        k = np.setdiff1d(np.arange(len(columns)), first)[0]  # the first place that repeats an earlier pair
+        raise ProtocolError(f"{path}: pair {k} repeats pair {first[inverse.flat[k]]}, {MorphPair(*values[k, :4])}")
     return MorphPairProtocol(columns)

@@ -287,13 +287,8 @@ def generate_bundle(config: ExperimentConfig) -> DataBundle:
 
 
 def fresh_model(config: ExperimentConfig) -> DualHeadModel:
-    return init_model(
-        config.data.input_dim,
-        list(config.model.hidden_dims),
-        config.model.embedding_dim,
-        config.data.num_classes,
-        config.seed,
-    )
+    data, model = config.data, config.model
+    return init_model(data.input_dim, list(model.hidden_dims), model.embedding_dim, data.num_classes, config.seed)
 
 
 def train_config(config: ExperimentConfig, morph_offset=None, epochs=None, lr_start=None, lr_end=None) -> TrainConfig:

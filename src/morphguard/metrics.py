@@ -33,8 +33,11 @@ FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
 
 
-def _scores_array(scores, name: str) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64).ravel()
+def _scores_array(scores, name: str, shape: str) -> np.ndarray:
+    try:
+        arr = np.asarray(scores, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} need a numeric {shape} array, got ragged or non-numeric values") from exc
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > 1.0)):
         raise NumericInputError(f"{name} must be finite similarity scores in [-1, 1]")
     return arr
@@ -48,8 +51,8 @@ class VerificationSet:
     impostor: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "genuine", _scores_array(self.genuine, "genuine scores"))
-        object.__setattr__(self, "impostor", _scores_array(self.impostor, "impostor scores"))
+        object.__setattr__(self, "genuine", _scores_array(self.genuine, "genuine scores", "(N,)").ravel())
+        object.__setattr__(self, "impostor", _scores_array(self.impostor, "impostor scores", "(N,)").ravel())
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class MorphTrials:
     minima: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        scores = _scores_array(self.scores, "subject scores").reshape(np.shape(self.scores))
+        scores = _scores_array(self.scores, "subject scores", "(T, K >= 2)")
         if scores.ndim != 2 or scores.shape[1] < 2:
             raise ConfigError(f"morph trials need a (T, K >= 2) score array, got shape {scores.shape}")
         if len(scores) == 0:
@@ -255,22 +258,15 @@ def operating_point_row(point: OperatingPoint) -> str:
     Fields without a meaningful value for a metric (e.g. the target of
     min_rmmr) are left empty.
     """
-    fields = [
-        point.metric,
-        "" if point.target is None else repr(float(point.target)),
-        "" if point.achieved is None else repr(float(point.achieved)),
-        "" if point.threshold is None else repr(float(point.threshold)),
-        repr(float(point.value)),
-    ]
-    return ",".join(fields)
+    optional = ("" if v is None else repr(float(v)) for v in (point.target, point.achieved, point.threshold))
+    return ",".join((point.metric, *optional, repr(float(point.value))))
 
 
 def save_operating_points_csv(points, path):
     """Write one operating_point_row per point under its header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(OPERATING_POINT_HEADER + "\n")
-        for point in points:
-            fh.write(operating_point_row(point) + "\n")
+        fh.writelines(operating_point_row(point) + "\n" for point in points)
 
 
 def save_scores_csv(verification: VerificationSet, path):

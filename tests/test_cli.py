@@ -113,8 +113,8 @@ class TestGenData:
     @pytest.mark.parametrize("data", [{}, {"ratios": [2, 1, 0]}, {"holdout_fraction": 0.4}],
                              ids=["defaults", "ratios_2_1_0", "holdout_0.4"])
     def test_reused_texts_give_the_files_bytes(self, data, tmp_path):
-        """dataset.jsonl writes its bona fides from the pool's texts, picked by
-        pool row: the bytes of formatting every record of the training set."""
+        """Each file is the bytes of save_dataset on its own set, so dataset.jsonl's
+        bona fide lines reuse the text of the pool's lines, picked by pool row."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"data": data}))
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -736,6 +736,34 @@ class TestExitCodes:
                          data_dir / "protocol.json")
         err = self._assert_one_line_data_error(argv, capsys)
         assert f"pool row {rows.start or 0} is a selfmorph; a pool holds only bona fides" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_pairs(self, config_path, data_dir, train_dir, tmp_path, capsys):
+        """A protocol of its first half written twice exits 3, naming both places of the first repeat."""
+        half = len(json.loads((data_dir / "protocol.json").read_text())) // 2
+
+        def write_first_half_twice(records):
+            records[:] = records[:half] * 2
+
+        protocol = edit_protocol(data_dir, tmp_path, write_first_half_twice)
+        argv = eval_argv("eval", config_path, tmp_path / "o", train_dir / "checkpoint.bin",
+                         data_dir / "bona_fides.jsonl", protocol)
+        err = self._assert_one_line_data_error(argv, capsys)
+        assert f"{protocol}: pair {half} repeats pair 0, MorphPair(" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-features"])
+    def test_pool_rows_of_another_width(self, command, config_path, data_dir, train_dir, tmp_path, capsys):
+        """Pool rows one input wider than the config's input_dim exit 3 naming --data."""
+        def widen(records):
+            for record in records:
+                record["input"].append(0.0)
+
+        pool = edit_pool(data_dir, tmp_path, widen)
+        argv = eval_argv(command, config_path, tmp_path / "o", train_dir / "checkpoint.bin", pool,
+                         data_dir / "protocol.json")
+        err = self._assert_one_line_data_error(argv, capsys)
+        assert f"--data {pool} holds 60 samples of 17 inputs; the config implies 60 samples of 16 inputs" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["eval", "analyze-features"])

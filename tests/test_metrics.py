@@ -222,6 +222,29 @@ class TestMmpmr:
         assert str(err.value) == "need at least one morph trial"
 
 
+class TestScoreShapes:
+    """Ragged or non-numeric scores raise one library error line that names the expected shape."""
+
+    TRIALS = "subject scores need a numeric (T, K >= 2) array, got ragged or non-numeric values"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MorphTrials([[0.1, 0.2], [0.3]]), TRIALS),
+            (lambda: MorphTrials([[0.1, "high"], [0.3, 0.4]]), TRIALS),
+            (lambda: VerificationSet([0.1, [0.2, 0.3]], [0.1]),
+             "genuine scores need a numeric (N,) array, got ragged or non-numeric values"),
+            (lambda: VerificationSet([0.1], [0.2, {"score": 0.3}]),
+             "impostor scores need a numeric (N,) array, got ragged or non-numeric values"),
+        ],
+        ids=["trials-ragged", "trials-text", "verification-ragged", "verification-dict"],
+    )
+    def test_one_config_error_line(self, build, message):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
+
+
 class TestTrialMinima:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())

@@ -1,20 +1,23 @@
 """Text writers against the oracles' per-record and per-scalar formatting, byte for byte."""
 
 import json
+import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphguard.cli import main
 from morphguard.datagen import (
+    _WRITE_ROWS,
     BONA_FIDE,
     MORPH,
     SELF_MORPH,
     IdentityUniverse,
     MorphPairProtocol,
     SampleSet,
-    input_texts,
     save_dataset,
     save_protocol,
     synth_identities,
@@ -25,6 +28,11 @@ from morphguard.metrics import ThresholdCurve, VerificationSet, save_curve_csv, 
 from oracles import oracle_save_aligned_csv, oracle_save_curve_csv, oracle_save_dataset, oracle_save_scores_csv
 
 EDGE_VALUES = [0.0, -0.0, 1e-5, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), 3.0, -0.1]
+# save_dataset formats a row with orjson only when every value is ±0 or of magnitude in [1e-4, 1e16).
+LOW, HIGH = 1e-4, 1e16
+BELOW_LOW, BELOW_HIGH = np.nextafter(LOW, 0.0), np.nextafter(HIGH, 0.0)
+IN_RANGE = [LOW, np.nextafter(LOW, 1.0), BELOW_HIGH, 1e15, 3.0, 0.0, -0.0, 0.1, 1 / 3, 123456789012345.6]
+OUT_OF_RANGE = [BELOW_LOW, HIGH, 1e-5, 5e-324, float("nan"), float("inf"), float("-inf"), 1e300]
 
 
 def edge_samples() -> SampleSet:
@@ -41,9 +49,27 @@ def edge_samples() -> SampleSet:
     return SampleSet(inputs, first, second, kinds)
 
 
+def straddling_rows() -> np.ndarray:
+    """(1 + 2 * len(OUT_OF_RANGE), 64) rows: one of in-range values of both signs, the 16-digit
+    ties 8 + j/2**16 among them, then that row with one value, or its negation, out of range."""
+    values = np.concatenate((IN_RANGE, 8 + np.arange(64 - 2 * len(IN_RANGE)) / 2**16, np.negative(IN_RANGE)))
+    rows = [values]
+    for k, value in enumerate(OUT_OF_RANGE):
+        for sign in (1.0, -1.0):
+            row = values.copy()
+            row[5 * k + 1] = sign * value
+            rows.append(row)
+    return np.stack(rows)
+
+
 def oracle_bytes(samples, path) -> bytes:
     oracle_save_dataset(samples, path)
     return path.read_bytes()
+
+
+def bona_fides(inputs) -> SampleSet:
+    zeros = [0] * len(inputs)
+    return SampleSet(inputs, zeros, zeros, zeros)
 
 
 class TestDatasetRecords:
@@ -52,47 +78,94 @@ class TestDatasetRecords:
         expected = oracle_bytes(samples, tmp_path / "oracle.jsonl")
         assert b"NaN" in expected and b"-Infinity" in expected and b"5e-324" in expected
         save_dataset(samples, tmp_path / "plain.jsonl")
-        save_dataset(samples, tmp_path / "texts.jsonl", input_texts(samples.inputs))
-        save_dataset(samples, tmp_path / "prefix.jsonl", input_texts(samples.inputs[:3]))
-        for name in ("plain", "texts", "prefix"):
-            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
+        assert (tmp_path / "plain.jsonl").read_bytes() == expected
 
-    def test_shared_texts_give_separate_calls_bytes(self, tmp_path):
-        """The pool's texts, picked by pool row, write a set that starts with pool rows."""
+    def test_pool_rows_keep_their_bytes_in_a_mixed_set(self, tmp_path):
+        """A set that starts with pool rows writes each of them as the pool's file writes it."""
         samples = edge_samples()
         pool, rows = samples[:4], [2, 1, 0, 3]
         mixed = samples[np.array([*rows, 4, 5, 6])]
-        texts = input_texts(pool.inputs)
-        save_dataset(pool, tmp_path / "pool_shared.jsonl", texts)
-        save_dataset(mixed, tmp_path / "mixed_shared.jsonl", [texts[r] for r in rows])
         save_dataset(pool, tmp_path / "pool.jsonl")
         save_dataset(mixed, tmp_path / "mixed.jsonl")
-        assert (tmp_path / "pool_shared.jsonl").read_bytes() == (tmp_path / "pool.jsonl").read_bytes()
-        assert (tmp_path / "mixed_shared.jsonl").read_bytes() == (tmp_path / "mixed.jsonl").read_bytes()
+        assert (tmp_path / "pool.jsonl").read_bytes() == oracle_bytes(pool, tmp_path / "pool.oracle.jsonl")
         assert (tmp_path / "mixed.jsonl").read_bytes() == oracle_bytes(mixed, tmp_path / "mixed.oracle.jsonl")
-        # One text per row: rows 0 and 1 differ only in the sign of a zero and keep their own texts.
-        assert texts == [json.dumps(row.tolist()) for row in pool.inputs]
-        assert texts[0] != texts[1] and texts[0] == texts[2]
+        pool_lines = (tmp_path / "pool.jsonl").read_text().splitlines()
+        mixed_lines = (tmp_path / "mixed.jsonl").read_text().splitlines()
+        assert mixed_lines[:4] == [pool_lines[r] for r in rows]
+        # Rows 0 and 1 differ only in the sign of a zero and keep their own texts.
+        assert pool_lines[0] != pool_lines[1] and pool_lines[0] == pool_lines[2]
 
-    def test_a_cached_text_is_reused(self, tmp_path):
-        """A given text is written for its row as it is; the rows after it are formatted."""
+    def test_each_input_is_its_rows_json_dumps(self, tmp_path):
         samples = edge_samples()[:2]
-        save_dataset(samples, tmp_path / "d.jsonl", ["[1.5]"])
-        first, second = (tmp_path / "d.jsonl").read_text().splitlines()
-        assert first.endswith('"input": [1.5]}')
-        assert second.endswith(f'"input": {json.dumps(samples.inputs[1].tolist())}}}')
+        save_dataset(samples, tmp_path / "d.jsonl")
+        for line, row in zip((tmp_path / "d.jsonl").read_text().splitlines(), samples.inputs, strict=True):
+            assert line.endswith(f'"input": {json.dumps(row.tolist())}}}')
 
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6),
         kind=st.sampled_from([BONA_FIDE, SELF_MORPH]),
-        given_texts=st.integers(0, 6),
     )
-    def test_any_float_row_matches_json_dumps(self, tmp_path_factory, rows, kind, given_texts):
+    def test_any_float_row_matches_json_dumps(self, tmp_path_factory, rows, kind):
         path = tmp_path_factory.mktemp("rows")
         samples = SampleSet(np.array(rows), [0] * len(rows), [0] * len(rows), [kind] * len(rows))
-        save_dataset(samples, path / "d.jsonl", input_texts(samples.inputs[:given_texts]))
+        save_dataset(samples, path / "d.jsonl")
         assert (path / "d.jsonl").read_bytes() == oracle_bytes(samples, path / "o.jsonl")
+
+
+class TestWideRows:
+    """64-wide rows on both sides of the range where orjson formats a row."""
+
+    def test_straddling_rows_match_json_dumps(self, tmp_path, monkeypatch):
+        inputs = straddling_rows()
+        formatted = []
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda row, **kw: formatted.append(row.copy()) or dumps(row, **kw))
+        save_dataset(bona_fides(inputs), tmp_path / "d.jsonl")
+        assert (tmp_path / "d.jsonl").read_bytes() == oracle_bytes(bona_fides(inputs), tmp_path / "o.jsonl")
+        # orjson formats the in-range row only: a row with any value out of range goes to json.dumps.
+        assert len(formatted) == 1 and formatted[0].tobytes() == inputs[0].tobytes()
+
+    def test_blocks_and_column_order_keep_the_bytes(self, tmp_path):
+        """Rows past a block's edge, and a Fortran-ordered input array, give json.dumps's bytes."""
+        rows = straddling_rows()
+        inputs = rows[np.arange(2 * _WRITE_ROWS + 1) % len(rows)]
+        expected = oracle_bytes(bona_fides(inputs), tmp_path / "o.jsonl")
+        for name, array in (("c", inputs), ("fortran", np.asfortranarray(inputs))):
+            save_dataset(bona_fides(array), tmp_path / f"{name}.jsonl")
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_wide_row_matches_json_dumps(self, tmp_path_factory, data):
+        """Rows of in-range values only, or of those mixed with out-of-range edges and any float."""
+        edges = [*IN_RANGE, *np.negative(IN_RANGE), *(8 + np.arange(8) / 2**16)]
+        inside = st.floats(LOW, HIGH, exclude_max=True) | st.floats(-HIGH, -LOW, exclude_min=True)
+        inside |= st.sampled_from(edges)
+        outside = st.sampled_from([*OUT_OF_RANGE, *np.negative(OUT_OF_RANGE)]) | st.floats()
+        values = inside if data.draw(st.booleans()) else inside | outside
+        rows = data.draw(st.lists(st.lists(values, min_size=64, max_size=64), min_size=1, max_size=4))
+        path = tmp_path_factory.mktemp("wide")
+        save_dataset(bona_fides(np.array(rows)), path / "d.jsonl")
+        assert (path / "d.jsonl").read_bytes() == oracle_bytes(bona_fides(np.array(rows)), path / "o.jsonl")
+
+
+class TestGenDataMemory:
+    """gen-data's tracemalloc peak at 200 identities of the wide tier's 128 inputs, in pools."""
+
+    POOL = 200 * 50 * 128 * 8  # the pool's inputs.nbytes: 200 identities x 50 samples x 128 float64
+
+    def test_gen_data_holds_no_text_of_the_pool(self, tmp_path):
+        # 2.97 pools: the pool, the (N+M+S, D) training set (1.6 pools) and one block's range
+        # test. Formatting every pool row's text up front, to reuse it, peaks at 5.62.
+        (tmp_path / "config.json").write_text(json.dumps({"data": {"num_classes": 200, "input_dim": 128}}))
+        tracemalloc.start()
+        try:
+            assert main(["gen-data", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * self.POOL
 
 
 @st.composite
