@@ -429,6 +429,30 @@ def save_dataset(samples: SampleSet, path):
                          f'"source_ids": [{ids}], "input": {text}}}\n')
 
 
+def _checked_record(line: str, where: str, width, loads):
+    """Parse one dataset line with loads and make every per-line check on it.
+
+    Returns (record, kind, first, second, row), or raises the line's
+    DataError; width is the first record's input length, None on the first.
+    """
+    try:
+        record = loads(line)
+        kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
+        ids, row = record["source_ids"], np.array(record["input"])
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise DataError(f"{where} is not a JSON dataset record: {exc!r}") from exc
+    implied = [first, second] if kind == MORPH else [first]
+    if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
+        raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
+    if first not in INT64 or second not in INT64:
+        raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
+    # np.array reads a JSON boolean among numbers as 0 or 1, so booleans need their own look.
+    if (row.ndim != 1 or row.dtype.kind not in "fiu" or (width is not None and row.size != width)
+            or bool in map(type, record["input"])):
+        raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
+    return record, kind, first, second, row
+
+
 def load_dataset(path) -> SampleSet:
     """Read save_dataset's records.
 
@@ -436,29 +460,36 @@ def load_dataset(path) -> SampleSet:
     64 bits, the source ids those the labels and kind imply, the labels
     keep SampleSet's label rules, and each input a finite list of JSON
     numbers (not bools) as long as the first record's.
+
+    orjson parses each line first. Its record is kept only where it must
+    be json.loads's: the line has one "{" and two "[", so json cannot
+    reach its recursion limit on it (orjson parses any depth, say in a
+    duplicated key that both drop); the record has exactly the five keys
+    and passes every check; and no input value has magnitude 2**63 or
+    more (orjson reads an integer outside [-2**63, 2**64) as a float where
+    json keeps the integer; the checks already hold the labels in int64).
+    json.loads parses every other line again and the same checks run on
+    its record, so that line's record, or its error, is json's.
+    tests/test_datagen.py checks that a float orjson parses is json's.
     """
+    import orjson  # here, so that commands reading no dataset never load it
+
     labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                where = f"{path} line {number}"
-                try:
-                    record = json.loads(line)
-                    kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
-                    ids, row = record["source_ids"], np.array(record["input"])
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise DataError(f"{where} is not a JSON dataset record: {exc!r}") from exc
-                implied = [first, second] if kind == MORPH else [first]
-                if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
-                    raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
-                if first not in INT64 or second not in INT64:
-                    raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
-                # np.array reads a JSON boolean among numbers as 0 or 1, so booleans need their own look.
-                if (row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size)
-                        or bool in map(type, record["input"])):
-                    raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
+                where, width = f"{path} line {number}", rows[0].size if rows else None
+                parsed = None
+                if line.count("[") == 2 and line.count("{") == 1:
+                    try:
+                        parsed = _checked_record(line, where, width, orjson.loads)
+                    except DataError:
+                        pass
+                if parsed is None or len(parsed[0]) != 5 or np.abs(parsed[4]).max(initial=0) >= 2**63:
+                    parsed = _checked_record(line, where, width, json.loads)
+                _, kind, first, second, row = parsed
                 labels.append((number, kind, first, second))
                 rows.append(row)
         except UnicodeDecodeError as exc:

@@ -18,16 +18,20 @@ import pytest
 
 from morphguard import experiment
 from morphguard.datagen import (
+    _KIND_CODES,
+    MORPH,
     IdentityUniverse,
     LabelPair,
     MorphPair,
     MorphPairProtocol,
     SampleKind,
+    SampleSet,
+    _check_label_rules,
     check_synth_settings,
     split_identities,
 )
 from morphguard.encoder import _forward_batch
-from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
+from morphguard.errors import INT64, CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
 from morphguard.experiment import _held_out_per_identity
 from morphguard.losses import morphguard_loss_arrays
 from morphguard.metrics import MorphTrial, MorphTrials
@@ -599,6 +603,44 @@ def oracle_save_dataset(samples, path):
                 "input": [float(v) for v in sample.input],
             }
             fh.write(json.dumps(record) + "\n")
+
+
+def oracle_load_dataset(path):
+    """save_dataset's records read with json.loads alone: the reader before
+    orjson parsed any line, kept as the reference for its records and its
+    DataError texts."""
+    labels, rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                where = f"{path} line {number}"
+                try:
+                    record = json.loads(line)
+                    kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
+                    ids, row = record["source_ids"], np.array(record["input"])
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise DataError(f"{where} is not a JSON dataset record: {exc!r}") from exc
+                implied = [first, second] if kind == MORPH else [first]
+                if ids != implied or not all(type(v) is int for v in (first, second, *ids)):
+                    raise DataError(f"{where}: labels must be JSON integers and source ids {implied}, got {ids!r}")
+                if first not in INT64 or second not in INT64:
+                    raise DataError(f"{where}: labels ({first}, {second}) do not fit in a 64-bit integer")
+                if (row.ndim != 1 or row.dtype.kind not in "fiu" or (rows and row.size != rows[0].size)
+                        or bool in map(type, record["input"])):
+                    raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
+                labels.append((number, kind, first, second))
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    line_numbers, kinds, firsts, seconds = np.array(labels, dtype=np.int64).reshape(-1, 4).T
+    inputs = np.array(rows, dtype=np.float64).reshape(len(rows), rows[0].size if rows else 0)
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
+    _check_label_rules(firsts, seconds, kinds, lambda k: f"{path} line {line_numbers[k]}: the record")
+    return SampleSet(inputs, firsts, seconds, kinds)
 
 
 def oracle_save_curve_csv(curve, path):

@@ -506,6 +506,17 @@ def float_label_45(records):
     records[45]["y_dot"] = records[45]["y_ddot"] = float(records[45]["y_dot"])
 
 
+def duplicate_input_nested_1100(line):
+    """orjson parses the nested list and keeps the second "input"; json.loads raises RecursionError."""
+    return line.replace("{", '{"input": ' + "[" * 1100 + "]" * 1100 + ", ", 1)
+
+
+def first_input_10_30(line):
+    """orjson reads 10**30 as the float 1e+30; json.loads keeps the integer, which numpy cannot hold."""
+    head, inputs = line.split('"input": [')
+    return f'{head}"input": [{10**30}, {inputs.split(", ", 1)[1]}'
+
+
 def identity_a_1e30(records):
     records[0]["identity_a"] = 10**30
 
@@ -662,6 +673,24 @@ class TestExitCodes:
         argv = ["eval", "--out", str(tmp_path / "o"), "--checkpoint", str(train_dir / "checkpoint.bin")]
         assert main(argv + input_args(paths)) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (duplicate_input_nested_1100, "line 46 is not a JSON dataset record: RecursionError("),
+        (first_input_10_30, "line 46: input is not a list of JSON numbers as long as the first record's"),
+    ])
+    def test_record_orjson_reads_but_json_rejects(self, edit, message, config_path, data_dir, train_dir, tmp_path,
+                                                  capsys):
+        """A pool record that only json.loads rejects exits 3 with json's message."""
+        lines = (data_dir / "bona_fides.jsonl").read_text().splitlines(keepends=True)
+        lines[45] = edit(lines[45])
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text("".join(lines))
+        argv = eval_argv("eval", config_path, tmp_path / "o", train_dir / "checkpoint.bin", pool,
+                         data_dir / "protocol.json")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert not (tmp_path / "o").exists()
 
     def test_corrupt_checkpoint_is_data_error(self, config_path, data_dir, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import json
 import re
@@ -34,7 +35,9 @@ from morphguard.datagen import (
 )
 from morphguard.encoder import init_model
 from morphguard.errors import CapacityError, ConfigError, DataError, NumericInputError, ProtocolError
-from morphguard.experiment import trial_features
+from morphguard.experiment import ExperimentConfig, generate_bundle, trial_features
+
+from oracles import oracle_load_dataset
 
 
 def whole_set(universe, pool, protocol, **kwargs):
@@ -595,3 +598,171 @@ class TestSerialization:
         del records[3]["subset_a"]
         with pytest.raises(DataError):
             self._load_records(tmp_path, records)
+
+
+# --- the reader's orjson path against json.loads alone -----------------------
+
+
+@pytest.fixture(scope="module")
+def desk_lines(tmp_path_factory):
+    """A bona fide, a morph and a selfmorph line of the default config's
+    training set, in the bytes gen-data writes them."""
+    train_set = generate_bundle(ExperimentConfig()).train_set
+    rows = [int(np.argmax(train_set.kinds == code)) for code in range(len(KINDS))]
+    path = tmp_path_factory.mktemp("desk") / "dataset.jsonl"
+    save_dataset(train_set[rows], path)
+    return path.read_bytes()
+
+
+def read_outcome(reader, path):
+    """What reader(path) gives, in comparable form: the shape and column bytes
+    of its SampleSet, or the type and text of the DataError it raises."""
+    try:
+        samples = reader(path)
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+    return samples.inputs.shape, *(getattr(samples, name).tobytes() for name in ("inputs", "first", "second", "kinds"))
+
+
+def first_input(value):
+    """An edit that writes value in place of the first line's first input."""
+    return lambda text: re.sub(r'"input": \[[^,\]]*', lambda m: f'"input": [{value}', text, count=1)
+
+
+def first_labels(value):
+    """An edit that writes value as the first line's labels and source id."""
+    pattern = r'"y_dot": \d+, "y_ddot": \d+, "source_ids": \[\d+\]'
+    return lambda text: re.sub(pattern, lambda m: f'"y_dot": {value}, "y_ddot": {value}, "source_ids": [{value}]',
+                               text, count=1)
+
+
+def replace(old, new):
+    """An edit that writes new in place of the first old."""
+    return lambda text: text.replace(old, new, 1)
+
+
+def integer_row(text):
+    """The first line's inputs as the integers 0, 1, ..."""
+    return re.sub(r'"input": \[[^\]]*\]',
+                  lambda m: '"input": [' + ", ".join(map(str, range(m.group().count(",") + 1))) + "]", text, count=1)
+
+
+NESTED = "[" * 1100 + "]" * 1100  # past json's recursion limit; orjson parses it
+
+# Lines on which orjson and json.loads could disagree, each an edit of the desk lines' text.
+HAND_PICKED = {
+    **{f"input_{v}": first_input(v) for v in
+       ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-1e-400", "0e400", "-0.0", "-0", "true", "null",
+        "1e308", 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30, -(2**63), -(2**63) - 1, -(10**30)]},
+    "input_5000_digit_integer": first_input("1" * 5000),  # past int()'s digit limit; orjson reads inf and raises
+    **{f"labels_{v}": first_labels(v) for v in
+       [2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30, "-0", -1, -(2**63), -(2**63) - 1, "-0.0", "1.0", "true"]},
+    "kind_lone_surrogate": replace('"kind": "bona_fide"', '"kind": "bona_fide\\ud800"'),
+    "kind_only_a_surrogate": replace('"kind": "bona_fide"', '"kind": "\\udc00"'),
+    "kind_escaped": replace('"kind": "bona_fide"', '"kind": "bona\\u005ffide"'),
+    "duplicate_kind": replace("{", '{"kind": "morph", '),
+    "duplicate_input_nested": replace("{", f'{{"input": {NESTED}, '),
+    "duplicate_input_1e400": replace("{", '{"input": [1e400], '),
+    "duplicate_input_10_30": replace("{", f'{{"input": [{10**30}], '),
+    "duplicate_input_lone_surrogate": replace("{", '{"input": "\\ud800", '),
+    "extra_key": replace("{", '{"extra": 1, '),
+    "extra_key_10_30": replace("{", f'{{"extra": {10**30}, '),
+    "extra_key_lone_surrogate": replace("{", '{"extra": "\\ud800", '),
+    "extra_key_nested": replace("{", f'{{"extra": {NESTED}, '),
+    "missing_key": lambda text: re.sub(r'"y_ddot": \d+, ', "", text, count=1),
+    "bracket_in_a_key": replace('"kind"', '"kind", "[": 0, "kind"'),
+    "integer_row": integer_row,
+    "empty_inputs": lambda text: re.sub(r'"input": \[[^\]]*\]', '"input": []', text),
+    "bom": lambda text: "\ufeff" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank_lines": lambda text: text.replace("\n", "\n \n"),
+    "tabs": lambda text: text.replace(", ", ",\t"),
+    "form_feed": replace(", ", ",\f"),
+    "trailing_text": replace("}", "} x"),
+    "two_records_on_a_line": lambda text: text.replace("\n", "", 1),
+    "a_list": lambda text: "[" + text.split("\n", 1)[0] + "]\n" + text.split("\n", 1)[1],
+}
+
+
+class TestReaderParity:
+    """load_dataset keeps orjson's record only where it is json.loads's: on any file
+    it gives oracle_load_dataset's (json.loads alone) columns or DataError text."""
+
+    def assert_parity(self, path):
+        outcome = read_outcome(load_dataset, path)
+        assert outcome == read_outcome(oracle_load_dataset, path)
+        return outcome
+
+    def test_desk_lines_never_reach_json(self, desk_lines, tmp_path, monkeypatch):
+        """Every line gen-data writes takes orjson's record."""
+        path = tmp_path / "dataset.jsonl"
+        path.write_bytes(desk_lines)
+        expected = read_outcome(oracle_load_dataset, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads ran")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert read_outcome(load_dataset, path) == expected
+
+    @pytest.mark.parametrize("edit", HAND_PICKED.values(), ids=HAND_PICKED.keys())
+    def test_hand_picked_lines(self, edit, desk_lines, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(edit(desk_lines.decode()), encoding="utf-8")
+        self.assert_parity(path)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(edit=st.sampled_from(["truncate", "duplicate", "flip"]), data=st.data())
+    def test_mutated_lines(self, edit, data, desk_lines, tmp_path_factory):
+        blob = desk_lines
+        where = data.draw(st.integers(0, len(blob) - 1), label="position")
+        if edit == "truncate":
+            blob = blob[:where]
+        elif edit == "duplicate":
+            length = data.draw(st.integers(1, 64), label="length")
+            blob = blob[: where + length] + blob[where:]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            blob = blob[:where] + bytes([blob[where] ^ mask]) + blob[where + 1 :]
+        path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+        path.write_bytes(blob)
+        self.assert_parity(path)
+
+    def test_orjson_floats_are_json_floats(self):
+        """Whatever orjson is installed, a float it parses is json.loads's, bit for bit.
+
+        The decimals: midpoints between adjacent doubles from the subnormals
+        to the largest binade, written exactly and 1e-700 above and below;
+        shortest reprs of random doubles; random decimals of 1-40 digits;
+        and the underflow and overflow edges.
+        """
+        import orjson
+
+        rng = np.random.default_rng(31)
+        lows = rng.integers(1, 0x7FEFFFFFFFFFFFFF, size=4000, dtype=np.int64).view(np.float64)
+        lows *= rng.choice([-1.0, 1.0], size=lows.size)
+        texts = []
+        with decimal.localcontext() as context:
+            context.prec = 2000  # exact: a double's decimal expansion has at most 767 significant digits
+            tail = decimal.Decimal("1e-700")
+            for low, high in zip(lows.tolist(), np.nextafter(lows, np.copysign(np.inf, lows)).tolist()):
+                middle = (decimal.Decimal(low) + decimal.Decimal(high)) / 2
+                texts += [format(value, "e") for value in (middle, middle + tail, middle - tail)]
+        randoms = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        texts += [repr(v) for v in randoms[np.isfinite(randoms)].tolist()]
+        for digits, exponent in zip(rng.integers(1, 41, size=4000).tolist(), rng.integers(-345, 309, size=4000).tolist()):
+            texts.append(f"{rng.choice(['', '-'])}0.{''.join(map(str, rng.integers(0, 10, size=digits)))}e{exponent}")
+        texts += ["0e400", "-0e0", "-0.0", "1e-400", "-1e-400", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                  "4.9406564584124654e-324", "2.2250738585072011e-308", "2.2250738585072012e-308",
+                  "1.7976931348623157e308", "1.7976931348623158e308", "9007199254740993.0", "1e23", "0.1"]
+        parsed, disagreeing = 0, []
+        for text in texts:
+            try:
+                fast = orjson.loads(text)
+            except orjson.JSONDecodeError:
+                continue  # a line holding it goes to json.loads
+            parsed += 1
+            if repr(fast) != repr(json.loads(text)):
+                disagreeing.append(text)
+        assert disagreeing == []
+        assert parsed == len(texts) > 19_000  # the reader's speed rests on orjson parsing every finite decimal

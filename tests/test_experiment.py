@@ -738,6 +738,11 @@ class TestMemory:
         # embeddings kept, peaks at 1.57, and keeping every triplet's (T, 3, E) embeddings at 3.26.
         assert figures["evaluate_model_peak"] < 1.0 * self.POOL
 
+    def test_load_dataset_peak(self, figures):
+        # 2.38 pools, on json.loads alone as on orjson: one array per row, the
+        # (N, D) copy they are stacked into, and one line's record at a time.
+        assert figures["load_dataset_peak"] < 2.6 * self.POOL
+
 
 class TestBatchedAlignment:
     """The one batched alignment pass against per-triplet computations, bit for bit."""

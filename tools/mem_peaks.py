@@ -1,17 +1,20 @@
-"""Print the tracemalloc peaks of building one wide-tier bundle, reading its training set and evaluating it.
+"""Print the tracemalloc peaks of one wide-tier bundle's build, training-set read, evaluation and pool-file read.
 
 At seed 1 and dims 128/256/128 (the benchmark's wide tier) with N
 identities of 50 samples each, it runs `experiment.generate_bundle`,
 reads the bundle's `train_set` once and drops it, then runs
-`experiment.evaluate_model` with an untrained model, and prints four
-`<name> <MB>` lines:
+`experiment.evaluate_model` with an untrained model, writes the
+bundle's pool with `datagen.save_dataset` (untraced) and reads it back
+with `datagen.load_dataset`, and prints five `<name> <MB>` lines:
 
 - `generate_bundle_peak`: the peak while the bundle is built;
 - `bundle_holds`: what the returned bundle still holds;
 - `evaluate_model_peak`: the peak of the evaluation over what was
   allocated when it started;
 - `train_set_peak`: the peak while the training set is read, counting
-  the bundle (both figures from before the bundle was built).
+  the bundle (both figures from before the bundle was built);
+- `load_dataset_peak`: the peak while the pool file is read; its writing
+  is not traced.
 
 tracemalloc counts numpy's array buffers exactly, whatever the heap's
 layout, so two checkouts' lines can be diffed:
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -34,7 +38,7 @@ HERE = Path(__file__).resolve().parents[1]
 
 
 def peaks(experiment, identities: int) -> dict:
-    """The four figures, in bytes, of one bundle at `identities` identities."""
+    """The five figures, in bytes, of one bundle at `identities` identities."""
     config = experiment.ExperimentConfig.from_dict({
         "seed": 1,
         "data": {"num_classes": identities, "input_dim": 128},
@@ -55,11 +59,21 @@ def peaks(experiment, identities: int) -> dict:
         evaluate_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as tmp:
+        pool = Path(tmp) / "bona_fides.jsonl"
+        experiment.datagen.save_dataset(bundle.bona_fides, pool)
+        tracemalloc.start()
+        try:
+            experiment.datagen.load_dataset(pool)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return {
         "generate_bundle_peak": generate_peak - start,
         "bundle_holds": held - start,
         "evaluate_model_peak": evaluate_peak - evaluate_start,
         "train_set_peak": train_peak - start,
+        "load_dataset_peak": load_peak,
     }
 
 
