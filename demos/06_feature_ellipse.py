@@ -1,10 +1,11 @@
 """Feature-distribution analysis: where do morph embeddings end up?
 
 Each (original A, original B, morph) triplet is projected to 2D by
-even/odd index averaging and rigidly aligned so the two originals sit
-symmetrically on the diagonal. Pooling the aligned morph points over
-all triplets gives a cloud whose 0.9-level confidence ellipse size
-summarizes how tightly the model confines morphs. Writes the scatter
+even/odd index averaging (project_2d) and rigidly aligned so the two
+originals sit symmetrically on the diagonal (align_feature_triplets,
+on the projected points). Pooling the aligned morph points over all
+triplets gives a cloud whose confidence ellipse, always at level 0.9,
+summarizes by its size how tightly the model confines morphs. Writes the scatter
 plus ellipse to feature_distribution.svg next to this script.
 """
 
@@ -27,13 +28,13 @@ rng = np.random.default_rng(3)
 feat_a, feat_b = rng.normal(size=8), rng.normal(size=8)
 triplets = np.array([[feat_a, feat_b, 0.5 * (feat_a + feat_b)]])  # (T, 3, D), here T = 1
 print("project_2d averages even/odd entries: [1,2,3,4] ->", project_2d([1.0, 2.0, 3.0, 4.0]))
-a2, b2, m2 = align_feature_triplets(triplets)[0]
+a2, b2, m2 = align_feature_triplets(project_2d(triplets))[0]
 print("aligned originals sit at +-|delta|/2 on the diagonal:", np.round(a2, 4), np.round(b2, 4))
 print("a morph exactly midway lands at the origin:", np.round(m2, 12))
 
-# the ellipse machinery on a known cloud: q(0.9) = -2 ln(0.1)
+# the ellipse machinery on a known cloud: q = -2 ln(1 - 0.9)
 cloud = rng.standard_normal((10_000, 2))
-ellipse = confidence_ellipse(cloud, level=0.9)
+ellipse = confidence_ellipse(cloud)
 print(f"\nstandard-normal cloud: W={ellipse.width:.3f} H={ellipse.height:.3f} "
       f"S={ellipse.size:.3f}, contains {ellipse.contains(cloud).mean():.3f} of the points")
 

@@ -54,13 +54,11 @@ from .metrics import (
     threshold_at,
 )
 from .featviz import (
+    CHI2_2DOF_Q90,
     Ellipse,
-    RigidTransform,
     align_feature_triplets,
-    aligned_spread,
-    chi2_quantile_2dof,
     confidence_ellipse,
-    fit_rigid,
+    morph_spread,
     project_2d,
 )
 from . import errors

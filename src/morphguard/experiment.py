@@ -405,8 +405,8 @@ def trial_features(
     build_training_set blends them, embedded, projected and scored
     against both probe rows at once. So no (T, E) array and no
     full-size gather or hidden activation exists. Each triplet runs
-    (parent_a, parent_b, morph), the layout featviz.aligned_spread reads,
-    which projects a 2-vector to itself bit for bit.
+    (parent_a, parent_b, morph), the layout featviz.morph_spread aligns
+    as it is.
     """
     datagen.check_alpha(alpha)
     distinct, inverse = np.unique(parents, return_inverse=True)
@@ -513,7 +513,7 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     points += metrics.fnmr_at_fmr(fnmr_curve, fmr_curve, config.eval.fmr_targets)
     points.append(OperatingPoint("min_rmmr", None, None, tau, value))
 
-    _, ellipse = featviz.aligned_spread(triplets)
+    _, ellipse = featviz.morph_spread(triplets)
     points.append(OperatingPoint("morph_spread", None, None, None, ellipse.size))
     return EvalReport(
         verification=verification,
@@ -536,7 +536,7 @@ def feature_analysis(model: DualHeadModel, bona_fides, protocol, config: Experim
     evaluate_model's trial pass, without probes."""
     train_rows, _, parents = _trial_rows(bona_fides, protocol.columns, config)
     triplets, _ = trial_features(model, bona_fides.inputs, train_rows, parents, config.data.alpha)
-    return featviz.aligned_spread(triplets)
+    return featviz.morph_spread(triplets)
 
 
 def run_margin_entry(config: ExperimentConfig, morph_offset: float):

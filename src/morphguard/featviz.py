@@ -8,8 +8,8 @@ translation preserves all relative distances, so the originals land at
 -+(their distance / 2) along the diagonal.
 
 The pooled aligned morph points are summarized by a mean-centered
-covariance confidence ellipse (2-dof chi-square quantile, unbiased
-covariance); its size statistic is the mean of width and height.
+covariance confidence ellipse at level 0.9 (2-dof chi-square quantile,
+unbiased covariance); its size statistic is the mean of width and height.
 """
 
 from __future__ import annotations
@@ -25,29 +25,13 @@ from .errors import ConfigError, DegenerateAnchorError, DegenerateCovarianceErro
 # evaluation therefore needs at least this many morph triplets.
 MIN_ELLIPSE_POINTS = 3
 
+# The 2-dof chi-square quantile at 0.9, closed form -2 ln(1 - level); written
+# with 1.0 - 0.9, since -2 ln(0.1) is one ulp lower.
+CHI2_2DOF_Q90 = -2.0 * math.log(1.0 - 0.9)
+
 # libm's atan2, elementwise: numpy's SIMD arctan2 can differ from it in the
 # last bit, which would move the bytes of every aligned point.
 _atan2 = np.vectorize(math.atan2, otypes=[float])
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation by ``angle`` followed by ``translation`` (det +1, no scale);
-    a (T,) ``angle`` with (T, 2) translations holds T transforms."""
-
-    angle: float | np.ndarray
-    translation: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """The (2, 2) rotation, or (T, 2, 2) rotations for T angles."""
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-
-    def apply(self, points) -> np.ndarray:
-        """Map (..., 2) points by one transform, or (T, k, 2) points by T transforms."""
-        pts = np.asarray(points, dtype=np.float64)
-        shift = np.asarray(self.translation)
-        return pts @ np.swapaxes(self.matrix(), -1, -2) + (shift[:, None, :] if shift.ndim == 2 else shift)
 
 
 @dataclass(frozen=True)
@@ -90,52 +74,45 @@ def project_2d(features) -> np.ndarray:
     return np.stack([x[..., 0::2].mean(axis=-1), x[..., 1::2].mean(axis=-1)], axis=-1)
 
 
-def fit_rigid(p1, p2) -> RigidTransform:
-    """Rigid map sending midpoint(p1, p2) to the origin and the p1->p2
-    direction onto the unit diagonal.
+def align_feature_triplets(points) -> np.ndarray:
+    """Align (T, 3, 2) projected triplet points (bona_a, bona_b, morph),
+    each triplet by the rigid map sending the midpoint of its two anchors
+    to the origin and their direction onto the unit diagonal.
 
-    Takes (2,) anchors for one transform or (T, 2) anchors for T.
-    Distances are preserved, so p1 and p2 land at -+(|p2-p1|/2) along
+    Distances are preserved, so the anchors land at -+(|b - a| / 2) along
     the diagonal rather than at fixed points.
     """
-    a = np.asarray(p1, dtype=np.float64)
-    b = np.asarray(p2, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[1:] != (3, 2):
+        raise ConfigError(f"need (T, 3, 2) triplet points, got shape {points.shape}")
+    a, b = points[:, 0], points[:, 1]
     delta = b - a
     if np.any(np.linalg.norm(delta, axis=-1) <= 1e-12):
         raise DegenerateAnchorError("anchor points coincide; direction is undefined")
-    angle = math.pi / 4 - _atan2(delta[..., 1], delta[..., 0])
-    rotation = RigidTransform(angle=angle, translation=np.zeros_like(a))
-    midpoint_image = rotation.apply(((a + b) / 2)[..., None, :])[..., 0, :]
-    return RigidTransform(angle=angle, translation=-midpoint_image)
+    angle = math.pi / 4 - _atan2(delta[:, 1], delta[:, 0])
+    c, s = np.cos(angle), np.sin(angle)
+    # Points are rows, so each map multiplies by R^T. It stays a transposed
+    # view of the stacked R, as in the per-triplet `p @ R.T`: a contiguous
+    # copy of R^T makes matmul round differently, up to 7e-15 apart.
+    rotation = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    rotation_t = np.swapaxes(rotation, -1, -2)
+    # + 0.0 makes a -0.0 midpoint image +0.0 before it is negated; the
+    # aligned points' zero signs follow from it.
+    translation = -(((a + b) / 2)[:, None, :] @ rotation_t + 0.0)
+    return points @ rotation_t + translation
 
 
-def align_feature_triplets(features) -> np.ndarray:
-    """Project (T, 3, D) feature triplets (bona_a, bona_b, morph) to 2D and
-    align each on its two bona fide anchors; returns (T, 3, 2) points."""
-    points = project_2d(features)
-    return fit_rigid(points[:, 0], points[:, 1]).apply(points)
+def confidence_ellipse(points) -> Ellipse:
+    """Mean-centered covariance ellipse at confidence level 0.9.
 
-
-def chi2_quantile_2dof(level: float) -> float:
-    """Closed-form chi-square quantile with 2 degrees of freedom."""
-    if not (0.0 < level < 1.0):
-        raise ConfigError(f"confidence level must lie in (0, 1), got {level}")
-    return -2.0 * math.log(1.0 - level)
-
-
-def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
-    """Mean-centered covariance ellipse at the given confidence level.
-
-    Axis extents are 2*sqrt(q*eigenvalue) with q the 2-dof chi-square
-    quantile and the unbiased sample covariance; width follows the
-    larger eigenvalue.
+    Axis extents are 2*sqrt(q*eigenvalue) with q = CHI2_2DOF_Q90 and the
+    unbiased sample covariance; width follows the larger eigenvalue.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(pts)):
         raise NumericInputError("ellipse points must be finite")
     if pts.shape[0] < MIN_ELLIPSE_POINTS or pts.shape[1] != 2:
         raise ConfigError(f"need at least {MIN_ELLIPSE_POINTS} points of dimension 2, got shape {pts.shape}")
-    q = chi2_quantile_2dof(level)
     cov = np.cov(pts.T, ddof=1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] < 1e-12:
@@ -150,25 +127,26 @@ def confidence_ellipse(points, level: float = 0.9) -> Ellipse:
         orientation -= math.pi
     return Ellipse(
         center=pts.mean(axis=0),
-        width=2.0 * math.sqrt(q * eigvals[1]),
-        height=2.0 * math.sqrt(q * eigvals[0]),
+        width=2.0 * math.sqrt(CHI2_2DOF_Q90 * eigvals[1]),
+        height=2.0 * math.sqrt(CHI2_2DOF_Q90 * eigvals[0]),
         orientation=orientation,
     )
 
 
-def aligned_spread(triplets):
-    """Align embedded triplets and fit the ellipse of their morph cloud.
+def morph_spread(points):
+    """Align projected triplets and fit the ellipse of their morph cloud.
 
-    triplets is a (T, 3, D) array, each triplet (bona_a, bona_b, morph);
-    returns the (T, 3, 2) aligned points and the 0.9-level Ellipse of
-    their morph points.
+    points is a (T, 3, 2) array, each triplet (bona_a, bona_b, morph) as
+    experiment.trial_features returns it, already through project_2d;
+    returns the (T, 3, 2) aligned points and the Ellipse of their morph
+    points.
     """
-    triplets = np.asarray(triplets, dtype=np.float64)
-    if triplets.ndim != 3 or triplets.shape[1] != 3 or len(triplets) < MIN_ELLIPSE_POINTS:
-        raise ConfigError(f"need (T, 3, D) triplets with T >= {MIN_ELLIPSE_POINTS}, got shape {triplets.shape}")
-    if not np.all(np.isfinite(triplets)):
-        raise NumericInputError("triplet features must be finite")
-    aligned = align_feature_triplets(triplets)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[1:] != (3, 2) or len(points) < MIN_ELLIPSE_POINTS:
+        raise ConfigError(f"need (T, 3, 2) triplet points with T >= {MIN_ELLIPSE_POINTS}, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise NumericInputError("triplet points must be finite")
+    aligned = align_feature_triplets(points)
     return aligned, confidence_ellipse(aligned[:, 2, :])
 
 
@@ -204,26 +182,27 @@ def save_ellipse_csv(ellipse: Ellipse, path):
         )
 
 
+_SVG_SIZE_PX = 480
 _SVG_COLORS = {"bona_a": "#1f77b4", "bona_b": "#2ca02c", "morph": "#d62728"}
 
 
-def render_svg(aligned_points: np.ndarray, ellipse: Ellipse, path, size_px: int = 480):
-    """Standalone SVG scatter of aligned triplets with the morph ellipse."""
+def render_svg(aligned_points: np.ndarray, ellipse: Ellipse, path):
+    """Standalone 480-pixel-square SVG scatter of aligned triplets with the morph ellipse."""
     pts = aligned_points.reshape(-1, 2)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = max(float((hi - lo).max()), 1e-9)
     pad = 0.1 * span
     origin = (lo + hi) / 2 - (span / 2 + pad)
-    scale = size_px / (span + 2 * pad)
+    scale = _SVG_SIZE_PX / (span + 2 * pad)
 
     def to_px(p):
-        return (p[0] - origin[0]) * scale, size_px - (p[1] - origin[1]) * scale
+        return (p[0] - origin[0]) * scale, _SVG_SIZE_PX - (p[1] - origin[1]) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size_px}" height="{size_px}" '
-        f'viewBox="0 0 {size_px} {size_px}">',
-        f'<rect width="{size_px}" height="{size_px}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE_PX}" height="{_SVG_SIZE_PX}" '
+        f'viewBox="0 0 {_SVG_SIZE_PX} {_SVG_SIZE_PX}">',
+        f'<rect width="{_SVG_SIZE_PX}" height="{_SVG_SIZE_PX}" fill="white"/>',
     ]
     for triple in aligned_points:
         for role, point in zip(_ROLES, triple):

@@ -19,7 +19,7 @@ from morphguard.experiment import (
     run_adaptation,
     run_margin_entry,
 )
-from morphguard.featviz import chi2_quantile_2dof, confidence_ellipse, fit_rigid
+from morphguard.featviz import CHI2_2DOF_Q90, align_feature_triplets, confidence_ellipse
 from morphguard.datagen import LabelPair, SampleKind
 from morphguard.losses import MarginConfig
 
@@ -229,12 +229,12 @@ def test_criterion_4_protocol_soundness():
 
 
 def test_criterion_5_ellipse_and_rigidity():
-    q = chi2_quantile_2dof(0.9)
+    q = CHI2_2DOF_Q90
     q_ok = abs(q - 4.6051702) < 1e-6
 
     rng = np.random.default_rng(55)
     points = rng.standard_normal((10_000, 2))
-    ellipse = confidence_ellipse(points, level=0.9)
+    ellipse = confidence_ellipse(points)
     fraction = float(ellipse.contains(points).mean())
     coverage_ok = 0.87 <= fraction <= 0.93
 
@@ -243,9 +243,10 @@ def test_criterion_5_ellipse_and_rigidity():
         p1, p2 = rng.normal(size=2), rng.normal(size=2)
         if np.linalg.norm(p2 - p1) < 1e-6:
             continue
-        transform = fit_rigid(p1, p2)
         cloud = rng.normal(size=(12, 2))
-        image = transform.apply(cloud)
+        # one triplet (p1, p2, morph) per cloud point, so all 12 share p1, p2's rigid map
+        triplets = np.stack([np.broadcast_to(p1, (12, 2)), np.broadcast_to(p2, (12, 2)), cloud], axis=1)
+        image = align_feature_triplets(triplets)[:, 2]
         for i in range(12):
             for j in range(i):
                 worst = max(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from morphguard import datagen, experiment, metrics
 from morphguard.errors import ConfigError, DataError
-from morphguard.featviz import align_feature_triplets, aligned_spread, fit_rigid, project_2d
+from morphguard.featviz import align_feature_triplets, morph_spread, project_2d
 from morphguard.experiment import (
     DataBundle,
     EvalSettings,
@@ -115,11 +115,11 @@ def interleaved(pool, seed):
 
 
 def evaluation(model, bundle, config):
-    """(report, aligned): evaluate_model's report and aligned_spread of its trial pass's triplets,
+    """(report, aligned): evaluate_model's report and morph_spread of its trial pass's triplets,
     which must be feature_analysis' aligned points and ellipse, and that ellipse the report's."""
     report = evaluate_model(model, bundle, config)
     _, triplets = protocol_trials(model, bundle, config, held_embeddings(model, bundle, config))
-    aligned, ellipse = aligned_spread(triplets)
+    aligned, ellipse = morph_spread(triplets)
     expected, expected_ellipse = feature_analysis(model, bundle.bona_fides, bundle.protocol, config)
     assert aligned.tobytes() == expected.tobytes()
     assert ellipse_values(ellipse) == ellipse_values(expected_ellipse) == ellipse_values(report.ellipse)
@@ -652,8 +652,8 @@ class TestOnePassEmbedding:
         assert morphs.tobytes() == features[:, 2].tobytes()
         assert triplets.shape == (len(features), 3, 2)
         assert triplets.tobytes() == project_2d(features).tobytes()
-        aligned, ellipse = aligned_spread(triplets)
-        expected_aligned, expected_ellipse = aligned_spread(features)
+        aligned, ellipse = morph_spread(triplets)
+        expected_aligned, expected_ellipse = morph_spread(project_2d(features))
         assert aligned.tobytes() == expected_aligned.tobytes()
         assert ellipse_values(ellipse) == ellipse_values(expected_ellipse)
         held = held_embeddings(model, bundle, config)
@@ -745,29 +745,19 @@ class TestMemory:
 
 
 class TestBatchedAlignment:
-    """The one batched alignment pass against per-triplet computations, bit for bit."""
+    """The one batched alignment pass against per-triplet computations, bit for bit. The
+    alignment of given features alone is test_featviz.py's TestOracleAlignment."""
 
     def test_matches_per_triplet_oracle(self, trained, small_bundle, small_config):
+        # trial_features' blocked embeddings, aligned, against the oracle's one-batch features
         features = oracle_trial_features(
             trained, list(train_part(small_bundle, small_config)), small_bundle.protocol, small_config.data.alpha
         )
         expected = np.array([oracle_align_triplet(*t) for t in features])
-        assert align_feature_triplets(features).tobytes() == expected.tobytes()
         _, triplets = protocol_features(trained, small_bundle, small_config)
         aligned = align_feature_triplets(triplets)
         assert aligned.shape == (len(small_bundle.protocol.pairs), 3, 2)
         assert aligned.tobytes() == expected.tobytes()
-
-    def test_batched_rigid_fit_equals_single_fits(self, trained, small_bundle, small_config):
-        _, triplets = protocol_features(trained, small_bundle, small_config)
-        points = project_2d(triplets)
-        batched = fit_rigid(points[:, 0], points[:, 1])
-        image = batched.apply(points)
-        for t, triple in enumerate(points):
-            single = fit_rigid(triple[0], triple[1])
-            assert batched.angle[t] == single.angle
-            assert batched.translation[t].tobytes() == single.translation.tobytes()
-            assert image[t].tobytes() == single.apply(triple).tobytes()
 
 
 class TestRecipes:
