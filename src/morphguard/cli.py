@@ -89,6 +89,19 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
+_HASH_CHUNK = 1 << 18  # bytes per read while hashing an input file
+
+
+def _file_sha256(path) -> str:
+    """The hex sha256 of a file's bytes, read _HASH_CHUNK bytes at a time,
+    so that hashing holds no more of the file than one chunk."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(args, config: ExperimentConfig):
     """--out's manifest.json: the command, its resolved config, the versions
     and the sha256 of each input file given, keyed by its option (not its
@@ -101,8 +114,7 @@ def write_manifest(args, config: ExperimentConfig):
         "morphguard_version": __version__,
         "numpy_version": np.__version__,
     }
-    inputs = {role: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-              for role in INPUT_HELP if (path := getattr(args, role, None))}
+    inputs = {role: _file_sha256(path) for role in INPUT_HELP if (path := getattr(args, role, None))}
     if inputs:
         payload["inputs"] = inputs
     with open(Path(args.out) / "manifest.json", "w", encoding="utf-8") as fh:

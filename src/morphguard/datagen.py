@@ -27,6 +27,8 @@ exactly.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
 import numbers
@@ -401,6 +403,7 @@ def build_training_set(
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
+_READ_LINES = 256  # load_dataset's lines per block, so its temporaries stay small whatever the file's size
 _WRITE_ROWS = 1024  # save_dataset's rows per range test, so its temporaries stay small whatever the set's size
 
 
@@ -429,14 +432,14 @@ def save_dataset(samples: SampleSet, path):
                          f'"source_ids": [{ids}], "input": {text}}}\n')
 
 
-def _checked_record(line: str, where: str, width, loads):
-    """Parse one dataset line with loads and make every per-line check on it.
+def _checked_record(line: str, where: str, width):
+    """Parse one dataset line with json.loads and make every per-line check on it.
 
-    Returns (record, kind, first, second, row), or raises the line's
-    DataError; width is the first record's input length, None on the first.
+    Returns (kind, first, second, row), or raises the line's DataError;
+    width is the first record's input length, None on the first.
     """
     try:
-        record = loads(line)
+        record = json.loads(line)
         kind, first, second = _KIND_CODES[record["kind"]], record["y_dot"], record["y_ddot"]
         ids, row = record["source_ids"], np.array(record["input"])
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -450,7 +453,124 @@ def _checked_record(line: str, where: str, width, loads):
     if (row.ndim != 1 or row.dtype.kind not in "fiu" or (width is not None and row.size != width)
             or bool in map(type, record["input"])):
         raise DataError(f"{where}: input is not a list of JSON numbers as long as the first record's")
-    return record, kind, first, second, row
+    return kind, first, second, row
+
+
+def _json_records(lines, path, number: int, width) -> list:
+    """(line number, kind, first, second, row) of each nonblank text line of
+    lines, through _checked_record; the lines are numbered from number + 1."""
+    records = []
+    for number, line in enumerate(lines, number + 1):
+        if line.strip():
+            records.append((number, *_checked_record(line, f"{path} line {number}", width)))
+            width = records[-1][-1].size
+    return records
+
+
+def _read_lines(path) -> SampleSet:
+    """load_dataset's json path: every line through json.loads, as
+    tests/oracles.py::oracle_load_dataset reads, so every record and every
+    DataError text is json's."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            records = _json_records(fh, path, 0, None)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    line_numbers, kinds, firsts, seconds = np.array([r[:4] for r in records], dtype=np.int64).reshape(-1, 4).T
+    width = records[0][4].size if records else 0
+    inputs = np.array([r[4] for r in records], dtype=np.float64).reshape(len(records), width)
+    finite = np.isfinite(inputs).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
+    _check_label_rules(firsts, seconds, kinds, lambda k: f"{path} line {line_numbers[k]}: the record")
+    return SampleSet(inputs, firsts, seconds, kinds)
+
+
+def _orjson_block(lines: list, width):
+    """(kinds, firsts, seconds, rows) of a block of binary lines from orjson's
+    records, or None where they might not be json.loads's."""
+    import orjson  # here, so that commands reading no dataset never load it
+
+    data = b"".join(lines)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # ASCII without "\r" splits into the lines text mode reads. A record that passes holds at
+    # least one "{", two "[" and twelve '"' (five keys and a kind), so exactly that many a line
+    # keep json below its recursion limit and leave no string among the inputs.
+    if not data.isascii() or b"\r" in data or any(
+        np.count_nonzero(codes == ord(char)) != times * len(lines) for char, times in (("{", 1), ("[", 2), ('"', 12))
+    ):
+        return None
+    try:
+        records = [orjson.loads(line) for line in lines]
+        kinds, firsts, seconds, ids = zip(*[(_KIND_CODES[r["kind"]], r["y_dot"], r["y_ddot"], r["source_ids"])
+                                            for r in records if len(r) == 5])
+        if len(kinds) != len(lines) or {*map(type, itertools.chain(firsts, seconds, *ids))} != {int}:
+            return None
+        implied = [[f, s] if k == MORPH else [f] for k, f, s in zip(kinds, firsts, seconds)]
+        labels = np.array((kinds, firsts, seconds))
+        # A null reads as NaN here, which the caller's finite check refuses.
+        rows = np.array([r["input"] for r in records], dtype=np.float64)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return None
+    if list(ids) != implied or labels.dtype != np.int64 or rows.ndim != 2 or width not in (None, rows.shape[1]):
+        return None
+    # A JSON true or false among numbers reads as 1.0 or 0.0, and orjson reads an
+    # integer outside [-2**63, 2**64) as a float where json keeps the integer.
+    if ((rows == 0.0) | (rows == 1.0) | (np.abs(rows) >= 2.0**63)).any():
+        return None
+    return (*labels, rows)
+
+
+def _line_bound(fh) -> int:
+    """At least as many lines as text mode reads from binary fh, read to its end:
+    its "\n", its "\r" not before a "\n" in the same chunk, and a last line without either."""
+    lines, last = 0, b"\n"
+    for chunk in iter(lambda: fh.read(1 << 16), b""):
+        codes = np.frombuffer(chunk, dtype=np.uint8)
+        lines += np.count_nonzero(codes == ord("\n"))
+        if b"\r" in chunk:
+            returns = codes == ord("\r")
+            lines += np.count_nonzero(returns) - np.count_nonzero(returns[:-1] & (codes[1:] == ord("\n")))
+        last = chunk[-1:]
+    return int(lines) + (last not in b"\r\n")
+
+
+def _read_blocks(path):
+    """load_dataset's block path: the SampleSet, or None where it cannot vouch
+    that the json path gives the same. Its columns are allocated once, at the
+    first record, for every line the file can hold."""
+    with open(path, "rb") as fh:
+        bound, size = _line_bound(fh), fh.tell()
+        fh.seek(0)
+        columns, count, number = None, 0, 0
+        while lines := list(itertools.islice(fh, _READ_LINES)):
+            width = None if columns is None else columns[-1].shape[1]
+            block = _orjson_block(lines, width)
+            if block is None:
+                text = list(io.StringIO(b"".join(lines).decode("utf-8"), newline=None))
+                records = _json_records(text, path, number, width)
+                number += len(text)
+                if not records:
+                    continue
+                block = (*np.array([r[1:4] for r in records], dtype=np.int64).T,
+                         np.array([r[4] for r in records], dtype=np.float64))
+            else:
+                number += len(lines)
+            rows = block[-1]
+            if columns is None:
+                # A record holds its width's numbers and commas, so at least 2 * width + 1 bytes.
+                capacity = min(bound, size // (2 * rows.shape[1] + 1))
+                columns = (*(np.empty(capacity, dtype=np.int64) for _ in range(3)),
+                           np.empty((capacity, rows.shape[1])))
+            if count + len(rows) > len(columns[0]) or not np.isfinite(rows).all():
+                return None
+            for column, values in zip(columns, block):
+                column[count : count + len(rows)] = values
+            count += len(rows)
+    if columns is None:
+        return SampleSet(np.empty((0, 0)), *(np.empty(0, dtype=np.int64),) * 3)
+    kinds, firsts, seconds, inputs = (column[:count] for column in columns)
+    return SampleSet(inputs, firsts, seconds, kinds)
 
 
 def load_dataset(path) -> SampleSet:
@@ -461,57 +581,34 @@ def load_dataset(path) -> SampleSet:
     keep SampleSet's label rules, and each input a finite list of JSON
     numbers (not bools) as long as the first record's.
 
-    orjson parses each line first. Its record is kept only where it must
-    be json.loads's: the line has one "{" and two "[", so json cannot
-    reach its recursion limit on it (orjson parses any depth, say in a
-    duplicated key that both drop); the record has exactly the five keys
-    and passes every check; and no input value has magnitude 2**63 or
-    more (orjson reads an integer outside [-2**63, 2**64) as a float where
-    json keeps the integer; the checks already hold the labels in int64).
-    json.loads parses every other line again and the same checks run on
-    its record, so that line's record, or its error, is json's.
-    tests/test_datagen.py checks that a float orjson parses is json's.
+    The file streams in binary, _READ_LINES lines a block, into columns
+    allocated once for the lines it counts first. orjson parses a block's
+    lines, and whole-column checks keep its records only where they must
+    be json.loads's (_orjson_block); json.loads reads every other block
+    line by line. Any error sends the whole file through json.loads line
+    by line (_read_lines), so every accepted file gives json's columns and
+    every rejected one json's DataError text. tests/test_datagen.py checks
+    that a float orjson parses is json's.
     """
-    import orjson  # here, so that commands reading no dataset never load it
-
-    labels, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for number, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                where, width = f"{path} line {number}", rows[0].size if rows else None
-                parsed = None
-                if line.count("[") == 2 and line.count("{") == 1:
-                    try:
-                        parsed = _checked_record(line, where, width, orjson.loads)
-                    except DataError:
-                        pass
-                if parsed is None or len(parsed[0]) != 5 or np.abs(parsed[4]).max(initial=0) >= 2**63:
-                    parsed = _checked_record(line, where, width, json.loads)
-                _, kind, first, second, row = parsed
-                labels.append((number, kind, first, second))
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    line_numbers, kinds, firsts, seconds = np.array(labels, dtype=np.int64).reshape(-1, 4).T
-    inputs = np.array(rows, dtype=np.float64).reshape(len(rows), rows[0].size if rows else 0)
-    finite = np.isfinite(inputs).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
-    _check_label_rules(firsts, seconds, kinds, lambda k: f"{path} line {line_numbers[k]}: the record")
-    return SampleSet(inputs, firsts, seconds, kinds)
+    try:
+        samples = _read_blocks(path)
+    except (DataError, UnicodeDecodeError):
+        samples = None
+    return _read_lines(path) if samples is None else samples
 
 
 _PROTOCOL_KEYS = ("identity_a", "identity_b", "sample_a", "sample_b", "subset_a", "subset_b")
+_PROTOCOL_RECORD = " {\n" + ",\n".join(f'  "{key}": %d' for key in _PROTOCOL_KEYS) + "\n }"  # json.dump's, at indent=1
 
 
 def save_protocol(protocol: MorphPairProtocol, universe: IdentityUniverse, path):
-    """Write the pairing protocol as a JSON array with subset annotations."""
-    rows = np.column_stack((protocol.columns, universe.subsets[protocol.columns[:, :2]].astype(np.int64))).tolist()
+    """Write the pairing protocol as a JSON array with subset annotations: the
+    bytes json.dump(records, fh, indent=1) gives, plus a newline, from one
+    record template."""
+    rows = np.column_stack((protocol.columns, universe.subsets[protocol.columns[:, :2]].astype(np.int64)))
+    records = ",\n".join([_PROTOCOL_RECORD] * len(rows)) % tuple(rows.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([dict(zip(_PROTOCOL_KEYS, row)) for row in rows], fh, indent=1)
-        fh.write("\n")
+        fh.write(f"[\n{records}\n]\n" if len(rows) else "[]\n")
 
 
 def load_protocol(path) -> MorphPairProtocol:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateAnchorError, DegenerateCovarianceError, NumericInputError
+from .metrics import _float_texts
 
 # Points the unbiased covariance of a confidence ellipse needs; an
 # evaluation therefore needs at least this many morph triplets.
@@ -153,14 +154,16 @@ def morph_spread(points):
 # --- serialization ---------------------------------------------------------
 
 _ROLES = ("bona_a", "bona_b", "morph")
+# A triplet's three rows, formatted with its id and its six coordinate texts.
+_TRIPLET_ROWS = "".join(f"{{0}},{role},{{{2 * i + 1}}},{{{2 * i + 2}}}\n" for i, role in enumerate(_ROLES))
 
 
 def save_aligned_csv(aligned_points: np.ndarray, path):
-    """Write (T, 3, 2) aligned points as `triplet_id,role,x,y` rows."""
+    """Write (T, 3, 2) aligned points as `triplet_id,role,x,y` rows, each coordinate repr(float(v))."""
+    texts = _float_texts(aligned_points)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("triplet_id,role,x,y\n")
-        for t, triple in enumerate(np.asarray(aligned_points, dtype=np.float64).tolist()):
-            fh.writelines(f"{t},{role},{x!r},{y!r}\n" for role, (x, y) in zip(_ROLES, triple))
+        fh.writelines(_TRIPLET_ROWS.format(t, *texts[6 * t : 6 * t + 6]) for t in range(len(texts) // 6))
 
 
 def save_ellipse_csv(ellipse: Ellipse, path):
@@ -197,21 +200,19 @@ def render_svg(aligned_points: np.ndarray, ellipse: Ellipse, path):
     scale = _SVG_SIZE_PX / (span + 2 * pad)
 
     def to_px(p):
-        return (p[0] - origin[0]) * scale, _SVG_SIZE_PX - (p[1] - origin[1]) * scale
+        """Pixel (x, y) columns of (n, 2) points: y grows downward."""
+        shifted = (p - origin) * scale
+        return shifted[:, 0].tolist(), (_SVG_SIZE_PX - shifted[:, 1]).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE_PX}" height="{_SVG_SIZE_PX}" '
         f'viewBox="0 0 {_SVG_SIZE_PX} {_SVG_SIZE_PX}">',
         f'<rect width="{_SVG_SIZE_PX}" height="{_SVG_SIZE_PX}" fill="white"/>',
     ]
-    for triple in aligned_points:
-        for role, point in zip(_ROLES, triple):
-            x, y = to_px(point)
-            parts.append(
-                f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="{_SVG_COLORS[role]}" '
-                f'fill-opacity="0.6"/>'
-            )
-    cx, cy = to_px(ellipse.center)
+    colors = [_SVG_COLORS[role] for role in _ROLES] * len(aligned_points)
+    parts += [f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="{color}" fill-opacity="0.6"/>'
+              for x, y, color in zip(*to_px(pts), colors)]
+    (cx,), (cy,) = to_px(ellipse.center[None, :])
     deg = -math.degrees(ellipse.orientation)
     parts.append(
         f'<ellipse cx="0" cy="0" rx="{ellipse.width / 2 * scale:.3f}" '

@@ -668,3 +668,11 @@ def oracle_save_aligned_csv(aligned_points, path):
         for t, triple in enumerate(aligned_points):
             for role, point in zip(("bona_a", "bona_b", "morph"), triple):
                 fh.write(f"{t},{role},{float(point[0])!r},{float(point[1])!r}\n")
+
+
+def oracle_save_trials_json(trials, path):
+    """json.dump of one {"morph_id", "subject_scores"} record per trial at indent=1, plus a newline."""
+    records = [{"morph_id": t, "subject_scores": [float(s) for s in row]} for t, row in enumerate(trials.scores)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -379,6 +381,29 @@ class TestManifestInputs:
         argv = ["adapt", "--config", config_path, "--out", str(tmp_path / "o"), "--checkpoint", str(checkpoint)]
         assert main(argv) == 0
         assert manifest_of(tmp_path / "o")["inputs"] == {"checkpoint": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
+
+
+class TestManifestHashing:
+    def test_file_digest_is_hashlibs(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for size in (0, 1, cli._HASH_CHUNK - 1, cli._HASH_CHUNK, 3 * cli._HASH_CHUNK + 5):
+            path = tmp_path / f"f{size}.bin"
+            path.write_bytes(rng.bytes(size))
+            assert cli._file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_manifest_hashes_a_large_input_in_bounded_memory(self, tmp_path):
+        """Hashing streams the file: it never holds more of it than one chunk."""
+        data = tmp_path / "bona_fides.jsonl"
+        data.write_bytes(np.random.default_rng(8).bytes(6_000_000))
+        args = argparse.Namespace(command="eval", out=str(tmp_path), checkpoint=None, data=str(data), protocol=None)
+        tracemalloc.start()
+        try:
+            cli.write_manifest(args, ExperimentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest_of(tmp_path)["inputs"] == {"data": hashlib.sha256(data.read_bytes()).hexdigest()}
+        assert peak < 1_000_000
 
 
 class TestFrontDoor:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphguard.cli import main
 from morphguard.datagen import (
+    _READ_LINES,
     BONA_FIDE,
     KINDS,
     MORPH,
@@ -22,6 +24,7 @@ from morphguard.datagen import (
     SampleKind,
     SampleSet,
     _blend,
+    _line_bound,
     build_training_set,
     load_dataset,
     load_protocol,
@@ -614,6 +617,33 @@ def desk_lines(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def gen_data_dir(tmp_path_factory):
+    """gen-data's files at the default config."""
+    out = tmp_path_factory.mktemp("gen-data") / "out"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    return out
+
+
+def long_text(desk_lines, lines=2 * _READ_LINES + 40):
+    """The desk lines repeated over more than two reader blocks."""
+    pattern = desk_lines.decode().splitlines(keepends=True)
+    return "".join(pattern[k % len(pattern)] for k in range(lines))
+
+
+def at_line(number, edit):
+    """An edit applied to line number (from 0) of a text alone."""
+    def apply(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:number]) + edit(lines[number]) + "".join(lines[number + 1 :])
+    return apply
+
+
+def narrower(line):
+    """The line with its first input dropped."""
+    return re.sub(r'"input": \[[^,\]]*, ', '"input": [', line, count=1)
+
+
 def read_outcome(reader, path):
     """What reader(path) gives, in comparable form: the shape and column bytes
     of its SampleSet, or the type and text of the DataError it raises."""
@@ -684,9 +714,44 @@ HAND_PICKED = {
 }
 
 
+# Files over several reader blocks whose edits sit at a block's edges or in a later block.
+EDGE = _READ_LINES
+ACROSS_BLOCKS = {
+    "unedited": lambda text: text,
+    "narrower_first_line_of_block_2": at_line(EDGE, narrower),
+    "narrower_last_line_of_block_1": at_line(EDGE - 1, narrower),
+    "narrower_from_block_2_on": lambda text: "".join(
+        narrower(line) if k >= EDGE else line for k, line in enumerate(text.splitlines(keepends=True))),
+    "blank_line_between_blocks": at_line(EDGE, lambda line: "\n" + line),
+    "blank_lines_in_block_2": at_line(EDGE + 3, lambda line: " \n\t\n" + line),
+    "whitespace_only_line_in_block_2": at_line(EDGE + 1, lambda line: "\x1c\n" + line),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "crlf_in_block_2": at_line(EDGE + 5, lambda line: line.replace("\n", "\r\n")),
+    "lone_cr_in_block_2": at_line(EDGE + 5, lambda line: line.replace("\n", "\r")),
+    "lone_cr_inside_a_line": at_line(EDGE + 5, lambda line: line.replace(", ", ",\r", 1)),
+    "lone_cr_at_the_end": lambda text: text[:-1] + "\r",
+    "no_final_newline": lambda text: text[:-1],
+    "empty": lambda text: "",
+    "only_blank_lines": lambda text: "\n \n\n",
+    "true_in_block_2": at_line(EDGE + 7, first_input("true")),
+    "false_in_block_3": at_line(2 * EDGE + 1, first_input("false")),
+    "null_in_block_2": at_line(EDGE + 7, first_input("null")),
+    "string_in_block_2": at_line(EDGE + 7, first_input('"0.5"')),
+    "integer_in_block_2": at_line(EDGE + 7, first_input("3")),
+    "integer_row_in_block_2": at_line(EDGE + 7, integer_row),
+    "zero_in_block_2": at_line(EDGE + 7, first_input("0.0")),
+    "2**64_in_block_2": at_line(EDGE + 7, first_input(2**64)),
+    "1e400_in_block_2": at_line(EDGE + 7, first_input("1e400")),
+    "label_true_in_block_2": at_line(EDGE + 7, first_labels("true")),
+    "label_2**63_in_block_2": at_line(EDGE + 7, first_labels(2**63)),
+    "nested_duplicate_in_block_2": at_line(EDGE + 7, replace("{", f'{{"input": {NESTED}, ')),
+}
+
+
 class TestReaderParity:
-    """load_dataset keeps orjson's record only where it is json.loads's: on any file
-    it gives oracle_load_dataset's (json.loads alone) columns or DataError text."""
+    """load_dataset keeps orjson's records only where they are json.loads's: on any file,
+    one block or several, it gives oracle_load_dataset's (json.loads alone) columns or
+    DataError text."""
 
     def assert_parity(self, path):
         outcome = read_outcome(load_dataset, path)
@@ -705,10 +770,96 @@ class TestReaderParity:
         monkeypatch.setattr(json, "loads", refuse)
         assert read_outcome(load_dataset, path) == expected
 
+    @pytest.mark.parametrize("name", ["bona_fides.jsonl", "dataset.jsonl"])
+    def test_gen_data_files_never_reach_json(self, name, gen_data_dir, monkeypatch):
+        """Every block of the default config's gen-data files takes orjson's records."""
+        path = gen_data_dir / name
+        expected = read_outcome(oracle_load_dataset, path)
+        assert expected[0][0] > 2 * _READ_LINES
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads ran")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert read_outcome(load_dataset, path) == expected
+
     @pytest.mark.parametrize("edit", HAND_PICKED.values(), ids=HAND_PICKED.keys())
     def test_hand_picked_lines(self, edit, desk_lines, tmp_path):
         path = tmp_path / "dataset.jsonl"
         path.write_text(edit(desk_lines.decode()), encoding="utf-8")
+        self.assert_parity(path)
+
+    @pytest.mark.parametrize("edit", ACROSS_BLOCKS.values(), ids=ACROSS_BLOCKS.keys())
+    def test_files_across_blocks(self, edit, desk_lines, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_bytes(edit(long_text(desk_lines)).encode())
+        self.assert_parity(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff", b"\xed\xa0\x80", "\u00e9".encode(), b"\xef\xbb\xbf"],
+                             ids=["invalid_byte", "encoded_surrogate", "two_byte_char", "bom"])
+    def test_bytes_in_a_later_block(self, blob, desk_lines, tmp_path):
+        """Bytes that are not ASCII, inside a line of the third block and at its start."""
+        text = long_text(desk_lines).encode()
+        starts = [k + 1 for k, byte in enumerate(text) if byte == ord("\n")]
+        for where in (starts[2 * _READ_LINES] + 30, starts[2 * _READ_LINES - 1]):
+            path = tmp_path / "dataset.jsonl"
+            path.write_bytes(text[:where] + blob + text[where:])
+            self.assert_parity(path)
+
+    def test_accepted_files_across_blocks(self, desk_lines, tmp_path):
+        """The edits that keep a file valid give its records, in every block."""
+        expected = None
+        for name in ("unedited", "crlf", "crlf_in_block_2", "blank_line_between_blocks", "blank_lines_in_block_2",
+                     "whitespace_only_line_in_block_2", "no_final_newline", "integer_in_block_2", "zero_in_block_2"):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(ACROSS_BLOCKS[name](long_text(desk_lines)).encode())
+            outcome = self.assert_parity(path)
+            assert outcome[0] == (2 * _READ_LINES + 40, 64)
+            if name in ("unedited", "crlf", "no_final_newline"):
+                expected = expected or outcome
+                assert outcome == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet="a\r\n", max_size=40))
+    def test_line_bound_is_text_modes_line_count(self, text, tmp_path_factory):
+        """The rows load_dataset allocates: the lines text mode reads, "\r" and "\r\n" endings too."""
+        path = tmp_path_factory.getbasetemp() / "lines.txt"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as fh:
+            bound = _line_bound(fh)
+        with open(path, encoding="utf-8") as fh:
+            assert bound == len(list(fh))
+
+    def test_json_reads_only_the_block_it_must(self, desk_lines, tmp_path, monkeypatch):
+        """A valid block that orjson's records cannot vouch for goes to json.loads alone."""
+        path = tmp_path / "dataset.jsonl"
+        path.write_bytes(ACROSS_BLOCKS["crlf_in_block_2"](long_text(desk_lines)).encode())
+        expected = read_outcome(oracle_load_dataset, path)
+        calls, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda line: calls.append(line) or loads(line))
+        assert read_outcome(load_dataset, path) == expected
+        assert len(calls) == _READ_LINES
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edit=st.sampled_from(["truncate", "duplicate", "flip", "insert"]), data=st.data())
+    def test_mutated_later_blocks(self, edit, data, desk_lines, tmp_path_factory):
+        """The mutations of test_mutated_lines, landing past the first block of a long file."""
+        blob = long_text(desk_lines).encode()
+        first_block = len(b"".join(blob.splitlines(keepends=True)[:_READ_LINES]))
+        where = data.draw(st.integers(first_block - 2, len(blob) - 1), label="position")
+        if edit == "truncate":
+            blob = blob[:where]
+        elif edit == "duplicate":
+            length = data.draw(st.integers(1, 64), label="length")
+            blob = blob[: where + length] + blob[where:]
+        elif edit == "insert":
+            inserted = data.draw(st.sampled_from([b"\n", b"\r", b"\r\n", b" ", b"true", b"0", b"[", b"{", b'"']))
+            blob = blob[:where] + inserted + blob[where:]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            blob = blob[:where] + bytes([blob[where] ^ mask]) + blob[where + 1 :]
+        path = tmp_path_factory.getbasetemp() / "mutated_long.jsonl"
+        path.write_bytes(blob)
         self.assert_parity(path)
 
     @settings(max_examples=400, deadline=None, derandomize=True)

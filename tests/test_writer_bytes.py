@@ -23,9 +23,22 @@ from morphguard.datagen import (
     synth_identities,
 )
 from morphguard.featviz import save_aligned_csv
-from morphguard.metrics import ThresholdCurve, VerificationSet, save_curve_csv, save_scores_csv
+from morphguard.metrics import (
+    MorphTrials,
+    ThresholdCurve,
+    VerificationSet,
+    save_curve_csv,
+    save_scores_csv,
+    save_trials_json,
+)
 
-from oracles import oracle_save_aligned_csv, oracle_save_curve_csv, oracle_save_dataset, oracle_save_scores_csv
+from oracles import (
+    oracle_save_aligned_csv,
+    oracle_save_curve_csv,
+    oracle_save_dataset,
+    oracle_save_scores_csv,
+    oracle_save_trials_json,
+)
 
 EDGE_VALUES = [0.0, -0.0, 1e-5, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), 3.0, -0.1]
 # save_dataset formats a row with orjson only when every value is ±0 or of magnitude in [1e-4, 1e16).
@@ -229,3 +242,72 @@ class TestReportRows:
         save_aligned_csv(points, tmp_path / "a.csv")
         oracle_save_aligned_csv(points, tmp_path / "o.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
+
+# The report writers format a column with orjson where a value is ±0 or of magnitude in [1e-4, 1e16)
+# and with repr elsewhere: values on both sides of both edges, subnormals and signed zeros.
+SUBNORMALS = [5e-324, 1e-320, np.nextafter(2.2250738585072014e-308, 0.0)]
+UNIT_EDGES = [0.0, -0.0, LOW, BELOW_LOW, np.nextafter(LOW, 1.0), 1e-5, 2.2250738585072014e-308, *SUBNORMALS,
+              0.1, 1 / 3, 0.5, 1.0]
+WIDE_EDGES = [*UNIT_EDGES, HIGH, BELOW_HIGH, np.nextafter(HIGH, np.inf), 1e15, 123456789012345.6, 1e300]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def signed(values):
+    return [*values, *np.negative(values)]
+
+
+def edged(edges, low, high, allow_nan=False):
+    """Floats in [low, high]: the edges among them, or any float there."""
+    kept = [v for v in edges if low <= v <= high or (allow_nan and not np.isfinite(v))]
+    finite = st.floats(low, high, allow_nan=False, allow_infinity=False)
+    return st.sampled_from(kept) | (finite | st.floats() if allow_nan else finite)
+
+
+def same_bytes(writer, oracle, value, directory) -> bool:
+    writer(value, directory / "w")
+    oracle(value, directory / "o")
+    return (directory / "w").read_bytes() == (directory / "o").read_bytes()
+
+
+class TestReportColumns:
+    """Every report writer against its per-value oracle, byte for byte."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_curve_csv(self, tmp_path_factory, data):
+        thresholds = data.draw(st.lists(edged(signed(WIDE_EDGES), -1e300, 1e300), min_size=1, max_size=40, unique=True))
+        values = data.draw(st.lists(edged(UNIT_EDGES, 0.0, 1.0), min_size=len(thresholds), max_size=len(thresholds)))
+        curve = ThresholdCurve(np.sort(thresholds), np.array(values))
+        assert same_bytes(save_curve_csv, oracle_save_curve_csv, curve, tmp_path_factory.mktemp("curve"))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(genuine=st.lists(edged(signed(UNIT_EDGES), -1.0, 1.0), max_size=40),
+           impostor=st.lists(edged(signed(UNIT_EDGES), -1.0, 1.0), max_size=40))
+    def test_scores_csv(self, tmp_path_factory, genuine, impostor):
+        verification = VerificationSet(np.array(genuine), np.array(impostor))
+        assert same_bytes(save_scores_csv, oracle_save_scores_csv, verification, tmp_path_factory.mktemp("scores"))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_trials_json(self, tmp_path_factory, data):
+        k = data.draw(st.integers(2, 5), label="subjects")
+        rows = data.draw(st.lists(st.lists(edged(signed(UNIT_EDGES), -1.0, 1.0), min_size=k, max_size=k),
+                                  min_size=1, max_size=20))
+        trials = MorphTrials(np.array(rows))
+        assert same_bytes(save_trials_json, oracle_save_trials_json, trials, tmp_path_factory.mktemp("trials"))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(points=st.lists(edged(signed(WIDE_EDGES) + NON_FINITE, -np.inf, np.inf, allow_nan=True),
+                           max_size=60).map(lambda v: v[: len(v) - len(v) % 6]))
+    def test_aligned_csv(self, tmp_path_factory, points):
+        aligned = np.array(points, dtype=np.float64).reshape(-1, 3, 2)
+        assert same_bytes(save_aligned_csv, oracle_save_aligned_csv, aligned, tmp_path_factory.mktemp("aligned"))
+
+    def test_edges_take_both_formatters(self, tmp_path):
+        """One column holding every edge: orjson's text and repr's side by side."""
+        values = np.array(signed(WIDE_EDGES) + NON_FINITE)
+        aligned = np.resize(values, (len(values) + 5) // 6 * 6).reshape(-1, 3, 2)
+        assert same_bytes(save_aligned_csv, oracle_save_aligned_csv, aligned, tmp_path)
+        text = (tmp_path / "w").read_text()
+        assert all(f",{v}" in text for v in ("1e-05", "1e+16", "5e-324", "nan", "-inf", "0.0001", "-0.0"))
