@@ -27,7 +27,6 @@ exactly.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -40,6 +39,7 @@ import numpy as np
 from .errors import (
     INT64, CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
 )
+from .floattext import orjson_exact
 from .seeding import (
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
@@ -412,9 +412,9 @@ def save_dataset(samples: SampleSet, path):
 
     Each line holds the bytes json.dumps gives the record {"kind",
     "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
-    streamed to the file. An input row whose values are all ±0 or of
-    magnitude in [1e-4, 1e16) is formatted by orjson, whose text there
-    is json.dumps's once ", " separates the items; json.dumps does the rest.
+    streamed to the file. An input row whose values are all orjson_exact
+    is formatted by orjson, whose text there is json.dumps's once ", "
+    separates the items; json.dumps does the rest.
     """
     import orjson  # here, so that commands writing no dataset never load it
 
@@ -422,8 +422,7 @@ def save_dataset(samples: SampleSet, path):
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(samples), _WRITE_ROWS):
             block = np.ascontiguousarray(samples.inputs[start : start + _WRITE_ROWS])  # orjson reads C order only
-            size = np.abs(block)
-            in_range = ((size == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1).tolist()
+            in_range = orjson_exact(block).all(axis=1).tolist()
             for row, fast, (kind, first, second) in zip(block, in_range, labels):  # labels last: zip stops on block
                 text = (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(",", ", ") if fast
                         else json.dumps(row.tolist()))
@@ -456,29 +455,23 @@ def _checked_record(line: str, where: str, width):
     return kind, first, second, row
 
 
-def _json_records(lines, path, number: int, width) -> list:
-    """(line number, kind, first, second, row) of each nonblank text line of
-    lines, through _checked_record; the lines are numbered from number + 1."""
-    records = []
-    for number, line in enumerate(lines, number + 1):
-        if line.strip():
-            records.append((number, *_checked_record(line, f"{path} line {number}", width)))
-            width = records[-1][-1].size
-    return records
-
-
 def _read_lines(path) -> SampleSet:
     """load_dataset's json path: every line through json.loads, as
     tests/oracles.py::oracle_load_dataset reads, so every record and every
     DataError text is json's."""
+    labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            records = _json_records(fh, path, 0, None)
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    kind, first, second, row = _checked_record(
+                        line, f"{path} line {number}", rows[0].size if rows else None)
+                    labels.append((number, kind, first, second))
+                    rows.append(row)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-    line_numbers, kinds, firsts, seconds = np.array([r[:4] for r in records], dtype=np.int64).reshape(-1, 4).T
-    width = records[0][4].size if records else 0
-    inputs = np.array([r[4] for r in records], dtype=np.float64).reshape(len(records), width)
+    line_numbers, kinds, firsts, seconds = np.array(labels, dtype=np.int64).reshape(-1, 4).T
+    inputs = np.array(rows, dtype=np.float64).reshape(len(rows), rows[0].size if rows else 0)
     finite = np.isfinite(inputs).all(axis=1)
     if not finite.all():
         raise DataError(f"{path} line {line_numbers[np.argmin(finite)]}: input has non-finite values")
@@ -514,48 +507,35 @@ def _orjson_block(lines: list, width):
         return None
     if list(ids) != implied or labels.dtype != np.int64 or rows.ndim != 2 or width not in (None, rows.shape[1]):
         return None
-    # A JSON true or false among numbers reads as 1.0 or 0.0, and orjson reads an
-    # integer outside [-2**63, 2**64) as a float where json keeps the integer.
+    # A JSON true or false among numbers reads as 1.0 or 0.0 (a value test costs less than
+    # a byte search), and orjson reads an integer outside [-2**63, 2**64) as a float where
+    # json keeps the integer.
     if ((rows == 0.0) | (rows == 1.0) | (np.abs(rows) >= 2.0**63)).any():
         return None
     return (*labels, rows)
 
 
 def _line_bound(fh) -> int:
-    """At least as many lines as text mode reads from binary fh, read to its end:
-    its "\n", its "\r" not before a "\n" in the same chunk, and a last line without either."""
+    """The lines of binary fh, read to its end: its "\n" and a last line without one."""
     lines, last = 0, b"\n"
     for chunk in iter(lambda: fh.read(1 << 16), b""):
-        codes = np.frombuffer(chunk, dtype=np.uint8)
-        lines += np.count_nonzero(codes == ord("\n"))
-        if b"\r" in chunk:
-            returns = codes == ord("\r")
-            lines += np.count_nonzero(returns) - np.count_nonzero(returns[:-1] & (codes[1:] == ord("\n")))
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
         last = chunk[-1:]
-    return int(lines) + (last not in b"\r\n")
+    return int(lines) + (last != b"\n")
 
 
 def _read_blocks(path):
-    """load_dataset's block path: the SampleSet, or None where it cannot vouch
-    that the json path gives the same. Its columns are allocated once, at the
-    first record, for every line the file can hold."""
+    """load_dataset's block path: the SampleSet, or None where any block is
+    one _orjson_block cannot vouch for. Its columns are allocated once, at
+    the first record, for every line the file holds."""
     with open(path, "rb") as fh:
         bound, size = _line_bound(fh), fh.tell()
         fh.seek(0)
-        columns, count, number = None, 0, 0
+        columns, count = None, 0
         while lines := list(itertools.islice(fh, _READ_LINES)):
-            width = None if columns is None else columns[-1].shape[1]
-            block = _orjson_block(lines, width)
+            block = _orjson_block(lines, None if columns is None else columns[-1].shape[1])
             if block is None:
-                text = list(io.StringIO(b"".join(lines).decode("utf-8"), newline=None))
-                records = _json_records(text, path, number, width)
-                number += len(text)
-                if not records:
-                    continue
-                block = (*np.array([r[1:4] for r in records], dtype=np.int64).T,
-                         np.array([r[4] for r in records], dtype=np.float64))
-            else:
-                number += len(lines)
+                return None
             rows = block[-1]
             if columns is None:
                 # A record holds its width's numbers and commas, so at least 2 * width + 1 bytes.
@@ -584,15 +564,15 @@ def load_dataset(path) -> SampleSet:
     The file streams in binary, _READ_LINES lines a block, into columns
     allocated once for the lines it counts first. orjson parses a block's
     lines, and whole-column checks keep its records only where they must
-    be json.loads's (_orjson_block); json.loads reads every other block
-    line by line. Any error sends the whole file through json.loads line
-    by line (_read_lines), so every accepted file gives json's columns and
+    be json.loads's (_orjson_block). A block they cannot vouch for, or a
+    broken label rule, sends the whole file through json.loads line by
+    line (_read_lines), so every accepted file gives json's columns and
     every rejected one json's DataError text. tests/test_datagen.py checks
     that a float orjson parses is json's.
     """
     try:
         samples = _read_blocks(path)
-    except (DataError, UnicodeDecodeError):
+    except DataError:  # SampleSet's label rules, which _read_lines words by line
         samples = None
     return _read_lines(path) if samples is None else samples
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateAnchorError, DegenerateCovarianceError, NumericInputError
-from .metrics import _float_texts
+from .floattext import float_texts
 
 # Points the unbiased covariance of a confidence ellipse needs; an
 # evaluation therefore needs at least this many morph triplets.
@@ -160,7 +160,7 @@ _TRIPLET_ROWS = "".join(f"{{0}},{role},{{{2 * i + 1}}},{{{2 * i + 2}}}\n" for i,
 
 def save_aligned_csv(aligned_points: np.ndarray, path):
     """Write (T, 3, 2) aligned points as `triplet_id,role,x,y` rows, each coordinate repr(float(v))."""
-    texts = _float_texts(aligned_points)
+    texts = float_texts(aligned_points)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("triplet_id,role,x,y\n")
         fh.writelines(_TRIPLET_ROWS.format(t, *texts[6 * t : 6 * t + 6]) for t in range(len(texts) // 6))

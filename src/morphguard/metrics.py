@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericInputError, UnattainableOperatingPointError, check_real
+from .floattext import float_texts
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -241,29 +242,9 @@ def fnmr_at_fmr(fnmr: ThresholdCurve, fmr: ThresholdCurve, fmr_targets) -> list[
 # --- serialization ---------------------------------------------------------
 
 
-def _float_texts(values) -> list[str]:
-    """repr(float(v)) of each value of a float array, in C order.
-
-    orjson formats the whole array in one call. Where a value is ±0 or has
-    a magnitude in [1e-4, 1e16), its text is repr's; repr formats every
-    other value (tiny, huge or non-finite). Private, so that a tracer that
-    wraps the public functions adds no span per written file's column.
-    """
-    import orjson  # here, so that commands writing no report never load it
-
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()  # orjson reads C order only
-    if not flat.size:
-        return []
-    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(flat)
-    for i in np.flatnonzero(~((size == 0) | (size >= 1e-4) & (size < 1e16))).tolist():
-        texts[i] = repr(float(flat[i]))
-    return texts
-
-
 def save_curve_csv(curve: ThresholdCurve, path):
     """Write a curve as `threshold,value` rows, each value repr(float(v))."""
-    texts = _float_texts(np.column_stack((curve.thresholds, curve.values)))
+    texts = float_texts(np.column_stack((curve.thresholds, curve.values)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,value\n")
         fh.write(("%s,%s\n" * curve.values.size) % tuple(texts))
@@ -292,7 +273,7 @@ def save_operating_points_csv(points, path):
 def save_scores_csv(verification: VerificationSet, path):
     """Write scores as `label,score` rows, genuine first, each score repr(float(s))."""
     genuine = verification.genuine.size
-    texts = _float_texts(np.concatenate((verification.genuine, verification.impostor)))
+    texts = float_texts(np.concatenate((verification.genuine, verification.impostor)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("label,score\n")
         fh.write(("genuine,%s\n" * genuine) % tuple(texts[:genuine]))
@@ -306,7 +287,7 @@ def save_trials_json(trials: MorphTrials, path):
     from one record template and repr(float(s)) of each score.
     """
     k = trials.scores.shape[1]
-    texts = _float_texts(trials.scores)
+    texts = float_texts(trials.scores)
     rows = (",\n   ".join(texts[start : start + k]) for start in range(0, len(texts), k))
     records = ",\n".join(f' {{\n  "morph_id": {t},\n  "subject_scores": [\n   {row}\n  ]\n }}'
                           for t, row in enumerate(rows))

@@ -758,30 +758,20 @@ class TestReaderParity:
         assert outcome == read_outcome(oracle_load_dataset, path)
         return outcome
 
-    def test_desk_lines_never_reach_json(self, desk_lines, tmp_path, monkeypatch):
-        """Every line gen-data writes takes orjson's record."""
+    def test_desk_lines_never_reach_json(self, desk_lines, gen_data_dir, tmp_path, monkeypatch):
+        """Every line gen-data writes takes orjson's record: the desk lines, and every
+        block of the default config's bona_fides.jsonl and dataset.jsonl."""
         path = tmp_path / "dataset.jsonl"
         path.write_bytes(desk_lines)
-        expected = read_outcome(oracle_load_dataset, path)
+        paths = [path, gen_data_dir / "bona_fides.jsonl", gen_data_dir / "dataset.jsonl"]
+        expected = [read_outcome(oracle_load_dataset, file) for file in paths]
+        assert min(outcome[0][0] for outcome in expected[1:]) > 2 * _READ_LINES
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.loads ran")
 
         monkeypatch.setattr(json, "loads", refuse)
-        assert read_outcome(load_dataset, path) == expected
-
-    @pytest.mark.parametrize("name", ["bona_fides.jsonl", "dataset.jsonl"])
-    def test_gen_data_files_never_reach_json(self, name, gen_data_dir, monkeypatch):
-        """Every block of the default config's gen-data files takes orjson's records."""
-        path = gen_data_dir / name
-        expected = read_outcome(oracle_load_dataset, path)
-        assert expected[0][0] > 2 * _READ_LINES
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("json.loads ran")
-
-        monkeypatch.setattr(json, "loads", refuse)
-        assert read_outcome(load_dataset, path) == expected
+        assert [read_outcome(load_dataset, file) for file in paths] == expected
 
     @pytest.mark.parametrize("edit", HAND_PICKED.values(), ids=HAND_PICKED.keys())
     def test_hand_picked_lines(self, edit, desk_lines, tmp_path):
@@ -821,24 +811,14 @@ class TestReaderParity:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=st.text(alphabet="a\r\n", max_size=40))
-    def test_line_bound_is_text_modes_line_count(self, text, tmp_path_factory):
-        """The rows load_dataset allocates: the lines text mode reads, "\r" and "\r\n" endings too."""
+    def test_line_bound_is_binary_line_count(self, text, tmp_path_factory):
+        """The rows load_dataset allocates: the lines a binary file object yields."""
         path = tmp_path_factory.getbasetemp() / "lines.txt"
         path.write_bytes(text.encode())
         with open(path, "rb") as fh:
             bound = _line_bound(fh)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             assert bound == len(list(fh))
-
-    def test_json_reads_only_the_block_it_must(self, desk_lines, tmp_path, monkeypatch):
-        """A valid block that orjson's records cannot vouch for goes to json.loads alone."""
-        path = tmp_path / "dataset.jsonl"
-        path.write_bytes(ACROSS_BLOCKS["crlf_in_block_2"](long_text(desk_lines)).encode())
-        expected = read_outcome(oracle_load_dataset, path)
-        calls, loads = [], json.loads
-        monkeypatch.setattr(json, "loads", lambda line: calls.append(line) or loads(line))
-        assert read_outcome(load_dataset, path) == expected
-        assert len(calls) == _READ_LINES
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(edit=st.sampled_from(["truncate", "duplicate", "flip", "insert"]), data=st.data())
