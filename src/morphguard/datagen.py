@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (
     INT64, CapacityError, ConfigError, DataError, NumericInputError, ProtocolError, check_integer, check_real
 )
-from .floattext import orjson_exact
+from .floattext import row_texts
 from .seeding import (
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
@@ -404,7 +404,7 @@ def build_training_set(
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _KIND_TEXTS = [json.dumps(kind.value) for kind in KINDS]
 _READ_LINES = 256  # load_dataset's lines per block, so its temporaries stay small whatever the file's size
-_WRITE_ROWS = 1024  # save_dataset's rows per range test, so its temporaries stay small whatever the set's size
+_WRITE_ROWS = 256  # save_dataset's rows per block, so its text stays small whatever the set's size
 
 
 def save_dataset(samples: SampleSet, path):
@@ -412,23 +412,22 @@ def save_dataset(samples: SampleSet, path):
 
     Each line holds the bytes json.dumps gives the record {"kind",
     "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
-    streamed to the file. An input row whose values are all orjson_exact
-    is formatted by orjson, whose text there is json.dumps's once ", "
-    separates the items; json.dumps does the rest.
+    streamed to the file, _WRITE_ROWS rows a block. row_texts formats the
+    inputs, whose text is json.dumps's once ", " separates the items; a row
+    with a non-finite value takes json.dumps's text, which spells those
+    NaN and Infinity where repr gives nan and inf.
     """
-    import orjson  # here, so that commands writing no dataset never load it
-
     labels = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(samples), _WRITE_ROWS):
-            block = np.ascontiguousarray(samples.inputs[start : start + _WRITE_ROWS])  # orjson reads C order only
-            in_range = orjson_exact(block).all(axis=1).tolist()
-            for row, fast, (kind, first, second) in zip(block, in_range, labels):  # labels last: zip stops on block
-                text = (orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(",", ", ") if fast
-                        else json.dumps(row.tolist()))
+            block = samples.inputs[start : start + _WRITE_ROWS]
+            texts = row_texts(block, ", ")
+            for i in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
+                texts[i] = json.dumps(block[i].tolist())[1:-1]
+            for text, (kind, first, second) in zip(texts, labels):  # labels last: zip stops on the block
                 ids = f"{first}, {second}" if kind == MORPH else f"{first}"
                 fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
-                         f'"source_ids": [{ids}], "input": {text}}}\n')
+                         f'"source_ids": [{ids}], "input": [{text}]}}\n')
 
 
 def _checked_record(line: str, where: str, width):
@@ -488,7 +487,7 @@ def _orjson_block(lines: list, width):
     codes = np.frombuffer(data, dtype=np.uint8)
     # ASCII without "\r" splits into the lines text mode reads. A record that passes holds at
     # least one "{", two "[" and twelve '"' (five keys and a kind), so exactly that many a line
-    # keep json below its recursion limit and leave no string among the inputs.
+    # keep json below its recursion limit and leave no string among the inputs and no sixth key.
     if not data.isascii() or b"\r" in data or any(
         np.count_nonzero(codes == ord(char)) != times * len(lines) for char, times in (("{", 1), ("[", 2), ('"', 12))
     ):
@@ -496,8 +495,8 @@ def _orjson_block(lines: list, width):
     try:
         records = [orjson.loads(line) for line in lines]
         kinds, firsts, seconds, ids = zip(*[(_KIND_CODES[r["kind"]], r["y_dot"], r["y_ddot"], r["source_ids"])
-                                            for r in records if len(r) == 5])
-        if len(kinds) != len(lines) or {*map(type, itertools.chain(firsts, seconds, *ids))} != {int}:
+                                            for r in records])
+        if {*map(type, itertools.chain(firsts, seconds, *ids))} != {int}:
             return None
         implied = [[f, s] if k == MORPH else [f] for k, f, s in zip(kinds, firsts, seconds)]
         labels = np.array((kinds, firsts, seconds))

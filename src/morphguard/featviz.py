@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateAnchorError, DegenerateCovarianceError, NumericInputError
-from .floattext import float_texts
+from .floattext import row_texts
 
 # Points the unbiased covariance of a confidence ellipse needs; an
 # evaluation therefore needs at least this many morph triplets.
@@ -154,16 +154,16 @@ def morph_spread(points):
 # --- serialization ---------------------------------------------------------
 
 _ROLES = ("bona_a", "bona_b", "morph")
-# A triplet's three rows, formatted with its id and its six coordinate texts.
-_TRIPLET_ROWS = "".join(f"{{0}},{role},{{{2 * i + 1}}},{{{2 * i + 2}}}\n" for i, role in enumerate(_ROLES))
+# A triplet's three rows, formatted with its id and its three points' "x,y" texts.
+_TRIPLET_ROWS = "".join(f"{{0}},{role},{{{i + 1}}}\n" for i, role in enumerate(_ROLES))
 
 
 def save_aligned_csv(aligned_points: np.ndarray, path):
     """Write (T, 3, 2) aligned points as `triplet_id,role,x,y` rows, each coordinate repr(float(v))."""
-    texts = float_texts(aligned_points)
+    points = row_texts(np.reshape(aligned_points, (-1, 2)), ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("triplet_id,role,x,y\n")
-        fh.writelines(_TRIPLET_ROWS.format(t, *texts[6 * t : 6 * t + 6]) for t in range(len(texts) // 6))
+        fh.writelines(_TRIPLET_ROWS.format(t, *points[3 * t : 3 * t + 3]) for t in range(len(points) // 3))
 
 
 def save_ellipse_csv(ellipse: Ellipse, path):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericInputError, UnattainableOperatingPointError, check_real
-from .floattext import float_texts
+from .floattext import row_texts
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -244,10 +244,10 @@ def fnmr_at_fmr(fnmr: ThresholdCurve, fmr: ThresholdCurve, fmr_targets) -> list[
 
 def save_curve_csv(curve: ThresholdCurve, path):
     """Write a curve as `threshold,value` rows, each value repr(float(v))."""
-    texts = float_texts(np.column_stack((curve.thresholds, curve.values)))
+    rows = row_texts(np.column_stack((curve.thresholds, curve.values)), ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,value\n")
-        fh.write(("%s,%s\n" * curve.values.size) % tuple(texts))
+        fh.write(("%s\n" * len(rows)) % tuple(rows))
 
 
 OPERATING_POINT_HEADER = "metric,target,achieved,threshold,value"
@@ -273,7 +273,7 @@ def save_operating_points_csv(points, path):
 def save_scores_csv(verification: VerificationSet, path):
     """Write scores as `label,score` rows, genuine first, each score repr(float(s))."""
     genuine = verification.genuine.size
-    texts = float_texts(np.concatenate((verification.genuine, verification.impostor)))
+    texts = row_texts(np.concatenate((verification.genuine, verification.impostor))[:, None], ",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("label,score\n")
         fh.write(("genuine,%s\n" * genuine) % tuple(texts[:genuine]))
@@ -286,9 +286,7 @@ def save_trials_json(trials: MorphTrials, path):
     The bytes are json.dump(records, fh, indent=1)'s plus a newline, built
     from one record template and repr(float(s)) of each score.
     """
-    k = trials.scores.shape[1]
-    texts = float_texts(trials.scores)
-    rows = (",\n   ".join(texts[start : start + k]) for start in range(0, len(texts), k))
+    rows = row_texts(trials.scores, ",\n   ")
     records = ",\n".join(f' {{\n  "morph_id": {t},\n  "subject_scores": [\n   {row}\n  ]\n }}'
                           for t, row in enumerate(rows))
     with open(path, "w", encoding="utf-8") as fh:

@@ -643,6 +643,11 @@ def oracle_load_dataset(path):
     return SampleSet(inputs, firsts, seconds, kinds)
 
 
+def oracle_row_texts(block, sep):
+    """Each row of block as repr(float(numpy scalar)) of its values, joined by sep."""
+    return [sep.join(repr(float(v)) for v in row) for row in block]
+
+
 def oracle_save_curve_csv(curve, path):
     """`threshold,value` rows, each value formatted as repr(float(numpy scalar))."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -745,6 +745,11 @@ ACROSS_BLOCKS = {
     "label_true_in_block_2": at_line(EDGE + 7, first_labels("true")),
     "label_2**63_in_block_2": at_line(EDGE + 7, first_labels(2**63)),
     "nested_duplicate_in_block_2": at_line(EDGE + 7, replace("{", f'{{"input": {NESTED}, ')),
+    # A sixth key brings a line to fourteen '"', so its block goes to the json path. Beside a kind
+    # that is no string (ten '"'), the block averages twelve a line and reaches orjson.
+    "sixth_key_in_block_2": at_line(EDGE + 7, replace("{", '{"extra": 1, ')),
+    "sixth_key_beside_integer_kind_in_block_2": lambda text: at_line(EDGE + 7, replace("{", '{"extra": 1, '))(
+        at_line(EDGE + 9, lambda line: re.sub(r'"kind": "[a-z_]+"', '"kind": 0', line, count=1))(text)),
 }
 
 
@@ -800,7 +805,8 @@ class TestReaderParity:
         """The edits that keep a file valid give its records, in every block."""
         expected = None
         for name in ("unedited", "crlf", "crlf_in_block_2", "blank_line_between_blocks", "blank_lines_in_block_2",
-                     "whitespace_only_line_in_block_2", "no_final_newline", "integer_in_block_2", "zero_in_block_2"):
+                     "whitespace_only_line_in_block_2", "no_final_newline", "integer_in_block_2", "zero_in_block_2",
+                     "sixth_key_in_block_2"):
             path = tmp_path / f"{name}.jsonl"
             path.write_bytes(ACROSS_BLOCKS[name](long_text(desk_lines)).encode())
             outcome = self.assert_parity(path)

@@ -23,6 +23,7 @@ from morphguard.datagen import (
     synth_identities,
 )
 from morphguard.featviz import save_aligned_csv
+from morphguard.floattext import row_texts
 from morphguard.metrics import (
     MorphTrials,
     ThresholdCurve,
@@ -33,6 +34,7 @@ from morphguard.metrics import (
 )
 
 from oracles import (
+    oracle_row_texts,
     oracle_save_aligned_csv,
     oracle_save_curve_csv,
     oracle_save_dataset,
@@ -41,7 +43,7 @@ from oracles import (
 )
 
 EDGE_VALUES = [0.0, -0.0, 1e-5, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), 3.0, -0.1]
-# save_dataset formats a row with orjson only when every value is ±0 or of magnitude in [1e-4, 1e16).
+# orjson's text of a float is repr's only where the value is ±0 or of magnitude in [1e-4, 1e16).
 LOW, HIGH = 1e-4, 1e16
 BELOW_LOW, BELOW_HIGH = np.nextafter(LOW, 0.0), np.nextafter(HIGH, 0.0)
 IN_RANGE = [LOW, np.nextafter(LOW, 1.0), BELOW_HIGH, 1e15, 3.0, 0.0, -0.0, 0.1, 1 / 3, 123456789012345.6]
@@ -127,17 +129,17 @@ class TestDatasetRecords:
 
 
 class TestWideRows:
-    """64-wide rows on both sides of the range where orjson formats a row."""
+    """64-wide rows on both sides of the range where orjson's text of a row is json.dumps's."""
 
     def test_straddling_rows_match_json_dumps(self, tmp_path, monkeypatch):
         inputs = straddling_rows()
         formatted = []
         dumps = orjson.dumps
-        monkeypatch.setattr(orjson, "dumps", lambda row, **kw: formatted.append(row.copy()) or dumps(row, **kw))
+        monkeypatch.setattr(orjson, "dumps", lambda block, **kw: formatted.append(block.copy()) or dumps(block, **kw))
         save_dataset(bona_fides(inputs), tmp_path / "d.jsonl")
         assert (tmp_path / "d.jsonl").read_bytes() == oracle_bytes(bona_fides(inputs), tmp_path / "o.jsonl")
-        # orjson formats the in-range row only: a row with any value out of range goes to json.dumps.
-        assert len(formatted) == 1 and formatted[0].tobytes() == inputs[0].tobytes()
+        # One orjson call formats the write block, every row of it, whether its values are in range or not.
+        assert len(formatted) == 1 and formatted[0].tobytes() == inputs.tobytes()
 
     def test_blocks_and_column_order_keep_the_bytes(self, tmp_path):
         """Rows past a block's edge, and a Fortran-ordered input array, give json.dumps's bytes."""
@@ -169,8 +171,9 @@ class TestGenDataMemory:
     POOL = 200 * 50 * 128 * 8  # the pool's inputs.nbytes: 200 identities x 50 samples x 128 float64
 
     def test_gen_data_holds_no_text_of_the_pool(self, tmp_path):
-        # 2.97 pools: the pool, the (N+M+S, D) training set (1.6 pools) and one block's range
-        # test. Formatting every pool row's text up front, to reuse it, peaks at 5.62.
+        # 3.00 pools: the pool, the (N+M+S, D) training set (1.6 pools) and one 256-row write
+        # block's text, which row_texts holds about twice while it splits it into rows. Blocks of
+        # 1024 rows peak at 3.72; formatting every pool row's text up front, to reuse it, at 5.62.
         (tmp_path / "config.json").write_text(json.dumps({"data": {"num_classes": 200, "input_dim": 128}}))
         tracemalloc.start()
         try:
@@ -311,3 +314,29 @@ class TestReportColumns:
         assert same_bytes(save_aligned_csv, oracle_save_aligned_csv, aligned, tmp_path)
         text = (tmp_path / "w").read_text()
         assert all(f",{v}" in text for v in ("1e-05", "1e+16", "5e-324", "nan", "-inf", "0.0001", "-0.0"))
+
+
+SEPARATORS = [", ", ",", ",\n   "]  # a dataset row's, a CSV row's and a trials.json record's
+
+
+class TestRowTexts:
+    """floattext.row_texts against repr of each value, joined by the separator."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=["dataset", "csv", "trials"])
+    @pytest.mark.parametrize("shape", [(0, 7), (0, 0), (5, 0), (1, 0), (1, 43), (13, 7)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_edge_in_every_shape(self, shape, order, sep):
+        """The 43 edges fill a (1, 43) row once, and a (13, 7) block over and over."""
+        block = np.resize(np.array(signed(WIDE_EDGES) + NON_FINITE), shape).copy(order=order)
+        assert row_texts(block, sep) == oracle_row_texts(block, sep)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_block(self, data):
+        n, k = data.draw(st.integers(0, 6), label="rows"), data.draw(st.integers(0, 6), label="columns")
+        values = edged(signed(WIDE_EDGES) + NON_FINITE, -np.inf, np.inf, allow_nan=True)
+        block = np.array(data.draw(st.lists(values, min_size=n * k, max_size=n * k)), dtype=np.float64).reshape(n, k)
+        if data.draw(st.booleans(), label="fortran"):
+            block = np.asfortranarray(block)
+        sep = data.draw(st.sampled_from(SEPARATORS), label="sep")
+        assert row_texts(block, sep) == oracle_row_texts(block, sep)
