@@ -412,10 +412,10 @@ def save_dataset(samples: SampleSet, path):
 
     Each line holds the bytes json.dumps gives the record {"kind",
     "y_dot", "y_ddot", "source_ids", "input"}, built from its parts and
-    streamed to the file, _WRITE_ROWS rows a block. row_texts formats the
-    inputs, whose text is json.dumps's once ", " separates the items; a row
-    with a non-finite value takes json.dumps's text, which spells those
-    NaN and Infinity where repr gives nan and inf.
+    streamed to the file in one write per block of _WRITE_ROWS rows.
+    row_texts formats the inputs, whose text is json.dumps's once ", "
+    separates the items; a row with a non-finite value takes json.dumps's
+    text, which spells those NaN and Infinity where repr gives nan and inf.
     """
     labels = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist())
     with open(path, "w", encoding="utf-8") as fh:
@@ -424,10 +424,12 @@ def save_dataset(samples: SampleSet, path):
             texts = row_texts(block, ", ")
             for i in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
                 texts[i] = json.dumps(block[i].tolist())[1:-1]
-            for text, (kind, first, second) in zip(texts, labels):  # labels last: zip stops on the block
+            # Each row's text becomes its line; labels go last, so zip stops on the block.
+            for n, (text, (kind, first, second)) in enumerate(zip(texts, labels)):
                 ids = f"{first}, {second}" if kind == MORPH else f"{first}"
-                fh.write(f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
-                         f'"source_ids": [{ids}], "input": [{text}]}}\n')
+                texts[n] = (f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
+                            f'"source_ids": [{ids}], "input": [{text}]}}\n')
+            fh.write("".join(texts))
 
 
 def _checked_record(line: str, where: str, width):

@@ -337,20 +337,19 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def embed_holdout(model: DualHeadModel, pool: SampleSet, held_rows: np.ndarray):
-    """Held-out embeddings stacked by identity, ascending.
+def embed_holdout(model: DualHeadModel, pool: SampleSet, held_rows: np.ndarray) -> np.ndarray:
+    """The (C, h, E) held-out embeddings of _trial_rows' (C, h) grid of pool rows.
 
-    held_rows are holdout_split's identity-major pool rows, forwarded in
-    that order one block (_blocks) at a time, each block gathered from
-    the pool as it is embedded. Returns (embeddings, counts, offsets,
-    identities): rows offsets[k] to offsets[k] + counts[k] of embeddings
-    embed identities[k]'s held-out samples, in pool order.
+    Row k of the grid holds the k-th identity's (ascending) h held-out
+    rows in pool order. The grid is forwarded in row-major order, one
+    block (_blocks) at a time, each block gathered from the pool as it
+    is embedded.
     """
-    identities, counts = np.unique(pool.first[held_rows], return_counts=True)
-    embeddings = np.empty((len(held_rows), model.embedding_dim))
-    for block in _blocks(len(held_rows)):
-        embeddings[block] = _forward_batch(model, pool.inputs[held_rows[block]])[0]
-    return embeddings, counts, np.cumsum(counts) - counts, identities
+    rows = held_rows.ravel()
+    embeddings = np.empty((len(rows), model.embedding_dim))
+    for block in _blocks(len(rows)):
+        embeddings[block] = _forward_batch(model, pool.inputs[rows[block]])[0]
+    return embeddings.reshape(*held_rows.shape, model.embedding_dim)
 
 
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,32 +357,31 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip((a[..., None, :] @ b[..., :, None])[..., 0, 0], -1.0, 1.0)
 
 
-def verification_scores(held, settings: EvalSettings, seed: int) -> VerificationSet:
-    """Seeded genuine/impostor cosine scores over embed_holdout's embeddings.
+def verification_scores(held: np.ndarray, settings: EvalSettings, seed: int) -> VerificationSet:
+    """Seeded genuine/impostor cosine scores over embed_holdout's (C, h, E) grid.
 
     Genuine pairs are an identity, then two distinct of its samples;
     impostor pairs are two distinct identities, then one sample of each.
     Every draw is one whole-array call, documented in the README.
     """
-    pool, counts, offsets, identities = held
-    num_ids = len(identities)
-    if num_ids < 2 or counts.min() < 2:
+    num_ids, num_held = held.shape[:2]
+    if num_ids < 2 or num_held < 2:
         raise ConfigError("verification needs >= 2 held-out samples for >= 2 identities")
 
     rng = rng_for(seed, STREAM_GENUINE)
     who = rng.integers(num_ids, size=settings.genuine_pairs)
-    i = rng.integers(counts[who])
-    j = rng.integers(counts[who] - 1)
+    i = rng.integers(num_held, size=settings.genuine_pairs)
+    j = rng.integers(num_held - 1, size=settings.genuine_pairs)
     j += j >= i
-    genuine = _cosines(pool[offsets[who] + i], pool[offsets[who] + j])
+    genuine = _cosines(held[who, i], held[who, j])
 
     rng = rng_for(seed, STREAM_IMPOSTOR)
     a = rng.integers(num_ids, size=settings.impostor_pairs)
     b = rng.integers(num_ids - 1, size=settings.impostor_pairs)
     b += b >= a
-    sample_a = rng.integers(counts[a])
-    sample_b = rng.integers(counts[b])
-    impostor = _cosines(pool[offsets[a] + sample_a], pool[offsets[b] + sample_b])
+    sample_a = rng.integers(num_held, size=settings.impostor_pairs)
+    sample_b = rng.integers(num_held, size=settings.impostor_pairs)
+    impostor = _cosines(held[a, sample_a], held[b, sample_b])
     return VerificationSet(genuine, impostor)
 
 
@@ -397,13 +395,13 @@ def trial_features(
     inputs are the pool's (N, D) rows, rows the pool rows the protocol
     pairs (in evaluation the training part's) and parents the (T, 2)
     positions in rows of each pair's parents (datagen.protocol_parents).
-    probes is (embeddings, probe_rows): embed_holdout's embeddings and
-    the (T, 2) rows of them that morph_trials drew. The distinct parents
-    are embedded in ascending position order, keeping only their 2-D
-    points, gathered per pair. The T morphs go in pair order, one block
-    (_blocks) at a time: blended into one reused buffer as
-    build_training_set blends them, embedded, projected and scored
-    against both probe rows at once. So no (T, E) array and no
+    probes is (held, who, picks): embed_holdout's (C, h, E) grid and the
+    (T, 2) identity rows and sample columns of it that morph_trials
+    drew. The distinct parents are embedded in ascending position order,
+    keeping only their 2-D points, gathered per pair. The T morphs go in
+    pair order, one block (_blocks) at a time: blended into one reused
+    buffer as build_training_set blends them, embedded, projected and
+    scored against both probes at once. So no (T, E) array and no
     full-size gather or hidden activation exists. Each triplet runs
     (parent_a, parent_b, morph), the layout featviz.morph_spread aligns
     as it is.
@@ -418,7 +416,7 @@ def trial_features(
     triplets[:, :2] = points[inverse.reshape(parents.shape)]
     scores = None
     if probes is not None:
-        embeddings, probe_rows = probes
+        held, who, picks = probes
         scores = np.empty(parents.shape)
     blocks = _blocks(len(parents))
     buffer = np.empty((max(block.stop - block.start for block in blocks), inputs.shape[1]))
@@ -427,37 +425,28 @@ def trial_features(
         morphs = _forward_batch(model, datagen._blend(inputs, pairs, alpha, buffer[: len(pairs)]))[0]
         triplets[block, 2] = featviz.project_2d(morphs)
         if probes is not None:
-            scores[block] = _cosines(morphs[:, None, :], embeddings[probe_rows[block]])
+            scores[block] = _cosines(morphs[:, None, :], held[who[block], picks[block]])
         del morphs  # so the next block's forward pass does not run beside this block's embeddings
     return triplets, scores
 
 
 def morph_trials(
-    model: DualHeadModel,
-    inputs: np.ndarray,
-    rows: np.ndarray,
-    parents: np.ndarray,
-    alpha: float,
-    held,
-    columns: np.ndarray,
-    seed: int,
+    model: DualHeadModel, inputs: np.ndarray, rows: np.ndarray, parents: np.ndarray, alpha: float, held, seed: int
 ):
     """(trials, triplets): each protocol morph scored against one held-out
     sample per parent, and the trial pass's (T, 3, 2) triplet points.
 
-    held is embed_holdout's result and columns the protocol's (T, 4)
-    columns; model, inputs, rows, parents and alpha are trial_features'.
-    The (T, 2) probe indices are one array-bound integers draw, which
-    consumes the stream pair by pair, parent a before parent b; the one
-    trial pass then scores each block of morphs against its probes.
+    held is embed_holdout's (C, h, E) grid; model, inputs, rows, parents
+    and alpha are trial_features'. rows hold len(rows) // C training rows
+    per identity, identities in the grid's order, so a parent's position
+    in rows names its identity's grid row. The (T, 2) probe columns are
+    one integers(h, size=(T, 2)) draw, which consumes the stream pair by
+    pair, parent a before parent b; the one trial pass then scores each
+    block of morphs against its probes.
     """
-    embeddings, counts, offsets, identities = held
-    named = columns[:, :2]
-    slots = np.searchsorted(identities, named)
-    if not np.array_equal(np.append(identities, -1)[slots], named):
-        raise DataError("a protocol pair names an identity without held-out probes")
-    probes = offsets[slots] + rng_for(seed, STREAM_TRIALS).integers(counts[slots])
-    triplets, scores = trial_features(model, inputs, rows, parents, alpha, (embeddings, probes))
+    who = parents // (len(rows) // len(held))
+    picks = rng_for(seed, STREAM_TRIALS).integers(held.shape[1], size=parents.shape)
+    triplets, scores = trial_features(model, inputs, rows, parents, alpha, (held, who, picks))
     return MorphTrials(scores), triplets
 
 
@@ -471,9 +460,17 @@ class EvalReport:
     fmr_curve: metrics.ThresholdCurve
     mmpmr_curve: metrics.ThresholdCurve
     operating_points: list
-    min_rmmr_threshold: float
-    min_rmmr_value: float
     ellipse: featviz.Ellipse
+
+    @property
+    def min_rmmr_threshold(self) -> float:
+        """The min_rmmr operating point's threshold."""
+        return self.point("min_rmmr").threshold
+
+    @property
+    def min_rmmr_value(self) -> float:
+        """The min_rmmr operating point's value."""
+        return self.point("min_rmmr").value
 
     def point(self, metric: str, target: float | None = None) -> OperatingPoint:
         for p in self.operating_points:
@@ -483,9 +480,12 @@ class EvalReport:
 
 
 def _trial_rows(pool: SampleSet, columns: np.ndarray, config: ExperimentConfig):
-    """(train_rows, held_rows, parents): the pool's split and the positions
-    in train_rows of each protocol pair's parents (datagen.protocol_parents)."""
-    train_rows, held_rows = holdout_split(pool, config.data.samples_per_class, config.data.holdout_fraction)
+    """(train_rows, held_rows, parents): the pool's split, the held-out rows
+    as the (C, h) grid holdout_split guarantees, and the positions in
+    train_rows of each protocol pair's parents (datagen.protocol_parents)."""
+    data = config.data
+    train_rows, held_rows = holdout_split(pool, data.samples_per_class, data.holdout_fraction)
+    held_rows = held_rows.reshape(-1, _held_out_per_identity(data.samples_per_class, data.holdout_fraction))
     return train_rows, held_rows, datagen.protocol_parents(pool, train_rows, columns)
 
 
@@ -494,7 +494,7 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
 
     It runs the split, the held-out embeddings, the verification
     scores, then morph_trials: the probe draw and one trial pass. Every
-    forward pass runs in blocks (_blocks), so beside the (H, E)
+    forward pass runs in blocks (_blocks), so beside the (C, h, E)
     held-out embeddings its working set is a few blocks, whatever the
     pool's size. Every operating point, min-RMMR included, is read off
     the FNMR, FMR and MMPMR curves it builds once each.
@@ -503,15 +503,12 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
     train_rows, held_rows, parents = _trial_rows(pool, columns, config)
     held = embed_holdout(model, pool, held_rows)
     verification = verification_scores(held, config.eval, config.seed)
-    trials, triplets = morph_trials(
-        model, pool.inputs, train_rows, parents, config.data.alpha, held, columns, config.seed
-    )
+    trials, triplets = morph_trials(model, pool.inputs, train_rows, parents, config.data.alpha, held, config.seed)
     fnmr_curve, fmr_curve = metrics.fnmr_fmr_curves(verification)
     match_curve = metrics.mmpmr_curve(trials, fnmr_curve.thresholds)
-    tau, value = metrics.min_rmmr(trials, fnmr_curve)
     points = metrics.mmpmr_at_fnmr(match_curve, fnmr_curve, config.eval.fnmr_targets)
     points += metrics.fnmr_at_fmr(fnmr_curve, fmr_curve, config.eval.fmr_targets)
-    points.append(OperatingPoint("min_rmmr", None, None, tau, value))
+    points.append(OperatingPoint("min_rmmr", None, None, *metrics.min_rmmr(trials, fnmr_curve)))
 
     _, ellipse = featviz.morph_spread(triplets)
     points.append(OperatingPoint("morph_spread", None, None, None, ellipse.size))
@@ -522,8 +519,6 @@ def evaluate_model(model: DualHeadModel, bundle: DataBundle, config: ExperimentC
         fmr_curve=fmr_curve,
         mmpmr_curve=match_curve,
         operating_points=points,
-        min_rmmr_threshold=tau,
-        min_rmmr_value=value,
         ellipse=ellipse,
     )
 

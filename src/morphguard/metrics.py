@@ -212,31 +212,29 @@ def check_target(kind: str, target: float):
     check_real(f"{kind} target", target, 0.0, 1.0)
 
 
+def _read_at(read: ThresholdCurve, pinned: ThresholdCurve, targets, name: str, kind: str, direction: str):
+    """The "<name>_at_<kind>" operating points: per target, the threshold at
+    which the pinned (kind) curve meets it, and the read curve's value there."""
+    if not np.array_equal(read.thresholds, pinned.thresholds):
+        raise ConfigError(f"{name} and {kind} curves must share one threshold grid")
+    points = []
+    for target in targets:
+        check_target(kind, target)
+        tau, achieved = threshold_at(pinned, target, direction)
+        value = float(read.values[np.searchsorted(pinned.thresholds, tau)])
+        points.append(OperatingPoint(f"{name.lower()}_at_{kind.lower()}", float(target), achieved, tau, value))
+    return points
+
+
 def mmpmr_at_fnmr(match: ThresholdCurve, fnmr: ThresholdCurve, fnmr_targets) -> list[OperatingPoint]:
     """Morph match rate at thresholds pinned by FNMR targets, read off an MMPMR and an FNMR curve on
     one threshold grid; on the grid fnmr_fmr_curves builds, the +1 sentinel reaches every target."""
-    if not np.array_equal(match.thresholds, fnmr.thresholds):
-        raise ConfigError("MMPMR and FNMR curves must share one threshold grid")
-    points = []
-    for target in fnmr_targets:
-        check_target("FNMR", target)
-        tau, achieved = threshold_at(fnmr, target, FROM_BELOW)
-        value = float(match.values[np.searchsorted(fnmr.thresholds, tau)])
-        points.append(OperatingPoint("mmpmr_at_fnmr", float(target), achieved, tau, value))
-    return points
+    return _read_at(match, fnmr, fnmr_targets, "MMPMR", "FNMR", FROM_BELOW)
 
 
 def fnmr_at_fmr(fnmr: ThresholdCurve, fmr: ThresholdCurve, fmr_targets) -> list[OperatingPoint]:
     """Verification FNMR at thresholds pinned by FMR targets, read off curves on one threshold grid."""
-    if not np.array_equal(fnmr.thresholds, fmr.thresholds):
-        raise ConfigError("FNMR and FMR curves must share one threshold grid")
-    points = []
-    for target in fmr_targets:
-        check_target("FMR", target)
-        tau, achieved = threshold_at(fmr, target, FROM_ABOVE)
-        value = float(fnmr.values[np.searchsorted(fmr.thresholds, tau)])
-        points.append(OperatingPoint("fnmr_at_fmr", float(target), achieved, tau, value))
-    return points
+    return _read_at(fnmr, fmr, fmr_targets, "FNMR", "FMR", FROM_ABOVE)
 
 
 # --- serialization ---------------------------------------------------------

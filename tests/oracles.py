@@ -36,6 +36,8 @@ from morphguard.experiment import _held_out_per_identity
 from morphguard.losses import morphguard_loss_arrays
 from morphguard.metrics import MorphTrial, MorphTrials
 from morphguard.seeding import (
+    STREAM_GENUINE,
+    STREAM_IMPOSTOR,
     STREAM_PAIRS,
     STREAM_PROTOTYPES,
     STREAM_SAMPLES,
@@ -559,33 +561,58 @@ def recorded_forward_calls():
 
 
 def oracle_probe_pool(probes):
-    """Per-identity held-out embeddings stacked as experiment.embed_holdout
-    returns them: (pool, counts, offsets, identities), identities ascending."""
-    identities = sorted(probes)
-    counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
-    offsets = np.cumsum(counts) - counts
-    return np.concatenate([probes[i] for i in identities]), counts, offsets, np.array(identities, dtype=np.int64)
+    """Per-identity held-out embeddings as the (C, h, E) grid experiment.embed_holdout
+    returns, identities ascending; every identity must hold h of them."""
+    return np.stack([probes[i] for i in sorted(probes)])
 
 
-def probes_by_identity(held):
-    """embed_holdout's (pool, counts, offsets, identities) as the per-identity dict the trial oracles read."""
-    pool, counts, offsets, identities = held
-    return {i: pool[o : o + n] for i, n, o in zip(identities.tolist(), counts.tolist(), offsets.tolist())}
+def probes_by_identity(held, pool):
+    """embed_holdout's (C, h, E) grid of pool's held-out rows as the per-identity dict the
+    trial oracles read: grid row k is the k-th of pool's identities, ascending."""
+    return {i: held[k] for k, i in enumerate(np.unique(pool.first).tolist())}
 
 
 def _oracle_cosines(a, b):
     return np.clip((a[..., None, :] @ b[..., :, None])[..., 0, 0], -1.0, 1.0)
 
 
-def oracle_morph_trial_list(morph_embeddings, probes, protocol, seed):
-    """The MorphTrial list of the whole-array trial draw, one object per pair."""
-    pool, counts, offsets, identities = oracle_probe_pool(probes)
-    position = {identity: k for k, identity in enumerate(identities.tolist())}
+def oracle_trial_picks(probes, protocol, seed):
+    """(parents, picks), each (T, 2): the positions of each pair's (subset-1, subset-2) identity among
+    the probes' identities, ascending, and the probe of each drawn by one array-bound call on the
+    identities' held-out counts, the trial-probe draw before it took a scalar bound."""
+    identities = sorted(probes)
+    counts = np.array([len(probes[i]) for i in identities], dtype=np.int64)
+    position = {identity: k for k, identity in enumerate(identities)}
     parents = np.array(
         [(position[p.identity_a], position[p.identity_b]) for p in protocol.pairs], dtype=np.int64
     ).reshape(-1, 2)
-    picks = rng_for(seed, STREAM_TRIALS).integers(counts[parents])
-    scores = _oracle_cosines(morph_embeddings[:, None, :], pool[offsets[parents] + picks])
+    return parents, rng_for(seed, STREAM_TRIALS).integers(counts[parents])
+
+
+def oracle_verification_draws(probes, settings, seed):
+    """((who, i, j), (a, b, sample_a, sample_b)): the genuine and impostor pair draws, each sample
+    index drawn by one array-bound call on the drawn identities' held-out counts, the verification
+    draw before it took a scalar bound."""
+    counts = np.array([len(probes[i]) for i in sorted(probes)], dtype=np.int64)
+    rng = rng_for(seed, STREAM_GENUINE)
+    who = rng.integers(len(counts), size=settings.genuine_pairs)
+    i = rng.integers(counts[who])
+    j = rng.integers(counts[who] - 1)
+    j += j >= i
+    rng = rng_for(seed, STREAM_IMPOSTOR)
+    a = rng.integers(len(counts), size=settings.impostor_pairs)
+    b = rng.integers(len(counts) - 1, size=settings.impostor_pairs)
+    b += b >= a
+    return (who, i, j), (a, b, rng.integers(counts[a]), rng.integers(counts[b]))
+
+
+def oracle_morph_trial_list(morph_embeddings, probes, protocol, seed):
+    """The MorphTrial list of the whole-array trial draw, one object per pair."""
+    parents, picks = oracle_trial_picks(probes, protocol, seed)
+    identities = sorted(probes)
+    chosen = [[probes[identities[k]][n] for k, n in zip(ks, ns)] for ks, ns in zip(parents, picks)]
+    chosen = np.array(chosen).reshape(*parents.shape, morph_embeddings.shape[1])
+    scores = _oracle_cosines(morph_embeddings[:, None, :], chosen)
     return [MorphTrial(idx, row) for idx, row in enumerate(scores)]
 
 

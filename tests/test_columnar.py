@@ -140,12 +140,12 @@ class TestAgainstPerSampleOracles:
         assert triplets.tobytes() == project_2d(features.reshape(triplets.shape[0], 3, -1)).tobytes()
 
         _, held_rows = holdout_split(bona_fides, config.data.samples_per_class, config.data.holdout_fraction)
-        held = embed_holdout(model, bona_fides, held_rows)
+        held = embed_holdout(model, bona_fides, held_rows.reshape(config.data.num_classes, -1))
         trials, trial_triplets = morph_trials(
-            model, bona_fides.inputs, rows, parents, config.data.alpha, held, columns, config.seed
+            model, bona_fides.inputs, rows, parents, config.data.alpha, held, config.seed
         )
         assert trial_triplets.tobytes() == triplets.tobytes()
-        expected = oracle_morph_trial_list(morphs, probes_by_identity(held), protocol, config.seed)
+        expected = oracle_morph_trial_list(morphs, probes_by_identity(held, bona_fides), protocol, config.seed)
         assert [t.morph_id for t in trials] == [t.morph_id for t in expected]
         assert trials.scores.tobytes() == np.array([t.subject_scores for t in expected]).tobytes()
 
@@ -219,16 +219,17 @@ class TestPoolRows:
         _, pool = self.interleaved_pool(config)
         _, held_rows = holdout_split(pool, d.samples_per_class, d.holdout_fraction)
         model = fresh_model(config)
+        grid = held_rows.reshape(d.num_classes, -1)
         with recorded_forward_calls() as calls:
-            embeddings, counts, _, identities = embed_holdout(model, pool, held_rows)
+            embeddings = embed_holdout(model, pool, grid)
         batches = [batch for batch, _ in calls]
         assert len(batches) == 1
         assert batches[0].tobytes() == pool.inputs[held_rows].tobytes()
         _, o_held = oracle_holdout_split(list(pool), d.samples_per_class, d.holdout_fraction)
         assert batches[0].tobytes() == np.stack([s.input for s in o_held]).tobytes()
         assert np.any(np.diff(held_rows) < 0)
-        assert identities.tolist() == list(range(d.num_classes))
-        assert counts.tolist() == [len(o_held) // d.num_classes] * d.num_classes
+        assert pool.first[grid].tolist() == [[k] * (len(o_held) // d.num_classes) for k in range(d.num_classes)]
+        assert embeddings.shape == (*grid.shape, config.model.embedding_dim)
         assert embeddings.tobytes() == _forward_batch(model, batches[0])[0].tobytes()
 
 

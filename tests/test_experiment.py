@@ -38,6 +38,8 @@ from oracles import (
     oracle_morph_trials,
     oracle_probe_pool,
     oracle_trial_features,
+    oracle_trial_picks,
+    oracle_verification_draws,
     probes_by_identity,
     recorded_forward_calls,
 )
@@ -69,9 +71,14 @@ def train_part(bundle, config):
     return bundle.bona_fides[split_rows(bundle.bona_fides, config)[0]]
 
 
+def held_grid(pool, config):
+    """holdout_split's held-out rows of a pool as a (C, h) grid, one row per identity."""
+    return split_rows(pool, config)[1].reshape(config.data.num_classes, -1)
+
+
 def held_embeddings(model, bundle, config):
-    """embed_holdout of the bundle's held-out rows."""
-    return embed_holdout(model, bundle.bona_fides, split_rows(bundle.bona_fides, config)[1])
+    """embed_holdout of the bundle's held-out grid."""
+    return embed_holdout(model, bundle.bona_fides, held_grid(bundle.bona_fides, config))
 
 
 def trial_args(model, bundle, config):
@@ -94,7 +101,7 @@ def protocol_features(model, bundle, config):
 
 def protocol_trials(model, bundle, config, held):
     """morph_trials of the bundle's protocol pairs against held: (trials, triplets)."""
-    return morph_trials(*trial_args(model, bundle, config), held, bundle.protocol.columns, config.seed)
+    return morph_trials(*trial_args(model, bundle, config), held, config.seed)
 
 
 def protocol_triplet_inputs(bundle, config):
@@ -462,12 +469,6 @@ class TestEvaluation:
         assert len(trials) == len(small_bundle.protocol.pairs)
         assert all(t.subject_scores.shape == (2,) for t in trials)
 
-    def test_trials_need_probes_of_both_parents(self, trained, small_bundle, small_config):
-        probes = probes_by_identity(held_embeddings(trained, small_bundle, small_config))
-        del probes[small_bundle.protocol.pairs[0].identity_b]
-        with pytest.raises(DataError, match="without held-out probes"):
-            protocol_trials(trained, small_bundle, small_config, oracle_probe_pool(probes))
-
     def test_trial_triplets_reproduce_training_morphs(self, small_bundle, small_config):
         train_set = small_bundle.train_set
         train_morphs = train_set.inputs[train_set.is_morph]
@@ -568,15 +569,16 @@ class TestWholeArrayDraws:
         morphs = _forward_batch(model, protocol_triplet_inputs(bundle, config)[:, 2])[0]
         assert protocol_features(model, bundle, config)[0].tobytes() == morphs.tobytes()
         trials, _ = protocol_trials(model, bundle, config, held)
-        expected = oracle_morph_trials(morphs, probes_by_identity(held), bundle.protocol, config.seed)
+        probes = probes_by_identity(held, bundle.bona_fides)
+        expected = oracle_morph_trials(morphs, probes, bundle.protocol, config.seed)
         assert [t.morph_id for t in trials] == list(range(len(bundle.protocol.pairs)))
         assert np.array([t.subject_scores for t in trials]).tobytes() == expected.tobytes()
 
     def test_verification_scores_are_exact_pair_scores(self):
         rng = np.random.default_rng(3)
         probes = {}
-        for identity, count in zip((0, 2, 3, 7, 8), (2, 3, 5, 4, 7)):
-            vectors = rng.standard_normal((count, 16))
+        for identity in (0, 2, 3, 7, 8):
+            vectors = rng.standard_normal((4, 16))
             probes[identity] = vectors / np.linalg.norm(vectors, axis=1)[:, None]
         same = {
             float(np.clip(a @ b, -1.0, 1.0))
@@ -604,6 +606,54 @@ class TestWholeArrayDraws:
         other = verification_scores(oracle_probe_pool(probes), settings, seed=5)
         assert scores.genuine.tobytes() != other.genuine.tobytes()
         assert scores.impostor.tobytes() != other.impostor.tobytes()
+
+    @pytest.mark.parametrize("raw", [{"seed": 1}, {"seed": 1, **WIDE}], ids=["desk", "wide"])
+    def test_readme_draw_recipe(self, raw):
+        # README "Determinism and seeding" in plain numpy on embed_holdout's (C, h, E) grid: its
+        # scalar-bound draws give the per-identity oracle's array-bound indices and evaluation's scores.
+        config = ExperimentConfig.from_dict(raw)
+        bundle = generate_bundle(config)
+        model = fresh_model(config)
+        held = held_embeddings(model, bundle, config)
+        num_ids, h = held.shape[:2]
+        genuine_pairs, impostor_pairs = config.eval.genuine_pairs, config.eval.impostor_pairs
+
+        def stream(tag):
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, tag])))
+
+        rng = stream(9)
+        who = rng.integers(num_ids, size=genuine_pairs)
+        i = rng.integers(h, size=genuine_pairs)
+        j = rng.integers(h - 1, size=genuine_pairs)
+        j += j >= i
+        rng = stream(10)
+        a = rng.integers(num_ids, size=impostor_pairs)
+        b = rng.integers(num_ids - 1, size=impostor_pairs)
+        b += b >= a
+        sample_a = rng.integers(h, size=impostor_pairs)
+        sample_b = rng.integers(h, size=impostor_pairs)
+        columns = bundle.protocol.columns
+        parents = np.searchsorted(np.unique(bundle.bona_fides.first), columns[:, :2])
+        picks = stream(11).integers(h, size=(len(columns), 2))
+
+        probes = probes_by_identity(held, bundle.bona_fides)
+        genuine, impostor = oracle_verification_draws(probes, config.eval, config.seed)
+        for recipe, oracle in zip((who, i, j, a, b, sample_a, sample_b), (*genuine, *impostor)):
+            assert recipe.tolist() == oracle.tolist()
+        expected_parents, expected_picks = oracle_trial_picks(probes, bundle.protocol, config.seed)
+        assert parents.tolist() == expected_parents.tolist()
+        assert picks.tolist() == expected_picks.tolist()
+
+        def scores(x, y):
+            return np.array([np.clip(u @ v, -1.0, 1.0) for u, v in zip(x, y)])
+
+        verification = verification_scores(held, config.eval, config.seed)
+        assert verification.genuine.tobytes() == scores(held[who, i], held[who, j]).tobytes()
+        assert verification.impostor.tobytes() == scores(held[a, sample_a], held[b, sample_b]).tobytes()
+        morphs, _ = protocol_features(model, bundle, config)
+        trials, _ = protocol_trials(model, bundle, config, held)
+        expected = scores(np.repeat(morphs, 2, axis=0), held[parents, picks].reshape(-1, held.shape[2]))
+        assert trials.scores.tobytes() == expected.tobytes()
 
 
 class TestOnePassEmbedding:
@@ -659,21 +709,24 @@ class TestOnePassEmbedding:
         held = held_embeddings(model, bundle, config)
         trials, trial_triplets = protocol_trials(model, bundle, config, held)
         assert trial_triplets.tobytes() == triplets.tobytes()
-        expected = oracle_morph_trials(features[:, 2], probes_by_identity(held), bundle.protocol, config.seed)
+        probes = probes_by_identity(held, bundle.bona_fides)
+        expected = oracle_morph_trials(features[:, 2], probes, bundle.protocol, config.seed)
         assert trials.scores.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("step", [1, -1], ids=["pool-order", "reversed"])
     def test_holdout_pool_equals_one_batch_in_identity_order(self, case, step):
         config, bundle, model = case
         pool = bundle.bona_fides[::step]
-        _, held_rows = split_rows(pool, config)
-        held = pool[held_rows]
+        grid = held_grid(pool, config)
+        held = pool[grid.ravel()]
         assert np.all(np.diff(held.first) >= 0)  # identities ascending, whatever the pool's order
-        embedded, counts, offsets, identities = embed_holdout(model, pool, held_rows)
+        # Grid row k holds the k-th identity's held-out rows, and evaluation reads this grid.
+        assert (pool.first[grid] == np.unique(pool.first)[:, None]).all()
+        assert experiment._trial_rows(pool, bundle.protocol.columns, config)[1].tobytes() == grid.tobytes()
+        embedded = embed_holdout(model, pool, grid)
         expected = _forward_batch(model, held.inputs)[0]
+        assert embedded.shape == (*grid.shape, config.model.embedding_dim)
         assert embedded.tobytes() == expected.tobytes()
-        assert np.repeat(identities, counts).tolist() == held.first.tolist()
-        assert offsets.tolist() == (np.cumsum(counts) - counts).tolist()
 
 
 class TestBlocks:
@@ -701,8 +754,9 @@ class TestBlocks:
         pool = datagen.SampleSet(rng.standard_normal((n, dim)), labels, labels, np.zeros(n, dtype=np.int8))
         model = init_model(dim, [hidden], width, 50, seed=n)
         with recorded_forward_calls() as calls:
-            embeddings = embed_holdout(model, pool, np.arange(n))[0]
+            embeddings = embed_holdout(model, pool, np.arange(n)[:, None])
         assert len(calls) == n // self.B > 1
+        assert embeddings.shape == (n, 1, width)
         assert embeddings.tobytes() == _forward_batch(model, pool.inputs)[0].tobytes()
 
 

@@ -172,7 +172,8 @@ class TestGenDataMemory:
 
     def test_gen_data_holds_no_text_of_the_pool(self, tmp_path):
         # 3.00 pools: the pool, the (N+M+S, D) training set (1.6 pools) and one 256-row write
-        # block's text, which row_texts holds about twice while it splits it into rows. Blocks of
+        # block's text, which row_texts holds about twice while it splits it into rows; each row's
+        # text then gives way to its line, and the block's lines go out in one write. Blocks of
         # 1024 rows peak at 3.72; formatting every pool row's text up front, to reuse it, at 5.62.
         (tmp_path / "config.json").write_text(json.dumps({"data": {"num_classes": 200, "input_dim": 128}}))
         tracemalloc.start()
