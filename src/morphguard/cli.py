@@ -8,8 +8,8 @@ command has written its files, `main` writes the manifest recording it.
 Every command emits only deterministic bytes, so re-running a command
 with the same config and inputs reproduces its output files exactly.
 
-Exit codes: 0 success, 2 config error, 3 data/protocol error,
-4 numeric error, 5 I/O error.
+Exit codes: 0 success; a failure exits with its family's code from
+errors.EXIT_CODES and one stderr line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, datagen, featviz, metrics
 from .encoder import load_checkpoint, save_checkpoint, train
-from .errors import ConfigError, DataError, MorphGuardError, NumericError
+from .errors import EXIT_CODES, ConfigError, DataError, MorphGuardError
 from .experiment import (
     DataBundle,
     ExperimentConfig,
@@ -39,11 +39,6 @@ from .experiment import (
     sweep_dir_name,
     train_config,
 )
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
 
 # The input-file options, each recorded in the manifest by its sha256 when given.
 INPUT_HELP = {
@@ -310,21 +305,10 @@ def main(argv=None) -> int:
         if out is not None:
             write_manifest(args, config)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data/protocol error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except MorphGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (MorphGuardError, OSError) as exc:
+        code, label = next((code, label) for family, code, label in EXIT_CODES if isinstance(exc, family))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from .seeding import (
     STREAM_SAMPLES,
     STREAM_SELFMORPH,
     STREAM_SPLIT,
+    distinct_pair,
     rng_for,
 )
 
@@ -128,17 +129,20 @@ class SampleSet:
 class IdentityUniverse:
     """The identity prototypes and their two-subset partition."""
 
-    num_classes: int
     prototypes: np.ndarray
     subsets: np.ndarray  # per-identity subset id, 1 or 2
 
     def __post_init__(self):
         counts = [int((self.subsets == s).sum()) for s in (1, 2)]
-        if sum(counts) != self.num_classes or 0 in counts:
+        if sum(counts) != len(self.subsets) or 0 in counts:
             raise ConfigError("subsets must partition the identities into two nonempty groups")
         norms = np.linalg.norm(self.prototypes, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise NumericInputError("prototypes must be unit vectors")
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.subsets)
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ def synth_identities(num_classes: int, samples_per_class: int, input_dim: int, s
     proto_rng = rng_for(seed, STREAM_PROTOTYPES)
     prototypes = proto_rng.standard_normal((num_classes, input_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1)[:, None]
-    universe = IdentityUniverse(num_classes, prototypes, split_identities(num_classes, seed))
+    universe = IdentityUniverse(prototypes, split_identities(num_classes, seed))
 
     inputs = rng_for(seed, STREAM_SAMPLES).standard_normal((num_classes * samples_per_class, input_dim))
     with np.errstate(over="ignore"):  # an overflowing row is reported by _unit_rows
@@ -383,9 +387,7 @@ def build_training_set(
         raise CapacityError("no identity has two samples to selfmorph")
     self_rng = rng_for(seed, STREAM_SELFMORPH)
     group = rich[self_rng.integers(rich.size, size=num_selfmorphs)]
-    i = self_rng.integers(counts[group])
-    j = self_rng.integers(counts[group] - 1)
-    j += j >= i
+    i, j = distinct_pair(self_rng, counts[group])
     selves = rows[order[offsets[group, None] + np.column_stack((i, j))]]  # (S, 2) pool rows of each selfmorph's parents
 
     n, m = len(rows), num_morphs

@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all morphguard modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError (protocol/capacity/checkpoint) -> 3, NumericError -> 4,
-and plain OSError -> 5.
+Every error is a ConfigError, DataError or NumericError; EXIT_CODES
+gives the exit code and stderr label the CLI reports for each family.
 """
 
 import math
@@ -96,3 +95,12 @@ class UnattainableOperatingPointError(NumericError):
     def __init__(self, message: str, closest: float):
         super().__init__(f"{message} (closest achievable value: {closest!r})")
         self.closest = closest
+
+
+# The CLI's (family, exit code, stderr label); every error above, and every OSError, is in one family.
+EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (DataError, 3, "data/protocol error"),
+    (NumericError, 4, "numeric error"),
+    (OSError, 5, "I/O error"),
+)

@@ -29,7 +29,7 @@ from .encoder import _MAX_STEPS, DualHeadModel, TrainConfig, _forward_batch, ini
 from .errors import ConfigError, DataError, check_integer, check_real
 from .losses import MarginConfig
 from .metrics import MorphTrials, OperatingPoint, VerificationSet
-from .seeding import STREAM_GENUINE, STREAM_IMPOSTOR, STREAM_TRIALS, rng_for
+from .seeding import STREAM_GENUINE, STREAM_IMPOSTOR, STREAM_TRIALS, distinct_pair, rng_for
 
 # Margin grid of the sweep experiments, positive to negative offsets.
 DEFAULT_MARGIN_GRID = (0.1, 0.05, 0.0, -0.05, -0.1, -0.2, -0.3)
@@ -329,8 +329,9 @@ def _blocks(n: int) -> list[slice]:
     nearly equal size, so none is smaller than _BLOCK_ROWS rows unless n is.
 
     OpenBLAS picks its kernel by a GEMM's shape, so a block of a few rows
-    (a GEMV at one row) could move an embedding's last bit; blocks this
-    large give each row the bytes one batch of all n rows gives it.
+    (a GEMV at one row) could move an embedding's last bit. Measured on the
+    SkylakeX kernel, blocks this large give each row the bytes one batch of
+    all n rows gives it; on Haswell they do not (README "Scope of the bytes").
     """
     count = max(1, n // _BLOCK_ROWS)
     bounds = [n * k // count for k in range(count + 1)]
@@ -370,15 +371,11 @@ def verification_scores(held: np.ndarray, settings: EvalSettings, seed: int) -> 
 
     rng = rng_for(seed, STREAM_GENUINE)
     who = rng.integers(num_ids, size=settings.genuine_pairs)
-    i = rng.integers(num_held, size=settings.genuine_pairs)
-    j = rng.integers(num_held - 1, size=settings.genuine_pairs)
-    j += j >= i
+    i, j = distinct_pair(rng, num_held, settings.genuine_pairs)
     genuine = _cosines(held[who, i], held[who, j])
 
     rng = rng_for(seed, STREAM_IMPOSTOR)
-    a = rng.integers(num_ids, size=settings.impostor_pairs)
-    b = rng.integers(num_ids - 1, size=settings.impostor_pairs)
-    b += b >= a
+    a, b = distinct_pair(rng, num_ids, settings.impostor_pairs)
     sample_a = rng.integers(num_held, size=settings.impostor_pairs)
     sample_b = rng.integers(num_held, size=settings.impostor_pairs)
     impostor = _cosines(held[a, sample_a], held[b, sample_b])

@@ -29,3 +29,11 @@ STREAM_TRIALS = 11      # held-out probe choice per morph trial
 def rng_for(seed: int, *tags: int) -> np.random.Generator:
     """Return the PCG64 generator for one named stream of ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *tags])))
+
+
+def distinct_pair(rng: np.random.Generator, high, size=None):
+    """(i, j) uniform over ordered pairs of distinct integers in [0, high): i = integers(high, size),
+    j = integers(high - 1, size), then j += j >= i. high may be an array of bounds, each >= 2."""
+    i = rng.integers(high, size=size)
+    j = rng.integers(high - 1, size=size)
+    return i, j + (j >= i)

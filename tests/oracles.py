@@ -370,7 +370,6 @@ def oracle_synth_identities(num_classes, samples_per_class, input_dim, spread, s
     prototypes = proto_rng.standard_normal((num_classes, input_dim))
     prototypes /= np.linalg.norm(prototypes, axis=1)[:, None]
     universe = IdentityUniverse(
-        num_classes=num_classes,
         prototypes=prototypes,
         subsets=split_identities(num_classes, seed),
     )

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphguard
-from morphguard import cli, metrics
+from morphguard import cli, errors, metrics
 from morphguard.cli import main
 from morphguard.datagen import SampleKind, load_dataset, save_dataset
 from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
@@ -92,9 +92,12 @@ class TestGenData:
         assert ExperimentConfig.from_dict(manifest["config"]) == ExperimentConfig.from_dict(SMALL)
 
     def test_pyproject_version_is_package_version(self):
+        # The package's __version__ is the one place the version is written; pyproject.toml reads it.
         tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        assert tomllib.loads(pyproject.read_text())["project"]["version"] == morphguard.__version__
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "morphguard.__version__"}
 
     def test_morph_count_matches_ratios(self, data_dir):
         dataset = load_dataset(data_dir / "dataset.jsonl")
@@ -579,6 +582,20 @@ def epochs_2_70(config):
 
 
 class TestExitCodes:
+    def test_exit_table_is_total(self):
+        # main reports an error by its one EXIT_CODES family; an error outside every family
+        # would reach the user as a traceback.
+        def with_subclasses(cls):
+            return [cls] + [c for sub in cls.__subclasses__() for c in with_subclasses(sub)]
+
+        defined = [value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__]
+        assert errors.MorphGuardError in defined and len(defined) > 1
+        for cls in [c for c in defined if c is not errors.MorphGuardError] + with_subclasses(OSError):
+            codes = [code for family, code, _ in errors.EXIT_CODES if issubclass(cls, family)]
+            assert len(codes) == 1, cls
+            assert issubclass(cls, errors.MorphGuardError) or codes == [5], cls
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 5
 

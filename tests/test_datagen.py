@@ -17,6 +17,7 @@ from morphguard.datagen import (
     KINDS,
     MORPH,
     SELF_MORPH,
+    IdentityUniverse,
     LabelPair,
     MorphPair,
     MorphPairProtocol,
@@ -157,6 +158,18 @@ class TestSplitIdentities:
     def test_too_few(self):
         with pytest.raises(ConfigError):
             split_identities(1, seed=0)
+
+
+class TestIdentityUniverse:
+    def test_identity_count_is_the_subset_count(self):
+        universe, _ = synth_identities(6, 2, 4, spread=0.1, seed=3)
+        assert universe.num_classes == len(universe.subsets) == 6
+
+    @pytest.mark.parametrize("subsets", [[1, 1, 1], [2, 2], [1, 2, 3], [0, 1, 2], [1.5, 1, 2]])
+    def test_subsets_must_partition_into_1_and_2(self, subsets):
+        prototypes = np.eye(len(subsets))
+        with pytest.raises(ConfigError, match="subsets must partition the identities into two nonempty groups"):
+            IdentityUniverse(prototypes, np.array(subsets))
 
 
 class TestPairProtocol:

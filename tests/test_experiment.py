@@ -655,6 +655,30 @@ class TestWholeArrayDraws:
         expected = scores(np.repeat(morphs, 2, axis=0), held[parents, picks].reshape(-1, held.shape[2]))
         assert trials.scores.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("raw", [{"seed": 1}, {"seed": 1, **WIDE}], ids=["desk", "wide"])
+    def test_readme_selfmorph_recipe(self, raw):
+        # README's stream-5 recipe in plain numpy picks the parents whose blends end the training set.
+        config = ExperimentConfig.from_dict(raw)
+        bundle = generate_bundle(config)
+        kept = bundle.bona_fides.first[bundle.train_rows]
+        identities, counts = np.unique(kept, return_counts=True)
+        rich = np.flatnonzero(counts >= 2)
+        num_selfmorphs = datagen.mix_counts(len(kept), config.data.ratios)[1]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 5])))
+        group = rich[rng.integers(len(rich), size=num_selfmorphs)]
+        i = rng.integers(counts[group])
+        j = rng.integers(counts[group] - 1)
+        j += j >= i
+        parents = np.array([np.flatnonzero(kept == identities[k])[[a, b]] for k, a, b in zip(group, i, j)])
+
+        train_set = bundle.train_set
+        selfmorphs = train_set[len(train_set) - num_selfmorphs :]
+        assert num_selfmorphs > 0 and set(selfmorphs.kinds.tolist()) == {datagen.SELF_MORPH}
+        assert selfmorphs.first.tolist() == selfmorphs.second.tolist() == identities[group].tolist()
+        inputs = bundle.bona_fides.inputs
+        expected = datagen._blend(inputs, bundle.train_rows[parents], 0.5, np.empty((num_selfmorphs, inputs.shape[1])))
+        assert selfmorphs.inputs.tobytes() == expected.tobytes()
+
 
 class TestOnePassEmbedding:
     """Evaluation embeds each row once, in the bytes of one batch over every row it reads."""

@@ -192,7 +192,7 @@ def drawn_protocols(draw):
     num_classes = 2 * draw(st.integers(1, 5))
     universe, _ = synth_identities(num_classes, 2, 2, spread=0.1, seed=draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
-        universe = IdentityUniverse(num_classes, universe.prototypes, universe.subsets.astype(np.float64))
+        universe = IdentityUniverse(universe.prototypes, universe.subsets.astype(np.float64))
     identity, index = st.integers(0, num_classes - 1), st.integers(-(2**63), 2**63 - 1)
     rows = draw(st.lists(st.tuples(identity, identity, index, index), max_size=8))
     return universe, MorphPairProtocol(np.array(rows, dtype=np.int64).reshape(-1, 4))
