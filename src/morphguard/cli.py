@@ -148,8 +148,10 @@ def cmd_gen_data(args, config):
     bundle = generate_bundle(config)
     train_set = bundle.train_set
     out_dir = _out_dir(args)
-    datagen.save_dataset(bundle.bona_fides, out_dir / "bona_fides.jsonl")
-    datagen.save_dataset(train_set, out_dir / "dataset.jsonl")
+    pool_path = out_dir / "bona_fides.jsonl"
+    datagen.save_dataset(bundle.bona_fides, pool_path)
+    # The set starts with the pool's training rows, ascending here, so their lines are copied.
+    datagen.save_dataset(train_set, out_dir / "dataset.jsonl", copy_from=(pool_path, bundle.train_rows))
     datagen.save_protocol(bundle.protocol, bundle.universe, out_dir / "protocol.json")
     print(
         f"wrote {len(bundle.bona_fides)} bona fides, {len(train_set)} training samples, "

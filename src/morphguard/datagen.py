@@ -133,6 +133,9 @@ class IdentityUniverse:
     subsets: np.ndarray  # per-identity subset id, 1 or 2
 
     def __post_init__(self):
+        shapes = np.shape(self.prototypes), np.shape(self.subsets)
+        if len(shapes[0]) != 2 or len(shapes[1]) != 1 or shapes[0][0] != shapes[1][0]:
+            raise ConfigError(f"prototypes and subsets need shapes (C, D) and (C,), not {shapes[0]} and {shapes[1]}")
         counts = [int((self.subsets == s).sum()) for s in (1, 2)]
         if sum(counts) != len(self.subsets) or 0 in counts:
             raise ConfigError("subsets must partition the identities into two nonempty groups")
@@ -409,7 +412,7 @@ _READ_LINES = 256  # load_dataset's lines per block, so its temporaries stay sma
 _WRITE_ROWS = 256  # save_dataset's rows per block, so its text stays small whatever the set's size
 
 
-def save_dataset(samples: SampleSet, path):
+def save_dataset(samples: SampleSet, path, copy_from=None):
     """Write samples as line-delimited JSON records.
 
     Each line holds the bytes json.dumps gives the record {"kind",
@@ -418,10 +421,19 @@ def save_dataset(samples: SampleSet, path):
     row_texts formats the inputs, whose text is json.dumps's once ", "
     separates the items; a row with a non-finite value takes json.dumps's
     text, which spells those NaN and Infinity where repr gives nan and inf.
+
+    copy_from, if given, is (source, rows): a file of save_dataset's lines
+    and strictly ascending 0-based indices of its lines, which are the
+    records of samples' first len(rows) rows. Those lines are copied from
+    source as bytes, _WRITE_ROWS a write, and only the rows after them are
+    formatted. Nothing checks that the lines hold those rows' values.
     """
-    labels = zip(samples.kinds.tolist(), samples.first.tolist(), samples.second.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(samples), _WRITE_ROWS):
+    copied = 0
+    with open(path, "wb") as fh:
+        if copy_from is not None:
+            copied = _copy_lines(*copy_from, len(samples), fh)
+        labels = zip(*(column[copied:].tolist() for column in (samples.kinds, samples.first, samples.second)))
+        for start in range(copied, len(samples), _WRITE_ROWS):
             block = samples.inputs[start : start + _WRITE_ROWS]
             texts = row_texts(block, ", ")
             for i in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
@@ -431,7 +443,37 @@ def save_dataset(samples: SampleSet, path):
                 ids = f"{first}, {second}" if kind == MORPH else f"{first}"
                 texts[n] = (f'{{"kind": {_KIND_TEXTS[kind]}, "y_dot": {first}, "y_ddot": {second}, '
                             f'"source_ids": [{ids}], "input": [{text}]}}\n')
-            fh.write("".join(texts))
+            fh.write("".join(texts).encode())
+
+
+def _copy_lines(source, rows, limit: int, fh) -> int:
+    """Write the lines of source at indices rows to binary fh, _WRITE_ROWS
+    lines a write, and return how many. rows must be at most limit strictly
+    ascending indices of whole lines of source, or DataError is raised."""
+    rows = np.asarray(rows)
+    # Neighbours compared, not np.diff, which wraps unsigned rows that go down.
+    ascending = rows.ndim == 1 and rows.dtype.kind in "iu" and np.all(rows[1:] > rows[:-1])
+    if not ascending or len(rows) > limit or np.any(rows[:1] < 0):
+        raise DataError(f"rows to copy must be at most {limit} strictly ascending line indices")
+    copied, last = 0, b"\n"
+    with open(source, "rb") as src:
+        lines = itertools.compress(src, _picks(rows.tolist()))
+        while block := list(itertools.islice(lines, _WRITE_ROWS)):
+            fh.write(b"".join(block))
+            copied, last = copied + len(block), block[-1]
+    if copied < len(rows) or not last.endswith(b"\n"):
+        raise DataError(f"{source} ends before line {rows[-1] + 1}, which the copy needs")
+    return copied
+
+
+def _picks(rows):
+    """True at each of the ascending line indices rows and False at the lines
+    between them, stopping at the last, so no mask as long as the file is built."""
+    previous = -1
+    for row in rows:
+        yield from itertools.repeat(False, row - previous - 1)
+        yield True
+        previous = row
 
 
 def _checked_record(line: str, where: str, width):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphguard
-from morphguard import cli, errors, metrics
+from morphguard import cli, datagen, errors, metrics
 from morphguard.cli import main
 from morphguard.datagen import SampleKind, load_dataset, save_dataset
 from morphguard.encoder import init_model, load_checkpoint, save_checkpoint
@@ -117,13 +117,21 @@ class TestGenData:
 
     @pytest.mark.parametrize("data", [{}, {"ratios": [2, 1, 0]}, {"holdout_fraction": 0.4}],
                              ids=["defaults", "ratios_2_1_0", "holdout_0.4"])
-    def test_reused_texts_give_the_files_bytes(self, data, tmp_path):
-        """Each file is the bytes of save_dataset on its own set, so dataset.jsonl's
-        bona fide lines reuse the text of the pool's lines, picked by pool row."""
+    def test_reused_texts_give_the_files_bytes(self, data, tmp_path, monkeypatch):
+        """Each file is the bytes of save_dataset on its own set, though dataset.jsonl's
+        bona fide lines are bona_fides.jsonl's lines, copied: only the pool, the
+        morphs and the selfmorphs reach row_texts."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"data": data}))
+        formatted = []
+        row_texts = datagen.row_texts
+        monkeypatch.setattr(datagen, "row_texts", lambda rows, sep: formatted.append(len(rows)) or row_texts(rows, sep))
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        monkeypatch.undo()
         bundle = generate_bundle(ExperimentConfig.from_dict({"data": data}))
+        assert sum(formatted) == len(bundle.bona_fides) + len(bundle.train_set) - len(bundle.train_rows)
+        if not data:
+            assert sum(formatted) == 2000 + 800 + 800  # formatting every line of both files made 5200
         save_dataset(bundle.bona_fides, tmp_path / "bona_fides.jsonl")
         save_dataset(bundle.train_set, tmp_path / "dataset.jsonl")
         for name in ("bona_fides.jsonl", "dataset.jsonl"):

@@ -171,6 +171,17 @@ class TestIdentityUniverse:
         with pytest.raises(ConfigError, match="subsets must partition the identities into two nonempty groups"):
             IdentityUniverse(prototypes, np.array(subsets))
 
+    @pytest.mark.parametrize("prototypes, subsets", [
+        (np.eye(3), [1, 2]),
+        (np.eye(2), [1, 2, 1]),
+        (np.eye(3)[:, 0], [1, 2, 1]),
+        (np.eye(3)[:, :, None], [1, 2, 1]),
+        (np.eye(4), np.array([[1, 2], [1, 2]])),
+    ], ids=["more_prototypes", "fewer_prototypes", "1d_prototypes", "3d_prototypes", "2d_subsets"])
+    def test_prototypes_need_one_row_per_subset_id(self, prototypes, subsets):
+        with pytest.raises(ConfigError, match=r"^prototypes and subsets need shapes \(C, D\) and \(C,\), not \S"):
+            IdentityUniverse(prototypes, np.array(subsets))
+
 
 class TestPairProtocol:
     def test_exhaustive_cross_subset_enumeration(self):

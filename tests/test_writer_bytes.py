@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphguard import datagen
 from morphguard.cli import main
 from morphguard.datagen import (
     _WRITE_ROWS,
@@ -22,6 +23,7 @@ from morphguard.datagen import (
     save_protocol,
     synth_identities,
 )
+from morphguard.errors import DataError
 from morphguard.featviz import save_aligned_csv
 from morphguard.floattext import row_texts
 from morphguard.metrics import (
@@ -128,6 +130,71 @@ class TestDatasetRecords:
         assert (path / "d.jsonl").read_bytes() == oracle_bytes(samples, path / "o.jsonl")
 
 
+def edge_pool() -> SampleSet:
+    """2 * _WRITE_ROWS + 3 bona fide rows of five identities: straddling_rows, each of them
+    with a NaN, ±inf or ±0 in place of its first value, and cycled on past a write block."""
+    rows = straddling_rows()
+    firsts = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    signed = np.repeat(rows, len(firsts), axis=0)
+    signed[:, 0] = np.tile(firsts, len(rows))
+    inputs = np.concatenate((rows, signed))[np.arange(2 * _WRITE_ROWS + 3) % (len(rows) + len(signed))]
+    labels = np.arange(len(inputs)) % 5
+    return SampleSet(inputs, labels, labels, np.zeros(len(inputs)))
+
+
+def picked_set(pool: SampleSet, rows) -> SampleSet:
+    """pool's rows rows, then a morph and a selfmorph of new values, as build_training_set orders them."""
+    picked = pool[np.asarray(rows, dtype=np.int64)]
+    return SampleSet(np.concatenate((picked.inputs, -pool.inputs[:2])), [*picked.first, 0, 1],
+                     [*picked.second, 1, 1], [*picked.kinds, MORPH, SELF_MORPH])
+
+
+def formatted_blocks(monkeypatch) -> list:
+    """The number of rows in each block that datagen.row_texts formats from here on."""
+    formatted, row_texts = [], datagen.row_texts
+    monkeypatch.setattr(datagen, "row_texts", lambda block, sep: formatted.append(len(block)) or row_texts(block, sep))
+    return formatted
+
+
+class TestCopiedLines:
+    """save_dataset's copy_from: the first rows' lines copied from the pool's file, the rest formatted."""
+
+    @pytest.mark.parametrize("picks", ["none", "first", "last", "every", "every_other", "block_edges"])
+    def test_ascending_picks_match_json_dumps(self, tmp_path, monkeypatch, picks):
+        pool = edge_pool()
+        n, w = len(pool), _WRITE_ROWS
+        rows = {"none": [], "first": [0], "last": [n - 1], "every": range(n), "every_other": range(1, n, 2),
+                "block_edges": [0, w - 1, w, w + 1, 2 * w - 1, 2 * w, n - 1]}[picks]
+        save_dataset(pool, tmp_path / "pool.jsonl")
+        assert (tmp_path / "pool.jsonl").read_bytes() == oracle_bytes(pool, tmp_path / "pool.oracle.jsonl")
+        rows = np.array(rows, dtype=np.int64)
+        samples = picked_set(pool, rows)
+        formatted = formatted_blocks(monkeypatch)
+        save_dataset(samples, tmp_path / "set.jsonl", copy_from=(tmp_path / "pool.jsonl", rows))
+        assert (tmp_path / "set.jsonl").read_bytes() == oracle_bytes(samples, tmp_path / "set.oracle.jsonl")
+        assert formatted == [2]  # only the morph and the selfmorph
+
+    @pytest.mark.parametrize(
+        "rows", [[2, 1], np.array([2, 1], dtype=np.uint64), [1, 1], [0, 3, 3], [-1, 0], [0, 5], [0, 2**62], [[0, 1]],
+                 [0.0, 1.0], [0, 1, 2, 3]],
+        ids=["unsorted", "unsorted_unsigned", "repeated", "repeated_last", "negative", "past_the_end",
+             "far_past_the_end", "2d", "float", "more_than_the_set"],
+    )
+    def test_rows_that_are_not_ascending_lines_of_the_source_raise(self, tmp_path, rows):
+        pool = edge_pool()[:5]
+        save_dataset(pool, tmp_path / "pool.jsonl")
+        with pytest.raises(DataError):
+            save_dataset(picked_set(pool, [0]), tmp_path / "set.jsonl", copy_from=(tmp_path / "pool.jsonl", rows))
+
+    def test_a_last_line_without_its_newline_is_not_copied(self, tmp_path):
+        pool = edge_pool()[:3]
+        save_dataset(pool, tmp_path / "pool.jsonl")
+        (tmp_path / "cut.jsonl").write_bytes((tmp_path / "pool.jsonl").read_bytes()[:-1])
+        save_dataset(picked_set(pool, [0, 1]), tmp_path / "set.jsonl", copy_from=(tmp_path / "cut.jsonl", [0, 1]))
+        with pytest.raises(DataError, match=r"cut\.jsonl ends before line 3, which the copy needs$"):
+            save_dataset(picked_set(pool, [1, 2]), tmp_path / "set.jsonl", copy_from=(tmp_path / "cut.jsonl", [1, 2]))
+
+
 class TestWideRows:
     """64-wide rows on both sides of the range where orjson's text of a row is json.dumps's."""
 
@@ -171,10 +238,15 @@ class TestGenDataMemory:
     POOL = 200 * 50 * 128 * 8  # the pool's inputs.nbytes: 200 identities x 50 samples x 128 float64
 
     def test_gen_data_holds_no_text_of_the_pool(self, tmp_path):
-        # 3.00 pools: the pool, the (N+M+S, D) training set (1.6 pools) and one 256-row write
-        # block's text, which row_texts holds about twice while it splits it into rows; each row's
-        # text then gives way to its line, and the block's lines go out in one write. Blocks of
-        # 1024 rows peak at 3.72; formatting every pool row's text up front, to reuse it, at 5.62.
+        # 2.95 pools: 2.68 held through both writes (the pool, the (N+M+S, D) training set's 1.6
+        # pools and the rest of the bundle), then one 256-row write block of bona_fides.jsonl's text
+        # (+0.27), which row_texts holds several times over while it splits it into rows; each row's
+        # text then gives way to its line, and the block's lines go out in one write. dataset.jsonl
+        # copies its bona fide lines from that file 256 lines a write and formats only its blends
+        # (+0.26); formatting every one of its rows peaked at +0.28, 2.96 pools. Blocks of 1024 rows
+        # peak at 3.67; one row_texts call over the whole pool, its text kept for both files, at
+        # 8.54. These are read after a first gen-data in the process; a first one, which also
+        # imports modules, reads 2.97.
         (tmp_path / "config.json").write_text(json.dumps({"data": {"num_classes": 200, "input_dim": 128}}))
         tracemalloc.start()
         try:
